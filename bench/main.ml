@@ -601,7 +601,7 @@ action Drift(u) { on self { movevect_x <- 1; } }
 
 script scout(u) {
   let c = NearOthers(u);
-  if c >= 0 then { perform Mark(u); }
+  if c > 0 then { perform Mark(u); }
 }
 script wanderer(u) { perform Drift(u); }
 |}
@@ -738,17 +738,28 @@ let micro () =
   let ys = Array.init n (fun i -> float_of_int (Prng.int prng ~bound:1000 [ i; 2 ])) in
   let vals = Array.init n (fun i -> float_of_int (Prng.int prng ~bound:100 [ i; 3 ])) in
   let ids = Array.init n (fun i -> i) in
-  let stats id = [| 1.; vals.(id) |] in
-  let cascade = Cascade_tree.build ~x:(Array.get xs) ~y:(Array.get ys) ~stats ~m:2 ids in
-  let layered =
-    Range_tree.build ~dims:[ Array.get xs; Array.get ys ] ~stats:(Some stats) ~m:2 ids
-  in
+  let stats = Array.concat (List.init n (fun id -> [| 1.; vals.(id) |])) in
+  let cascade = Cascade_tree.build ~x:xs ~y:ys ~stats ~m:2 in
+  let layered = Range_tree.build ~dims:[ xs; ys ] ~stats:(Some stats) ~m:2 n in
   let kd = Kd_tree.build ~x:(Array.get xs) ~y:(Array.get ys) ids in
-  let seg = Segment_tree.build ~neutral:0. ~op:( +. ) vals in
-  let box q =
-    ( Interval.make ~lo:(xs.(q) -. 50.) ~hi:(xs.(q) +. 50.) (),
-      Interval.make ~lo:(ys.(q) -. 50.) ~hi:(ys.(q) +. 50.) () )
+  (* one probe box, refilled per run as the indexed evaluator refills it *)
+  let box = Interval.box [ Interval.everything; Interval.everything ] in
+  let fill_box q =
+    box.Interval.lows.(0) <- xs.(q) -. 50.;
+    box.Interval.highs.(0) <- xs.(q) +. 50.;
+    box.Interval.lows.(1) <- ys.(q) -. 50.;
+    box.Interval.highs.(1) <- ys.(q) +. 50.
   in
+  let acc = Array.make 2 0. and scratch = Array.make 2 0. in
+  (* The battle's group-0 shape: 6000 points (one army at 12k units) with
+     count, posx and posy statistics; and one argmin sweep of as many
+     probers over them at the knights' melee window. *)
+  let n6 = 6000 in
+  let x6 = Array.init n6 (fun i -> float_of_int (Prng.int prng ~bound:1000 [ i; 4 ])) in
+  let y6 = Array.init n6 (fun i -> float_of_int (Prng.int prng ~bound:1000 [ i; 5 ])) in
+  let health6 = Array.init n6 (fun i -> float_of_int (Prng.int prng ~bound:100 [ i; 6 ])) in
+  let stats6 = Array.concat (List.init n6 (fun k -> [| 1.; x6.(k); y6.(k) |])) in
+  let best6 = Array.make n6 0 in
   let counter = ref 0 in
   let next () =
     counter := (!counter + 1) land (n - 1);
@@ -757,32 +768,27 @@ let micro () =
   let tests =
     [
       Test.make ~name:"cascade_build_4096"
-        (Staged.stage (fun () ->
-             ignore (Cascade_tree.build ~x:(Array.get xs) ~y:(Array.get ys) ~stats ~m:2 ids)));
+        (Staged.stage (fun () -> ignore (Cascade_tree.build ~x:xs ~y:ys ~stats ~m:2)));
+      Test.make ~name:"cascade_build_6000_m3"
+        (Staged.stage (fun () -> ignore (Cascade_tree.build ~x:x6 ~y:y6 ~stats:stats6 ~m:3)));
       Test.make ~name:"cascade_probe"
         (Staged.stage (fun () ->
-             let q = next () in
-             let ivx, ivy = box q in
-             ignore (Cascade_tree.query cascade ~x:ivx ~y:ivy)));
+             fill_box (next ());
+             Cascade_tree.accumulate cascade box ~scratch acc));
       Test.make ~name:"layered_probe"
         (Staged.stage (fun () ->
-             let q = next () in
-             let ivx, ivy = box q in
-             ignore (Range_tree.query_stats layered [ ivx; ivy ])));
+             fill_box (next ());
+             Range_tree.accumulate layered box ~scratch acc));
+      Test.make ~name:"sweepline_6000"
+        (Staged.stage (fun () ->
+             Sweepline.run Sweepline.Min ~x:x6 ~y:y6 ~value:health6 ~qx:x6 ~qy:y6 ~rx:2. ~ry:2.
+               best6));
       Test.make ~name:"kd_build_4096"
         (Staged.stage (fun () -> ignore (Kd_tree.build ~x:(Array.get xs) ~y:(Array.get ys) ids)));
       Test.make ~name:"kd_nearest"
         (Staged.stage (fun () ->
              let q = next () in
              ignore (Kd_tree.nearest kd ~qx:xs.(q) ~qy:ys.(q))));
-      Test.make ~name:"segment_tree_query"
-        (Staged.stage (fun () ->
-             let q = next () in
-             ignore (Segment_tree.query seg ~lo:(q / 2) ~hi:n)));
-      Test.make ~name:"segment_tree_update"
-        (Staged.stage (fun () ->
-             let q = next () in
-             Segment_tree.set seg q vals.(q)));
       Test.make ~name:"prng_script_random"
         (Staged.stage (fun () -> ignore (Prng.script_random prng ~tick:3 ~key:(next ()) 1)));
       Test.make ~name:"naive_scan_4096"
@@ -882,9 +888,9 @@ let telemetry_bench () =
    polling /metrics and /health throughout the run.  The off pass is the
    baseline the obs-on numbers are judged against — it must match the
    no-obs engine exactly (the observer hook is a single option check).
-   The obs-on passes pay one O(n) state digest per commit, which is the
-   dominant cost; ring append, sink flush and a polling client are noise
-   on top of it. *)
+   The obs-on passes pay one state digest per commit, incremental over
+   the columns the tick dirtied; ring append, sink flush and a polling
+   client are noise on top of it. *)
 
 let obs_bench () =
   header "Observability - flight recorder and live endpoint overhead (indexed, 2000 units)";

@@ -3,9 +3,17 @@
 
 type t
 
-(** [build ~x ~y ~stats ~m ids] indexes points [ids] with coordinates
-    [(x id, y id)] and m-dimensional statistic vectors [stats id]. *)
-val build : x:(int -> float) -> y:(int -> float) -> stats:(int -> float array) -> m:int -> int array -> t
+(** [build ~x ~y ~stats ~m] indexes the points [0 .. n-1], [n] being
+    [Array.length x]: point [k] sits at [(x.(k), y.(k))] and carries the
+    statistics [stats.(k*m) .. stats.(k*m + m-1)]. *)
+val build : x:float array -> y:float array -> stats:float array -> m:int -> t
+
+(** [accumulate t box ~scratch acc] sums the statistics of the points
+    inside [box] (dimension 0 is x, dimension 1 is y) into [scratch] from
+    zero, then adds [scratch] into [acc] componentwise.  Summing each tree
+    first keeps a total over several trees bit-identical to adding their
+    {!query} results with [+.].  Allocates nothing. *)
+val accumulate : t -> Interval.box -> scratch:float array -> float array -> unit
 
 (** Componentwise sum of the statistic vectors of all points inside the
     box. *)

@@ -18,18 +18,12 @@ let make ?(lo = neg_infinity) ?(lo_strict = false) ?(hi = infinity) ?(hi_strict 
 
 let everything = make ()
 
-let mem t x =
-  (if t.lo_strict then x > t.lo else x >= t.lo)
-  && if t.hi_strict then x < t.hi else x <= t.hi
+let[@inline] within ~(lo : float) ~lo_strict ~(hi : float) ~hi_strict (x : float) =
+  (if lo_strict then x > lo else x >= lo) && if hi_strict then x < hi else x <= hi
+
+let mem t x = within ~lo:t.lo ~lo_strict:t.lo_strict ~hi:t.hi ~hi_strict:t.hi_strict x
 
 let is_empty t = t.lo > t.hi || (t.lo = t.hi && (t.lo_strict || t.hi_strict))
-
-(* Half-open index range [a, b) of the members of [t] within the sorted
-   array [coords]. *)
-let positions t (coords : float array) : int * int =
-  let a = if t.lo_strict then Search.upper_bound coords t.lo else Search.lower_bound coords t.lo in
-  let b = if t.hi_strict then Search.lower_bound coords t.hi else Search.upper_bound coords t.hi in
-  (a, max a b)
 
 (* Intersect two intervals over the same attribute. *)
 let inter a b =
@@ -50,3 +44,33 @@ let pp ppf t =
     (if t.lo_strict then "(" else "[")
     t.lo t.hi
     (if t.hi_strict then ")" else "]")
+
+(* ------------------------------------------------------------------ *)
+(* Boxes *)
+
+type box = {
+  lows : float array;
+  highs : float array;
+  low_strict : bool array;
+  high_strict : bool array;
+}
+
+let box (ivs : t list) : box =
+  let a = Array.of_list ivs in
+  {
+    lows = Array.map (fun iv -> iv.lo) a;
+    highs = Array.map (fun iv -> iv.hi) a;
+    low_strict = Array.map (fun iv -> iv.lo_strict) a;
+    high_strict = Array.map (fun iv -> iv.hi_strict) a;
+  }
+
+let first b d coords =
+  if b.low_strict.(d) then Search.upper_bound coords b.lows.(d)
+  else Search.lower_bound coords b.lows.(d)
+
+let last b d coords =
+  if b.high_strict.(d) then Search.lower_bound coords b.highs.(d)
+  else Search.upper_bound coords b.highs.(d)
+
+let box_mem b d x =
+  within ~lo:b.lows.(d) ~lo_strict:b.low_strict.(d) ~hi:b.highs.(d) ~hi_strict:b.high_strict.(d) x

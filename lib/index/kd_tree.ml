@@ -43,41 +43,41 @@ let build ~(x : int -> float) ~(y : int -> float) (ids : int array) : t =
 
 let size t = t.count
 
-(* Nearest accepted point to (qx, qy); ties break toward the point visited
-   first, matching the naive scan only in distance (callers that need
-   deterministic tie-breaks compare ids; see Nearest_eval). *)
-let nearest ?(filter = fun _ -> true) t ~qx ~qy : (int * float) option =
-  let best = ref None in
-  let best_d2 () =
-    match !best with
-    | None -> infinity
-    | Some (_, d2) -> d2
-  in
-  let consider node =
-    if filter node.id then begin
-      let dx = node.px -. qx and dy = node.py -. qy in
-      let d2 = (dx *. dx) +. (dy *. dy) in
-      let better =
-        match !best with
-        | None -> true
-        | Some (bid, bd2) -> d2 < bd2 || (d2 = bd2 && node.id < bid)
-      in
-      if better then best := Some (node.id, d2)
-    end
-  in
+(* Nearest accepted point to (qx, qy); distance ties break toward the
+   smaller id.  The running best is an int ref and a one-slot float array
+   (infinity while there is none), so improving it allocates nothing. *)
+let nearest ?filter t ~qx ~qy : (int * float) option =
+  let best_id = ref (-1) and best_d2 = [| infinity |] in
   let rec go = function
     | None -> ()
     | Some node ->
-      consider node;
-      let delta = if node.axis = 0 then qx -. node.px else qy -. node.py in
-      let near, far = if delta < 0. then (node.left, node.right) else (node.right, node.left) in
-      go near;
+      let accepted =
+        match filter with
+        | None -> true
+        | Some f -> f node.id
+      in
+      if accepted then begin
+        let dx = node.px -. qx and dy = node.py -. qy in
+        let d2 = (dx *. dx) +. (dy *. dy) in
+        if !best_id < 0 || d2 < best_d2.(0) || (d2 = best_d2.(0) && node.id < !best_id) then begin
+          best_id := node.id;
+          best_d2.(0) <- d2
+        end
+      end;
       (* The far side can only help if the splitting plane is closer than
          the best match so far (<= admits equal-distance, smaller-id points). *)
-      if delta *. delta <= best_d2 () then go far
+      let delta = if node.axis = 0 then qx -. node.px else qy -. node.py in
+      if delta < 0. then begin
+        go node.left;
+        if delta *. delta <= best_d2.(0) then go node.right
+      end
+      else begin
+        go node.right;
+        if delta *. delta <= best_d2.(0) then go node.left
+      end
   in
   go t.root;
-  !best
+  if !best_id < 0 then None else Some (!best_id, best_d2.(0))
 
 (* Visit every point inside the box (used by tests and residual scans). *)
 let query_box ?(filter = fun _ -> true) t ~(x : Interval.t) ~(y : Interval.t) (f : int -> unit) :

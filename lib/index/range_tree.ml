@@ -9,13 +9,15 @@
    The same structure answers enumeration queries (reporting ids), which is
    the fallback for non-divisible aggregates and residual predicates. *)
 
+type leaf = {
+  coords : float array; (* sorted by the last dimension *)
+  ids : int array; (* point ids in coord order *)
+  prefix : float array; (* (n+1) * m statistic sums, flat; empty if stats are unused *)
+  m : int;
+}
+
 type t =
-  | Leaf_level of {
-      coords : float array; (* sorted by the last dimension *)
-      ids : int array; (* point ids in coord order *)
-      prefix : float array array; (* n+1 rows of m statistic sums; [||] rows if stats are unused *)
-      m : int;
-    }
+  | Leaf_level of leaf
   | Tree_level of {
       coords : float array; (* sorted by this dimension *)
       root : node option; (* None iff there are no points *)
@@ -30,116 +32,102 @@ and node = {
   right : node option;
 }
 
-(* [build ~dims ~stats ids] builds a tree over the points [ids]; [dims]
-   gives each dimension's coordinate accessor, [stats] the per-point
-   statistic vector (pass [None] for an enumeration-only tree). *)
-let rec build ~(dims : (int -> float) list) ~(stats : (int -> float array) option)
-    ~(m : int) (ids : int array) : t =
-  match dims with
-  | [] -> invalid_arg "Range_tree.build: at least one dimension required"
-  | [ last ] ->
-    let ids = Array.copy ids in
-    Array.sort (fun a b -> Float.compare (last a) (last b)) ids;
-    let n = Array.length ids in
-    let coords = Array.map last ids in
-    let prefix =
-      match stats with
-      | None -> Array.make (n + 1) [||]
-      | Some stat ->
-        let prefix = Array.make (n + 1) [||] in
-        prefix.(0) <- Array.make m 0.;
-        for i = 0 to n - 1 do
-          let s = stat ids.(i) in
-          prefix.(i + 1) <- Array.init m (fun j -> prefix.(i).(j) +. s.(j))
-        done;
-        prefix
-    in
-    Leaf_level { coords; ids; prefix; m }
-  | first :: rest ->
-    let ids = Array.copy ids in
-    Array.sort (fun a b -> Float.compare (first a) (first b)) ids;
-    let coords = Array.map first ids in
-    let rec build_node lo hi =
-      if hi <= lo then None
-      else begin
-        let assoc = build ~dims:rest ~stats ~m (Array.sub ids lo (hi - lo)) in
-        if hi - lo = 1 then Some { lo; hi; assoc; left = None; right = None }
+let build ~(dims : float array list) ~(stats : float array option) ~(m : int) (n : int) : t =
+  let rec level dims (ids : int array) =
+    match dims with
+    | [] -> invalid_arg "Range_tree.build: at least one dimension required"
+    | [ last ] ->
+      let ids = Array.copy ids in
+      Array.sort (fun a b -> Float.compare last.(a) last.(b)) ids;
+      let k = Array.length ids in
+      let prefix =
+        match stats with
+        | None -> [||]
+        | Some s ->
+          let prefix = Array.make ((k + 1) * m) 0. in
+          for i = 0 to k - 1 do
+            let base = ids.(i) * m in
+            for j = 0 to m - 1 do
+              prefix.(((i + 1) * m) + j) <- prefix.((i * m) + j) +. s.(base + j)
+            done
+          done;
+          prefix
+      in
+      Leaf_level { coords = Array.map (fun id -> last.(id)) ids; ids; prefix; m }
+    | first :: rest ->
+      let ids = Array.copy ids in
+      Array.sort (fun a b -> Float.compare first.(a) first.(b)) ids;
+      let rec build_node lo hi =
+        if hi <= lo then None
         else begin
-          let mid = (lo + hi) / 2 in
-          Some { lo; hi; assoc; left = build_node lo mid; right = build_node mid hi }
+          let assoc = level rest (Array.sub ids lo (hi - lo)) in
+          if hi - lo = 1 then Some { lo; hi; assoc; left = None; right = None }
+          else begin
+            let mid = (lo + hi) / 2 in
+            Some { lo; hi; assoc; left = build_node lo mid; right = build_node mid hi }
+          end
         end
-      end
-    in
-    Tree_level { coords; root = build_node 0 (Array.length ids); m }
+      in
+      Tree_level
+        { coords = Array.map (fun id -> first.(id)) ids; root = build_node 0 (Array.length ids); m }
+  in
+  level dims (Array.init n (fun k -> k))
 
-(* Sum the statistic vectors of all points inside the box. *)
-let query_stats (t : t) (box : Interval.t list) : float array =
-  let m =
+(* Visit the leaf level of every canonical path through [box], with the
+   position range [a, b) of its members in the last dimension. *)
+let iter_box ~(fn : string) (t : t) (box : Interval.box) (visit : leaf -> int -> int -> unit) =
+  let last_dim = Array.length box.Interval.lows - 1 in
+  let arity () = invalid_arg ("Range_tree." ^ fn ^ ": box arity does not match tree depth") in
+  let rec go t d =
     match t with
-    | Leaf_level l -> l.m
-    | Tree_level l -> l.m
-  in
-  let acc = Array.make m 0. in
-  let add_range (prefix : float array array) a b =
-    if b > a then begin
-      let pa = prefix.(a) and pb = prefix.(b) in
-      for j = 0 to Array.length acc - 1 do
-        acc.(j) <- acc.(j) +. pb.(j) -. pa.(j)
-      done
-    end
-  in
-  let rec go t box =
-    match (t, box) with
-    | Leaf_level l, [ iv ] ->
-      let a, b = Interval.positions iv l.coords in
-      add_range l.prefix a b
-    | Tree_level { coords; root; _ }, iv :: rest ->
-      let a, b = Interval.positions iv coords in
-      let rec visit = function
+    | Leaf_level l ->
+      if d <> last_dim then arity ();
+      let a = Interval.first box d l.coords in
+      visit l a (max a (Interval.last box d l.coords))
+    | Tree_level { coords; root; _ } ->
+      if d > last_dim then arity ();
+      let a = Interval.first box d coords in
+      let b = max a (Interval.last box d coords) in
+      let rec cover = function
         | None -> ()
         | Some node ->
           if b <= node.lo || node.hi <= a then ()
-          else if a <= node.lo && node.hi <= b then go node.assoc rest
+          else if a <= node.lo && node.hi <= b then go node.assoc (d + 1)
           else begin
-            visit node.left;
-            visit node.right
+            cover node.left;
+            cover node.right
           end
       in
-      visit root
-    | Leaf_level _, ([] | _ :: _ :: _) | Tree_level _, [] ->
-      invalid_arg "Range_tree.query_stats: box arity does not match tree depth"
+      cover root
   in
-  go t box;
-  acc
+  go t 0
+
+let width = function
+  | Leaf_level l -> l.m
+  | Tree_level l -> l.m
+
+(* Sum the statistic vectors of all points inside the box into [scratch]
+   from zero, then add [scratch] into [acc]. *)
+let accumulate (t : t) (box : Interval.box) ~(scratch : float array) (acc : float array) : unit =
+  let m = width t in
+  Array.fill scratch 0 m 0.;
+  iter_box ~fn:"accumulate" t box (fun l a b ->
+      if b > a then
+        for j = 0 to m - 1 do
+          scratch.(j) <- scratch.(j) +. l.prefix.((b * m) + j) -. l.prefix.((a * m) + j)
+        done);
+  for j = 0 to m - 1 do
+    acc.(j) <- acc.(j) +. scratch.(j)
+  done
 
 (* Report the id of every point inside the box. *)
-let query_enum (t : t) (box : Interval.t list) (f : int -> unit) : unit =
-  let rec go t box =
-    match (t, box) with
-    | Leaf_level l, [ iv ] ->
-      let a, b = Interval.positions iv l.coords in
+let query_enum (t : t) (box : Interval.box) (f : int -> unit) : unit =
+  iter_box ~fn:"query_enum" t box (fun l a b ->
       for i = a to b - 1 do
         f l.ids.(i)
-      done
-    | Tree_level { coords; root; _ }, iv :: rest ->
-      let a, b = Interval.positions iv coords in
-      let rec visit = function
-        | None -> ()
-        | Some node ->
-          if b <= node.lo || node.hi <= a then ()
-          else if a <= node.lo && node.hi <= b then go node.assoc rest
-          else begin
-            visit node.left;
-            visit node.right
-          end
-      in
-      visit root
-    | Leaf_level _, ([] | _ :: _ :: _) | Tree_level _, [] ->
-      invalid_arg "Range_tree.query_enum: box arity does not match tree depth"
-  in
-  go t box
+      done)
 
-let query_count (t : t) (box : Interval.t list) : int =
+let query_count (t : t) (box : Interval.box) : int =
   let n = ref 0 in
   query_enum t box (fun _ -> incr n);
   !n

@@ -6,20 +6,23 @@
 
 type t
 
-(** [build ~dims ~stats ~m ids] indexes the points [ids].  [dims] gives the
-    coordinate accessor for each of the d >= 1 dimensions (outermost first);
-    [stats] gives each point's m-dimensional statistic vector, or [None] for
-    an enumeration-only tree (then [m] is ignored). *)
-val build : dims:(int -> float) list -> stats:(int -> float array) option -> m:int -> int array -> t
+(** [build ~dims ~stats ~m n] indexes the points [0 .. n-1].  [dims] holds
+    the coordinates of each of the d >= 1 dimensions (outermost first),
+    [coords.(k)] for point [k]; [stats] holds point [k]'s m statistics at
+    [k*m .. k*m + m-1], or is [None] for an enumeration-only tree (then [m]
+    is ignored). *)
+val build : dims:float array list -> stats:float array option -> m:int -> int -> t
 
-(** Componentwise sum of the statistic vectors of all points inside the box
-    (one interval per dimension, outermost first). *)
-val query_stats : t -> Interval.t list -> float array
+(** [accumulate t box ~scratch acc] sums the statistics of the points
+    inside the box (one dimension per tree level, outermost first) into
+    [scratch] from zero, then adds [scratch] into [acc] componentwise, as
+    {!Cascade_tree.accumulate} does. *)
+val accumulate : t -> Interval.box -> scratch:float array -> float array -> unit
 
-(** Visit the id of every point inside the box. *)
-val query_enum : t -> Interval.t list -> (int -> unit) -> unit
+(** Visit the index of every point inside the box. *)
+val query_enum : t -> Interval.box -> (int -> unit) -> unit
 
-val query_count : t -> Interval.t list -> int
+val query_count : t -> Interval.box -> int
 
 (** Number of levels (= number of dimensions). *)
 val depth : t -> int

@@ -3,18 +3,20 @@
 
 type kind = Min | Max
 
-type datum = { x : float; y : float; value : float; id : int }
-type query = { qx : float; qy : float; qid : int }
-
-(** [run kind ~data ~queries ~rx ~ry ~n_queries] returns, indexed by each
-    query's [qid], [Some (data_id, best_value)] over the data points with
-    [|dx| <= rx] and [|dy| <= ry], or [None] when the window is empty.
-    Value ties break toward the smaller data id. *)
+(** [run kind ~x ~y ~value ~qx ~qy ~rx ~ry best] sets [best.(q)], for each
+    query [q] at [(qx.(q), qy.(q))], to the index [k] of the best data point
+    at [(x.(k), y.(k))] with [|dx| <= rx] and [|dy| <= ry], or to [-1] when
+    that window is empty.  The best point has the smallest ([Min]) or
+    largest ([Max]) [value.(k)] under [Float.compare]; ties break toward
+    the smaller [k]. *)
 val run :
   kind ->
-  data:datum array ->
-  queries:query array ->
+  x:float array ->
+  y:float array ->
+  value:float array ->
+  qx:float array ->
+  qy:float array ->
   rx:float ->
   ry:float ->
-  n_queries:int ->
-  (int * float) option array
+  int array ->
+  unit

@@ -229,7 +229,7 @@ type div_struct =
 type sub_index = {
   members : int array; (* data ids, ascending *)
   mutable divisible : div_struct option;
-  mutable enum_tree : Range_tree.t option;
+  mutable enum_tree : Range_tree.t option; (* reports positions in [members] *)
   mutable kds : ((int * int) * Kd_tree.t) list; (* per (ex, ey) coordinate pair *)
 }
 
@@ -263,22 +263,40 @@ let coord_fn (bi : built_index) (attr : int) : int -> float =
     match Colstore.float_reader cs attr with Some read -> read | None -> fallback)
   | _ -> fallback
 
-(* Per-statistic accessors: a bare attribute reference reads its column
-   directly ([Expr.eval_float] of [EAttr j] is [Value.to_float row.(j)],
-   which the column reader reproduces exactly); anything else evaluates
-   the expression against the boxed row. *)
-let stat_fns (bi : built_index) : (int -> float) array =
-  Array.of_list
-    (List.map
-       (fun e ->
-         let fallback id =
-           Expr.eval_float { Expr.u = [||]; e = Some bi.data.(id); rand = dummy_rand } e
-         in
-         match (e, bi.cols) with
-         | Expr.EAttr j, Some cs when j < Schema.arity (Colstore.schema cs) -> (
-           match Colstore.float_reader cs j with Some read -> read | None -> fallback)
-         | _ -> fallback)
-       bi.group.stats_exprs)
+(* Write [Expr.eval_float e] over each member's row into
+   [out.(k * stride + off)], [k] the member's position.  A bare attribute
+   the columnar mirror holds as a numeric column is copied straight from
+   it ([Expr.eval_float] of [EAttr j] is [Value.to_float row.(j)], which
+   the column reproduces exactly); anything else evaluates the expression
+   against the boxed row.  Builds gather once into arrays sized by the
+   partition instead of calling an accessor per visit. *)
+let gather (bi : built_index) (e : Expr.t) (members : int array) (out : float array) ~stride ~off
+    : unit =
+  let col =
+    match (e, bi.cols) with
+    | Expr.EAttr j, Some cs when j < Schema.arity (Colstore.schema cs) -> Some (Colstore.col cs j)
+    | _ -> None
+  in
+  let n = Array.length members in
+  match col with
+  | Some (Colstore.Floats a) ->
+    for k = 0 to n - 1 do
+      out.((k * stride) + off) <- a.(members.(k))
+    done
+  | Some (Colstore.Ints a) ->
+    for k = 0 to n - 1 do
+      out.((k * stride) + off) <- float_of_int a.(members.(k))
+    done
+  | Some (Colstore.Bools _ | Colstore.Boxed _) | None ->
+    for k = 0 to n - 1 do
+      out.((k * stride) + off) <-
+        Expr.eval_float { Expr.u = [||]; e = Some bi.data.(members.(k)); rand = dummy_rand } e
+    done
+
+let gather_column (bi : built_index) (e : Expr.t) (members : int array) : float array =
+  let out = Array.make (Array.length members) 0. in
+  gather bi e members out ~stride:1 ~off:0;
+  out
 
 (* Shared build bookkeeping: the evaluator-local stats record, the global
    build counter, and the build-duration histogram. *)
@@ -326,44 +344,6 @@ let build_index ?(epoch = 0) ?cols (st : eval_stats) ~(group : group) ~(data : T
   count_build st t0;
   { data; epoch; group; cat; cols }
 
-(* The partitions a prober may read, given the *instance's* categorical
-   requirements. *)
-let accepted_partitions (bi : built_index) ~(access : Agg_plan.access) ~(row : Tuple.t)
-    ~(rand : int -> int) : sub_index list =
-  let ctx = { Expr.u = row; e = None; rand } in
-  let need_eq = List.map (fun (a, rhs) -> (a, Expr.eval_int ctx rhs)) access.Agg_plan.cat_eqs in
-  let need_ne = List.map (fun (a, rhs) -> (a, Expr.eval_int ctx rhs)) access.Agg_plan.cat_nes in
-  let accept key =
-    let kv = List.combine bi.group.cat_attrs key in
-    List.for_all (fun (a, v) -> List.assoc a kv = v) need_eq
-    && List.for_all (fun (a, v) -> List.assoc a kv <> v) need_ne
-  in
-  Cat_index.find_matching bi.cat ~accept
-
-(* Box intervals for one prober, from the instance's bound expressions. *)
-let probe_box (access : Agg_plan.access) ~(row : Tuple.t) ~(rand : int -> int) : Interval.t list =
-  let ctx = { Expr.u = row; e = None; rand } in
-  List.map
-    (fun (b : Agg_plan.box_dim) ->
-      let bound side =
-        Option.map
-          (fun (bd : Predicate.bound) ->
-            (Expr.eval_float ctx bd.Predicate.value, not bd.Predicate.inclusive))
-          side
-      in
-      let lo, lo_strict =
-        match bound b.Agg_plan.lo with
-        | None -> (neg_infinity, false)
-        | Some (v, s) -> (v, s)
-      in
-      let hi, hi_strict =
-        match bound b.Agg_plan.hi with
-        | None -> (infinity, false)
-        | Some (v, s) -> (v, s)
-      in
-      Interval.make ~lo ~lo_strict ~hi ~hi_strict ())
-    access.Agg_plan.boxes
-
 (* The [memoize] flag on the [ensure_*] builders: when false, a missing
    structure is built and returned but NOT stored in [sub].  Members of a
    shared-index family run with [memoize:false] so that — should the eager
@@ -377,26 +357,23 @@ let ensure_divisible ~(memoize : bool) st (bi : built_index) (sub : sub_index) :
   | None ->
     let t0 = Timer.now () in
     let m = bi.group.n_stats in
-    let fns = stat_fns bi in
-    let stat id = Array.map (fun f -> f id) fns in
-    let coord attr = coord_fn bi attr in
+    let members = sub.members in
+    let n = Array.length members in
+    let stats = Array.make (n * m) 0. in
+    List.iteri (fun j e -> gather bi e members stats ~stride:m ~off:j) bi.group.stats_exprs;
+    let coord attr = gather_column bi (Expr.EAttr attr) members in
     let d =
       match bi.group.box_attrs with
       | [] ->
         let total = Array.make m 0. in
-        Array.iter
-          (fun id ->
-            let s = stat id in
-            for j = 0 to m - 1 do
-              total.(j) <- total.(j) +. s.(j)
-            done)
-          sub.members;
+        for k = 0 to n - 1 do
+          for j = 0 to m - 1 do
+            total.(j) <- total.(j) +. stats.((k * m) + j)
+          done
+        done;
         Div_total total
-      | [ a ] -> Div_range (Range_tree.build ~dims:[ coord a ] ~stats:(Some stat) ~m sub.members)
-      | [ ax; ay ] ->
-        Div_cascade (Cascade_tree.build ~x:(coord ax) ~y:(coord ay) ~stats:stat ~m sub.members)
-      | many ->
-        Div_range (Range_tree.build ~dims:(List.map coord many) ~stats:(Some stat) ~m sub.members)
+      | [ ax; ay ] -> Div_cascade (Cascade_tree.build ~x:(coord ax) ~y:(coord ay) ~stats ~m)
+      | attrs -> Div_range (Range_tree.build ~dims:(List.map coord attrs) ~stats:(Some stats) ~m n)
     in
     if memoize then sub.divisible <- Some d;
     count_build st t0;
@@ -407,13 +384,13 @@ let ensure_enum_tree ~(memoize : bool) st (bi : built_index) (sub : sub_index) :
   | Some t -> t
   | None ->
     let t0 = Timer.now () in
-    let coord attr = coord_fn bi attr in
+    let n = Array.length sub.members in
     let dims =
       match bi.group.box_attrs with
-      | [] -> [ (fun _ -> 0.) ] (* degenerate: everything in one slab *)
-      | attrs -> List.map coord attrs
+      | [] -> [ Array.make n 0. ] (* degenerate: everything in one slab *)
+      | attrs -> List.map (fun a -> gather_column bi (Expr.EAttr a) sub.members) attrs
     in
-    let t = Range_tree.build ~dims ~stats:None ~m:0 sub.members in
+    let t = Range_tree.build ~dims ~stats:None ~m:0 n in
     if memoize then sub.enum_tree <- Some t;
     count_build st t0;
     t
@@ -429,6 +406,175 @@ let ensure_kd ~(memoize : bool) st (bi : built_index) ~(ex : int) ~(ey : int) (s
     if memoize then sub.kds <- ((ex, ey), t) :: sub.kds;
     count_build st t0;
     t
+
+(* ------------------------------------------------------------------ *)
+(* Compiled probes.
+
+   A batch probes one access path once per prober row, so the path is
+   specialised once per batch and then run without interpretation:
+   requirement values are read straight from the row, bounds come from
+   float closures, the accepted partitions are memoised per distinct
+   requirement vector, and statistics accumulate into buffers the batch
+   reuses.  Every value is the one [Expr] evaluation would produce. *)
+
+exception Not_float
+
+(* A bound expression specialised to floats: the arithmetic of unit slots
+   and constants that bounds are made of.  [Slot] and [Code] give
+   [Expr.eval_float]'s result whenever every unit slot they read holds a
+   [Value.Float], and raise [Not_float] otherwise; the caller then falls
+   back to [Expr.eval_float], which also reproduces int arithmetic and
+   errors.  [Int_const] is float code only beside a float operand: [Value]
+   arithmetic widens mixed operands but keeps two ints int. *)
+type fcode =
+  | Num of float
+  | Int_const of int
+  | Slot of int
+  | Code of (Tuple.t -> float)
+
+let[@inline] run_fcode c (row : Tuple.t) =
+  match c with
+  | Num f -> f
+  | Int_const k -> float_of_int k
+  | Slot i ->
+    if i < Array.length row then
+      match Array.unsafe_get row i with
+      | Value.Float f -> f
+      | Value.Int _ | Value.Bool _ | Value.Vec _ -> raise_notrace Not_float
+    else raise_notrace Not_float
+  | Code f -> f row
+
+let rec fcode (e : Expr.t) : fcode option =
+  match e with
+  | Expr.Const (Value.Float f) -> Some (Num f)
+  | Expr.Const (Value.Int k) -> Some (Int_const k)
+  | Expr.UAttr i -> Some (Slot i)
+  | Expr.Binop (op, a, b) -> begin
+    match (fcode a, fcode b) with
+    | None, _ | _, None | Some (Int_const _), Some (Int_const _) -> None
+    | Some x, Some y -> (
+      match op with
+      | Expr.Add -> Some (Code (fun row -> run_fcode x row +. run_fcode y row))
+      | Expr.Sub -> Some (Code (fun row -> run_fcode x row -. run_fcode y row))
+      | Expr.Mul -> Some (Code (fun row -> run_fcode x row *. run_fcode y row))
+      | Expr.Div -> Some (Code (fun row -> run_fcode x row /. run_fcode y row))
+      | Expr.Mod -> None)
+  end
+  | _ -> None (* anything else always takes the [Expr] path *)
+
+(* A bound over the prober: its row and random stream, which only the
+   [Expr] fallback can need. *)
+let compile_float (e : Expr.t) : Tuple.t -> (int -> int) -> float =
+  let slow row rand = Expr.eval_float { Expr.u = row; e = None; rand } e in
+  match fcode e with
+  | None -> slow
+  | Some (Num f) -> fun _ _ -> f
+  | Some (Int_const k) ->
+    let f = float_of_int k in
+    fun _ _ -> f
+  | Some c -> fun row rand -> ( try run_fcode c row with Not_float -> slow row rand)
+
+(* A categorical requirement: an int slot or constant, read directly. *)
+let compile_int (e : Expr.t) : Tuple.t -> (int -> int) -> int =
+  let slow row rand = Expr.eval_int { Expr.u = row; e = None; rand } e in
+  match e with
+  | Expr.Const (Value.Int k) -> fun _ _ -> k
+  | Expr.UAttr i ->
+    fun row rand ->
+      if i < Array.length row then
+        match Array.unsafe_get row i with
+        | Value.Int k -> k
+        | Value.Float _ | Value.Bool _ | Value.Vec _ -> slow row rand
+      else slow row rand
+  | _ -> slow
+
+module Requirements = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) = Array.length a = Array.length b && Array.for_all2 Int.equal a b
+  let hash (a : t) = Hashtbl.hash a
+end)
+
+type probe = {
+  req_attrs : int array; (* partition attribute of each requirement *)
+  n_eqs : int; (* requirements [0, n_eqs) are equalities, the rest disequalities *)
+  reqs : (Tuple.t -> (int -> int) -> int) array;
+  req : int array; (* the current prober's requirement values *)
+  memo : sub_index list Requirements.t; (* requirement values -> accepted partitions *)
+  bounds : (int * bool * (Tuple.t -> (int -> int) -> float)) array; (* dim, lower?, bound *)
+  box : Interval.box; (* the current prober's box *)
+}
+
+let compile_probe (access : Agg_plan.access) : probe =
+  let reqs = access.Agg_plan.cat_eqs @ access.Agg_plan.cat_nes in
+  let bound d lower = function
+    | None -> []
+    | Some (bd : Predicate.bound) -> [ (d, lower, compile_float bd.Predicate.value) ]
+  in
+  let strict = function
+    | None -> false
+    | Some (bd : Predicate.bound) -> not bd.Predicate.inclusive
+  in
+  let boxes = access.Agg_plan.boxes in
+  {
+    req_attrs = Array.of_list (List.map fst reqs);
+    n_eqs = List.length access.Agg_plan.cat_eqs;
+    reqs = Array.of_list (List.map (fun (_, rhs) -> compile_int rhs) reqs);
+    req = Array.make (List.length reqs) 0;
+    memo = Requirements.create 8;
+    bounds =
+      Array.of_list
+        (List.concat
+           (List.mapi
+              (fun d (b : Agg_plan.box_dim) -> bound d true b.Agg_plan.lo @ bound d false b.Agg_plan.hi)
+              boxes));
+    box =
+      Interval.box
+        (List.map
+           (fun (b : Agg_plan.box_dim) ->
+             Interval.make ~lo_strict:(strict b.Agg_plan.lo) ~hi_strict:(strict b.Agg_plan.hi) ())
+           boxes);
+  }
+
+(* The partitions [row] may read.  The same requirement values always
+   accept the same partitions in the same order, so each distinct vector
+   is resolved against the partitioning once per batch. *)
+let probe_parts (p : probe) (bi : built_index) (row : Tuple.t) (rand : int -> int) : sub_index list
+    =
+  for i = 0 to Array.length p.reqs - 1 do
+    p.req.(i) <- p.reqs.(i) row rand
+  done;
+  match Requirements.find p.memo p.req with
+  | parts -> parts
+  | exception Not_found ->
+    let accept key =
+      let kv = List.combine bi.group.cat_attrs key in
+      let rec ok i =
+        i >= Array.length p.req
+        || (List.assoc p.req_attrs.(i) kv = p.req.(i)) = (i < p.n_eqs) && ok (i + 1)
+      in
+      ok 0
+    in
+    let parts = Cat_index.find_matching bi.cat ~accept in
+    Requirements.add p.memo (Array.copy p.req) parts;
+    parts
+
+(* Overwrite the probe's box with [row]'s bounds. *)
+let fill_box (p : probe) (row : Tuple.t) (rand : int -> int) : unit =
+  for i = 0 to Array.length p.bounds - 1 do
+    let d, lower, bound = p.bounds.(i) in
+    if lower then p.box.Interval.lows.(d) <- bound row rand
+    else p.box.Interval.highs.(d) <- bound row rand
+  done
+
+let count_probes (st : eval_stats) (tel : agg_tel) (n : int) : unit =
+  st.index_probes <- st.index_probes + n;
+  Telemetry.Counter.add tel_index_probe n;
+  Telemetry.Counter.add tel.tel_probes n
+
+(* The enumeration tree of a box-less group has one degenerate dimension
+   holding every point. *)
+let whole_slab = Interval.box [ Interval.everything ]
 
 (* ------------------------------------------------------------------ *)
 (* Batch evaluation of one aggregate against one built index *)
@@ -452,20 +598,6 @@ let finish_components ~(agg : Aggregate.t) ~(row : Tuple.t) ~(rand : int -> int)
   | _ ->
     raise (Aggregate.Aggregate_error (Fmt.str "aggregate %s has invalid arity" agg.Aggregate.name))
 
-(* Deterministic "better" for extremal folds: minimize/maximize the value,
-   break ties toward the smaller data id — exactly the naive scan's
-   behaviour when data ids are array positions. *)
-let fold_best ~(maximize : bool) (best : (float * int) option) (candidate : float * int) :
-    (float * int) option =
-  match best with
-  | None -> Some candidate
-  | Some (bv, bid) ->
-    let cv, cid = candidate in
-    let better =
-      if maximize then cv > bv || (cv = bv && cid < bid) else cv < bv || (cv = bv && cid < bid)
-    in
-    if better then Some candidate else best
-
 let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Agg_plan.strategy)
     ~(agg : Aggregate.t) ~(membership : membership) ~(bi : built_index)
     ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
@@ -473,184 +605,203 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
   | Agg_plan.Uniform | Agg_plan.Naive_only _ ->
     invalid_arg "eval_indexed_batch: not an indexed strategy"
   | Agg_plan.Indexed { access; components; stats_exprs = _; sweep; enumerate } ->
-    let n_rows = Array.length rows in
-    (* Pre-compute sweep results per extremal component when applicable. *)
-    let sweep_results : (float * int) option array option =
+    let probe = compile_probe access in
+    let n_stats = bi.group.n_stats in
+    let total = Array.make n_stats 0. and scratch = Array.make n_stats 0. in
+    (* A lone extremal component over a constant window is answered for
+       every row up front, by one sweep per partition. *)
+    let swept =
       match (sweep, components) with
-      | Some info, [ C_extremal { kind } ] ->
-        let maximize =
-          match kind with
-          | Aggregate.Max_agg _ | Aggregate.Arg_max _ -> true
-          | _ -> false
-        in
-        let objective =
-          match kind with
-          | Aggregate.Min_agg e | Aggregate.Max_agg e -> e
-          | Aggregate.Arg_min { objective; _ } | Aggregate.Arg_max { objective; _ } -> objective
-          | _ -> assert false
-        in
-        let combined : (float * int) option array = Array.make n_rows None in
-        let skind = if maximize then Sweepline.Max else Sweepline.Min in
-        (* run one sweep per partition over the probers that accept it *)
-        let partition_keys = Cat_index.partition_keys bi.cat in
-        List.iter
-          (fun key ->
-            match Cat_index.find bi.cat key with
-            | None -> ()
-            | Some sub ->
-              let cx = coord_fn bi info.Agg_plan.x_data in
-              let cy = coord_fn bi info.Agg_plan.y_data in
-              let data =
-                Array.map
-                  (fun id ->
-                    let v =
-                      Expr.eval_float
-                        { Expr.u = [||]; e = Some bi.data.(id); rand = dummy_rand }
-                        objective
-                    in
-                    { Sweepline.x = cx id; y = cy id; value = v; id })
-                  sub.members
-              in
-              let queries = Varray.create { Sweepline.qx = 0.; qy = 0.; qid = 0 } in
-              Array.iteri
-                (fun i row ->
-                  let accepted = accepted_partitions bi ~access ~row ~rand:rands.(i) in
-                  if List.memq sub accepted then
-                    Varray.push queries
-                      {
-                        Sweepline.qx = Value.to_float (Tuple.get row info.Agg_plan.x_center);
-                        qy = Value.to_float (Tuple.get row info.Agg_plan.y_center);
-                        qid = i;
-                      })
-                rows;
-              let nq = Varray.length queries in
-              st.index_probes <- st.index_probes + nq;
-              Telemetry.Counter.add tel_index_probe nq;
-              Telemetry.Counter.add tel.tel_probes nq;
-              let res =
-                Sweepline.run skind ~data ~queries:(Varray.to_array queries)
-                  ~rx:info.Agg_plan.rx ~ry:info.Agg_plan.ry ~n_queries:n_rows
-              in
-              Array.iteri
-                (fun i r ->
-                  match r with
-                  | None -> ()
-                  | Some (id, v) -> combined.(i) <- fold_best ~maximize combined.(i) (v, id))
-                res)
-          partition_keys;
-        Some combined
+      | Some info, [ Agg_plan.C_extremal { kind } ] ->
+        Some (sweep_batch st ~tel ~probe ~bi ~info ~kind ~rows ~rands)
       | _ -> None
+    in
+    (* per divisible component, its own statistics out of the group's columns *)
+    let mine =
+      List.map
+        (function
+          | Agg_plan.C_divisible { stat_count; _ } -> Array.make stat_count 0.
+          | Agg_plan.C_extremal _ | Agg_plan.C_nearest _ -> [||])
+        components
     in
     Array.mapi
       (fun i row ->
         let rand = rands.(i) in
-        let parts = accepted_partitions bi ~access ~row ~rand in
-        let box = probe_box access ~row ~rand in
+        let parts =
+          match swept with
+          | Some (_, _, row_parts) -> row_parts.(i)
+          | None -> probe_parts probe bi row rand
+        in
+        fill_box probe row rand;
+        let box = probe.box in
         let per_component =
-          List.map
-            (fun comp ->
+          List.map2
+            (fun comp mine ->
               match comp with
               | Agg_plan.C_divisible { kind; stat_offset; stat_count } ->
                 if enumerate then
                   eval_enum_component st ~tel ~memoize ~bi ~access ~row ~rand ~parts ~box kind
                 else begin
-                  let total = Array.make bi.group.n_stats 0. in
+                  (* each partition is summed on its own, then added in *)
+                  Array.fill total 0 n_stats 0.;
                   List.iter
                     (fun sub ->
                       let d = ensure_divisible ~memoize st bi sub in
-                      st.index_probes <- st.index_probes + 1;
-                      Telemetry.Counter.incr tel_index_probe;
-                      Telemetry.Counter.incr tel.tel_probes;
-                      let part =
-                        match (d, box) with
-                        | Div_total t, _ -> t
-                        | Div_range t, ivs -> Range_tree.query_stats t ivs
-                        | Div_cascade t, [ ivx; ivy ] -> Cascade_tree.query t ~x:ivx ~y:ivy
-                        | Div_cascade _, _ -> assert false
-                      in
-                      for j = 0 to Array.length total - 1 do
-                        total.(j) <- total.(j) +. part.(j)
-                      done)
+                      count_probes st tel 1;
+                      match d with
+                      | Div_total t ->
+                        for j = 0 to n_stats - 1 do
+                          total.(j) <- total.(j) +. t.(j)
+                        done
+                      | Div_range t -> Range_tree.accumulate t box ~scratch total
+                      | Div_cascade t -> Cascade_tree.accumulate t box ~scratch total)
                     parts;
                   Telemetry.Counter.incr tel.tel_prefix;
-                  (* pull this instance's statistics out of the group's
-                     shared columns *)
-                  let mine =
-                    Array.init stat_count (fun j -> total.(membership.stat_map.(stat_offset + j)))
-                  in
+                  for j = 0 to stat_count - 1 do
+                    mine.(j) <- total.(membership.stat_map.(stat_offset + j))
+                  done;
                   Aggregate.finish_divisible kind mine
                 end
               | Agg_plan.C_extremal { kind } -> begin
-                match sweep_results with
-                | Some combined -> begin
+                match swept with
+                | Some (best_id, best_value, _) ->
                   Telemetry.Counter.incr tel.tel_sweep;
-                  match combined.(i) with
-                  | None -> None
-                  | Some (value, id) -> finish_extremal ~bi ~row ~rand kind value id
-                end
-                | None ->
-                  eval_enum_component st ~tel ~memoize ~bi ~access ~row ~rand ~parts ~box kind
+                  if best_id.(i) < 0 then None
+                  else finish_extremal ~bi ~row ~rand kind best_value.(i) best_id.(i)
+                | None -> eval_enum_component st ~tel ~memoize ~bi ~access ~row ~rand ~parts ~box kind
               end
-              | Agg_plan.C_nearest { kind } -> begin
-                match kind with
-                | Aggregate.Nearest { ex = Expr.EAttr exa; ey = Expr.EAttr eya; ux; uy; result }
-                  -> begin
-                  let ctx = { Expr.u = row; e = None; rand } in
-                  let qx = Expr.eval_float ctx ux and qy = Expr.eval_float ctx uy in
-                  let residual = access.Agg_plan.probe_residual in
-                  let filter id =
-                    let e = bi.data.(id) in
-                    List.for_all2
-                      (fun iv (b : Agg_plan.box_dim) ->
-                        Interval.mem iv (Value.to_float (Tuple.get e b.Agg_plan.attr)))
-                      box access.Agg_plan.boxes
-                    && Predicate.holds { Expr.u = row; e = Some e; rand } residual
-                  in
-                  let best =
-                    List.fold_left
-                      (fun best sub ->
-                        let kd = ensure_kd ~memoize st bi ~ex:exa ~ey:eya sub in
-                        st.index_probes <- st.index_probes + 1;
-                        Telemetry.Counter.incr tel_index_probe;
-                        Telemetry.Counter.incr tel.tel_probes;
-                        match Kd_tree.nearest ~filter kd ~qx ~qy with
-                        | None -> best
-                        | Some (id, d2) -> begin
-                          match best with
-                          | Some (bd2, bid) when bd2 < d2 || (bd2 = d2 && bid < id) -> best
-                          | _ -> Some (d2, id)
-                        end)
-                      None parts
-                  in
-                  match best with
-                  | None -> None
-                  | Some (_, id) -> Some (Expr.eval { Expr.u = row; e = Some bi.data.(id); rand } result)
-                end
-                | _ -> assert false
-              end)
-            components
+              | Agg_plan.C_nearest { kind } ->
+                eval_nearest st ~tel ~memoize ~bi ~access ~box ~row ~rand ~parts kind)
+            components mine
         in
         finish_components ~agg ~row ~rand per_component)
       rows
 
+(* The constant-window extremal path: one sweep per partition over the
+   rows that accept it, each row keeping its best (value, data id) across
+   partitions, ties toward the smaller id as the naive scan breaks them.
+   Per row: the best data id (-1: none), its value, and the accepted
+   partitions. *)
+and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
+    ~(info : Agg_plan.sweep_info) ~(kind : Aggregate.kind) ~(rows : Tuple.t array)
+    ~(rands : (int -> int) array) : int array * float array * sub_index list array =
+  let maximize =
+    match kind with
+    | Aggregate.Max_agg _ | Aggregate.Arg_max _ -> true
+    | _ -> false
+  in
+  let objective =
+    match kind with
+    | Aggregate.Min_agg e | Aggregate.Max_agg e -> e
+    | Aggregate.Arg_min { objective; _ } | Aggregate.Arg_max { objective; _ } -> objective
+    | _ -> assert false
+  in
+  let n_rows = Array.length rows in
+  let row_parts = Array.mapi (fun i row -> probe_parts probe bi row rands.(i)) rows in
+  let best_id = Array.make n_rows (-1) and best_value = Array.make n_rows 0. in
+  List.iter
+    (fun key ->
+      match Cat_index.find bi.cat key with
+      | None -> ()
+      | Some sub ->
+        let members = sub.members in
+        let x = gather_column bi (Expr.EAttr info.Agg_plan.x_data) members in
+        let y = gather_column bi (Expr.EAttr info.Agg_plan.y_data) members in
+        let value = gather_column bi objective members in
+        let nq =
+          Array.fold_left (fun n parts -> if List.memq sub parts then n + 1 else n) 0 row_parts
+        in
+        let qrow = Array.make nq 0 and q = ref 0 in
+        Array.iteri
+          (fun i parts ->
+            if List.memq sub parts then begin
+              qrow.(!q) <- i;
+              incr q
+            end)
+          row_parts;
+        let center attr = Array.map (fun i -> Value.to_float (Tuple.get rows.(i) attr)) qrow in
+        let qx = center info.Agg_plan.x_center and qy = center info.Agg_plan.y_center in
+        count_probes st tel nq;
+        let best = Array.make nq (-1) in
+        Sweepline.run
+          (if maximize then Sweepline.Max else Sweepline.Min)
+          ~x ~y ~value ~qx ~qy ~rx:info.Agg_plan.rx ~ry:info.Agg_plan.ry best;
+        Array.iteri
+          (fun q k ->
+            if k >= 0 then begin
+              let i = qrow.(q) and id = members.(k) and v = value.(k) in
+              let b = best_id.(i) and bv = best_value.(i) in
+              let better =
+                if maximize then v > bv || (v = bv && id < b) else v < bv || (v = bv && id < b)
+              in
+              if b < 0 || better then begin
+                best_id.(i) <- id;
+                best_value.(i) <- v
+              end
+            end)
+          best)
+    (Cat_index.partition_keys bi.cat);
+  (best_id, best_value, row_parts)
+
+(* Nearest neighbour per accepted partition's kD-tree; the partitions'
+   answers fold toward the smaller (distance, id). *)
+and eval_nearest st ~(tel : agg_tel) ~(memoize : bool) ~(bi : built_index)
+    ~(access : Agg_plan.access) ~(box : Interval.box) ~(row : Tuple.t) ~(rand : int -> int)
+    ~(parts : sub_index list) (kind : Aggregate.kind) : Value.t option =
+  match kind with
+  | Aggregate.Nearest { ex = Expr.EAttr exa; ey = Expr.EAttr eya; ux; uy; result } -> begin
+    let ctx = { Expr.u = row; e = None; rand } in
+    let qx = Expr.eval_float ctx ux and qy = Expr.eval_float ctx uy in
+    let filter =
+      match (access.Agg_plan.boxes, access.Agg_plan.probe_residual) with
+      | [], [] -> None (* every point of an accepted partition qualifies *)
+      | boxes, residual ->
+        Some
+          (fun id ->
+            let e = bi.data.(id) in
+            let rec in_box d = function
+              | [] -> true
+              | (b : Agg_plan.box_dim) :: rest ->
+                Interval.box_mem box d (Value.to_float (Tuple.get e b.Agg_plan.attr))
+                && in_box (d + 1) rest
+            in
+            in_box 0 boxes && Predicate.holds { Expr.u = row; e = Some e; rand } residual)
+    in
+    let best =
+      List.fold_left
+        (fun best sub ->
+          let kd = ensure_kd ~memoize st bi ~ex:exa ~ey:eya sub in
+          count_probes st tel 1;
+          match Kd_tree.nearest ?filter kd ~qx ~qy with
+          | None -> best
+          | Some (id, d2) -> begin
+            match best with
+            | Some (bd2, bid) when bd2 < d2 || (bd2 = d2 && bid < id) -> best
+            | _ -> Some (d2, id)
+          end)
+        None parts
+    in
+    match best with
+    | None -> None
+    | Some (_, id) -> Some (Expr.eval { Expr.u = row; e = Some bi.data.(id); rand } result)
+  end
+  | _ -> assert false
+
 (* Enumeration path: report the box contents, filter residuals, and fall
    back to the one-component naive evaluation over the candidates. *)
 and eval_enum_component st ~(tel : agg_tel) ~(memoize : bool) ~(bi : built_index)
-    ~(access : Agg_plan.access) ~(row : Tuple.t)
-    ~(rand : int -> int) ~(parts : sub_index list) ~(box : Interval.t list)
-    (kind : Aggregate.kind) : Value.t option =
+    ~(access : Agg_plan.access) ~(row : Tuple.t) ~(rand : int -> int) ~(parts : sub_index list)
+    ~(box : Interval.box) (kind : Aggregate.kind) : Value.t option =
   let candidates = Varray.create 0 in
+  let box = if bi.group.box_attrs = [] then whole_slab else box in
   List.iter
     (fun sub ->
       let tree = ensure_enum_tree ~memoize st bi sub in
-      st.index_probes <- st.index_probes + 1;
-      Telemetry.Counter.incr tel_index_probe;
-      Telemetry.Counter.incr tel.tel_probes;
-      let ivs = if bi.group.box_attrs = [] then [ Interval.everything ] else box in
-      Range_tree.query_enum tree ivs (fun id -> Varray.push candidates id))
+      count_probes st tel 1;
+      Range_tree.query_enum tree box (fun k -> Varray.push candidates sub.members.(k)))
     parts;
   let ids = Varray.to_array candidates in
-  Array.sort compare ids (* restore data order so ties match the naive scan *);
+  Array.sort Int.compare ids (* restore data order so ties match the naive scan *);
   Telemetry.Counter.incr tel.tel_enum;
   Telemetry.Counter.add tel.tel_rows (Array.length ids);
   let cand_rows = Array.map (fun id -> bi.data.(id)) ids in

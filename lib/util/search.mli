@@ -8,6 +8,3 @@ val upper_bound : float array -> float -> int
 
 (** Number of elements inside the closed interval [\[lo, hi\]]. *)
 val count_in_range : float array -> lo:float -> hi:float -> int
-
-val lower_bound_by : len:int -> get:(int -> 'a) -> ('a -> float) -> float -> int
-val upper_bound_by : len:int -> get:(int -> 'a) -> ('a -> float) -> float -> int

@@ -32,7 +32,9 @@ let interval_mem_matches_positions =
     (QCheck.make QCheck.Gen.(pair (list_size (int_range 0 60) coord_gen) interval_gen))
     (fun (l, iv) ->
       let arr = Array.of_list (List.sort compare l) in
-      let a, b = Interval.positions iv arr in
+      let box = Interval.box [ iv ] in
+      let a = Interval.first box 0 arr in
+      let b = max a (Interval.last box 0 arr) in
       let expected = Array.to_list arr |> List.filter (Interval.mem iv) |> List.length in
       b - a = expected
       && Array.for_all (fun x -> not (Interval.mem iv x))
@@ -55,53 +57,6 @@ let test_interval_empty () =
   Alcotest.(check bool) "point closed" false (Interval.is_empty (Interval.make ~lo:3. ~hi:3. ()))
 
 (* ------------------------------------------------------------------ *)
-(* Segment tree *)
-
-let segment_tree_sum_matches_fold =
-  QCheck.Test.make ~name:"segment tree: range sum = array fold" ~count:200
-    QCheck.(pair (list_of_size (QCheck.Gen.int_range 0 50) (QCheck.int_range (-100) 100)) QCheck.small_int)
-    (fun (l, seed) ->
-      let arr = Array.of_list l in
-      let n = Array.length arr in
-      let t = Segment_tree.build ~neutral:0 ~op:( + ) arr in
-      let ok = ref true in
-      for i = 0 to 20 do
-        let a = (seed + (i * 7)) mod (n + 1) and b = (seed + (i * 13)) mod (n + 1) in
-        let lo = min a b and hi = max a b in
-        let expected = Array.fold_left ( + ) 0 (Array.sub arr lo (hi - lo)) in
-        if Segment_tree.query t ~lo ~hi <> expected then ok := false
-      done;
-      !ok)
-
-let test_segment_tree_updates () =
-  let t = Segment_tree.create ~neutral:max_int ~op:min 10 in
-  for i = 0 to 9 do
-    Segment_tree.set t i (100 - i)
-  done;
-  Alcotest.(check int) "min all" 91 (Segment_tree.query_all t);
-  Segment_tree.set t 3 (-5);
-  Alcotest.(check int) "after update" (-5) (Segment_tree.query t ~lo:0 ~hi:10);
-  Alcotest.(check int) "excluding slot" 92 (Segment_tree.query t ~lo:4 ~hi:9);
-  Segment_tree.clear t 3;
-  Alcotest.(check int) "cleared" 91 (Segment_tree.query_all t)
-
-let test_segment_tree_empty_range () =
-  let t = Segment_tree.create ~neutral:0 ~op:( + ) 5 in
-  Alcotest.(check int) "empty range" 0 (Segment_tree.query t ~lo:2 ~hi:2);
-  Alcotest.check_raises "bad range" (Invalid_argument "Segment_tree.query: bad range")
-    (fun () -> ignore (Segment_tree.query t ~lo:3 ~hi:2))
-
-let test_segment_tree_zero_size () =
-  let t = Segment_tree.create ~neutral:max_int ~op:min 0 in
-  Alcotest.(check int) "neutral" max_int (Segment_tree.query_all t)
-
-let test_segment_tree_single () =
-  let t = Segment_tree.build ~neutral:0 ~op:( + ) [| 7 |] in
-  Alcotest.(check int) "whole" 7 (Segment_tree.query_all t);
-  Alcotest.(check int) "unit range" 7 (Segment_tree.query t ~lo:0 ~hi:1);
-  Alcotest.(check int) "empty range" 0 (Segment_tree.query t ~lo:0 ~hi:0)
-
-(* ------------------------------------------------------------------ *)
 (* Range tree *)
 
 (* Brute-force statistic sum over a boxed point set. *)
@@ -118,9 +73,18 @@ let brute_stats points box stats m =
     points;
   acc
 
+(* The statistic sums of the points inside [box], from a fresh buffer. *)
+let range_stats tree box ~m =
+  let acc = Array.make m 0. in
+  Range_tree.accumulate tree (Interval.box box) ~scratch:(Array.make m 0.) acc;
+  acc
+
 let float_array_eq a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-6) a b
+
+(* Per-point statistic vectors laid out flat, point after point. *)
+let flat_stats n stats = Array.concat (List.init n stats)
 
 let range_tree_test ~name ~dims_count =
   QCheck.Test.make ~name ~count:150
@@ -130,18 +94,16 @@ let range_tree_test ~name ~dims_count =
            (list_size (int_range 0 80) (list_repeat dims_count coord_gen))
            (list_repeat dims_count interval_gen)))
     (fun (pts, box) ->
-      let points = Array.of_list (List.map (fun c -> c) pts) in
+      let points = Array.of_list pts in
       let n = Array.length points in
-      let dims = List.init dims_count (fun d id -> List.nth points.(id) d) in
+      let dims = List.init dims_count (fun d -> Array.map (fun p -> List.nth p d) points) in
       (* stats: [1; first coordinate] so both count and sum paths are hit *)
       let stats id = [| 1.; List.nth points.(id) 0 |] in
-      let tree = Range_tree.build ~dims ~stats:(Some stats) ~m:2 (Array.init n (fun i -> i)) in
-      let got = Range_tree.query_stats tree box in
-      let expected =
-        brute_stats (Array.map (fun p -> p) points) box stats 2
-      in
+      let tree = Range_tree.build ~dims ~stats:(Some (flat_stats n stats)) ~m:2 n in
+      let got = range_stats tree box ~m:2 in
+      let expected = brute_stats points box stats 2 in
       let enum = ref [] in
-      Range_tree.query_enum tree box (fun id -> enum := id :: !enum);
+      Range_tree.query_enum tree (Interval.box box) (fun id -> enum := id :: !enum);
       let expected_ids =
         List.init n (fun id -> id)
         |> List.filter (fun id ->
@@ -155,20 +117,25 @@ let range_tree_2d = range_tree_test ~name:"range tree 2d = brute force" ~dims_co
 let range_tree_3d = range_tree_test ~name:"range tree 3d = brute force" ~dims_count:3
 
 let test_range_tree_empty () =
-  let tree = Range_tree.build ~dims:[ (fun _ -> 0.); (fun _ -> 0.) ] ~stats:None ~m:0 [||] in
-  let box = [ Interval.everything; Interval.everything ] in
+  let tree = Range_tree.build ~dims:[ [||]; [||] ] ~stats:None ~m:0 0 in
+  let box = Interval.box [ Interval.everything; Interval.everything ] in
   Alcotest.(check int) "no points" 0 (Range_tree.query_count tree box);
   (* An empty tree collapses to its first (empty) level. *)
   Alcotest.(check int) "depth" 1 (Range_tree.depth tree)
 
 let test_range_tree_bad_arity () =
-  let tree = Range_tree.build ~dims:[ (fun _ -> 0.) ] ~stats:None ~m:0 [| 0 |] in
+  let tree = Range_tree.build ~dims:[ [| 0. |] ] ~stats:None ~m:0 1 in
   Alcotest.check_raises "arity"
     (Invalid_argument "Range_tree.query_enum: box arity does not match tree depth") (fun () ->
-      Range_tree.query_enum tree [ Interval.everything; Interval.everything ] ignore)
+      Range_tree.query_enum tree (Interval.box [ Interval.everything; Interval.everything ]) ignore)
 
 (* ------------------------------------------------------------------ *)
 (* Cascade tree *)
+
+(* A cascade tree over 2-d points with statistics [stats k] for point k. *)
+let cascade_of points stats ~m =
+  Cascade_tree.build ~x:(Array.map fst points) ~y:(Array.map snd points)
+    ~stats:(flat_stats (Array.length points) stats) ~m
 
 let cascade_matches_brute =
   QCheck.Test.make ~name:"cascade tree = brute force" ~count:300
@@ -178,7 +145,7 @@ let cascade_matches_brute =
       let n = Array.length points in
       let x id = fst points.(id) and y id = snd points.(id) in
       let stats id = [| 1.; x id; y id; x id *. x id |] in
-      let tree = Cascade_tree.build ~x ~y ~stats ~m:4 (Array.init n (fun i -> i)) in
+      let tree = cascade_of points stats ~m:4 in
       let got = Cascade_tree.query tree ~x:ivx ~y:ivy in
       let expected = Array.make 4 0. in
       for id = 0 to n - 1 do
@@ -197,24 +164,48 @@ let cascade_matches_range_tree =
     (fun (pts, (ivx, ivy)) ->
       let points = Array.of_list pts in
       let n = Array.length points in
-      let x id = fst points.(id) and y id = snd points.(id) in
-      let stats id = [| 1.; y id |] in
-      let ids = Array.init n (fun i -> i) in
-      let cascade = Cascade_tree.build ~x ~y ~stats ~m:2 ids in
-      let layered = Range_tree.build ~dims:[ x; y ] ~stats:(Some stats) ~m:2 ids in
+      let stats id = [| 1.; snd points.(id) |] in
+      let cascade = cascade_of points stats ~m:2 in
+      let layered =
+        Range_tree.build
+          ~dims:[ Array.map fst points; Array.map snd points ]
+          ~stats:(Some (flat_stats n stats)) ~m:2 n
+      in
       float_array_eq (Cascade_tree.query cascade ~x:ivx ~y:ivy)
-        (Range_tree.query_stats layered [ ivx; ivy ]))
+        (range_stats layered [ ivx; ivy ] ~m:2))
+
+(* Two partitions summed into one buffer must equal the per-partition
+   [query] results added with [+.], bit for bit.  The statistics are not
+   dyadic, so the sums round and any other order of additions shows. *)
+let cascade_accumulate_matches_query =
+  QCheck.Test.make ~name:"cascade accumulate = per-tree query sums, bitwise" ~count:200
+    (QCheck.make QCheck.Gen.(triple points2_gen points2_gen (pair interval_gen interval_gen)))
+    (fun (pa, pb, (ivx, ivy)) ->
+      let tree pts =
+        let points = Array.of_list pts in
+        cascade_of points
+          (fun k -> [| 0.1 *. float_of_int (k + 1); (fst points.(k) /. 3.) +. 0.7 |])
+          ~m:2
+      in
+      let ta = tree pa and tb = tree pb in
+      let acc = Array.make 2 0. and scratch = Array.make 2 0. in
+      let box = Interval.box [ ivx; ivy ] in
+      Cascade_tree.accumulate ta box ~scratch acc;
+      Cascade_tree.accumulate tb box ~scratch acc;
+      let expected =
+        Array.map2 ( +. ) (Cascade_tree.query ta ~x:ivx ~y:ivy) (Cascade_tree.query tb ~x:ivx ~y:ivy)
+      in
+      Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) acc
+        expected)
 
 let test_cascade_empty () =
-  let tree = Cascade_tree.build ~x:(fun _ -> 0.) ~y:(fun _ -> 0.) ~stats:(fun _ -> [||]) ~m:3 [||] in
+  let tree = Cascade_tree.build ~x:[||] ~y:[||] ~stats:[||] ~m:3 in
   let got = Cascade_tree.query tree ~x:Interval.everything ~y:Interval.everything in
   Alcotest.(check int) "zero vector" 3 (Array.length got);
   Alcotest.(check bool) "all zero" true (Array.for_all (fun v -> v = 0.) got)
 
 let test_cascade_single () =
-  let tree =
-    Cascade_tree.build ~x:(fun _ -> 2.) ~y:(fun _ -> 3.) ~stats:(fun _ -> [| 1.; 5. |]) ~m:2 [| 0 |]
-  in
+  let tree = Cascade_tree.build ~x:[| 2. |] ~y:[| 3. |] ~stats:[| 1.; 5. |] ~m:2 in
   Alcotest.(check int) "size" 1 (Cascade_tree.size tree);
   let inside = Cascade_tree.query tree ~x:(Interval.make ~lo:2. ~hi:2. ()) ~y:Interval.everything in
   Alcotest.(check bool) "point hit" true (inside = [| 1.; 5. |]);
@@ -228,9 +219,7 @@ let test_cascade_single () =
 let test_cascade_duplicates () =
   let n = 9 in
   let tree =
-    Cascade_tree.build ~x:(fun _ -> 1.5) ~y:(fun _ -> -4.)
-      ~stats:(fun id -> [| 1.; float_of_int id |])
-      ~m:2 (Array.init n (fun i -> i))
+    cascade_of (Array.make n (1.5, -4.)) (fun id -> [| 1.; float_of_int id |]) ~m:2
   in
   let all = Cascade_tree.query tree ~x:Interval.everything ~y:Interval.everything in
   Alcotest.(check bool) "all duplicates counted" true
@@ -320,56 +309,51 @@ let test_kd_duplicates () =
 (* ------------------------------------------------------------------ *)
 (* Sweepline *)
 
+(* Hundreds of points on the half-unit lattice with values in 0..4, so
+   coordinates and values repeat, leaf counts are rarely powers of two, and
+   zero-width windows (rx = ry = 0) hit only exact coordinates. *)
 let sweep_case kind =
+  let half_width = QCheck.Gen.(oneof [ return 0.; map Float.abs coord_gen ]) in
   QCheck.Test.make
     ~name:
       (Printf.sprintf "sweepline %s = brute force"
          (match kind with Sweepline.Min -> "min" | Sweepline.Max -> "max"))
-    ~count:300
+    ~count:100
     (QCheck.make
        QCheck.Gen.(
          tup4
-           (list_size (int_range 0 60) (tup3 coord_gen coord_gen coord_gen))
-           (list_size (int_range 0 40) point2_gen)
-           (map Float.abs coord_gen)
-           (map Float.abs coord_gen)))
+           (list_size (int_range 0 400)
+              (tup3 coord_gen coord_gen (map float_of_int (int_range 0 4))))
+           (list_size (int_range 0 100) point2_gen)
+           half_width half_width))
     (fun (data_l, query_l, rx, ry) ->
-      let data =
-        Array.of_list
-          (List.mapi (fun id (x, y, v) -> { Sweepline.x; y; value = v; id }) data_l)
+      let data = Array.of_list data_l and queries = Array.of_list query_l in
+      let x = Array.map (fun (x, _, _) -> x) data
+      and y = Array.map (fun (_, y, _) -> y) data
+      and value = Array.map (fun (_, _, v) -> v) data in
+      let qx = Array.map fst queries and qy = Array.map snd queries in
+      let got = Array.make (Array.length queries) 0 in
+      Sweepline.run kind ~x ~y ~value ~qx ~qy ~rx ~ry got;
+      let expected (qx, qy) =
+        let best = ref (-1) in
+        Array.iteri
+          (fun k (x, y, v) ->
+            if Float.abs (x -. qx) <= rx && Float.abs (y -. qy) <= ry then begin
+              let beats =
+                !best < 0
+                ||
+                let c = Float.compare v value.(!best) in
+                match kind with
+                | Sweepline.Min -> c < 0
+                | Sweepline.Max -> c > 0
+              in
+              (* scanning in index order, the first of equal values wins *)
+              if beats then best := k
+            end)
+          data;
+        !best
       in
-      let queries =
-        Array.of_list (List.mapi (fun qid (qx, qy) -> { Sweepline.qx; qy; qid }) query_l)
-      in
-      let got = Sweepline.run kind ~data ~queries ~rx ~ry ~n_queries:(Array.length queries) in
-      let ok = ref true in
-      Array.iter
-        (fun q ->
-          let candidates =
-            Array.to_list data
-            |> List.filter (fun d ->
-                   Float.abs (d.Sweepline.x -. q.Sweepline.qx) <= rx
-                   && Float.abs (d.Sweepline.y -. q.Sweepline.qy) <= ry)
-          in
-          let expected =
-            List.fold_left
-              (fun best d ->
-                let v = d.Sweepline.value and id = d.Sweepline.id in
-                match best with
-                | None -> Some (id, v)
-                | Some (bid, bv) ->
-                  let cmp = compare v bv in
-                  let beats =
-                    match kind with
-                    | Sweepline.Min -> cmp < 0 || (cmp = 0 && id < bid)
-                    | Sweepline.Max -> cmp > 0 || (cmp = 0 && id < bid)
-                  in
-                  if beats then Some (id, v) else best)
-              None candidates
-          in
-          if got.(q.Sweepline.qid) <> expected then ok := false)
-        queries;
-      !ok)
+      Array.for_all2 (fun g q -> g = expected q) got queries)
 
 let sweep_min = sweep_case Sweepline.Min
 let sweep_max = sweep_case Sweepline.Max
@@ -429,14 +413,6 @@ let suite =
         tc "intersection" `Quick test_interval_inter;
         tc "emptiness" `Quick test_interval_empty;
       ] );
-    ( "index.segment_tree",
-      [
-        qtest segment_tree_sum_matches_fold;
-        tc "point updates with min" `Quick test_segment_tree_updates;
-        tc "empty range" `Quick test_segment_tree_empty_range;
-        tc "zero size" `Quick test_segment_tree_zero_size;
-        tc "single element" `Quick test_segment_tree_single;
-      ] );
     ( "index.range_tree",
       [
         qtest range_tree_1d;
@@ -449,6 +425,7 @@ let suite =
       [
         qtest cascade_matches_brute;
         qtest cascade_matches_range_tree;
+        qtest cascade_accumulate_matches_query;
         tc "empty tree" `Quick test_cascade_empty;
         tc "single element" `Quick test_cascade_single;
         tc "duplicate coordinates" `Quick test_cascade_duplicates;

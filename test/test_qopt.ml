@@ -331,6 +331,49 @@ script main(u) {
 
 let test_equiv_enum () = check_equivalence ~src:enum_source ~script:"main" ~n:70 ~seed:8 ()
 
+(* Float-typed slots may hold [Value.Int] (ints widen only on [of_list]),
+   and bounds may do int arithmetic: [u.morale / 2 * 2] truncates.  The compiled bounds must fall back to [Expr] exactly there. *)
+let int_bound_source =
+  {|
+aggregate NearInt(u) {
+  count(*)
+  where e.player <> u.player
+    and e.posx >= u.posx - u.range and e.posx <= u.posx + u.range
+    and e.posy >= u.posy - u.morale / 2 * 2 - 1 and e.posy <= u.posy + u.morale / 2 * 2 + 1
+}
+action Flee(u) { on self { movevect_x <- 2; } }
+script main(u) {
+  let c = NearInt(u);
+  if c > 1 then { perform Flee(u); }
+}
+|}
+
+let test_equiv_int_bounds () =
+  let s = schema () in
+  let as_int attr (row : Tuple.t) =
+    let i = Schema.find s attr in
+    Tuple.set row i (Value.Int (Value.to_int (Tuple.get row i)))
+  in
+  let units =
+    Array.mapi
+      (fun k row ->
+        if k mod 3 = 0 then List.iter (fun a -> as_int a row) [ "posx"; "posy"; "range" ];
+        row)
+      (random_units s ~n:90 ~seed:12)
+  in
+  let prog = Compile.compile ~schema:s int_bound_source in
+  let prng = Prng.create 91 in
+  let rand_for_key ~key i = Prng.script_random prng ~tick:0 ~key i in
+  let run evaluator =
+    normalize_effects s (effects_exec ~optimize:true ~evaluator prog "main" units rand_for_key)
+  in
+  let aggregates = prog.Core_ir.aggregates in
+  let naive = run (Eval.naive ~schema:s ~aggregates) in
+  let indexed = run (Eval.indexed ~schema:s ~aggregates ()) in
+  if not (Relation.equal_as_multiset naive indexed) then
+    Alcotest.failf "indexed diverged from naive on int-valued bounds@.naive:@.%a@.indexed:@.%a"
+      Relation.pp naive Relation.pp indexed
+
 (* index-group sharing must not change any result *)
 let test_share_equivalence () =
   let s = schema () in
@@ -382,6 +425,7 @@ let suite =
         tc "sweep-line argmin" `Quick test_equiv_sweep;
         tc "uniform stddev" `Quick test_equiv_uniform;
         tc "enumeration residual" `Quick test_equiv_enum;
+        tc "int-valued bounds fall back exactly" `Quick test_equiv_int_bounds;
         tc "index-group sharing equivalence" `Quick test_share_equivalence;
         QCheck_alcotest.to_alcotest equivalence_property;
       ] );
