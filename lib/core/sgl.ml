@@ -38,6 +38,7 @@ module Algebra = Sgl_relalg.Algebra
 
 (* Index structures *)
 module Interval = Sgl_index.Interval
+module Segment_tree = Sgl_index.Segment_tree
 module Range_tree = Sgl_index.Range_tree
 module Cascade_tree = Sgl_index.Cascade_tree
 module Kd_tree = Sgl_index.Kd_tree

@@ -1,9 +1,8 @@
 (* A static-topology segment tree over an arbitrary monoid.
 
-   Two roles in this library: the dynamic interval-aggregate index of the
-   sweep-line algorithm (values enter and leave as the sweep advances,
-   Section 5.3.1), and the non-divisible last level of the layered range
-   tree (ablation A2's comparison point). *)
+   The general-purpose form of the dynamic interval-aggregate index of
+   Section 5.3.1.  The sweep-line keeps its own specialised copy (one float
+   array and one int array) so its hot loop never compares polymorphically. *)
 
 type 'a t = {
   neutral : 'a;
@@ -20,12 +19,6 @@ let create ~neutral ~op n =
     base := !base * 2
   done;
   { neutral; op; size = n; base = !base; data = Array.make (2 * !base) neutral }
-
-let size t = t.size
-
-let get t i =
-  if i < 0 || i >= t.size then invalid_arg "Segment_tree.get: index out of bounds";
-  t.data.(t.base + i)
 
 let set t i v =
   if i < 0 || i >= t.size then invalid_arg "Segment_tree.set: index out of bounds";
@@ -69,14 +62,3 @@ let build ~neutral ~op (values : 'a array) =
     t.data.(i) <- op t.data.(2 * i) t.data.((2 * i) + 1)
   done;
   t
-
-let fill t v =
-  for i = t.base to t.base + t.size - 1 do
-    t.data.(i) <- v
-  done;
-  for i = t.base + t.size to (2 * t.base) - 1 do
-    t.data.(i) <- t.neutral
-  done;
-  for i = t.base - 1 downto 1 do
-    t.data.(i) <- t.op t.data.(2 * i) t.data.((2 * i) + 1)
-  done

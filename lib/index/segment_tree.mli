@@ -9,9 +9,6 @@ val create : neutral:'a -> op:('a -> 'a -> 'a) -> int -> 'a t
 (** O(n) bulk construction. *)
 val build : neutral:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a t
 
-val size : 'a t -> int
-val get : 'a t -> int -> 'a
-
 (** O(log n) point update. *)
 val set : 'a t -> int -> 'a -> unit
 
@@ -22,6 +19,3 @@ val clear : 'a t -> int -> unit
 val query : 'a t -> lo:int -> hi:int -> 'a
 
 val query_all : 'a t -> 'a
-
-(** Set every leaf to [v] in O(n). *)
-val fill : 'a t -> 'a -> unit

@@ -57,6 +57,53 @@ let test_interval_empty () =
   Alcotest.(check bool) "point closed" false (Interval.is_empty (Interval.make ~lo:3. ~hi:3. ()))
 
 (* ------------------------------------------------------------------ *)
+(* Segment tree *)
+
+let segment_tree_sum_matches_fold =
+  QCheck.Test.make ~name:"segment tree: range sum = array fold" ~count:200
+    QCheck.(pair (list_of_size (QCheck.Gen.int_range 0 50) (QCheck.int_range (-100) 100)) QCheck.small_int)
+    (fun (l, seed) ->
+      let arr = Array.of_list l in
+      let n = Array.length arr in
+      let t = Segment_tree.build ~neutral:0 ~op:( + ) arr in
+      let ok = ref true in
+      for i = 0 to 20 do
+        let a = (seed + (i * 7)) mod (n + 1) and b = (seed + (i * 13)) mod (n + 1) in
+        let lo = min a b and hi = max a b in
+        let expected = Array.fold_left ( + ) 0 (Array.sub arr lo (hi - lo)) in
+        if Segment_tree.query t ~lo ~hi <> expected then ok := false
+      done;
+      !ok)
+
+let test_segment_tree_updates () =
+  let t = Segment_tree.create ~neutral:max_int ~op:min 10 in
+  for i = 0 to 9 do
+    Segment_tree.set t i (100 - i)
+  done;
+  Alcotest.(check int) "min all" 91 (Segment_tree.query_all t);
+  Segment_tree.set t 3 (-5);
+  Alcotest.(check int) "after update" (-5) (Segment_tree.query t ~lo:0 ~hi:10);
+  Alcotest.(check int) "excluding slot" 92 (Segment_tree.query t ~lo:4 ~hi:9);
+  Segment_tree.clear t 3;
+  Alcotest.(check int) "cleared" 91 (Segment_tree.query_all t)
+
+let test_segment_tree_empty_range () =
+  let t = Segment_tree.create ~neutral:0 ~op:( + ) 5 in
+  Alcotest.(check int) "empty range" 0 (Segment_tree.query t ~lo:2 ~hi:2);
+  Alcotest.check_raises "bad range" (Invalid_argument "Segment_tree.query: bad range")
+    (fun () -> ignore (Segment_tree.query t ~lo:3 ~hi:2))
+
+let test_segment_tree_zero_size () =
+  let t = Segment_tree.create ~neutral:max_int ~op:min 0 in
+  Alcotest.(check int) "neutral" max_int (Segment_tree.query_all t)
+
+let test_segment_tree_single () =
+  let t = Segment_tree.build ~neutral:0 ~op:( + ) [| 7 |] in
+  Alcotest.(check int) "whole" 7 (Segment_tree.query_all t);
+  Alcotest.(check int) "unit range" 7 (Segment_tree.query t ~lo:0 ~hi:1);
+  Alcotest.(check int) "empty range" 0 (Segment_tree.query t ~lo:0 ~hi:0)
+
+(* ------------------------------------------------------------------ *)
 (* Range tree *)
 
 (* Brute-force statistic sum over a boxed point set. *)
@@ -412,6 +459,14 @@ let suite =
         qtest interval_mem_matches_positions;
         tc "intersection" `Quick test_interval_inter;
         tc "emptiness" `Quick test_interval_empty;
+      ] );
+    ( "index.segment_tree",
+      [
+        qtest segment_tree_sum_matches_fold;
+        tc "point updates with min" `Quick test_segment_tree_updates;
+        tc "empty range" `Quick test_segment_tree_empty_range;
+        tc "zero size" `Quick test_segment_tree_zero_size;
+        tc "single element" `Quick test_segment_tree_single;
       ] );
     ( "index.range_tree",
       [
