@@ -765,8 +765,52 @@ let micro () =
     counter := (!counter + 1) land (n - 1);
     !counter
   in
+  (* The sentry's per-unit layers: 50k battle units in distinct cells, no
+     effects for post-processing (every row stays shared), and a move
+     vector for one unit in a hundred.  Movement starts each run from the
+     same rows: it never writes into them, only into its own copies. *)
+  let n50 = 50_000 in
+  let schema = Battle.Unit_types.schema () in
+  let units50 =
+    Array.init n50 (fun i ->
+        Battle.Unit_types.make_unit schema ~key:i ~player:(i land 1) ~klass:Battle.D20.Knight
+          ~x:(i mod 4096) ~y:(i / 4096))
+  in
+  let post_spec = Postprocess.battle_spec ~schema in
+  let no_effects = Combine.Acc.create schema in
+  let movers = Combine.Acc.create schema in
+  Array.iteri
+    (fun i u ->
+      if i mod 100 = 0 then
+        Combine.Acc.add_attr movers ~base:u ~key:i (Schema.find schema "movevect_x") (Value.Float 1.))
+    units50;
+  let mconfig =
+    {
+      Movement.posx = Schema.find schema "posx";
+      posy = Schema.find schema "posy";
+      mvx = Schema.find schema "movevect_x";
+      mvy = Schema.find schema "movevect_y";
+      speed = 1.5;
+      speed_attr = None;
+      width = 4096;
+      height = 4096;
+    }
+  in
+  let grid = Movement.create_grid mconfig and moved = Array.copy units50 in
+  let order50 = Array.init n50 Fun.id in
   let tests =
     [
+      Test.make ~name:"post_apply_50k_idle"
+        (Staged.stage (fun () ->
+             ignore
+               (Postprocess.apply post_spec ~schema ~rand_for:(fun ~key:_ _ -> 0) ~units:units50
+                  ~acc:no_effects)));
+      Test.make ~name:"movement_50k_1pct"
+        (Staged.stage (fun () ->
+             Array.blit units50 0 moved 0 n50;
+             Movement.run grid ~schema ~prng ~tick:(next ()) ~units:moved ~acc:movers));
+      Test.make ~name:"shuffle_50k"
+        (Staged.stage (fun () -> Prng.shuffle_in_place prng [ next (); 17 ] order50));
       Test.make ~name:"cascade_build_4096"
         (Staged.stage (fun () -> ignore (Cascade_tree.build ~x:xs ~y:ys ~stats ~m:2)));
       Test.make ~name:"cascade_build_6000_m3"

@@ -15,31 +15,52 @@ type config = {
   height : int;
 }
 
-(** Occupancy grid: at most one unit per cell. *)
+(** Occupancy grid: the set of occupied cells, in a flat open-addressing
+    table that lives as long as the simulation.  {!run} clears and refills
+    it each tick. *)
 type grid
 
-val make_grid : config -> schema:Schema.t -> Tuple.t array -> grid
+(** An empty grid over [config]'s world; it grows as cells are added. *)
+val create_grid : config -> grid
+
 val in_bounds : grid -> int -> int -> bool
 val occupied : grid -> int -> int -> bool
-val move_unit : grid -> key:int -> from_:int * int -> to_:int * int -> unit
+
+(** Occupy a cell (a no-op when it is occupied already). *)
+val add_unit : grid -> int -> int -> unit
+
+(** Vacate a cell (a no-op when it is free). *)
+val remove_unit : grid -> int -> int -> unit
+
+(** Vacate [from_], whoever holds it, and occupy [to_]. *)
+val move_unit : grid -> from_:int * int -> to_:int * int -> unit
+
+(** The table's slot count (a power of two) and a cell's home slot in it;
+    exposed so tests can aim probe chains at collisions and wrap-around. *)
+val capacity : grid -> int
+
+val home : grid -> int -> int -> int
 
 (** Deterministic rejection-sampled free cell, for resurrection; [None] on a
     (nearly) full grid. *)
 val random_free_cell : grid -> Prng.t -> tick:int -> salt:int -> (int * int) option
 
-(** Candidate destinations in decreasing preference (full step, half step,
-    each axis alone). *)
-val candidates : ?speed:float -> config -> x:int -> y:int -> vx:float -> vy:float -> (int * int) list
-
-(** Execute the phase: mutate positions in place, return the grid.  Each
-    successful move records posx/posy + unit key against [delta] when
-    given (cross-tick index cache bookkeeping). *)
+(** Execute the phase over the tick's survivors [units] in random order:
+    fill [grid] with their cells, then move each unit with a nonzero
+    decided vector to the first free candidate of full step, half step,
+    x only, y only.  A unit that moves gets a fresh row copy, written back
+    into [units], unless [owned.(i)] marks [units.(i)] as a copy the tick
+    already made (see {!Postprocess.outcome}), which is then updated in
+    place; no other row is written.  Each successful move records
+    posx/posy + unit key against [delta] when given (cross-tick index
+    cache bookkeeping). *)
 val run :
   ?delta:Delta.t ->
-  config ->
+  ?owned:bool array ->
+  grid ->
   schema:Schema.t ->
   prng:Prng.t ->
   tick:int ->
   units:Tuple.t array ->
   acc:Combine.Acc.t ->
-  grid
+  unit

@@ -49,33 +49,68 @@ let effects_row (schema : Schema.t) (acc : Combine.Acc.t) (key : int) : Tuple.t 
       (Schema.effect_indices schema));
   row
 
-(* Apply the step.  Returns the new state row for each unit plus whether it
-   survived; effect attributes of the new state are reset to zero.  When
-   [delta] is given, every update whose written value differs from the old
-   one is recorded against it (attribute and unit key) — the mutation-side
-   half of the cross-tick index cache's contract: a change this phase fails
-   to record would let a stale structure survive. *)
+type outcome = {
+  survivors : Tuple.t array;
+  dead : Tuple.t array;
+  owned : bool array;
+}
+
+(* Apply the step.  Committed rows are immutable and shared: a unit keeps
+   its input row (physically) unless an update writes a value that is not
+   [Value.identical] to the old one, and then gets one fresh copy holding
+   every change.  Units without an accumulator entry read one shared,
+   read-only zero effects row.  When [delta] is given, every such write is
+   recorded against it (attribute and unit key) — the mutation-side half of
+   the cross-tick index cache's contract, and the column set the
+   incremental digest and the columnar mirror re-encode: a change this
+   phase fails to record would let a stale structure survive. *)
 let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
     ~(rand_for : key:int -> int -> int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) :
-    (Tuple.t * bool) array =
+    outcome =
   Sgl_util.Fault_inject.hit "post.apply";
-  Array.map
-    (fun u ->
-      let key = Tuple.key schema u in
-      let effects = effects_row schema acc key in
-      let ctx = { Expr.u; e = Some effects; rand = rand_for ~key } in
-      let out = Tuple.copy u in
-      List.iter
-        (fun (i, expr) ->
-          let v = Expr.eval ctx expr in
-          (match delta with
-          | Some d when not (Value.equal v (Tuple.get u i)) -> Delta.record d ~attr:i ~key
-          | _ -> ());
-          Tuple.set out i v)
-        t.updates;
-      let alive = not (Expr.eval_bool ctx t.remove_when) in
-      (out, alive))
-    units
+  match (t.updates, t.remove_when) with
+  | [], Expr.Const (Value.Bool false) ->
+    (* nothing to write and nobody dies *)
+    { survivors = Array.copy units; dead = [||]; owned = [||] }
+  | updates, remove_when ->
+    let n = Array.length units in
+    let zero = Some (Tuple.create schema) in
+    let survivors = Array.make n [||] and n_alive = ref 0 in
+    let dead = ref [] and owned = ref [||] in
+    Array.iter
+      (fun u ->
+        let key = Tuple.key schema u in
+        let e =
+          match Combine.Acc.find_opt acc key with
+          | None -> zero
+          | Some _ -> Some (effects_row schema acc key)
+        in
+        let ctx = { Expr.u; e; rand = rand_for ~key } in
+        let row = ref u in
+        List.iter
+          (fun (i, expr) ->
+            let v = Expr.eval ctx expr in
+            if not (Value.identical v (Tuple.get u i)) then begin
+              (match delta with Some d -> Delta.record d ~attr:i ~key | None -> ());
+              if !row == u then row := Tuple.copy u;
+              Tuple.set !row i v
+            end)
+          updates;
+        if Expr.eval_bool ctx remove_when then dead := !row :: !dead
+        else begin
+          if !row != u then begin
+            if !owned == [||] then owned := Array.make n false;
+            !owned.(!n_alive) <- true
+          end;
+          survivors.(!n_alive) <- !row;
+          incr n_alive
+        end)
+      units;
+    {
+      survivors = (if !n_alive = n then survivors else Array.sub survivors 0 !n_alive);
+      dead = Array.of_list (List.rev !dead);
+      owned = !owned;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* A ready-made specification for battle-style schemas: the Example 4.1

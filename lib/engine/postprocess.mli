@@ -23,10 +23,26 @@ val reads : t -> int list
     accumulator's contributions. *)
 val effects_row : Schema.t -> Combine.Acc.t -> int -> Tuple.t
 
-(** Apply the step to every unit; returns each new state row paired with
-    whether the unit survived.  When [delta] is given, each update that
-    actually changes the attribute's value is recorded against it
-    (attribute + unit key) for the cross-tick index cache. *)
+(** What one application of the step produced. *)
+type outcome = {
+  survivors : Tuple.t array;
+      (** Surviving units in input order, in a fresh array the caller owns.
+          A row is the input row itself (physically) unless an update
+          changed it, and then one fresh copy. *)
+  dead : Tuple.t array; (** Units the death rule removed, in input order. *)
+  owned : bool array;
+      (** [owned.(i)]: [survivors.(i)] is a copy this call made, so the
+          caller may write into it.  May be longer than [survivors], and is
+          [[||]] when no row was copied. *)
+}
+
+(** Apply the step to every unit.  Input rows are never written: a unit
+    whose updates all yield {!Value.identical} values keeps its row, and
+    units without an accumulator entry share one read-only zero effects
+    row.  A step with no updates and the constant-false death rule
+    evaluates nothing per unit.  When [delta] is given, each update that changes the
+    attribute's value (tag or bits) is recorded against it (attribute +
+    unit key) for the cross-tick index cache. *)
 val apply :
   ?delta:Delta.t ->
   t ->
@@ -34,7 +50,7 @@ val apply :
   rand_for:(key:int -> int -> int) ->
   units:Tuple.t array ->
   acc:Combine.Acc.t ->
-  (Tuple.t * bool) array
+  outcome
 
 (** Ready-made battle-style step: health := min(max_health, health - damage
     + inaura); cooldown := max(0, cooldown-1) + weaponused * reload; death

@@ -141,7 +141,11 @@ type t = {
   mutable evaluator : evaluator_kind;
   policy : fault_policy;
   prng : Prng.t;
+  (* The committed units.  Rows are immutable once committed: every phase
+     copies a row before changing it, so unchanged rows are shared between
+     consecutive committed arrays and a rollback only swaps this pointer. *)
   mutable units : Tuple.t array;
+  grid : Movement.grid option; (* movement's occupancy table, reused every tick *)
   (* Columnar mirror of [units] (struct-of-arrays, one typed column per
      schema attribute).  [units] stays authoritative; the mirror is
      refreshed copy-on-write at each commit point, keyed by the tick's
@@ -240,6 +244,7 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     policy = fault_policy;
     prng = Prng.create config.seed;
     units = Array.map Tuple.copy units;
+    grid = Option.map Movement.create_grid config.movement;
     (* decomposed into columns at build time; shares nothing with [units] *)
     store = Colstore.of_tuples schema units;
     columnar;
@@ -436,11 +441,12 @@ let journal_commit (t : t) (p : persistence) : unit =
 
 (* One attempt at the tick's phases.  Raises whatever a phase raises; on
    success [t.units] holds the post-tick state and the tick counter has
-   advanced.  Crucially for the transactional wrapper in [step], nothing
-   here mutates the pre-tick state: plans work on full-width row copies,
-   post-processing copies every row before updating it, movement and
-   resurrection mutate only those copies, and [t.units] is swapped as the
-   last action of the attempt. *)
+   advanced.  Crucially for the transactional wrapper in [step], no phase
+   writes into a committed row: plans work on full-width row copies,
+   post-processing and movement copy a row only when a value in it changes
+   (at most once per tick between them), resurrection copies the rows it
+   revives, every phase builds fresh arrays, and [t.units] is swapped as
+   the last action of the attempt. *)
 let run_phases (t : t) : unit =
   let sch = schema t in
   let tick = t.tick in
@@ -497,52 +503,43 @@ let run_phases (t : t) : unit =
   in
   (* post-processing *)
   t.phase <- Fault.Post;
-  let results =
+  let { Postprocess.survivors; dead; owned } =
     Telemetry.Span.with_ ~cat:"phase" "post" @@ fun () ->
     Timer.record t.timings.post (fun () ->
         Postprocess.apply ?delta:delta_out t.config.postprocess ~schema:sch ~rand_for
           ~units:t.units ~acc)
   in
-  let alive = Varray.create [||] and dead = Varray.create [||] in
-  Array.iter
-    (fun (row, survived) -> if survived then Varray.push alive row else Varray.push dead row)
-    results;
-  let alive_units = Varray.to_array alive in
   (* movement over the survivors *)
   t.phase <- Fault.Movement;
-  let grid =
-    Telemetry.Span.with_ ~cat:"phase" "movement" @@ fun () ->
-    Timer.record t.timings.movement (fun () ->
-        Option.map
-          (fun mconfig ->
-            Movement.run ?delta:delta_out mconfig ~schema:sch ~prng:t.prng ~tick
-              ~units:alive_units ~acc)
-          t.config.movement)
-  in
+  Telemetry.Span.with_ ~cat:"phase" "movement" (fun () ->
+      Timer.record t.timings.movement (fun () ->
+          Option.iter
+            (fun grid ->
+              Movement.run ?delta:delta_out ~owned grid ~schema:sch ~prng:t.prng ~tick
+                ~units:survivors ~acc)
+            t.grid));
   (* death handling *)
   t.phase <- Fault.Death;
   let final =
     Telemetry.Span.with_ ~cat:"phase" "death" @@ fun () ->
     Timer.record t.timings.death (fun () ->
+        Telemetry.Counter.add t.c_deaths (Array.length dead);
         match t.config.death with
-        | Remove ->
-          Telemetry.Counter.add t.c_deaths (Varray.length dead);
-          alive_units
+        | Remove -> survivors
         | Resurrect { health; max_health } ->
-          Telemetry.Counter.add t.c_deaths (Varray.length dead);
           let revived =
             Array.map
               (fun row ->
                 let out = Tuple.copy row in
                 Tuple.set out health (Tuple.get out max_health);
-                (match (grid, t.config.movement) with
+                (match (t.grid, t.config.movement) with
                 | Some g, Some mconfig -> begin
                   let key = Tuple.key sch out in
                   match Movement.random_free_cell g t.prng ~tick ~salt:key with
                   | Some (x, y) ->
                     Tuple.set out mconfig.Movement.posx (Value.Float (float_of_int x));
                     Tuple.set out mconfig.Movement.posy (Value.Float (float_of_int y));
-                    Movement.move_unit g ~key
+                    Movement.move_unit g
                       ~from_:
                         ( Value.to_int (Tuple.get row mconfig.Movement.posx),
                           Value.to_int (Tuple.get row mconfig.Movement.posy) )
@@ -552,14 +549,14 @@ let run_phases (t : t) : unit =
                 | _ -> ());
                 Telemetry.Counter.incr t.c_resurrections;
                 out)
-              (Varray.to_array dead)
+              dead
           in
-          Array.append alive_units revived)
+          Array.append survivors revived)
   in
   (* Any death reorders or re-populates the array, so positional data ids
      stop naming the same units: structural.  (Resurrection also rewrites
      health and positions, which structural subsumes.) *)
-  if Varray.length dead > 0 then Option.iter Delta.record_structural delta_out;
+  if Array.length dead > 0 then Option.iter Delta.record_structural delta_out;
   t.units <- final;
   (* Commit the columnar mirror copy-on-write: clean columns (per the
      tick's dirty-attribute summary) keep their arrays, dirty ones rebuild
@@ -570,7 +567,7 @@ let run_phases (t : t) : unit =
   t.tick <- t.tick + 1
 
 (* Transactional tick.  The pre-tick state is three references — the unit
-   array (whose rows no phase mutates in place; see [run_phases]) and two
+   array (whose rows no phase writes into; see [run_phases]) and two
    counters — so the snapshot is O(1) and the fault-free path pays only
    the exception handler.  On a fault: restore the snapshot, log the fault
    with full context, then apply the policy.  [Degrade] retries the tick

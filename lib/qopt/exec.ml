@@ -14,7 +14,20 @@ type compiled = {
   plans : (string * Plan.t) list; (* per entry script *)
   width : int; (* register count for row allocation *)
   rewrites : Rewrite.rewrite_stats;
+  keyed : bool; (* some plan has a [Core_ir.Key] target: ticks need the key table *)
 }
+
+(* Does [plan] address any effect by key? *)
+let rec has_key_target : Plan.t -> bool = function
+  | Plan.Nop -> false
+  | Plan.Bind (_, _, k) -> has_key_target k
+  | Plan.Select (_, a, b) -> has_key_target a || has_key_target b
+  | Plan.Both plans -> List.exists has_key_target plans
+  | Plan.Act clauses ->
+    List.exists
+      (fun (c : Core_ir.effect_clause) ->
+        match c.Core_ir.target with Core_ir.Key _ -> true | Core_ir.Self | Core_ir.All _ -> false)
+      clauses
 
 let compile ?(optimize = true) ?(prove = fun (_ : string) (_ : Expr.t) -> None)
     (prog : Core_ir.program) : compiled =
@@ -36,7 +49,8 @@ let compile ?(optimize = true) ?(prove = fun (_ : string) (_ : Expr.t) -> None)
   let width =
     List.fold_left (fun acc (_, p) -> max acc (Plan.width schema p)) (Schema.arity schema) plans
   in
-  { prog; plans; width; rewrites = stats }
+  { prog; plans; width; rewrites = stats;
+    keyed = List.exists (fun (_, p) -> has_key_target p) plans }
 
 let find_plan (c : compiled) name = List.assoc_opt name c.plans
 
@@ -132,12 +146,17 @@ let run_plan ~(schema : Schema.t) ~(evaluator : Eval.t) ~(find_key : int -> Tupl
   go plan (Array.init (Array.length rows) (fun i -> i))
 
 (* The tick's key table: every unit addressable by key for [Core_ir.Key]
-   targets.  Built once per tick; read-only afterwards, so worker domains
-   may probe it concurrently. *)
-let key_table (schema : Schema.t) (units : Tuple.t array) : int -> Tuple.t option =
-  let table = Hashtbl.create (Array.length units * 2) in
-  Array.iter (fun row -> Hashtbl.replace table (Tuple.key schema row) row) units;
-  fun k -> Hashtbl.find_opt table k
+   targets.  Built once per tick, and only when some plan has such a
+   target; read-only afterwards, so worker domains may probe it
+   concurrently. *)
+let key_table (c : compiled) (units : Tuple.t array) : int -> Tuple.t option =
+  if not c.keyed then fun _ -> None
+  else begin
+    let schema = c.prog.Core_ir.schema in
+    let table = Hashtbl.create (Array.length units * 2) in
+    Array.iter (fun row -> Hashtbl.replace table (Tuple.key schema row) row) units;
+    fun k -> Hashtbl.find_opt table k
+  end
 
 (* One group's decision+action work: materialize the members' working rows
    and random streams, then run the group's plan into [acc]. *)
@@ -173,7 +192,7 @@ let run_tick ?delta ?cols (c : compiled) ~(evaluator : Eval.t) ~(units : Tuple.t
     ~(groups : group list) ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
   let schema = c.prog.Core_ir.schema in
   evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table schema units in
+  let find_key = key_table c units in
   let acc = Combine.Acc.create schema in
   List.iter (run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
   acc
@@ -192,7 +211,7 @@ let run_tick_parallel ?delta ?cols (c : compiled) ~(pool : Sgl_util.Domain_pool.
     ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
   let schema = c.prog.Core_ir.schema in
   family.Eval.prepare ?delta ?cols units;
-  let find_key = key_table schema units in
+  let find_key = key_table c units in
   let chunks = Array.length family.Eval.members in
   let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
   let run_chunk k =
@@ -273,7 +292,7 @@ let run_tick_fused ?delta ?cols (c : compiled) ~(fused : fused) ~(evaluator : Ev
     Combine.Acc.t =
   let schema = c.prog.Core_ir.schema in
   evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table schema units in
+  let find_key = key_table c units in
   let acc = Combine.Acc.create schema in
   List.iter
     (run_group_fused ?cols c ~schema ~fused ~evaluator ~find_key ~acc ~units ~rand_for)
@@ -302,7 +321,7 @@ let run_tick_guarded ?delta ?cols (c : compiled) ~(evaluator : Eval.t) ~(units :
     Combine.Acc.t * group_fault list =
   let schema = c.prog.Core_ir.schema in
   evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table schema units in
+  let find_key = key_table c units in
   let acc = Combine.Acc.create schema in
   let faults = ref [] in
   List.iter
@@ -326,7 +345,7 @@ let run_tick_fused_guarded ?delta ?cols (c : compiled) ~(fused : fused) ~(evalua
     Combine.Acc.t * group_fault list =
   let schema = c.prog.Core_ir.schema in
   evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table schema units in
+  let find_key = key_table c units in
   let acc = Combine.Acc.create schema in
   let faults = ref [] in
   List.iter
@@ -354,7 +373,7 @@ let run_tick_parallel_guarded ?delta ?cols (c : compiled) ~(pool : Sgl_util.Doma
     ~(rand_for : key:int -> int -> int) : Combine.Acc.t * group_fault list =
   let schema = c.prog.Core_ir.schema in
   family.Eval.prepare ?delta ?cols units;
-  let find_key = key_table schema units in
+  let find_key = key_table c units in
   let chunks = Array.length family.Eval.members in
   let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
   let groups_arr = Array.of_list groups in

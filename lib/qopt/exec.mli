@@ -10,6 +10,9 @@ type compiled = {
   plans : (string * Plan.t) list;
   width : int;
   rewrites : Rewrite.rewrite_stats;
+  keyed : bool;
+      (** Some plan has a [Core_ir.Key] effect target.  Every [run_tick*]
+          builds the tick's key table only when this holds. *)
 }
 
 exception Exec_error of string

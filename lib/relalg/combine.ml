@@ -55,10 +55,21 @@ let union_combine (r : Relation.t) (s : Relation.t) : Relation.t =
    in the engine because const attributes are functionally determined by the
    key there. *)
 module Acc = struct
+  (* Keys are unit keys; the movement phase probes this table once per
+     unit, so it is specialised to ints (no polymorphic hash or compare).
+     The multiply-and-shift keeps strided keys apart in the low bits the
+     table indexes by. *)
+  module Key_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash k = (k * 0x1E3779B97F4A7C15) lsr 31
+  end)
+
   type t = {
     schema : Schema.t;
     effect_attrs : int list;
-    table : (int, Tuple.t) Hashtbl.t;
+    table : Tuple.t Key_tbl.t;
     mutable order : int list;
     (* delta surface: effect attributes that received at least one
        contribution this tick (conservative for [add], exact for
@@ -71,7 +82,7 @@ module Acc = struct
     {
       schema;
       effect_attrs = Schema.effect_indices schema;
-      table = Hashtbl.create 256;
+      table = Key_tbl.create 256;
       order = [];
       touched = Array.make (Schema.arity schema) false;
     }
@@ -80,7 +91,7 @@ module Acc = struct
   let add t (row : Tuple.t) =
     List.iter (fun i -> t.touched.(i) <- true) t.effect_attrs;
     let key = Tuple.key t.schema row in
-    match Hashtbl.find_opt t.table key with
+    match Key_tbl.find_opt t.table key with
     | None ->
       let acc = Tuple.restrict t.schema (Tuple.copy row) in
       List.iter
@@ -88,7 +99,7 @@ module Acc = struct
           let neutral = Schema.neutral_of t.schema i in
           Tuple.set acc i (Schema.combine_values t.schema i neutral (Tuple.get row i)))
         t.effect_attrs;
-      Hashtbl.add t.table key acc;
+      Key_tbl.add t.table key acc;
       t.order <- key :: t.order
     | Some acc ->
       List.iter
@@ -101,26 +112,26 @@ module Acc = struct
   let add_attr t ~base ~key attr v =
     t.touched.(attr) <- true;
     let acc =
-      match Hashtbl.find_opt t.table key with
+      match Key_tbl.find_opt t.table key with
       | Some acc -> acc
       | None ->
         let acc = Tuple.restrict t.schema (Tuple.copy base) in
         List.iter (fun i -> Tuple.set acc i (Schema.neutral_of t.schema i)) t.effect_attrs;
-        Hashtbl.add t.table key acc;
+        Key_tbl.add t.table key acc;
         t.order <- key :: t.order;
         acc
     in
     Tuple.set acc attr (Schema.combine_values t.schema attr (Tuple.get acc attr) v)
 
-  let find_opt t key = Hashtbl.find_opt t.table key
+  let find_opt t key = Key_tbl.find_opt t.table key
 
   let to_relation t =
     let out = Relation.create t.schema in
-    List.iter (fun k -> Relation.add out (Hashtbl.find t.table k)) (List.rev t.order);
+    List.iter (fun k -> Relation.add out (Key_tbl.find t.table k)) (List.rev t.order);
     out
 
-  let iter f t = List.iter (fun k -> f (Hashtbl.find t.table k)) (List.rev t.order)
-  let cardinality t = Hashtbl.length t.table
+  let iter f t = List.iter (fun k -> f (Key_tbl.find t.table k)) (List.rev t.order)
+  let cardinality t = Key_tbl.length t.table
 
   let touched_attr t attr = t.touched.(attr)
 

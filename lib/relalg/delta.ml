@@ -68,8 +68,10 @@ let reset (t : t) : unit =
   t.structural <- false
 
 (* The ground-truth delta between two unit arrays, for tests: positional
-   compare when the populations align, structural otherwise.  A recorded
-   summary is sound iff it covers everything this reports. *)
+   compare when the populations align, structural otherwise.  Values are
+   compared with [Value.identical], as the digest and the columnar store
+   see them.  A recorded summary is sound iff it covers everything this
+   reports. *)
 let of_tuples ~(schema : Schema.t) ~(before : Tuple.t array) ~(after : Tuple.t array) : t =
   let d = create schema in
   if Array.length before <> Array.length after then record_structural d
@@ -80,7 +82,7 @@ let of_tuples ~(schema : Schema.t) ~(before : Tuple.t array) ~(after : Tuple.t a
         if Tuple.key schema b <> Tuple.key schema a then record_structural d
         else
           for attr = 0 to Schema.arity schema - 1 do
-            if not (Value.equal (Tuple.get b attr) (Tuple.get a attr)) then
+            if not (Value.identical (Tuple.get b attr) (Tuple.get a attr)) then
               record d ~attr ~key:(Tuple.key schema b)
           done)
       before;

@@ -74,6 +74,20 @@ let equal a b =
   | Int x, Float y | Float y, Int x -> float_of_int x = y
   | (Int _ | Float _ | Bool _ | Vec _), _ -> false
 
+(* Tag- and bit-exact identity: what the codec digest and the columnar
+   store can tell apart.  [Int 0] vs [Float 0.] and [0.] vs [-0.] are
+   [equal] but not [identical]; a NaN is identical to itself. *)
+let identical a b =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  a == b
+  ||
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Float x, Float y -> same_bits x y
+  | Bool x, Bool y -> x = y
+  | Vec u, Vec v -> same_bits u.Vec2.x v.Vec2.x && same_bits u.Vec2.y v.Vec2.y
+  | (Int _ | Float _ | Bool _ | Vec _), _ -> false
+
 (* Total order used by MIN/MAX-tagged effect combination and by aggregate
    evaluation.  Only numbers are ordered. *)
 let compare_num a b = Float.compare (to_float a) (to_float b)

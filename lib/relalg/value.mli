@@ -31,6 +31,12 @@ val zero_of : ty -> t
 (** Structural equality with int/float widening ([Int 2 = Float 2.]). *)
 val equal : t -> t -> bool
 
+(** Tag- and bit-exact identity ([Int 0] is not [Float 0.], [0.] is not
+    [-0.], a NaN is identical to itself): the distinctions the codec
+    digest and the columnar store encode.  Change tracking uses this, not
+    {!equal}. *)
+val identical : t -> t -> bool
+
 (** Numeric comparison; raises {!Type_error} on non-numbers. *)
 val compare_num : t -> t -> int
 

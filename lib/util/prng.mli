@@ -27,5 +27,7 @@ val float_range : t -> lo:float -> hi:float -> int list -> float
     across ticks. *)
 val script_random : t -> tick:int -> key:int -> int -> int
 
-(** [shuffle_in_place t coords arr] permutes [arr] deterministically. *)
+(** [shuffle_in_place t coords arr] permutes [arr] deterministically: a
+    Fisher-Yates pass swapping index [i] with
+    [int t ~bound:(i + 1) (i :: coords)], without allocating per element. *)
 val shuffle_in_place : t -> int list -> 'a array -> unit

@@ -10,6 +10,11 @@
 # tick (or one behind it: the kill can land between journal commit and
 # the flight write of the same step).
 #
+# Every leg runs twice: once with resurrection (the population is
+# rewritten in place) and once with --no-resurrect (Remove deaths shrink
+# it), so recovery is checked under both death rules and across
+# checkpoints whose unchanged rows are shared between ticks.
+#
 # Final states are compared through --summary-json, not by grepping the
 # human-readable output.
 #
@@ -24,12 +29,10 @@ DIR="${1:-crash-recovery-ckpt}"
 UNITS=300
 TICKS=40
 EVERY=10
-ARGS="--units $UNITS --ticks $TICKS --evaluator indexed --seed 7 --checkpoint-every $EVERY"
+BASE_ARGS="--units $UNITS --ticks $TICKS --evaluator indexed --seed 7 --checkpoint-every $EVERY"
 
 SIM="_build/default/bin/battle_sim.exe"
 [ -x "$SIM" ] || dune build bin/battle_sim.exe
-
-rm -rf "$DIR" crash-flight.dump
 
 fail() {
   echo "crash-recovery: FAIL: $*" >&2
@@ -60,6 +63,12 @@ print("   tick=%d units=%d digest=%s deaths=%d resurrections=%d"
       % (s["tick"], s["units"], s["digest"], s["deaths"], s["resurrections"]))
 EOF
 }
+
+# All legs for one death rule; $1 is extra battle_sim arguments, $2 a label.
+legs() {
+ARGS="$BASE_ARGS $1"
+rm -rf "$DIR" crash-flight.dump
+echo "=== death rule: $2"
 
 # --- Leg 1: the uninterrupted reference run -------------------------------
 echo "== reference run ($TICKS ticks, no interruption)"
@@ -127,6 +136,10 @@ describe_summary corrupt-summary.json
 same_summary ref-summary.json corrupt-summary.json \
   || fail "post-corruption recovery diverged from the uninterrupted run"
 echo "   checksum caught the damage; fallback + journal replay matched the reference"
+}
+
+legs "" "resurrect"
+legs "--no-resurrect" "remove"
 
 rm -rf "$DIR" ref.out crash.out restore.out corrupt.out crash-flight.dump \
   ref-summary.json restore-summary.json corrupt-summary.json flight-summary.json

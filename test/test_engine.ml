@@ -26,14 +26,15 @@ let test_post_health_and_death () =
   Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "damage") (Value.Float 15.);
   Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "inaura") (Value.Float 4.);
   Combine.Acc.add_attr acc ~base:u1 ~key:1 (a s "damage") (Value.Float 1000.);
-  let results = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0; u1 |] ~acc in
-  (match results.(0) with
-  | row, true ->
-    Alcotest.(check (float 1e-9)) "healed and hurt" 49. (Value.to_float (Tuple.get row (a s "health")))
-  | _, false -> Alcotest.fail "unit 0 should survive");
-  match results.(1) with
-  | _, false -> ()
-  | _, true -> Alcotest.fail "unit 1 should die"
+  let r = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0; u1 |] ~acc in
+  (match r.Postprocess.survivors with
+  | [| row |] ->
+    Alcotest.(check (float 1e-9)) "healed and hurt" 49. (Value.to_float (Tuple.get row (a s "health")));
+    Alcotest.(check int) "unit 0 survives" 0 (Tuple.key s row)
+  | _ -> Alcotest.fail "exactly unit 0 should survive");
+  match r.Postprocess.dead with
+  | [| row |] -> Alcotest.(check int) "unit 1 dies" 1 (Tuple.key s row)
+  | _ -> Alcotest.fail "unit 1 should die"
 
 let test_post_health_clamped_to_max () =
   let s = schema () in
@@ -41,8 +42,7 @@ let test_post_health_clamped_to_max () =
   let u0 = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
   let acc = Combine.Acc.create s in
   Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "inaura") (Value.Float 50.);
-  let results = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc in
-  let row, _ = results.(0) in
+  let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check (float 1e-9)) "clamped" 60. (Value.to_float (Tuple.get row (a s "health")))
 
 let test_post_cooldown () =
@@ -51,15 +51,13 @@ let test_post_cooldown () =
   let u0 = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
   Tuple.set u0 (a s "cooldown") (Value.Int 3);
   let acc = Combine.Acc.create s in
-  let results = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc in
-  let row, _ = results.(0) in
+  let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check int) "decremented" 2 (Value.to_int (Tuple.get row (a s "cooldown")));
   (* fire at cooldown 0: restart from the unit's reload *)
   Tuple.set u0 (a s "cooldown") (Value.Int 0);
   let acc = Combine.Acc.create s in
   Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "weaponused") (Value.Int 1);
-  let results = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc in
-  let row, _ = results.(0) in
+  let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check int) "reloaded" Sgl_battle.D20.knight.Sgl_battle.D20.reload
     (Value.to_int (Tuple.get row (a s "cooldown")))
 
@@ -73,6 +71,32 @@ let test_post_rejects_effect_attr () =
             ~remove_when:(Expr.Const (Value.Bool false)));
        false
      with Postprocess.Postprocess_error _ -> true)
+
+(* Copy on change: an idle unit keeps its very row, a changed one gets one
+   fresh copy, and the input rows are never written. *)
+let test_post_shares_unchanged_rows () =
+  let s = schema () in
+  let spec = Postprocess.battle_spec ~schema:s in
+  let idle = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
+  let hurt = knight s ~key:1 ~player:1 ~x:5 ~y:5 in
+  let hurt_before = Tuple.copy hurt in
+  let acc = Combine.Acc.create s in
+  Combine.Acc.add_attr acc ~base:hurt ~key:1 (a s "damage") (Value.Float 5.);
+  let r = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| idle; hurt |] ~acc in
+  Alcotest.(check bool) "idle row shared" true (r.Postprocess.survivors.(0) == idle);
+  Alcotest.(check bool) "changed row copied" true (r.Postprocess.survivors.(1) != hurt);
+  Alcotest.(check bool) "input row untouched" true (Tuple.equal hurt hurt_before);
+  Alcotest.(check (array bool)) "owned marks the copy" [| false; true |]
+    (Array.sub r.Postprocess.owned 0 2);
+  (* nothing to do at all: a fresh array of the same rows *)
+  let trivial =
+    Postprocess.make ~schema:s ~updates:[] ~remove_when:(Expr.Const (Value.Bool false))
+  in
+  let units = [| idle; hurt |] in
+  let r = Postprocess.apply trivial ~schema:s ~rand_for:no_rand ~units ~acc in
+  Alcotest.(check bool) "fresh array" true (r.Postprocess.survivors != units);
+  Alcotest.(check bool) "same rows" true
+    (Array.for_all2 ( == ) units r.Postprocess.survivors && r.Postprocess.owned = [||])
 
 (* ------------------------------------------------------------------ *)
 (* Movement *)
@@ -98,7 +122,9 @@ let move_one s config ~units ~vectors =
       Combine.Acc.add_attr acc ~base:u ~key (a s "movevect_y") (Value.Float vy))
     vectors;
   let prng = Prng.create 1 in
-  Movement.run config ~schema:s ~prng ~tick:0 ~units ~acc
+  let g = Movement.create_grid config in
+  Movement.run g ~schema:s ~prng ~tick:0 ~units ~acc;
+  g
 
 let test_movement_moves_and_clamps () =
   let s = schema () in
@@ -140,6 +166,26 @@ let test_movement_zero_vector_stays () =
   ignore (move_one s config ~units ~vectors:[]);
   Alcotest.(check (float 1e-9)) "no move" 4. (Value.to_float (Tuple.get units.(0) (a s "posx")))
 
+(* Movement copies a row only when its unit moves, and not at all when the
+   row is already the tick's own copy ([owned]). *)
+let test_movement_copies_movers_only () =
+  let s = schema () in
+  let config = movement_config s ~width:20 ~height:20 in
+  let mover = knight s ~key:0 ~player:0 ~x:5 ~y:5 and idle = knight s ~key:1 ~player:0 ~x:9 ~y:9 in
+  let units = [| mover; idle |] in
+  ignore (move_one s config ~units ~vectors:[ (0, 1., 0.) ]);
+  Alcotest.(check bool) "idle row kept" true (units.(1) == idle);
+  Alcotest.(check bool) "mover copied" true (units.(0) != mover);
+  Alcotest.(check (float 0.)) "original row untouched" 5. (Value.to_float (Tuple.get mover (a s "posx")));
+  Alcotest.(check (float 0.)) "copy moved" 6. (Value.to_float (Tuple.get units.(0) (a s "posx")));
+  let units = [| mover; idle |] in
+  let acc = Combine.Acc.create s in
+  Combine.Acc.add_attr acc ~base:mover ~key:0 (a s "movevect_x") (Value.Float 1.);
+  Movement.run ~owned:[| true; false |] (Movement.create_grid config) ~schema:s ~prng:(Prng.create 1)
+    ~tick:0 ~units ~acc;
+  Alcotest.(check bool) "owned row written in place" true (units.(0) == mover);
+  Alcotest.(check (float 0.)) "owned row moved" 6. (Value.to_float (Tuple.get mover (a s "posx")))
+
 let test_random_free_cell () =
   let s = schema () in
   let config = movement_config s ~width:4 ~height:1 in
@@ -153,6 +199,133 @@ let test_random_free_cell () =
   | Some (x, y) ->
     Alcotest.(check (pair int int)) "only free cell" (3, 0) (x, y)
   | None -> Alcotest.fail "expected a free cell")
+
+(* The occupancy grid against a [Hashtbl] model.  Random insert, move and
+   remove sequences over a pool of cells; after every operation [occupied]
+   must agree with the model on the whole pool, and [random_free_cell]
+   with the same rejection sampling run against the model. *)
+type grid_op = Add of int | Remove of int | Move of int * int
+
+let gen_grid_ops ~(pool : int) : grid_op list QCheck.Gen.t =
+  QCheck.Gen.(
+    let cell = int_bound (pool - 1) in
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (4, map (fun k -> Add k) cell);
+           (2, map (fun k -> Remove k) cell);
+           (3, map2 (fun k l -> Move (k, l)) cell cell);
+         ]))
+
+let print_grid_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Add k -> Printf.sprintf "+%d" k
+         | Remove k -> Printf.sprintf "-%d" k
+         | Move (k, l) -> Printf.sprintf "%d>%d" k l)
+       ops)
+
+(* [max_live] caps the occupied cells so a small table never grows (its
+   home slots, and so the aimed collisions, stay fixed). *)
+let grid_agrees_with_model ~width ~height ~(pool : (int * int) array) ?(max_live = max_int)
+    ?(fixed_capacity = false) (ops : grid_op list) : bool =
+  let s = schema () in
+  let g = Movement.create_grid (movement_config s ~width ~height) in
+  let capacity0 = Movement.capacity g in
+  let model = Hashtbl.create 16 in
+  let prng = Prng.create 7 in
+  let reference_free tick =
+    let rec go n =
+      if n > 10_000 then None
+      else begin
+        let x = Prng.int prng ~bound:width [ tick; 0; n; 11 ] in
+        let y = Prng.int prng ~bound:height [ tick; 0; n; 13 ] in
+        if Hashtbl.mem model (x, y) then go (n + 1) else Some (x, y)
+      end
+    in
+    go 0
+  in
+  let room c = Hashtbl.mem model c || Hashtbl.length model < max_live in
+  let ok = ref true in
+  List.iteri
+    (fun tick op ->
+      (match op with
+      | Add k ->
+        let x, y = pool.(k) in
+        if room (x, y) then begin
+          Movement.add_unit g x y;
+          Hashtbl.replace model (x, y) ()
+        end
+      | Remove k ->
+        let x, y = pool.(k) in
+        Movement.remove_unit g x y;
+        Hashtbl.remove model (x, y)
+      | Move (k, l) ->
+        Hashtbl.remove model pool.(k);
+        if room pool.(l) then begin
+          Movement.move_unit g ~from_:pool.(k) ~to_:pool.(l);
+          Hashtbl.replace model pool.(l) ()
+        end
+        else Movement.remove_unit g (fst pool.(k)) (snd pool.(k)));
+      if
+        not
+          (Array.for_all (fun (x, y) -> Movement.occupied g x y = Hashtbl.mem model (x, y)) pool
+          && Movement.random_free_cell g prng ~tick ~salt:0 = reference_free tick
+          && ((not fixed_capacity) || Movement.capacity g = capacity0))
+      then ok := false)
+    ops;
+  !ok
+
+(* A small world (20 cells): the table grows, fills, and sometimes has no
+   free cell left at all. *)
+let prop_grid_small_world =
+  let pool = Array.init 20 (fun c -> (c mod 5, c / 5)) in
+  QCheck.Test.make ~name:"grid = Hashtbl model (small world, growth)" ~count:200
+    (QCheck.make ~print:print_grid_ops (gen_grid_ops ~pool:20))
+    (grid_agrees_with_model ~width:5 ~height:4 ~pool)
+
+(* Cells whose home slots crowd the end of the initial 16-slot table, so
+   probe chains collide, wrap around to slot 0, and deletions must shift
+   entries back across the wrap. *)
+let prop_grid_wraparound =
+  let s = schema () in
+  let g = Movement.create_grid (movement_config s ~width:4096 ~height:4096) in
+  let cap = Movement.capacity g in
+  let rec aimed acc code =
+    if List.length acc = 12 then Array.of_list (List.rev acc)
+    else begin
+      let x = code mod 4096 and y = code / 4096 in
+      let h = Movement.home g x y in
+      aimed (if h >= cap - 3 || h = 0 then (x, y) :: acc else acc) (code + 1)
+    end
+  in
+  let pool = aimed [] 0 in
+  QCheck.Test.make ~name:"grid = Hashtbl model (colliding, wrapping chains)" ~count:300
+    (QCheck.make ~print:print_grid_ops (gen_grid_ops ~pool:12))
+    (grid_agrees_with_model ~width:4096 ~height:4096 ~pool ~max_live:(cap / 2)
+       ~fixed_capacity:true)
+
+(* The same by hand: four cells homed on the last slot chain through the
+   wrap; removing the head must pull the others back, not lose them. *)
+let test_grid_wraparound_chain () =
+  let s = schema () in
+  let g = Movement.create_grid (movement_config s ~width:4096 ~height:4096) in
+  let last = Movement.capacity g - 1 in
+  let rec homed acc code =
+    if List.length acc = 4 then List.rev acc
+    else
+      let x = code mod 4096 and y = code / 4096 in
+      homed (if Movement.home g x y = last then (x, y) :: acc else acc) (code + 1)
+  in
+  let cells = homed [] 0 in
+  List.iter (fun (x, y) -> Movement.add_unit g x y) cells;
+  let head = List.hd cells in
+  Movement.remove_unit g (fst head) (snd head);
+  Alcotest.(check bool) "head vacated" false (Movement.occupied g (fst head) (snd head));
+  List.iter
+    (fun (x, y) -> Alcotest.(check bool) "chain member still found" true (Movement.occupied g x y))
+    (List.tl cells)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation orchestration *)
@@ -244,6 +417,7 @@ let base_suite =
         tc "health clamped to max" `Quick test_post_health_clamped_to_max;
         tc "cooldown and reload" `Quick test_post_cooldown;
         tc "rejects effect attrs" `Quick test_post_rejects_effect_attr;
+        tc "shares unchanged rows" `Quick test_post_shares_unchanged_rows;
       ] );
     ( "engine.movement",
       [
@@ -252,6 +426,10 @@ let base_suite =
         tc "bounds" `Quick test_movement_bounds;
         tc "no vector, no move" `Quick test_movement_zero_vector_stays;
         tc "random free cell" `Quick test_random_free_cell;
+        tc "copies movers only" `Quick test_movement_copies_movers_only;
+        tc "grid wrap-around chain" `Quick test_grid_wraparound_chain;
+        QCheck_alcotest.to_alcotest prop_grid_small_world;
+        QCheck_alcotest.to_alcotest prop_grid_wraparound;
       ] );
     ( "engine.simulation",
       [

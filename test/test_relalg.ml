@@ -36,6 +36,18 @@ let test_value_equal_widening () =
   Alcotest.(check bool) "2 <> 2.5" false (Value.equal (v_int 2) (v_float 2.5));
   Alcotest.(check bool) "bool <> int" false (Value.equal (Value.Bool true) (v_int 1))
 
+let test_value_identical () =
+  let id a b = Value.identical a b in
+  Alcotest.(check bool) "same int" true (id (v_int 3) (v_int 3));
+  Alcotest.(check bool) "int 0 vs float 0." false (id (v_int 0) (v_float 0.));
+  Alcotest.(check bool) "0. vs -0." false (id (v_float 0.) (v_float (-0.)));
+  Alcotest.(check bool) "nan is itself" true (id (v_float Float.nan) (v_float Float.nan));
+  Alcotest.(check bool) "vec -0. component" false
+    (id (Value.make_vec (v_float 1.) (v_float 0.)) (Value.make_vec (v_float 1.) (v_float (-0.))));
+  Alcotest.(check bool) "same vec" true
+    (id (Value.make_vec (v_float 1.) (v_float 2.)) (Value.make_vec (v_int 1) (v_int 2)));
+  Alcotest.(check bool) "bool" false (id (Value.Bool true) (Value.Bool false))
+
 (* ------------------------------------------------------------------ *)
 (* Schema / Tuple *)
 
@@ -429,6 +441,7 @@ let suite =
         tc "arithmetic" `Quick test_value_arith;
         tc "type errors" `Quick test_value_errors;
         tc "equality widening" `Quick test_value_equal_widening;
+        tc "identity is tag- and bit-exact" `Quick test_value_identical;
       ] );
     ( "relalg.schema",
       [

@@ -56,6 +56,36 @@ let test_shuffle_is_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The in-place shuffle draws exactly what a [Prng.int] per index would:
+   the same permutation as the list-building reference, for several seeds,
+   coordinate lists (empty, negative, long) and sizes past 10k. *)
+let test_shuffle_matches_reference () =
+  let reference t coords arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = Prng.int t ~bound:(i + 1) (i :: coords) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+  in
+  List.iter
+    (fun (seed, coords, n) ->
+      let t = Prng.create seed in
+      let expected = Array.init n (fun i -> i) and got = Array.init n (fun i -> i) in
+      reference t coords expected;
+      Prng.shuffle_in_place t coords got;
+      Alcotest.(check (array int))
+        (Printf.sprintf "seed %d, %d coords, n=%d" seed (List.length coords) n)
+        expected got)
+    [
+      (42, [ 3; 17 ], 10_000);
+      (7, [], 12_345);
+      (1, [ 0 ], 10_000);
+      (99, [ -3; max_int; 5; 17 ], 10_007);
+      (5, [ 40; 17 ], 2);
+      (5, [ 40; 17 ], 1);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Vec2 *)
 
@@ -332,6 +362,7 @@ let suite =
         tc "bad bound" `Quick test_prng_bad_bound;
         tc "script random stable within tick" `Quick test_script_random_stable_within_tick;
         tc "shuffle is a permutation" `Quick test_shuffle_is_permutation;
+        tc "shuffle matches the per-index reference" `Quick test_shuffle_matches_reference;
       ] );
     ( "util.vec2",
       [
