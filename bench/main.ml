@@ -3,9 +3,14 @@
 
      dune exec bench/main.exe            -- quick pass over everything
      dune exec bench/main.exe -- full    -- the paper-scale sweeps
-     dune exec bench/main.exe -- fig10 capacity density \
-         ablate-divisible ablate-sweep ablate-nn ablate-combine phases \
-         parallel micro
+     dune exec bench/main.exe -- SECTION ... [--json PATH]
+
+   Sections (a [-full] variant runs the paper-scale sizes):
+     fig10 fig10-full capacity density
+     ablate-divisible ablate-sweep ablate-nn ablate-combine ablate-share
+     phases parallel parallel-full incremental incremental-full
+     fused fused-full columnar columnar-full
+     faults telemetry obs persist micro
 
    Absolute numbers differ from the paper's 2 GHz Core Duo C++ engine; the
    *shape* is what reproduces: the naive evaluator is quadratic in the unit
@@ -17,6 +22,11 @@ open Sgl
 
 let pr = Fmt.pr
 let line () = pr "%s@." (String.make 78 '-')
+
+(* Sanity checks a section failed.  Every requested section still runs and
+   the JSON document is still written; the harness then exits non-zero. *)
+let failed_checks = ref []
+let fail_check msg = failed_checks := msg :: !failed_checks
 
 let header title =
   pr "@.";
@@ -696,6 +706,11 @@ let incremental ~full () =
               let cold, cr = incremental_rate ~index_cache:false ~evaluator ~n ~churn ~ticks in
               pr "%-11s %8d %6.0f%% %14.1f %14.1f %7.2fx %10d@." ev_name n (churn *. 100.)
                 warm cold (warm /. cold) wr.Simulation.index_reuses;
+              (* a warm row that never reused a structure: the cache is off *)
+              if wr.Simulation.index_reuses = 0 then
+                fail_check
+                  (Printf.sprintf "incremental: warm %s units=%d churn=%.2f recorded no reuses"
+                     ev_name n churn);
               let emit label rate (r : Simulation.report) =
                 Bench_json.emit ~section:"incremental"
                   ~config:
@@ -739,9 +754,10 @@ let micro () =
   let vals = Array.init n (fun i -> float_of_int (Prng.int prng ~bound:100 [ i; 3 ])) in
   let ids = Array.init n (fun i -> i) in
   let stats = Array.concat (List.init n (fun id -> [| 1.; vals.(id) |])) in
-  let cascade = Cascade_tree.build ~x:xs ~y:ys ~stats ~m:2 in
+  let geometry = Geometry.make ~x:xs ~y:ys in
+  let cascade = Cascade_tree.build geometry ~stats ~m:2 in
   let layered = Range_tree.build ~dims:[ xs; ys ] ~stats:(Some stats) ~m:2 n in
-  let kd = Kd_tree.build ~x:(Array.get xs) ~y:(Array.get ys) ids in
+  let kd = Kd_tree.build geometry ids in
   (* one probe box, refilled per run as the indexed evaluator refills it *)
   let box = Interval.box [ Interval.everything; Interval.everything ] in
   let fill_box q =
@@ -760,6 +776,10 @@ let micro () =
   let health6 = Array.init n6 (fun i -> float_of_int (Prng.int prng ~bound:100 [ i; 6 ])) in
   let stats6 = Array.concat (List.init n6 (fun k -> [| 1.; x6.(k); y6.(k) |])) in
   let best6 = Array.make n6 0 in
+  (* The structures read the partition's presorted geometry; the
+     [_with_sort] rows pay for the geometry too, as a fresh partition does. *)
+  let geometry6 = Geometry.make ~x:x6 ~y:y6 in
+  let ids6 = Array.init n6 Fun.id in
   let counter = ref 0 in
   let next () =
     counter := (!counter + 1) land (n - 1);
@@ -811,10 +831,18 @@ let micro () =
              Movement.run grid ~schema ~prng ~tick:(next ()) ~units:moved ~acc:movers));
       Test.make ~name:"shuffle_50k"
         (Staged.stage (fun () -> Prng.shuffle_in_place prng [ next (); 17 ] order50));
+      Test.make ~name:"sort_6000"
+        (Staged.stage (fun () -> ignore (Float_sort.order x6)));
+      Test.make ~name:"sort_6000_closure"
+        (Staged.stage (fun () ->
+             let order = Array.init n6 Fun.id in
+             Array.sort (fun a b -> Float.compare x6.(a) x6.(b)) order));
+      Test.make ~name:"geometry_6000"
+        (Staged.stage (fun () -> ignore (Geometry.make ~x:x6 ~y:y6)));
       Test.make ~name:"cascade_build_4096"
-        (Staged.stage (fun () -> ignore (Cascade_tree.build ~x:xs ~y:ys ~stats ~m:2)));
+        (Staged.stage (fun () -> ignore (Cascade_tree.build geometry ~stats ~m:2)));
       Test.make ~name:"cascade_build_6000_m3"
-        (Staged.stage (fun () -> ignore (Cascade_tree.build ~x:x6 ~y:y6 ~stats:stats6 ~m:3)));
+        (Staged.stage (fun () -> ignore (Cascade_tree.build geometry6 ~stats:stats6 ~m:3)));
       Test.make ~name:"cascade_probe"
         (Staged.stage (fun () ->
              fill_box (next ());
@@ -825,10 +853,17 @@ let micro () =
              Range_tree.accumulate layered box ~scratch acc));
       Test.make ~name:"sweepline_6000"
         (Staged.stage (fun () ->
-             Sweepline.run Sweepline.Min ~x:x6 ~y:y6 ~value:health6 ~qx:x6 ~qy:y6 ~rx:2. ~ry:2.
-               best6));
+             Sweepline.run Sweepline.Min geometry6 ~value:health6 ~qx:x6 ~qy:y6 ~rx:2. ~ry:2. best6));
+      Test.make ~name:"sweepline_6000_with_sort"
+        (Staged.stage (fun () ->
+             Sweepline.run Sweepline.Min (Geometry.make ~x:x6 ~y:y6) ~value:health6 ~qx:x6 ~qy:y6
+               ~rx:2. ~ry:2. best6));
       Test.make ~name:"kd_build_4096"
-        (Staged.stage (fun () -> ignore (Kd_tree.build ~x:(Array.get xs) ~y:(Array.get ys) ids)));
+        (Staged.stage (fun () -> ignore (Kd_tree.build geometry ids)));
+      Test.make ~name:"kd_build_6000"
+        (Staged.stage (fun () -> ignore (Kd_tree.build geometry6 ids6)));
+      Test.make ~name:"kd_build_6000_with_sort"
+        (Staged.stage (fun () -> ignore (Kd_tree.build (Geometry.make ~x:x6 ~y:y6) ids6)));
       Test.make ~name:"kd_nearest"
         (Staged.stage (fun () ->
              let q = next () in
@@ -1475,4 +1510,8 @@ let () =
             | other ->
               Fmt.epr "unknown benchmark %S@." other;
               exit 1)
-          names)
+          names);
+  if !failed_checks <> [] then begin
+    List.iter (Fmt.epr "check failed: %s@.") (List.rev !failed_checks);
+    exit 1
+  end

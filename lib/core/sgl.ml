@@ -23,6 +23,7 @@ module Stats = Sgl_util.Stats
 module Timer = Sgl_util.Timer
 module Telemetry = Sgl_util.Telemetry
 module Domain_pool = Sgl_util.Domain_pool
+module Float_sort = Sgl_util.Float_sort
 
 (* Relational substrate *)
 module Value = Sgl_relalg.Value
@@ -38,6 +39,7 @@ module Algebra = Sgl_relalg.Algebra
 
 (* Index structures *)
 module Interval = Sgl_index.Interval
+module Geometry = Sgl_index.Geometry
 module Segment_tree = Sgl_index.Segment_tree
 module Range_tree = Sgl_index.Range_tree
 module Cascade_tree = Sgl_index.Cascade_tree

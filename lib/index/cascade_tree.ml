@@ -20,7 +20,7 @@ type t = {
   n : int;
   m : int;
   xs : float array; (* x-sorted coordinates *)
-  ys : float array array; (* per depth: each node's y-sorted coordinates *)
+  ys : float array; (* the root's y-sorted coordinates *)
   prefix : float array array; (* per depth: m sums per position *)
   bridge_l : int array array; (* per depth: first left-child position with y >= *)
   bridge_r : int array array; (* one past a node's end bridges to the child's length *)
@@ -32,71 +32,82 @@ let depth_count n =
   let rec go size d = if size <= 1 then d + 1 else go ((size + 1) / 2) (d + 1) in
   if n = 0 then 0 else go n 0
 
-(* Bridges from the node slice [lo, hi) of [parent] into the child slice
-   [clo, chi) of [child]: one linear two-pointer pass. *)
-let bridge (parent : float array) (child : float array) lo hi clo chi (out : int array) =
-  let p = ref clo in
-  for i = lo to hi - 1 do
-    while !p < chi && child.(!p) < parent.(i) do
-      incr p
-    done;
-    out.(i) <- !p - clo
-  done
-
-let build ~(x : float array) ~(y : float array) ~(stats : float array) ~(m : int) : t =
+let build (g : Geometry.t) ~(stats : float array) ~(m : int) : t =
+  let x = g.Geometry.x and y = g.Geometry.y and order = g.Geometry.by_x in
   let n = Array.length x in
-  let order = Array.init n (fun k -> k) in
-  Array.sort (fun a b -> Float.compare x.(a) x.(b)) order;
   let xs = Array.map (fun k -> x.(k)) order in
   let levels = depth_count n in
-  let ys = Array.init levels (fun _ -> Array.make n 0.) in
+  (* Each node's y-sorted coordinates, and below them its statistic rows
+     in the same order, carried through the merges so the prefix pass
+     reads them in sequence.  A node only reads its children's slices,
+     which nothing writes between their completion and the merge, so two
+     arrays alternating by depth parity suffice; only the root's ys
+     outlive the build. *)
+  let ys = [| Array.make n 0.; Array.make n 0. |] in
   let prefix = Array.init levels (fun _ -> Array.make (n * m) 0.) in
   let bridge_l = Array.init levels (fun _ -> Array.make n 0) in
   let bridge_r = Array.init levels (fun _ -> Array.make n 0) in
-  (* Point indices in each node's y order.  A node only reads its
-     children's slices, which nothing writes between their completion and
-     the merge, so two arrays alternating by depth parity suffice. *)
-  let ids = [| Array.make n 0; Array.make n 0 |] in
+  let rows = [| Array.make (n * m) 0.; Array.make (n * m) 0. |] in
   (* Built bottom-up: every node is a stable linear merge of its children
-     (O(n log n) total), equal ys taking the left child first. *)
+     (O(n log n) total), equal ys taking the left child first, which also
+     yields the node's bridges. *)
   let rec build_node d lo hi =
-    let yd = ys.(d) and idd = ids.(d land 1) in
+    let yd = ys.(d land 1) and rd = rows.(d land 1) in
     if hi - lo = 1 then begin
       yd.(lo) <- y.(order.(lo));
-      idd.(lo) <- order.(lo)
+      let s = order.(lo) * m in
+      for c = 0 to m - 1 do
+        rd.((lo * m) + c) <- stats.(s + c)
+      done
     end
     else begin
       let mid = (lo + hi) / 2 in
       build_node (d + 1) lo mid;
       build_node (d + 1) mid hi;
-      let yc = ys.(d + 1) and idc = ids.((d + 1) land 1) in
+      let yc = ys.((d + 1) land 1) and rc = rows.((d + 1) land 1) in
+      let bl = bridge_l.(d) and br = bridge_r.(d) in
       let i = ref lo and j = ref mid in
       for p = lo to hi - 1 do
-        if !j >= hi || (!i < mid && yc.(!i) <= yc.(!j)) then begin
-          yd.(p) <- yc.(!i);
-          idd.(p) <- idc.(!i);
-          incr i
+        let a = !i and b = !j in
+        let from =
+          if b >= hi || (a < mid && yc.(a) <= yc.(b)) then begin
+            i := a + 1;
+            a
+          end
+          else begin
+            j := b + 1;
+            b
+          end
+        in
+        let v = yc.(from) in
+        yd.(p) <- v;
+        (* A bridge counts the child's points strictly below [v].  Every
+           point taken so far is at most [v], and equal to it only when [v]
+           repeats the previous output, whose bridges then still hold. *)
+        if p > lo && yd.(p - 1) = v then begin
+          bl.(p) <- bl.(p - 1);
+          br.(p) <- br.(p - 1)
         end
         else begin
-          yd.(p) <- yc.(!j);
-          idd.(p) <- idc.(!j);
-          incr j
-        end
-      done;
-      bridge yd yc lo hi lo mid bridge_l.(d);
-      bridge yd yc lo hi mid hi bridge_r.(d)
-    end;
-    let pre = prefix.(d) in
-    for p = lo to hi - 1 do
-      let s = idd.(p) * m in
-      for j = 0 to m - 1 do
-        let below = if p = lo then 0. else pre.(((p - 1) * m) + j) in
-        pre.((p * m) + j) <- below +. stats.(s + j)
+          bl.(p) <- a - lo;
+          br.(p) <- b - mid
+        end;
+        for c = 0 to m - 1 do
+          rd.((p * m) + c) <- rc.((from * m) + c)
+        done
       done
+    end;
+    (* node-local inclusive prefix sums, the first row added to zero *)
+    let pre = prefix.(d) in
+    for c = 0 to m - 1 do
+      pre.((lo * m) + c) <- 0. +. rd.((lo * m) + c)
+    done;
+    for q = (lo + 1) * m to (hi * m) - 1 do
+      pre.(q) <- pre.(q - m) +. rd.(q)
     done
   in
   if n > 0 then build_node 0 0 n;
-  { n; m; xs; ys; prefix; bridge_l; bridge_r }
+  { n; m; xs; ys = ys.(0); prefix; bridge_l; bridge_r }
 
 (* Add into [acc] the statistics of the node-local positions [ya, yb) of
    the node at depth [d] whose slice starts at [lo]. *)
@@ -110,9 +121,11 @@ let add_slice t (acc : float array) d lo ya yb =
   end
 
 (* Decompose the x positions [xa, xb) over the node [lo, hi) at depth [d],
-   whose y members are its node-local positions [ya, yb). *)
+   whose y members are its node-local positions [ya, yb).  A node with no
+   y members has none in any descendant either (bridges are monotone), so
+   its subtree is skipped: it would add nothing. *)
 let rec visit t acc xa xb d lo hi ya yb =
-  if xb <= lo || hi <= xa then ()
+  if xb <= lo || hi <= xa || yb <= ya then ()
   else if xa <= lo && hi <= xb then add_slice t acc d lo ya yb
   else begin
     (* a partial overlap is never a leaf, so both children exist *)
@@ -133,7 +146,7 @@ let accumulate t (box : Interval.box) ~(scratch : float array) (acc : float arra
     if xb > xa then begin
       (* y positions at the root, as in a plain binary search, then carried
          down through the bridges: no further searches *)
-      let root = t.ys.(0) in
+      let root = t.ys in
       let ya = Interval.first box 1 root in
       visit t scratch xa xb 0 0 t.n ya (max ya (Interval.last box 1 root))
     end

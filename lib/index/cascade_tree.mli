@@ -3,10 +3,12 @@
 
 type t
 
-(** [build ~x ~y ~stats ~m] indexes the points [0 .. n-1], [n] being
-    [Array.length x]: point [k] sits at [(x.(k), y.(k))] and carries the
-    statistics [stats.(k*m) .. stats.(k*m + m-1)]. *)
-val build : x:float array -> y:float array -> stats:float array -> m:int -> t
+(** [build g ~stats ~m] indexes the points of [g]: point [k] sits at
+    [(g.x.(k), g.y.(k))] and carries the statistics
+    [stats.(k*m) .. stats.(k*m + m-1)].  The leaves follow [g.by_x]; no
+    sort happens here.  Coordinates must not be nan: probes binary-search
+    the sorted coordinates. *)
+val build : Geometry.t -> stats:float array -> m:int -> t
 
 (** [accumulate t box ~scratch acc] sums the statistics of the points
     inside [box] (dimension 0 is x, dimension 1 is y) into [scratch] from

@@ -15,31 +15,57 @@ type node = {
 
 type t = { root : node option; count : int }
 
-let build ~(x : int -> float) ~(y : int -> float) (ids : int array) : t =
-  let ids = Array.copy ids in
-  let coord axis id = if axis = 0 then x id else y id in
-  (* Median split by sorting the slice on the current axis.  O(n log^2 n)
-     build, O(log n) expected probes. *)
+(* Median splits over presorted orders.  A node's slice [lo, hi) holds the
+   same points in two arrays, one per axis order.  The median of the
+   splitting axis's array is the node; the other array is stably
+   partitioned into the points before the median and those after, so both
+   children again hold their points in both orders.  O(n) per depth:
+   O(n log n) build, O(log n) expected probes. *)
+let build (g : Geometry.t) (ids : int array) : t =
+  let n = Geometry.size g in
+  if Array.length ids <> n then invalid_arg "Kd_tree.build: ids and geometry differ in size";
+  let x = g.Geometry.x and y = g.Geometry.y in
+  let orders = [| Array.copy g.Geometry.by_x; Array.copy g.Geometry.by_y |] in
+  let left_of = Bytes.create n and scratch = Array.make n 0 in
   let rec go lo hi axis =
     if hi <= lo then None
     else begin
-      let slice = Array.sub ids lo (hi - lo) in
-      Array.sort (fun a b -> Float.compare (coord axis a) (coord axis b)) slice;
-      Array.blit slice 0 ids lo (hi - lo);
       let mid = (lo + hi) / 2 in
-      let id = ids.(mid) in
+      let split = orders.(axis) and other = orders.(1 - axis) in
+      let k = split.(mid) in
+      if hi - lo > 1 then begin
+        for i = lo to hi - 1 do
+          Bytes.set left_of split.(i) (if i < mid then 'l' else 'r')
+        done;
+        let l = ref lo and r = ref (mid + 1) in
+        for i = lo to hi - 1 do
+          let p = other.(i) in
+          if p <> k then begin
+            if Bytes.get left_of p = 'l' then begin
+              scratch.(!l) <- p;
+              incr l
+            end
+            else begin
+              scratch.(!r) <- p;
+              incr r
+            end
+          end
+        done;
+        Array.blit scratch lo other lo (mid - lo);
+        Array.blit scratch (mid + 1) other (mid + 1) (hi - mid - 1)
+      end;
       Some
         {
-          id;
-          px = x id;
-          py = y id;
+          id = ids.(k);
+          px = x.(k);
+          py = y.(k);
           axis;
           left = go lo mid (1 - axis);
           right = go (mid + 1) hi (1 - axis);
         }
     end
   in
-  { root = go 0 (Array.length ids) 0; count = Array.length ids }
+  { root = go 0 n 0; count = n }
 
 let size t = t.count
 

@@ -2,7 +2,10 @@
 
 type t
 
-val build : x:(int -> float) -> y:(int -> float) -> int array -> t
+(** [build g ids] indexes the points of [g], point [k] reported as
+    [ids.(k)], by splitting [g]'s presorted orders: no sort happens here. *)
+val build : Geometry.t -> int array -> t
+
 val size : t -> int
 
 (** [nearest ?filter t ~qx ~qy] is [Some (id, squared_distance)] of the

@@ -9,6 +9,8 @@
    The same structure answers enumeration queries (reporting ids), which is
    the fallback for non-divisible aggregates and residual predicates. *)
 
+open Sgl_util
+
 type leaf = {
   coords : float array; (* sorted by the last dimension *)
   ids : int array; (* point ids in coord order *)
@@ -38,7 +40,7 @@ let build ~(dims : float array list) ~(stats : float array option) ~(m : int) (n
     | [] -> invalid_arg "Range_tree.build: at least one dimension required"
     | [ last ] ->
       let ids = Array.copy ids in
-      Array.sort (fun a b -> Float.compare last.(a) last.(b)) ids;
+      Float_sort.sort_by last ids;
       let k = Array.length ids in
       let prefix =
         match stats with
@@ -56,7 +58,7 @@ let build ~(dims : float array list) ~(stats : float array option) ~(m : int) (n
       Leaf_level { coords = Array.map (fun id -> last.(id)) ids; ids; prefix; m }
     | first :: rest ->
       let ids = Array.copy ids in
-      Array.sort (fun a b -> Float.compare first.(a) first.(b)) ids;
+      Float_sort.sort_by first ids;
       let rec build_node lo hi =
         if hi <= lo then None
         else begin

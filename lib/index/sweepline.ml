@@ -29,51 +29,72 @@ let pick kind (vals : float array) (idx : int array) a b =
     if c < 0 || (c = 0 && ia < ib) then a else b
   end
 
-let run kind ~(x : float array) ~(y : float array) ~(value : float array) ~(qx : float array)
-    ~(qy : float array) ~(rx : float) ~(ry : float) (best : int array) : unit =
+(* The length of the nan prefix of [order], an order of [coords] under
+   [Float.compare]: nan sorts first and lies in no window. *)
+let nan_prefix (coords : float array) (order : int array) =
+  let p = ref 0 in
+  while !p < Array.length order && Float.is_nan coords.(order.(!p)) do
+    incr p
+  done;
+  !p
+
+let run kind (g : Geometry.t) ~(value : float array) ~(qx : float array) ~(qy : float array)
+    ~(rx : float) ~(ry : float) (best : int array) : unit =
+  let x = g.Geometry.x and y = g.Geometry.y and by_y = g.Geometry.by_y in
   let n = Array.length x and nq = Array.length qx in
   Array.fill best 0 nq (-1);
-  let by_y = Array.init n (fun k -> k) in
-  Array.sort (fun a b -> Float.compare y.(a) y.(b)) by_y;
-  (* x order gives each point its leaf *)
-  let by_x = Array.init n (fun k -> k) in
-  Array.sort (fun a b -> Float.compare x.(a) x.(b)) by_x;
-  let leaf = Array.make n 0 in
-  Array.iteri (fun s k -> leaf.(k) <- s) by_x;
-  let xs = Array.map (fun k -> x.(k)) by_x in
-  let order = Array.init nq (fun q -> q) in
-  Array.sort (fun a b -> Float.compare qy.(a) qy.(b)) order;
+  (* A point's leaf is its rank in x order; one with a nan x gets none (-1)
+     and, like one with a nan y, never enters the sweep. *)
+  let x0 = nan_prefix x g.Geometry.by_x in
+  let leaf = Array.make n (-1) and xs = Array.make (n - x0) 0. in
+  for s = x0 to n - 1 do
+    let k = g.Geometry.by_x.(s) in
+    leaf.(k) <- s - x0;
+    xs.(s - x0) <- x.(k)
+  done;
+  let order = Float_sort.order qy in
   let base = ref 1 in
-  while !base < n do
+  while !base < n - x0 do
     base := 2 * !base
   done;
   let base = !base in
   let vals = Array.make (2 * base) nan and idx = Array.make (2 * base) (-1) in
+  (* Each node holds the winner of its children, so once a recomputed node
+     keeps its winner every ancestor keeps its own: the walk stops there. *)
   let set k present =
-    let p = ref (base + leaf.(k)) in
-    vals.(!p) <- (if present then value.(k) else nan);
-    idx.(!p) <- (if present then k else -1);
-    p := !p / 2;
-    while !p >= 1 do
-      let w = pick kind vals idx (2 * !p) ((2 * !p) + 1) in
-      vals.(!p) <- vals.(w);
-      idx.(!p) <- idx.(w);
-      p := !p / 2
-    done
+    if leaf.(k) >= 0 then begin
+      let p = ref (base + leaf.(k)) in
+      vals.(!p) <- (if present then value.(k) else nan);
+      idx.(!p) <- (if present then k else -1);
+      p := !p / 2;
+      while !p >= 1 do
+        let w = pick kind vals idx (2 * !p) ((2 * !p) + 1) in
+        if idx.(w) = idx.(!p) then p := 0
+        else begin
+          vals.(!p) <- vals.(w);
+          idx.(!p) <- idx.(w);
+          p := !p / 2
+        end
+      done
+    end
   in
-  (* Points enter when the sweep reaches y - ry and leave after y + ry;
-     both frontiers advance monotonically with the query sweep. *)
-  let enter = ref 0 and exit_ = ref 0 in
+  (* The live points are the by_y positions [exit_, enter): y within ry of
+     the sweep.  Both frontiers advance monotonically with the query sweep;
+     the exit frontier moves first, so a point whose whole band
+     [y - ry, y + ry] falls between two queries is never inserted. *)
+  let y0 = nan_prefix y by_y in
+  let enter = ref y0 and exit_ = ref y0 in
   for r = 0 to nq - 1 do
     let q = order.(r) in
     let top = qy.(q) +. ry and bottom = qy.(q) -. ry in
+    while !exit_ < n && y.(by_y.(!exit_)) < bottom do
+      if !exit_ < !enter then set by_y.(!exit_) false;
+      incr exit_
+    done;
+    if !enter < !exit_ then enter := !exit_;
     while !enter < n && y.(by_y.(!enter)) <= top do
       set by_y.(!enter) true;
       incr enter
-    done;
-    while !exit_ < n && y.(by_y.(!exit_)) < bottom do
-      set by_y.(!exit_) false;
-      incr exit_
     done;
     let a = ref (base + Search.lower_bound xs (qx.(q) -. rx)) in
     let b = ref (base + Search.upper_bound xs (qx.(q) +. rx)) in

@@ -228,6 +228,11 @@ type div_struct =
 
 type sub_index = {
   members : int array; (* data ids, ascending *)
+  (* Per (x, y) coordinate pair: the members' coordinates and their order
+     along each axis, gathered and sorted once and read by every tree and
+     sweep over that pair.  Not an index build of its own: its time counts
+     toward the build time, never toward the build or reuse counts. *)
+  mutable geoms : ((int * int) * Geometry.t) list;
   mutable divisible : div_struct option;
   mutable enum_tree : Range_tree.t option; (* reports positions in [members] *)
   mutable kds : ((int * int) * Kd_tree.t) list; (* per (ex, ey) coordinate pair *)
@@ -251,17 +256,6 @@ type built_index = {
      Swapped alongside [data] on revalidation. *)
   mutable cols : Colstore.t option;
 }
-
-(* Coordinate accessor for attribute [attr] of [bi.data]: a contiguous
-   column read when the store mirrors the data and the column is numeric,
-   otherwise the boxed row read.  [Colstore.float_reader] guarantees the
-   same float as [Value.to_float], so the two paths are bit-identical. *)
-let coord_fn (bi : built_index) (attr : int) : int -> float =
-  let fallback id = Value.to_float (Tuple.get bi.data.(id) attr) in
-  match bi.cols with
-  | Some cs when attr < Schema.arity (Colstore.schema cs) -> (
-    match Colstore.float_reader cs attr with Some read -> read | None -> fallback)
-  | _ -> fallback
 
 (* Write [Expr.eval_float e] over each member's row into
    [out.(k * stride + off)], [k] the member's position.  A bare attribute
@@ -339,7 +333,7 @@ let build_index ?(epoch = 0) ?cols (st : eval_stats) ~(group : group) ~(data : T
   in
   let cat =
     Cat_index.create ~keys ~ids ~builder:(fun members ->
-        { members; divisible = None; enum_tree = None; kds = [] })
+        { members; geoms = []; divisible = None; enum_tree = None; kds = [] })
   in
   count_build st t0;
   { data; epoch; group; cat; cols }
@@ -351,20 +345,37 @@ let build_index ?(epoch = 0) ?cols (st : eval_stats) ~(group : group) ~(data : T
    the [sub_index] fields; they only ever read them.  Sequential
    evaluators (and call-local indexes like the AoE contributor index) pass
    [memoize:true] and keep the original caching behaviour. *)
+let ensure_geometry ~(memoize : bool) st (bi : built_index) ~(ex : int) ~(ey : int)
+    (sub : sub_index) : Geometry.t =
+  match List.assoc_opt (ex, ey) sub.geoms with
+  | Some g -> g
+  | None ->
+    let t0 = Timer.now () in
+    let coord attr = gather_column bi (Expr.EAttr attr) sub.members in
+    let g = Geometry.make ~x:(coord ex) ~y:(coord ey) in
+    if memoize then sub.geoms <- ((ex, ey), g) :: sub.geoms;
+    st.build_seconds <- st.build_seconds +. (Timer.now () -. t0);
+    g
+
 let ensure_divisible ~(memoize : bool) st (bi : built_index) (sub : sub_index) : div_struct =
   match sub.divisible with
   | Some d -> d
   | None ->
+    (* fetched before the clock starts: the geometry times itself *)
+    let geometry =
+      match bi.group.box_attrs with
+      | [ ax; ay ] -> Some (ensure_geometry ~memoize st bi ~ex:ax ~ey:ay sub)
+      | _ -> None
+    in
     let t0 = Timer.now () in
     let m = bi.group.n_stats in
     let members = sub.members in
     let n = Array.length members in
     let stats = Array.make (n * m) 0. in
     List.iteri (fun j e -> gather bi e members stats ~stride:m ~off:j) bi.group.stats_exprs;
-    let coord attr = gather_column bi (Expr.EAttr attr) members in
     let d =
-      match bi.group.box_attrs with
-      | [] ->
+      match (bi.group.box_attrs, geometry) with
+      | [], _ ->
         let total = Array.make m 0. in
         for k = 0 to n - 1 do
           for j = 0 to m - 1 do
@@ -372,8 +383,10 @@ let ensure_divisible ~(memoize : bool) st (bi : built_index) (sub : sub_index) :
           done
         done;
         Div_total total
-      | [ ax; ay ] -> Div_cascade (Cascade_tree.build ~x:(coord ax) ~y:(coord ay) ~stats ~m)
-      | attrs -> Div_range (Range_tree.build ~dims:(List.map coord attrs) ~stats:(Some stats) ~m n)
+      | _, Some g -> Div_cascade (Cascade_tree.build g ~stats ~m)
+      | attrs, None ->
+        let coord attr = gather_column bi (Expr.EAttr attr) members in
+        Div_range (Range_tree.build ~dims:(List.map coord attrs) ~stats:(Some stats) ~m n)
     in
     if memoize then sub.divisible <- Some d;
     count_build st t0;
@@ -400,9 +413,9 @@ let ensure_kd ~(memoize : bool) st (bi : built_index) ~(ex : int) ~(ey : int) (s
   match List.assoc_opt (ex, ey) sub.kds with
   | Some t -> t
   | None ->
+    let g = ensure_geometry ~memoize st bi ~ex ~ey sub in
     let t0 = Timer.now () in
-    let coord attr = coord_fn bi attr in
-    let t = Kd_tree.build ~x:(coord ex) ~y:(coord ey) sub.members in
+    let t = Kd_tree.build g sub.members in
     if memoize then sub.kds <- ((ex, ey), t) :: sub.kds;
     count_build st t0;
     t
@@ -613,7 +626,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
     let swept =
       match (sweep, components) with
       | Some info, [ Agg_plan.C_extremal { kind } ] ->
-        Some (sweep_batch st ~tel ~probe ~bi ~info ~kind ~rows ~rands)
+        Some (sweep_batch st ~tel ~memoize ~probe ~bi ~info ~kind ~rows ~rands)
       | _ -> None
     in
     (* per divisible component, its own statistics out of the group's columns *)
@@ -682,7 +695,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
    partitions, ties toward the smaller id as the naive scan breaks them.
    Per row: the best data id (-1: none), its value, and the accepted
    partitions. *)
-and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
+and sweep_batch st ~(tel : agg_tel) ~(memoize : bool) ~(probe : probe) ~(bi : built_index)
     ~(info : Agg_plan.sweep_info) ~(kind : Aggregate.kind) ~(rows : Tuple.t array)
     ~(rands : (int -> int) array) : int array * float array * sub_index list array =
   let maximize =
@@ -705,8 +718,9 @@ and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
       | None -> ()
       | Some sub ->
         let members = sub.members in
-        let x = gather_column bi (Expr.EAttr info.Agg_plan.x_data) members in
-        let y = gather_column bi (Expr.EAttr info.Agg_plan.y_data) members in
+        let g =
+          ensure_geometry ~memoize st bi ~ex:info.Agg_plan.x_data ~ey:info.Agg_plan.y_data sub
+        in
         let value = gather_column bi objective members in
         let nq =
           Array.fold_left (fun n parts -> if List.memq sub parts then n + 1 else n) 0 row_parts
@@ -725,7 +739,7 @@ and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
         let best = Array.make nq (-1) in
         Sweepline.run
           (if maximize then Sweepline.Max else Sweepline.Min)
-          ~x ~y ~value ~qx ~qy ~rx:info.Agg_plan.rx ~ry:info.Agg_plan.ry best;
+          g ~value ~qx ~qy ~rx:info.Agg_plan.rx ~ry:info.Agg_plan.ry best;
         Array.iteri
           (fun q k ->
             if k >= 0 then begin
@@ -919,7 +933,9 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
      same partitions, and only [data] needs swapping to the new array;
    - a per-partition sub-structure survives when its input attributes are
      globally clean, or when none of the partition's members is a dirty
-     unit (its inputs may be dirty elsewhere, but not here);
+     unit (its inputs may be dirty elsewhere, but not here).  A partition's
+     geometry follows the same rule over its two coordinates: kept, it
+     would hand a rebuilt tree last tick's positions;
    - everything else is dropped and rebuilt lazily (sequential) or by the
      family's eager prebuild (parallel).
 
@@ -980,13 +996,14 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
         | None -> ()
         | Some _ ->
           if enum_clean || partition_clean then keep true else sub.enum_tree <- None);
+        let coords_clean (ex, ey) =
+          partition_clean || not (Delta.dirty_attr delta ex || Delta.dirty_attr delta ey)
+        in
+        sub.geoms <- List.filter (fun (pair, _) -> coords_clean pair) sub.geoms;
         sub.kds <-
           List.filter
-            (fun ((ex, ey), _) ->
-              let kept =
-                partition_clean
-                || not (Delta.dirty_attr delta ex || Delta.dirty_attr delta ey)
-              in
+            (fun (pair, _) ->
+              let kept = coords_clean pair in
               keep kept;
               kept)
             sub.kds)
@@ -1211,8 +1228,8 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
    reachability analysis in [eval_indexed_batch]: group indexes and their
    categorical partitions always; per-partition divisible / enumeration /
    kD structures according to the strategy's components (the single-sweep
-   extremal case runs the sweep-line per batch and touches no lazy
-   per-partition structure). *)
+   extremal case runs the sweep-line per batch, over the partition's
+   geometry, and builds no other per-partition structure). *)
 let prebuild (ctx : indexed_ctx) (st : eval_stats) : unit =
   Array.iteri
     (fun agg_id m_opt ->
@@ -1225,14 +1242,20 @@ let prebuild (ctx : indexed_ctx) (st : eval_stats) : unit =
           let bi, _ = group_index ctx st ~memoize:true m in
           let single_sweep =
             match (sweep, components) with
-            | Some _, [ Agg_plan.C_extremal _ ] -> true
-            | _ -> false
+            | Some info, [ Agg_plan.C_extremal _ ] -> Some info
+            | _ -> None
           in
           List.iter
             (fun key ->
               match Cat_index.find bi.cat key with
               | None -> ()
               | Some sub ->
+                Option.iter
+                  (fun (info : Agg_plan.sweep_info) ->
+                    ignore
+                      (ensure_geometry ~memoize:true st bi ~ex:info.Agg_plan.x_data
+                         ~ey:info.Agg_plan.y_data sub))
+                  single_sweep;
                 List.iter
                   (fun comp ->
                     match comp with
@@ -1240,7 +1263,8 @@ let prebuild (ctx : indexed_ctx) (st : eval_stats) : unit =
                       if enumerate then ignore (ensure_enum_tree ~memoize:true st bi sub)
                       else ignore (ensure_divisible ~memoize:true st bi sub)
                     | Agg_plan.C_extremal _ ->
-                      if not single_sweep then ignore (ensure_enum_tree ~memoize:true st bi sub)
+                      if Option.is_none single_sweep then
+                        ignore (ensure_enum_tree ~memoize:true st bi sub)
                     | Agg_plan.C_nearest { kind } -> begin
                       match kind with
                       | Aggregate.Nearest { ex = Expr.EAttr exa; ey = Expr.EAttr eya; _ } ->

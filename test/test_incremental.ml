@@ -307,6 +307,149 @@ let solo_family_memoizes () =
   check_states ~msg:"parallel:1 cached vs naive" baseline (sorted_units sim)
 
 (* ------------------------------------------------------------------ *)
+(* Shared partition geometry across ticks *)
+
+(* A patrol: static scouts (player 0) watch wanderers (player 1) that all
+   move every tick, and statics (player 2) that never do.  No unit ever
+   dies, so every tick's delta is non-structural and the cached group
+   index is revalidated, never dropped.  Both aggregates share one group
+   (player partitions, a (posx, posy) box): the count is answered by a
+   cascade tree, the argmin by the sweep-line, and both read the
+   partition's cached geometry.  The wanderers' partition has dirty
+   positions every tick, so a geometry kept across that revalidation hands
+   both last tick's coordinates; the scouts' tallies record every answer. *)
+
+let patrol_schema () =
+  Schema.create
+    [
+      Schema.attr "key" Value.TInt;
+      Schema.attr "player" Value.TInt;
+      Schema.attr "posx" Value.TFloat;
+      Schema.attr "posy" Value.TFloat;
+      Schema.attr "counted" Value.TFloat;
+      Schema.attr "lowest" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "movevect_x" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "movevect_y" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "seen" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "low" Value.TFloat;
+    ]
+
+let patrol_behaviour =
+  {|
+aggregate RivalsNear(u) {
+  count(*) where e.player <> u.player
+    and e.posx >= u.posx - 6.0 and e.posx <= u.posx + 6.0
+    and e.posy >= u.posy - 6.0 and e.posy <= u.posy + 6.0
+}
+
+aggregate LowestRival(u) {
+  argmin(e.posy; e.key) where e.player <> u.player
+    and e.posx >= u.posx - 6.0 and e.posx <= u.posx + 6.0
+    and e.posy >= u.posy - 6.0 and e.posy <= u.posy + 6.0
+  default -1
+}
+
+action Note(u, c, k) { on self { seen <- c; low <- k; } }
+
+action Wander(u) {
+  on self {
+    movevect_x <- (random(11) mod 5) - 2;
+    movevect_y <- (random(12) mod 5) - 2;
+  }
+}
+
+script scout(u) {
+  let c = RivalsNear(u);
+  let k = LowestRival(u);
+  perform Note(u, c, k);
+}
+
+script wanderer(u) { perform Wander(u); }
+|}
+
+let patrol_sim ~(index_cache : bool) (evaluator : Simulation.evaluator_kind) : Simulation.t =
+  let schema = patrol_schema () in
+  let prog = Sgl_lang.Compile.compile ~schema patrol_behaviour in
+  let player = Schema.find schema "player" in
+  let counted = Schema.find schema "counted" and lowest = Schema.find schema "lowest" in
+  let open Expr in
+  let config =
+    {
+      Simulation.prog;
+      script_of =
+        (fun u ->
+          match Value.to_int (Tuple.get u player) with
+          | 0 -> Some "scout"
+          | 1 -> Some "wanderer"
+          | _ -> None);
+      postprocess =
+        Postprocess.make ~schema
+          ~updates:
+            [
+              (counted, Binop (Add, UAttr counted, EAttr (Schema.find schema "seen")));
+              (lowest, Binop (Add, UAttr lowest, EAttr (Schema.find schema "low")));
+            ]
+          ~remove_when:(Const (Value.Bool false));
+      movement =
+        Some
+          {
+            Movement.posx = Schema.find schema "posx";
+            posy = Schema.find schema "posy";
+            mvx = Schema.find schema "movevect_x";
+            mvy = Schema.find schema "movevect_y";
+            speed = 2.;
+            speed_attr = None;
+            width = 48;
+            height = 48;
+          };
+      death = Simulation.Remove;
+      seed = 3;
+      optimize = true;
+    }
+  in
+  let units =
+    Array.init 160 (fun i ->
+        let player = if i mod 8 = 0 then 0 else if i mod 2 = 1 then 1 else 2 in
+        Tuple.of_list schema
+          [
+            Value.Int i; Value.Int player;
+            Value.Float (float_of_int (i * 7 mod 48)); Value.Float (float_of_int (i * 13 mod 48));
+            Value.Float 0.; Value.Float 0.; Value.Float 0.; Value.Float 0.; Value.Float 0.;
+            Value.Float 0.;
+          ])
+  in
+  Simulation.create ~index_cache config ~evaluator ~units
+
+let geometry_revalidation () =
+  let naive = patrol_sim ~index_cache:true Simulation.Naive in
+  let cached =
+    List.map
+      (fun ev -> (ev, patrol_sim ~index_cache:true ev))
+      [ Simulation.Indexed; Simulation.Parallel { domains = 2 } ]
+  in
+  for tick = 1 to 30 do
+    Simulation.step naive;
+    let expected = sorted_units naive in
+    List.iter
+      (fun (ev, sim) ->
+        Simulation.step sim;
+        (match Simulation.last_delta sim with
+        | Some d when not (Delta.structural d) -> ()
+        | _ -> Alcotest.failf "tick %d: expected a non-structural delta" tick);
+        check_states
+          ~msg:(Fmt.str "tick %d: %s cached vs naive" tick (Simulation.evaluator_name ev))
+          expected (sorted_units sim))
+      cached
+  done;
+  List.iter
+    (fun (ev, sim) ->
+      Alcotest.(check bool)
+        (Simulation.evaluator_name ev ^ " revalidated cached structures")
+        true
+        ((Simulation.report sim).Simulation.index_reuses > 0))
+    cached
+
+(* ------------------------------------------------------------------ *)
 (* Fuzz: randomized churn against the naive evaluator *)
 
 let fuzz_churn =
@@ -350,5 +493,8 @@ let suite =
       ] );
     ( "incremental.memoization",
       [ tc "solo parallel family memoizes and reuses" `Quick solo_family_memoizes ] );
+    ( "incremental.geometry",
+      [ tc "moving units: sweep + cascade group = naive, tick by tick" `Quick
+          geometry_revalidation ] );
     ("incremental.fuzz", [ QCheck_alcotest.to_alcotest fuzz_churn ]);
   ]

@@ -181,7 +181,8 @@ let test_range_tree_bad_arity () =
 
 (* A cascade tree over 2-d points with statistics [stats k] for point k. *)
 let cascade_of points stats ~m =
-  Cascade_tree.build ~x:(Array.map fst points) ~y:(Array.map snd points)
+  Cascade_tree.build
+    (Geometry.make ~x:(Array.map fst points) ~y:(Array.map snd points))
     ~stats:(flat_stats (Array.length points) stats) ~m
 
 let cascade_matches_brute =
@@ -246,13 +247,15 @@ let cascade_accumulate_matches_query =
         expected)
 
 let test_cascade_empty () =
-  let tree = Cascade_tree.build ~x:[||] ~y:[||] ~stats:[||] ~m:3 in
+  let tree = Cascade_tree.build (Geometry.make ~x:[||] ~y:[||]) ~stats:[||] ~m:3 in
   let got = Cascade_tree.query tree ~x:Interval.everything ~y:Interval.everything in
   Alcotest.(check int) "zero vector" 3 (Array.length got);
   Alcotest.(check bool) "all zero" true (Array.for_all (fun v -> v = 0.) got)
 
 let test_cascade_single () =
-  let tree = Cascade_tree.build ~x:[| 2. |] ~y:[| 3. |] ~stats:[| 1.; 5. |] ~m:2 in
+  let tree =
+    Cascade_tree.build (Geometry.make ~x:[| 2. |] ~y:[| 3. |]) ~stats:[| 1.; 5. |] ~m:2
+  in
   Alcotest.(check int) "size" 1 (Cascade_tree.size tree);
   let inside = Cascade_tree.query tree ~x:(Interval.make ~lo:2. ~hi:2. ()) ~y:Interval.everything in
   Alcotest.(check bool) "point hit" true (inside = [| 1.; 5. |]);
@@ -279,6 +282,10 @@ let test_cascade_duplicates () =
 (* ------------------------------------------------------------------ *)
 (* kD-tree *)
 
+(* A kD-tree over 2-d points, point k reported as [ids.(k)]. *)
+let kd_of points ids =
+  Kd_tree.build (Geometry.make ~x:(Array.map fst points) ~y:(Array.map snd points)) ids
+
 let kd_nearest_matches_scan =
   QCheck.Test.make ~name:"kd tree nearest = linear scan" ~count:300
     (QCheck.make QCheck.Gen.(pair points2_gen point2_gen))
@@ -286,7 +293,7 @@ let kd_nearest_matches_scan =
       let points = Array.of_list pts in
       let n = Array.length points in
       let x id = fst points.(id) and y id = snd points.(id) in
-      let tree = Kd_tree.build ~x ~y (Array.init n (fun i -> i)) in
+      let tree = kd_of points (Array.init n (fun i -> i)) in
       let d2 id =
         let dx = x id -. qx and dy = y id -. qy in
         (dx *. dx) +. (dy *. dy)
@@ -314,7 +321,7 @@ let kd_box_matches_scan =
       let points = Array.of_list pts in
       let n = Array.length points in
       let x id = fst points.(id) and y id = snd points.(id) in
-      let tree = Kd_tree.build ~x ~y (Array.init n (fun i -> i)) in
+      let tree = kd_of points (Array.init n (fun i -> i)) in
       let got = ref [] in
       Kd_tree.query_box tree ~x:ivx ~y:ivy (fun id -> got := id :: !got);
       let expected =
@@ -323,15 +330,49 @@ let kd_box_matches_scan =
       in
       List.sort compare !got = expected)
 
+(* Few distinct coordinates, so most points are duplicates, reported
+   under shuffled labels: ties must break toward the smaller label, not
+   the smaller position, whichever presorted order put them first. *)
+let kd_nearest_duplicates =
+  let coord = QCheck.Gen.(map float_of_int (int_range 0 3)) in
+  QCheck.Test.make ~name:"presorted kd nearest = scan over duplicates" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         tup3
+           (list_size (int_range 0 80) (pair coord coord))
+           (pair coord coord) int))
+    (fun (pts, (qx, qy), seed) ->
+      let points = Array.of_list pts in
+      let n = Array.length points in
+      let labels = Array.init n (fun k -> ((k * 7919) + seed) land 0xffff) in
+      let tree = kd_of points labels in
+      let scan filter =
+        let best = ref None in
+        Array.iteri
+          (fun k (x, y) ->
+            let id = labels.(k) in
+            if filter id then begin
+              let d2 = ((x -. qx) *. (x -. qx)) +. ((y -. qy) *. (y -. qy)) in
+              match !best with
+              | Some (bid, bd2) when bd2 < d2 || (bd2 = d2 && bid <= id) -> ()
+              | _ -> best := Some (id, d2)
+            end)
+          points;
+        !best
+      in
+      let odd id = id land 1 = 1 in
+      Kd_tree.nearest tree ~qx ~qy = scan (fun _ -> true)
+      && Kd_tree.nearest ~filter:odd tree ~qx ~qy = scan odd)
+
 let test_kd_empty () =
-  let tree = Kd_tree.build ~x:(fun _ -> 0.) ~y:(fun _ -> 0.) [||] in
+  let tree = kd_of [||] [||] in
   Alcotest.(check bool) "no nearest" true (Kd_tree.nearest tree ~qx:0. ~qy:0. = None);
   let visited = ref 0 in
   Kd_tree.query_box tree ~x:Interval.everything ~y:Interval.everything (fun _ -> incr visited);
   Alcotest.(check int) "box visits nothing" 0 !visited
 
 let test_kd_single () =
-  let tree = Kd_tree.build ~x:(fun _ -> 3.) ~y:(fun _ -> 4.) [| 42 |] in
+  let tree = kd_of [| (3., 4.) |] [| 42 |] in
   Alcotest.(check int) "size" 1 (Kd_tree.size tree);
   (match Kd_tree.nearest tree ~qx:0. ~qy:0. with
   | Some (42, d2) -> Alcotest.(check (float 0.)) "distance" 25. d2
@@ -343,7 +384,7 @@ let test_kd_single () =
 (* Co-located points: ties must break toward the smaller id and box queries
    must visit every duplicate exactly once. *)
 let test_kd_duplicates () =
-  let tree = Kd_tree.build ~x:(fun _ -> 1.) ~y:(fun _ -> 1.) [| 5; 3; 9; 3 |] in
+  let tree = kd_of (Array.make 4 (1., 1.)) [| 5; 3; 9; 3 |] in
   (match Kd_tree.nearest tree ~qx:1. ~qy:1. with
   | Some (3, 0.) -> ()
   | _ -> Alcotest.fail "tie must break toward the smaller id");
@@ -355,6 +396,24 @@ let test_kd_duplicates () =
 
 (* ------------------------------------------------------------------ *)
 (* Sweepline *)
+
+(* The brute-force answer of a sweep query: the best point in the window,
+   the first of equal values in index order. *)
+let sweep_brute kind ~x ~y ~value ~rx ~ry (qx, qy) =
+  let best = ref (-1) in
+  Array.iteri
+    (fun k v ->
+      if Float.abs (x.(k) -. qx) <= rx && Float.abs (y.(k) -. qy) <= ry then begin
+        let beats =
+          !best < 0
+          ||
+          let c = Float.compare v value.(!best) in
+          match kind with Sweepline.Min -> c < 0 | Sweepline.Max -> c > 0
+        in
+        if beats then best := k
+      end)
+    value;
+  !best
 
 (* Hundreds of points on the half-unit lattice with values in 0..4, so
    coordinates and values repeat, leaf counts are rarely powers of two, and
@@ -380,30 +439,43 @@ let sweep_case kind =
       and value = Array.map (fun (_, _, v) -> v) data in
       let qx = Array.map fst queries and qy = Array.map snd queries in
       let got = Array.make (Array.length queries) 0 in
-      Sweepline.run kind ~x ~y ~value ~qx ~qy ~rx ~ry got;
-      let expected (qx, qy) =
-        let best = ref (-1) in
-        Array.iteri
-          (fun k (x, y, v) ->
-            if Float.abs (x -. qx) <= rx && Float.abs (y -. qy) <= ry then begin
-              let beats =
-                !best < 0
-                ||
-                let c = Float.compare v value.(!best) in
-                match kind with
-                | Sweepline.Min -> c < 0
-                | Sweepline.Max -> c > 0
-              in
-              (* scanning in index order, the first of equal values wins *)
-              if beats then best := k
-            end)
-          data;
-        !best
-      in
-      Array.for_all2 (fun g q -> g = expected q) got queries)
+      Sweepline.run kind (Geometry.make ~x ~y) ~value ~qx ~qy ~rx ~ry got;
+      Array.for_all2 (fun g q -> g = sweep_brute kind ~x ~y ~value ~rx ~ry q) got queries)
 
 let sweep_min = sweep_case Sweepline.Min
 let sweep_max = sweep_case Sweepline.Max
+
+(* Sparse queries over a tall point cloud: most points' y-bands fall
+   between two consecutive queries, so they enter and leave unseen; the
+   rest repeat coordinates and values.  A few nan coordinates lie in no
+   window.  One geometry serves a Min and a Max sweep in turn, so a sweep
+   that disturbed the shared orders would show in the second. *)
+let sweep_presorted =
+  let coord = QCheck.Gen.(map (fun i -> float_of_int i *. 0.5) (int_range (-6) 6)) in
+  let tall = QCheck.Gen.(map (fun i -> float_of_int i *. 0.5) (int_range (-200) 200)) in
+  let maybe_nan g = QCheck.Gen.(frequency [ (30, g); (1, return nan) ]) in
+  QCheck.Test.make ~name:"sweepline on a shared presorted geometry = brute force" ~count:150
+    (QCheck.make
+       QCheck.Gen.(
+         tup4
+           (list_size (int_range 0 300)
+              (tup3 (maybe_nan coord) (maybe_nan tall) (map float_of_int (int_range 0 3))))
+           (list_size (int_range 0 12) (pair (maybe_nan coord) (maybe_nan tall)))
+           (oneofl [ 0.; 0.5; 1. ])
+           (oneofl [ 0.; 0.5; 2. ])))
+    (fun (data_l, query_l, rx, ry) ->
+      let data = Array.of_list data_l and queries = Array.of_list query_l in
+      let x = Array.map (fun (x, _, _) -> x) data
+      and y = Array.map (fun (_, y, _) -> y) data
+      and value = Array.map (fun (_, _, v) -> v) data in
+      let g = Geometry.make ~x ~y in
+      let qx = Array.map fst queries and qy = Array.map snd queries in
+      List.for_all
+        (fun kind ->
+          let got = Array.make (Array.length queries) 0 in
+          Sweepline.run kind g ~value ~qx ~qy ~rx ~ry got;
+          Array.for_all2 (fun k q -> k = sweep_brute kind ~x ~y ~value ~rx ~ry q) got queries)
+        [ Sweepline.Min; Sweepline.Max; Sweepline.Min ])
 
 (* ------------------------------------------------------------------ *)
 (* Cat index *)
@@ -489,11 +561,12 @@ let suite =
       [
         qtest kd_nearest_matches_scan;
         qtest kd_box_matches_scan;
+        qtest kd_nearest_duplicates;
         tc "empty" `Quick test_kd_empty;
         tc "single element" `Quick test_kd_single;
         tc "duplicate coordinates" `Quick test_kd_duplicates;
       ] );
-    ("index.sweepline", [ qtest sweep_min; qtest sweep_max ]);
+    ("index.sweepline", [ qtest sweep_min; qtest sweep_max; qtest sweep_presorted ]);
     ( "index.cat_index",
       [
         tc "partitions, laziness, caching" `Quick test_cat_index_partitions;

@@ -495,6 +495,34 @@ let http_smoke () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Health: the tick-time rule on synthetic flight windows *)
+
+(* A full 32-tick window of 20 ms ticks, with [slow] of them (the newest)
+   taking [slow_s] instead, judged against a 20 ms run median. *)
+let tick_time_flag ~(slow : int) ~(slow_s : float) : bool =
+  let fl = Flight.create ~capacity:64 in
+  for i = 1 to 40 do
+    let s = mk_sample i in
+    Flight.record fl { s with Simulation.s_tick_s = (if i > 40 - slow then slow_s else 0.020) }
+  done;
+  Health.tick_time_degraded ~baseline_p50_s:0.020 (Flight.tail ~n:32 fl)
+
+let health_tick_time_rule () =
+  Alcotest.(check bool) "steady window" false (tick_time_flag ~slow:0 ~slow_s:0.020);
+  Alcotest.(check bool) "one descheduled tick is no flag" false
+    (tick_time_flag ~slow:1 ~slow_s:2.0);
+  Alcotest.(check bool) "two slow ticks flag" true (tick_time_flag ~slow:2 ~slow_s:0.250);
+  Alcotest.(check bool) "sustained 10x slowdown flags" true
+    (tick_time_flag ~slow:32 ~slow_s:0.201);
+  Alcotest.(check bool) "exactly 10x is not slow" false (tick_time_flag ~slow:32 ~slow_s:0.200);
+  Alcotest.(check bool) "below the absolute floor" false
+    (Health.tick_time_degraded ~baseline_p50_s:0.0001
+       (List.init 32 (fun i -> { (mk_sample i) with Simulation.s_tick_s = 0.004 })));
+  Alcotest.(check bool) "no baseline yet" false
+    (Health.tick_time_degraded ~baseline_p50_s:nan
+       (List.init 32 (fun i -> { (mk_sample i) with Simulation.s_tick_s = 1.0 })))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -510,4 +538,5 @@ let suite =
     ( "obs.differential",
       [ tc "bit-identical with obs on" `Slow obs_is_invisible ] );
     ("obs.http", [ tc "every endpoint live" `Quick http_smoke ]);
+    ("obs.health", [ tc "tick-time flag needs two slow ticks" `Quick health_tick_time_rule ]);
   ]

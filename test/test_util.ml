@@ -351,6 +351,59 @@ let timer_monotonic () =
   let b = Timer.now () in
   Alcotest.(check bool) "now () nondecreasing" true (b >= a)
 
+(* ------------------------------------------------------------------ *)
+(* Float_sort *)
+
+(* Tie-heavy keys: both zeros, nans of either sign, both infinities and a
+   few finite values.  Sizes cluster around multiples of the sort's
+   24-element insertion runs, where the merge passes change shape. *)
+let tie_key_gen =
+  QCheck.Gen.oneofl [ nan; -.nan; -0.; 0.; infinity; neg_infinity; 1.; -1.; 0.5; 2.; 1e300 ]
+
+let tie_keys_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range 0 200;
+        oneofl [ 23; 24; 25; 47; 48; 49; 71; 72; 73; 95; 96; 97; 191; 192; 193; 385 ];
+      ]
+    >>= fun n -> array_repeat n tie_key_gen)
+
+let print_keys = QCheck.Print.(array float)
+
+let stable_reference (keys : float array) (ids : int array) : int array =
+  let ids = Array.copy ids in
+  Array.stable_sort (fun a b -> Float.compare keys.(a) keys.(b)) ids;
+  ids
+
+let float_sort_order_is_stable_sort =
+  QCheck.Test.make ~name:"Float_sort.order = Array.stable_sort by Float.compare" ~count:500
+    (QCheck.make ~print:print_keys tie_keys_gen)
+    (fun keys ->
+      Float_sort.order keys = stable_reference keys (Array.init (Array.length keys) Fun.id))
+
+(* [sort_by] over an arbitrary id sequence (repeats included) keeps the
+   input order of equal keys, not the id order. *)
+let float_sort_by_is_stable_sort =
+  QCheck.Test.make ~name:"Float_sort.sort_by = Array.stable_sort over any ids" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair print_keys (array int))
+       QCheck.Gen.(
+         tie_keys_gen >>= fun keys ->
+         let n = Array.length keys in
+         if n = 0 then return (keys, [||])
+         else map (fun ids -> (keys, ids)) (array_size (int_range 0 (2 * n)) (int_range 0 (n - 1)))))
+    (fun (keys, ids) ->
+      let got = Array.copy ids in
+      Float_sort.sort_by keys got;
+      got = stable_reference keys ids)
+
+let test_float_sort_edges () =
+  Alcotest.(check (array int)) "empty" [||] (Float_sort.order [||]);
+  Alcotest.(check (array int)) "nans first, zeros tie, by position"
+    [| 2; 4; 5; 1; 3; 0 |]
+    (Float_sort.order [| infinity; 0.; nan; -0.; -.nan; neg_infinity |])
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -395,6 +448,12 @@ let suite =
       [
         tc "bounds on duplicates" `Quick test_search_bounds;
         QCheck_alcotest.to_alcotest search_matches_scan;
+      ] );
+    ( "util.float_sort",
+      [
+        tc "edges" `Quick test_float_sort_edges;
+        QCheck_alcotest.to_alcotest float_sort_order_is_stable_sort;
+        QCheck_alcotest.to_alcotest float_sort_by_is_stable_sort;
       ] );
     ( "util.timer",
       [ tc "accumulates" `Quick timer_accumulates; tc "monotonic" `Quick timer_monotonic ] );
