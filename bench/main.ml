@@ -202,10 +202,10 @@ let time_agg_batch ~schema ~units (agg : Aggregate.t) ~(kind : [ `Naive | `Index
     | `Naive -> Eval.naive ~schema ~aggregates
     | `Indexed -> Eval.indexed ~schema ~aggregates ()
   in
-  ev.Eval.begin_tick units;
+  ev.Eval.prepare units;
   let rands = Array.map (fun _ -> fun (_ : int) -> 0) units in
   let (), seconds =
-    Timer.timed (fun () -> ignore (ev.Eval.eval_agg ~agg_id:0 ~rows:units ~rands))
+    Timer.timed (fun () -> ignore (ev.Eval.members.(0).Eval.eval_agg ~agg_id:0 ~rows:units ~rands))
   in
   seconds
 
@@ -443,7 +443,7 @@ let ablate_share () =
                  ~rand_for:(fun ~key i -> (key * 31) + i + tick))
           done)
     in
-    (seconds /. float_of_int ticks, evaluator.Eval.stats)
+    (seconds /. float_of_int ticks, Eval.family_stats evaluator)
   in
   pr "%8s %14s %12s %14s %12s@." "units" "shared (s/t)" "builds" "private (s/t)" "builds";
   List.iter
@@ -505,74 +505,6 @@ let parallel_scaling ~full () =
     sizes;
   pr "@.(on a single-core host the fan-out can only add overhead; the curve@.";
   pr " is still useful as a regression bound on that overhead)@."
-
-(* ------------------------------------------------------------------ *)
-(* Fault tolerance: guard overhead and degradation recovery latency *)
-
-let faults_bench () =
-  header "Fault tolerance - guard overhead and recovery latency (battle sim)";
-  pr "(per-tick time under each fault policy with no faults firing: the@.";
-  pr " quarantine guards add a per-group accumulator merge, degrade adds a@.";
-  pr " snapshot of three references - both should sit within run noise)@.@.";
-  let n = 2_000 and ticks = 10 in
-  let per_tick ?fault_policy () =
-    let scenario =
-      Battle.Scenario.setup ~density:0.01 ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-    in
-    let sim =
-      Battle.Scenario.simulation ?fault_policy ~evaluator:Simulation.Indexed scenario
-    in
-    Simulation.step sim;
-    let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
-    seconds /. float_of_int ticks
-  in
-  let base = per_tick () in
-  pr "%-28s %12s %10s@." "policy (no faults)" "s/tick" "vs fail";
-  List.iter
-    (fun (name, policy) ->
-      let t = per_tick ~fault_policy:policy () in
-      pr "%-28s %12.4f %9.2fx@." name t (t /. base))
-    [
-      ("fail (baseline)", Simulation.Fail);
-      ("quarantine", Simulation.Quarantine_script);
-      ("degrade", Simulation.Degrade);
-    ];
-  (* Recovery latency: arm an injection that fires mid-run and measure the
-     tick that absorbs the rollback + demotion + retry. *)
-  pr "@.recovery latency (degrade, %d units, fault on tick 6 of %d):@." n ticks;
-  List.iter
-    (fun (label, evaluator, point) ->
-      Fun.protect ~finally:Fault_inject.reset (fun () ->
-          Fault_inject.reset ();
-          let scenario =
-            Battle.Scenario.setup ~density:0.01
-              ~per_side:(Battle.Scenario.standard_mix (n / 2))
-              ()
-          in
-          let sim =
-            Battle.Scenario.simulation ~fault_policy:Simulation.Degrade ~evaluator scenario
-          in
-          Simulation.step sim;
-          let healthy = ref 0. and faulty = ref 0. and after = ref 0. in
-          for t = 2 to ticks + 1 do
-            Fault_inject.reset ();
-            if t = 6 then Fault_inject.arm ~point Fault_inject.Always;
-            let (), seconds = Timer.timed (fun () -> Simulation.step sim) in
-            if t < 6 then healthy := !healthy +. seconds
-            else if t = 6 then faulty := seconds
-            else after := !after +. seconds
-          done;
-          pr "  %-26s healthy %.4fs/t, faulty tick %.4fs, after %.4fs/t (%d retries)@."
-            (label ^ " @ " ^ point)
-            (!healthy /. 4.) !faulty
-            (!after /. float_of_int (ticks - 5))
-            (Simulation.retries sim)))
-    [
-      ("indexed->naive", Simulation.Indexed, "eval.member");
-      ("parallel->indexed", Simulation.Parallel { domains = 2 }, "pool.lane");
-    ];
-  pr "@.(the faulty tick pays the failed partial tick plus a full retry on the@.";
-  pr " weaker evaluator; every later tick runs at the weaker evaluator's pace)@."
 
 (* ------------------------------------------------------------------ *)
 (* Incremental index maintenance: the cross-tick structure cache *)
@@ -1161,7 +1093,7 @@ let fused_units schema ~n =
           Value.Float 0.;
         ])
 
-let fused_sim ?(columnar = true) ~(index_cache : bool)
+let fused_sim ?fault_policy ?(columnar = true) ~(index_cache : bool)
     ~(evaluator : Simulation.evaluator_kind) ~(n : int) () : Simulation.t =
   let schema = fused_schema () in
   let prog = compile ~schema fused_source in
@@ -1188,7 +1120,8 @@ let fused_sim ?(columnar = true) ~(index_cache : bool)
       optimize = true;
     }
   in
-  Simulation.create ~index_cache ~columnar config ~evaluator ~units:(fused_units schema ~n)
+  Simulation.create ?fault_policy ~index_cache ~columnar config ~evaluator
+    ~units:(fused_units schema ~n)
 
 (* Decision-phase seconds per tick from the engine's phase timer, one
    warm-up tick outside the clock (compilation, kernel specialization). *)
@@ -1254,6 +1187,109 @@ let fused_bench ~full () =
   pr " no plan walk, no per-evaluation context, constant subtrees folded@.";
   pr " at specialization time.  Index-probe-bound workloads gain less -@.";
   pr " probes cost the same under every backend.)@."
+
+(* ------------------------------------------------------------------ *)
+(* Fault tolerance: policy overhead and recovery latency *)
+
+let faults_bench () =
+  header "Fault tolerance - policy overhead and recovery latency";
+  pr "(per-tick time under each fault policy with no faults firing.  The@.";
+  pr " fault-free tick is the same code under every policy: quarantine and@.";
+  pr " degrade act only after a rollback, so the columns should sit within@.";
+  pr " run noise)@.@.";
+  let policies =
+    [
+      ("fail", Simulation.Fail);
+      ("quarantine", Simulation.Quarantine_script);
+      ("degrade", Simulation.Degrade);
+    ]
+  in
+  let workloads =
+    [
+      ( "battle 12k, indexed",
+        fun fault_policy ->
+          Battle.Scenario.simulation ~seed:42 ~fault_policy ~evaluator:Simulation.Indexed
+            (Battle.Scenario.setup ~density:0.01
+               ~per_side:(Battle.Scenario.standard_mix 6_000)
+               ()) );
+      ( "steering 12k, fused",
+        fun fault_policy ->
+          fused_sim ~fault_policy ~index_cache:true ~evaluator:Simulation.Fused ~n:12_000 () );
+    ]
+  in
+  let rounds = 15 in
+  pr "%-22s" "p50 s/tick";
+  List.iter (fun (name, _) -> pr " %12s" name) policies;
+  pr " %16s %13s@." "quarantine/fail" "degrade/fail";
+  List.iter
+    (fun (label, make) ->
+      (* One simulation per policy, stepped round-robin with the starting
+         policy rotating every round, so host drift hits every column.  A
+         full major collection before each timed step keeps one
+         simulation's garbage from being collected on another's clock. *)
+      let sims = Array.of_list (List.map (fun (_, policy) -> make policy) policies) in
+      Array.iter Simulation.step sims;
+      let samples = Array.map (fun _ -> Array.make rounds 0.) sims in
+      for r = 0 to rounds - 1 do
+        for j = 0 to Array.length sims - 1 do
+          let k = (r + j) mod Array.length sims in
+          Gc.full_major ();
+          let (), seconds = Timer.timed (fun () -> Simulation.step sims.(k)) in
+          samples.(k).(r) <- seconds
+        done
+      done;
+      let p50 =
+        Array.map
+          (fun xs ->
+            let xs = Array.copy xs in
+            Array.sort Float.compare xs;
+            (xs.((rounds - 1) / 2) +. xs.(rounds / 2)) /. 2.)
+          samples
+      in
+      pr "%-22s" label;
+      Array.iter (pr " %12.4f") p50;
+      pr " %15.2fx %12.2fx@." (p50.(1) /. p50.(0)) (p50.(2) /. p50.(0)))
+    workloads;
+  (* Recovery latency: arm an injection that fires mid-run and measure the
+     tick that absorbs the rollback and the retry. *)
+  let n = 2_000 and ticks = 10 in
+  pr "@.recovery latency (%d units, fault on tick 6 of %d):@." n ticks;
+  List.iter
+    (fun (label, fault_policy, evaluator, point, spec) ->
+      Fun.protect ~finally:Fault_inject.reset (fun () ->
+          Fault_inject.reset ();
+          let scenario =
+            Battle.Scenario.setup ~density:0.01
+              ~per_side:(Battle.Scenario.standard_mix (n / 2))
+              ()
+          in
+          let sim = Battle.Scenario.simulation ~fault_policy ~evaluator scenario in
+          Simulation.step sim;
+          let healthy = ref 0. and faulty = ref 0. and after = ref 0. in
+          for t = 2 to ticks + 1 do
+            Fault_inject.reset ();
+            if t = 6 then Fault_inject.arm ~point spec;
+            let (), seconds = Timer.timed (fun () -> Simulation.step sim) in
+            if t < 6 then healthy := !healthy +. seconds
+            else if t = 6 then faulty := seconds
+            else after := !after +. seconds
+          done;
+          pr "  %-38s healthy %.4fs/t, faulty tick %.4fs, after %.4fs/t (%d retries)@."
+            (label ^ " @ " ^ point)
+            (!healthy /. 4.) !faulty
+            (!after /. float_of_int (ticks - 5))
+            (Simulation.retries sim)))
+    [
+      ("degrade indexed->naive", Simulation.Degrade, Simulation.Indexed, "eval.member",
+       Fault_inject.Always);
+      ("degrade parallel->indexed", Simulation.Degrade, Simulation.Parallel { domains = 2 },
+       "pool.lane", Fault_inject.Always);
+      ("quarantine retry", Simulation.Quarantine_script, Simulation.Indexed, "exec.group",
+       Fault_inject.At_count 2);
+    ];
+  pr "@.(the faulty tick pays the failed partial tick plus a full retry - on@.";
+  pr " the weaker evaluator for degrade, without the quarantined script for@.";
+  pr " quarantine; later ticks run at that configuration's pace)@."
 
 (* ------------------------------------------------------------------ *)
 (* Columnar store: the struct-of-arrays access path vs boxed rows.

@@ -35,8 +35,11 @@ let run units ticks evaluator domains density seed optimize resurrect index_cach
   | None ->
   let evaluator_kind =
     match (evaluator, domains) with
-    (* --domains N forces the parallel evaluator regardless of --evaluator *)
-    | _, n when n > 0 -> Simulation.Parallel { domains = n }
+    (* --domains N picks the domain count of the indexed decision phase *)
+    | ("naive" | "fused"), n when n > 0 ->
+      Fmt.failwith "--domains %d cannot be combined with --evaluator %s (use indexed or parallel)"
+        n evaluator
+    | ("indexed" | "parallel"), n when n > 0 -> Simulation.Parallel { domains = n }
     | "naive", _ -> Simulation.Naive
     | "indexed", _ -> Simulation.Indexed
     | "fused", _ -> Simulation.Fused
@@ -308,7 +311,8 @@ let domains_arg =
     & opt int 0
     & info [ "domains" ]
         ~doc:"Run the parallel evaluator over this many domains (0: follow --evaluator; \
-              'parallel' without --domains uses the recommended domain count).")
+              'parallel' without --domains uses the recommended domain count).  Only with \
+              --evaluator indexed or parallel; naive and fused reject it.")
 
 let density_arg =
   Arg.(value & opt float 0.01 & info [ "density" ] ~doc:"Fraction of grid squares occupied.")

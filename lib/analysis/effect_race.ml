@@ -16,8 +16,8 @@
      unchecked.
    - R002: a const-tagged attribute is writable from multiple units — a
      key/all target (any unit can hit any row) or several distinct write
-     sites.  Under [run_tick_parallel] the surviving value would depend on
-     chunk order; this is the write-write race the ⊕ tags exist to
+     sites.  Under a chunked [Exec.run_tick] the surviving value would
+     depend on chunk order; this is the write-write race the ⊕ tags exist to
      prevent.
    - R003: a script reads an effect attribute some script writes in the
      same tick.  Decision-phase reads observe the pre-tick snapshot, so

@@ -47,8 +47,8 @@ let evaluator_name = function
    the pre-tick state is always intact when the policy gets to decide). *)
 type fault_policy =
   | Fail (* roll back, re-raise with context *)
-  | Quarantine_script (* a failing script group is excluded and reported *)
-  | Degrade (* demote the evaluator parallel -> indexed -> naive and retry *)
+  | Quarantine_script (* roll back, exclude the failing script group, retry *)
+  | Degrade (* demote the evaluator fused/parallel -> indexed -> naive and retry *)
 
 let fault_policy_name = function
   | Fail -> "fail"
@@ -63,13 +63,14 @@ let demotion = function
   | Indexed -> Some Naive
   | Naive -> None
 
-(* The engine behind a simulation: one evaluator driven sequentially, a
-   family of evaluators fanned out over a shared domain pool, or one
-   evaluator driven through the fused kernels. *)
-type engine =
-  | Seq of Eval.t
-  | Par of { pool : Domain_pool.t; family : Eval.family }
-  | Fus of { evaluator : Eval.t; kernels : Exec.fused }
+(* The engine behind a simulation: the evaluator family whose members
+   chunk the decision phase, the domain pool they fan out over (parallel
+   only), and the fused kernels that replace plan walking (fused only). *)
+type engine = {
+  evaluator : Eval.family;
+  pool : Domain_pool.t option;
+  kernels : Exec.fused option;
+}
 
 (* Global mirror in the ambient registry (gated, off by default) so
    --metrics output carries rollbacks next to the evaluator counters; the
@@ -157,10 +158,9 @@ type t = {
   columnar : bool; (* hand the mirror to the decision phase as an access path *)
   index_cache : bool; (* hand deltas to the evaluator across ticks *)
   (* What the last committed tick changed, relative to the unit array its
-     decision phase saw.  Consumed by the next tick's [begin_tick]/
-     [prepare]; cleared on rollback, so a retried or failed tick always
-     reopens the cache cold rather than against a delta whose mutations
-     were undone. *)
+     decision phase saw.  Consumed by the next tick's [prepare]; cleared
+     on rollback, so a retried or failed tick always reopens the cache
+     cold rather than against a delta whose mutations were undone. *)
   mutable pending_delta : Delta.t option;
   (* Per-column CRCs behind the last state digest, tagged with the tick it
      was computed at.  Lets the next commit's digest recompute only the
@@ -178,7 +178,7 @@ type t = {
   tel : Telemetry.Registry.t;
   c_deaths : Telemetry.counter;
   c_resurrections : Telemetry.counter;
-  c_retries : Telemetry.counter; (* tick retries performed by Degrade *)
+  c_retries : Telemetry.counter; (* tick retries by Degrade or Quarantine_script *)
   c_rollbacks : Telemetry.counter; (* snapshot restores after a fault *)
   c_faults : Telemetry.counter; (* faults observed (log may drop some) *)
   c_suppressed : Telemetry.counter; (* secondary failures hidden by a re-raise *)
@@ -198,16 +198,16 @@ type t = {
 
 let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
     ~(compiled : Exec.compiled) (evaluator : evaluator_kind) : engine =
+  let indexed ?chunks () = Eval.indexed ?chunks ~schema ~aggregates () in
   match evaluator with
-  | Naive -> Seq (Eval.naive ~schema ~aggregates)
-  | Indexed -> Seq (Eval.indexed ~schema ~aggregates ())
+  | Naive -> { evaluator = Eval.naive ~schema ~aggregates; pool = None; kernels = None }
+  | Indexed -> { evaluator = indexed (); pool = None; kernels = None }
   | Parallel { domains } ->
     (* Pools are shared process-wide by size: repeated simulations reuse
        the same worker domains instead of exhausting the runtime's
        domain budget. *)
     let pool = Domain_pool.shared ~domains in
-    let family = Eval.indexed_family ~schema ~aggregates ~chunks:(Domain_pool.size pool) () in
-    Par { pool; family }
+    { evaluator = indexed ~chunks:(Domain_pool.size pool) (); pool = Some pool; kernels = None }
   | Fused ->
     (* Kernels specialize the plans, not the evaluator: the indexed
        evaluator underneath still owns aggregate evaluation, AoE
@@ -216,11 +216,11 @@ let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
        stay correct on stores that violate the declared contracts), so it
        only discharges expressions that are constant on *every* store. *)
     let oracle = Sgl_analysis.Absint.make_oracle compiled.Exec.prog in
-    Fus
-      {
-        evaluator = Eval.indexed ~schema ~aggregates ();
-        kernels = Exec.fuse ~fold:oracle.Sgl_analysis.Absint.fold compiled;
-      }
+    {
+      evaluator = indexed ();
+      pool = None;
+      kernels = Some (Exec.fuse ~fold:oracle.Sgl_analysis.Absint.fold compiled);
+    }
 
 let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = true)
     ?(columnar = true) (config : config) ~(evaluator : evaluator_kind)
@@ -310,27 +310,11 @@ let add_stats (dst : Eval.eval_stats) (src : Eval.eval_stats) : unit =
   dst.Eval.index_reuses <- dst.Eval.index_reuses + src.Eval.index_reuses;
   dst.Eval.build_seconds <- dst.Eval.build_seconds +. src.Eval.build_seconds
 
-let engine_stats = function
-  | Seq evaluator -> evaluator.Eval.stats
-  | Par { family; _ } -> Eval.family_stats family
-  | Fus { evaluator; _ } -> evaluator.Eval.stats
-
-let quarantine (t : t) (gf : Exec.group_fault) : unit =
-  if not (List.mem gf.Exec.gf_script t.quarantined) then
-    t.quarantined <- t.quarantined @ [ gf.Exec.gf_script ];
-  Telemetry.Counter.incr t.c_faults;
-  Telemetry.Counter.add t.c_suppressed gf.Exec.gf_suppressed;
-  Telemetry.Span.instant ~cat:"fault" "quarantine";
-  Fault.Log.push t.fault_log
-    (Fault.make ~tick:t.tick ~phase:Fault.Decision ~script:gf.Exec.gf_script
-       ~evaluator:(evaluator_name t.evaluator) ~suppressed:gf.Exec.gf_suppressed gf.Exec.gf_exn
-       gf.Exec.gf_backtrace)
-
 (* Demote to the next-weaker evaluator, retiring the current engine's
    counters so the report stays cumulative across the whole run. *)
 let demote (t : t) (weaker : evaluator_kind) : unit =
   Telemetry.Span.instant ~cat:"fault" "demote";
-  add_stats t.retired_stats (engine_stats t.engine);
+  add_stats t.retired_stats (Eval.family_stats t.engine.evaluator);
   t.degradations <-
     t.degradations @ [ (t.tick, evaluator_name t.evaluator, evaluator_name weaker) ];
   let schema = t.config.prog.Core_ir.schema in
@@ -471,35 +455,11 @@ let run_phases (t : t) : unit =
   (* decision + action *)
   t.phase <- Fault.Decision;
   let acc =
+    let { evaluator; pool; kernels } = t.engine in
     Telemetry.Span.with_ ~cat:"phase" "decision" @@ fun () ->
     Timer.record t.timings.decision (fun () ->
-        match (t.policy, t.engine) with
-        | (Fail | Degrade), Seq evaluator ->
-          Exec.run_tick ?delta:delta_in ?cols t.compiled ~evaluator ~units:t.units
-            ~groups:(groups t) ~rand_for
-        | (Fail | Degrade), Par { pool; family } ->
-          Exec.run_tick_parallel ?delta:delta_in ?cols t.compiled ~pool ~family ~units:t.units
-            ~groups:(groups t) ~rand_for
-        | (Fail | Degrade), Fus { evaluator; kernels } ->
-          Exec.run_tick_fused ?delta:delta_in ?cols t.compiled ~fused:kernels ~evaluator
-            ~units:t.units ~groups:(groups t) ~rand_for
-        | Quarantine_script, engine ->
-          (* per-group guards: a failing group contributes an empty effect
-             bag this tick and is excluded from future ones *)
-          let acc, faults =
-            match engine with
-            | Seq evaluator ->
-              Exec.run_tick_guarded ?delta:delta_in ?cols t.compiled ~evaluator ~units:t.units
-                ~groups:(groups t) ~rand_for
-            | Par { pool; family } ->
-              Exec.run_tick_parallel_guarded ?delta:delta_in ?cols t.compiled ~pool ~family
-                ~units:t.units ~groups:(groups t) ~rand_for
-            | Fus { evaluator; kernels } ->
-              Exec.run_tick_fused_guarded ?delta:delta_in ?cols t.compiled ~fused:kernels
-                ~evaluator ~units:t.units ~groups:(groups t) ~rand_for
-          in
-          List.iter (quarantine t) faults;
-          acc)
+        Exec.run_tick ?delta:delta_in ?cols ?pool ?kernels t.compiled ~evaluator ~units:t.units
+          ~groups:(groups t) ~rand_for)
   in
   (* post-processing *)
   t.phase <- Fault.Post;
@@ -566,20 +526,12 @@ let run_phases (t : t) : unit =
   t.pending_delta <- delta_out;
   t.tick <- t.tick + 1
 
-(* Transactional tick.  The pre-tick state is three references — the unit
-   array (whose rows no phase writes into; see [run_phases]) and two
-   counters — so the snapshot is O(1) and the fault-free path pays only
-   the exception handler.  On a fault: restore the snapshot, log the fault
-   with full context, then apply the policy.  [Degrade] retries the tick
-   under the next-weaker evaluator; since every PRNG draw is keyed by
-   [~tick ~key], the retry is bit-identical to a healthy run of that
-   evaluator. *)
 (* Cumulative evaluator statistics across demotions: retired engines'
    totals plus the live engine's. *)
 let cumulative_stats (t : t) : Eval.eval_stats =
   let s = Eval.fresh_stats () in
   add_stats s t.retired_stats;
-  add_stats s (engine_stats t.engine);
+  add_stats s (Eval.family_stats t.engine.evaluator);
   s
 
 (* Counter values and cumulative timings captured before a step, so the
@@ -638,6 +590,17 @@ let sample_of (t : t) (pre : pre_step) ~(tick_s : float) : tick_sample =
     s_evaluator = evaluator_name t.evaluator;
   }
 
+(* Transactional tick.  The pre-tick state is three references — the unit
+   array (whose rows no phase writes into; see [run_phases]) and two
+   counters — so the snapshot is O(1) and the fault-free path pays only
+   the exception handler.  The fault-free tick is the same code under
+   every policy.  On a fault: restore the snapshot, log the fault with
+   full context, then apply the policy.  [Quarantine_script] excludes the
+   failing script group and retries the tick without it; [Degrade]
+   retries the tick under the next-weaker evaluator.  Every PRNG draw is
+   keyed by [~tick ~key], so a retry is bit-identical to a healthy run of
+   the new configuration: for quarantine, to the failed group having
+   contributed nothing (its units stay in the environment). *)
 let step (t : t) : unit =
   (* Captured before the attempt so the observer (if any) can report
      per-tick deltas; [pre] costs nothing when no observer is installed. *)
@@ -659,13 +622,16 @@ let step (t : t) : unit =
     | () -> ()
     | exception exn ->
       let bt = Printexc.get_raw_backtrace () in
-      let suppressed =
-        match t.engine with
-        | Par { pool; _ } -> Domain_pool.suppressed_failures pool
-        | Seq _ | Fus _ -> 0
+      (* A group failure names its script; the fault carries the original
+         exception either way. *)
+      let script, exn, bt =
+        match exn with
+        | Exec.Group_failed gf -> (Some gf.Exec.gf_script, gf.Exec.gf_exn, gf.Exec.gf_backtrace)
+        | exn -> (None, exn, bt)
       in
+      let suppressed = Option.fold ~none:0 ~some:Domain_pool.suppressed_failures t.engine.pool in
       let fault =
-        Fault.make ~tick:t.tick ~phase:t.phase ~evaluator:(evaluator_name t.evaluator)
+        Fault.make ~tick:t.tick ~phase:t.phase ?script ~evaluator:(evaluator_name t.evaluator)
           ~suppressed exn bt
       in
       Fault.Log.push t.fault_log fault;
@@ -690,20 +656,25 @@ let step (t : t) : unit =
          cold.  The epoch stamp makes any structure the failed attempt
          left behind read as a miss. *)
       t.pending_delta <- None;
+      let retry () =
+        Telemetry.Counter.incr t.c_retries;
+        attempt ()
+      in
       let fail () = Printexc.raise_with_backtrace (Fault.Error fault) bt in
-      (match t.policy with
-      | Fail -> fail ()
-      | Quarantine_script ->
-        (* group faults were absorbed by the guards; anything reaching here
-           is not attributable to one script, so quarantine cannot help *)
-        fail ()
-      | Degrade -> begin
+      (match (t.policy, script) with
+      | Quarantine_script, Some s when not (List.mem s t.quarantined) ->
+        (* excluded groups never run, so each retry quarantines a new
+           script and the loop ends with at most every script excluded *)
+        Telemetry.Span.instant ~cat:"fault" "quarantine";
+        t.quarantined <- t.quarantined @ [ s ];
+        retry ()
+      | (Fail | Quarantine_script), _ -> fail ()
+      | Degrade, _ -> begin
         match demotion t.evaluator with
         | None -> fail ()
         | Some weaker ->
           demote t weaker;
-          Telemetry.Counter.incr t.c_retries;
-          attempt ()
+          retry ()
       end)
   in
   attempt ();
@@ -885,7 +856,7 @@ type report = {
   deaths : int;
   resurrections : int;
   faults : int; (* faults observed, including any the bounded log dropped *)
-  retries : int; (* tick retries performed by the Degrade policy *)
+  retries : int; (* tick retries performed by Degrade or Quarantine_script *)
   rollbacks : int; (* snapshot restores performed after faults *)
   suppressed : int; (* secondary failures hidden behind re-raised ones *)
   quarantined : string list;

@@ -46,10 +46,12 @@ val evaluator_name : evaluator_kind -> string
     the policy applies, so no policy ever observes a half-applied tick.
 
     - [Fail] (the default): re-raise as {!Fault.Error} with full context.
-    - [Quarantine_script]: per-group guards make a failing script group
-      contribute an empty effect bag this tick; the group is excluded from
-      every later tick and reported.  Faults not attributable to one group
-      (index building, post-processing, movement, death) still fail.
+    - [Quarantine_script]: a failing script group is excluded from this
+      and every later tick and reported, and the tick is retried without
+      it.  The retried tick equals a run in which that group contributed
+      nothing; its units stay in the environment.  Faults not attributable
+      to one group (the parallel index prebuild, post-processing,
+      movement, death) still fail.
     - [Degrade]: demote the evaluator along fused/parallel -> indexed ->
       naive and retry the tick.  Every PRNG draw is keyed by [~tick ~key], so
       the retried tick is bit-identical to a healthy run of the weaker
@@ -168,6 +170,7 @@ val quarantined_scripts : t -> string list
 (** Demotions performed by the [Degrade] policy: (tick, from, to). *)
 val degradations : t -> (int * string * string) list
 
+(** Tick retries performed by [Degrade] and [Quarantine_script]. *)
 val retries : t -> int
 
 (** The evaluator currently driving ticks (weaker than the one requested
@@ -251,8 +254,8 @@ type report = {
       (** snapshot restores performed after faults (every fault a policy
           absorbs or re-raises rolled the tick back exactly once) *)
   suppressed : int;
-      (** secondary failures hidden behind the re-raised one (other lanes,
-          other chunks of a quarantined group) *)
+      (** secondary failures hidden behind the re-raised one (other
+          domain-pool lanes) *)
   quarantined : string list;
   degradations : (int * string * string) list;
   tick_p50_s : float;

@@ -87,9 +87,9 @@ let run ~(schema : Schema.t) ~(snapshot : snapshot) ?(key : int option) (body : 
         | Error e -> Error e
         | Ok probe -> begin
           let ev = Eval.naive ~schema ~aggregates:[| agg |] in
-          ev.Eval.begin_tick snapshot.q_units;
+          ev.Eval.prepare snapshot.q_units;
           match
-            ev.Eval.eval_agg ~agg_id:0 ~rows:[| probe |] ~rands:[| (fun _ -> 0) |]
+            ev.Eval.members.(0).Eval.eval_agg ~agg_id:0 ~rows:[| probe |] ~rands:[| (fun _ -> 0) |]
           with
           | exception Aggregate.Aggregate_error e -> Error e
           | exception Expr.Eval_error e -> Error e

@@ -89,13 +89,6 @@ let aoe_tel = agg_tel "aoe"
 
 type t = {
   name : string;
-  (* [delta] describes what changed since the previous [begin_tick]'s unit
-     array; [None] (or a structural delta) forces a cold rebuild of every
-     cached structure.  [cols] is the columnar mirror of [units] when the
-     caller maintains one — index builds then scan contiguous typed columns
-     instead of boxed rows.  Purely an access-path hint: results are
-     bit-identical with or without it. *)
-  begin_tick : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
   (* Values of aggregate instance [agg_id] for each probing row. *)
   eval_agg : agg_id:int -> rows:Tuple.t array -> rands:(int -> int) array -> Value.t array;
   (* Apply one All-target effect clause, from each contributor row to every
@@ -110,18 +103,28 @@ type t = {
   stats : eval_stats;
 }
 
+(* [prepare] opens a tick over the unit array for every member.  [delta]
+   describes what changed since the previous [prepare]'s unit array;
+   [None] (or a structural delta) forces a cold rebuild of every cached
+   structure.  [cols] is the columnar mirror of the units when the caller
+   maintains one — index builds then scan contiguous typed columns instead
+   of boxed rows.  Purely an access-path hint: results are bit-identical
+   with or without it. *)
+type family = {
+  members : t array;
+  prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
+}
+
 let dummy_rand (_ : int) = 0
 
 (* ------------------------------------------------------------------ *)
 (* Naive evaluator *)
 
 let naive_core ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
-    ~(units : Tuple.t array ref) ~(stats : eval_stats)
-    ~(begin_tick : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit) : t =
+    ~(units : Tuple.t array ref) ~(stats : eval_stats) : t =
   let tels = agg_tels aggregates in
   {
     name = "naive";
-    begin_tick;
     eval_agg =
       (fun ~agg_id ~rows ~rands ->
         let agg = aggregates.(agg_id) in
@@ -156,10 +159,12 @@ let naive_core ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
     stats;
   }
 
-let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : t =
+let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : family =
   let units = ref [||] in
-  let stats = fresh_stats () in
-  naive_core ~schema ~aggregates ~units ~stats ~begin_tick:(fun ?delta:_ ?cols:_ e -> units := e)
+  {
+    members = [| naive_core ~schema ~aggregates ~units ~stats:(fresh_stats ()) |];
+    prepare = (fun ?delta:_ ?cols:_ e -> units := e);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Index groups: instances that can share trees *)
@@ -849,10 +854,9 @@ let eval_uniform st ~(tel : agg_tel) ~(agg : Aggregate.t) ~(units : Tuple.t arra
 (* ------------------------------------------------------------------ *)
 (* The indexed evaluator *)
 
-(* Construction state shared by every evaluator built over one per-tick
-   index cache.  The plain [indexed] evaluator owns a private context; an
-   [indexed_family] shares one context across its members so the parallel
-   decision phase probes one set of indexes from every domain. *)
+(* Construction state shared by every member of an [indexed] family: one
+   per-tick index cache, so the parallel decision phase probes one set of
+   indexes from every domain. *)
 type indexed_ctx = {
   ctx_schema : Schema.t;
   ctx_aggregates : Aggregate.t array;
@@ -861,7 +865,7 @@ type indexed_ctx = {
   ctx_units : Tuple.t array ref;
   ctx_cols : Colstore.t option ref; (* columnar mirror of [ctx_units], when published *)
   cache : (int, built_index) Hashtbl.t; (* group id -> built index, epoch-stamped *)
-  mutable epoch : int; (* bumped once per [begin_tick]/[prepare] *)
+  mutable epoch : int; (* bumped once per [prepare] *)
 }
 
 let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array) () :
@@ -1058,8 +1062,8 @@ let group_index (ctx : indexed_ctx) (st : eval_stats) ~(memoize : bool) (m : mem
    call-local structures instead.  Family members run with [memoize:false]
    so every shared structure they touch was published by [prebuild] before
    the domains forked. *)
-let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(memoize : bool)
-    ~(begin_tick : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit) : t =
+let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(memoize : bool) :
+    t =
   let schema = ctx.ctx_schema in
   let aggregates = ctx.ctx_aggregates in
   let units = ctx.ctx_units in
@@ -1212,13 +1216,7 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(
       end
     end
   in
-  { name; begin_tick; eval_agg; apply_aoe; stats }
-
-let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array) () : t =
-  let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
-  let stats = fresh_stats () in
-  indexed_member ctx ~name:"indexed" ~stats ~memoize:true
-    ~begin_tick:(fun ?delta ?cols e -> open_tick ctx stats ?delta ?cols e)
+  { name; eval_agg; apply_aoe; stats }
 
 (* ------------------------------------------------------------------ *)
 (* Families: the parallel decision phase's snapshot discipline *)
@@ -1276,30 +1274,32 @@ let prebuild (ctx : indexed_ctx) (st : eval_stats) : unit =
       end)
     ctx.memberships
 
-type family = {
-  members : t array;
-  prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
-}
-
-let indexed_family ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
-    ~(chunks : int) () : family =
+(* The indexed evaluator as a family of [chunks] members over one shared
+   per-tick index cache.  A single member never has two domains over the
+   context at once, so it memoizes lazily and [prepare] only opens the
+   tick.  Several members may run concurrently: they are built
+   memoization-free, and [prepare] publishes every structure they could
+   reach before the domains fork. *)
+let indexed ?(share = true) ?(chunks = 1) ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
+    () : family =
   let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
-  (* A single-member family never has two domains over the context at
-     once, so it may memoize like the sequential evaluator; only genuinely
-     multi-domain families need the write-free guarantee. *)
-  let solo = max 1 chunks = 1 in
-  let members =
-    Array.init (max 1 chunks) (fun i ->
-        indexed_member ctx
-          ~name:(Printf.sprintf "indexed#%d" i)
-          ~stats:(fresh_stats ()) ~memoize:solo
-          ~begin_tick:(fun ?delta:_ ?cols:_ _ -> ()))
-  in
-  let prepare ?delta ?cols units =
-    open_tick ctx members.(0).stats ?delta ?cols units;
-    prebuild ctx members.(0).stats
-  in
-  { members; prepare }
+  if chunks <= 1 then begin
+    let stats = fresh_stats () in
+    { members = [| indexed_member ctx ~name:"indexed" ~stats ~memoize:true |];
+      prepare = (fun ?delta ?cols units -> open_tick ctx stats ?delta ?cols units) }
+  end
+  else begin
+    let members =
+      Array.init chunks (fun i ->
+          indexed_member ctx ~name:(Printf.sprintf "indexed#%d" i) ~stats:(fresh_stats ())
+            ~memoize:false)
+    in
+    let prepare ?delta ?cols units =
+      open_tick ctx members.(0).stats ?delta ?cols units;
+      prebuild ctx members.(0).stats
+    in
+    { members; prepare }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN: the compiled per-instance plan annotated with live counters.

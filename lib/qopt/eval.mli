@@ -17,17 +17,6 @@ type eval_stats = {
 
 type t = {
   name : string;
-  begin_tick : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
-      (** Open a tick over [units].  [delta] summarises what changed since
-          the previous tick's unit array; when present and non-structural,
-          the indexed evaluators revalidate cached structures against it
-          instead of dropping them.  Omitting [delta] is always sound: the
-          cache goes cold and everything rebuilds.  [cols], when given, is
-          a columnar mirror of [units] (same rows, same order): index
-          builds then scan contiguous typed columns instead of boxed rows.
-          It is purely an access-path hint — results are bit-identical
-          with or without it, and a mirror that does not cover [units] is
-          ignored. *)
   eval_agg : agg_id:int -> rows:Tuple.t array -> rands:(int -> int) array -> Value.t array;
   apply_aoe :
     pred:Predicate.t ->
@@ -39,38 +28,50 @@ type t = {
   stats : eval_stats;
 }
 
-val fresh_stats : unit -> eval_stats
-val naive : schema:Schema.t -> aggregates:Aggregate.t array -> t
+(** Evaluators over one unit array, one member per chunk of it.  Members
+    answer queries; [prepare ?delta ?cols units] opens the tick for all of
+    them and must run on the coordinating domain before any member does.
 
-(** [indexed ?share ~schema ~aggregates] builds the Section 5.3/5.4
-    evaluator.  With [share] (the default), instances whose access paths
-    agree share one index group — Section 6's "all divisible queries share
-    the same range tree"; [~share:false] gives every instance private trees
-    (the ablation baseline). *)
-val indexed : ?share:bool -> schema:Schema.t -> aggregates:Aggregate.t array -> unit -> t
-
-(** A family of indexed evaluators over one shared per-tick index cache,
-    for the parallel decision phase: one member per chunk of the unit
-    array, each safe to drive from its own domain *after* [prepare] has
-    run on the coordinating domain.
-
-    [prepare ?delta units] publishes the tick's snapshot: it opens the
-    tick on the shared cache (revalidating against [delta] when given,
-    dropping everything otherwise), then eagerly builds every index
-    structure any member could reach (group indexes, categorical
-    partitions, divisible / enumeration / kD sub-structures), so the
-    members' queries never write shared state.  Multi-member families are
-    constructed memoization-free: should a structure somehow be missed,
-    they rebuild it call-locally rather than racing to publish it.  A
-    single-member family memoizes like the sequential evaluator — only
-    concurrent members need the write-free guarantee. *)
+    [delta] summarises what changed since the previous [prepare]'s unit
+    array; when present and non-structural, the indexed evaluators
+    revalidate cached structures against it instead of dropping them.
+    Omitting [delta] is always sound: the cache goes cold and everything
+    rebuilds.  [cols], when given, is a columnar mirror of [units] (same
+    rows, same order): index builds then scan contiguous typed columns
+    instead of boxed rows.  It is purely an access-path hint — results are
+    bit-identical with or without it, and a mirror that does not cover
+    [units] is ignored. *)
 type family = {
   members : t array;
   prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
 }
 
-val indexed_family :
-  ?share:bool -> schema:Schema.t -> aggregates:Aggregate.t array -> chunks:int -> unit -> family
+val fresh_stats : unit -> eval_stats
+
+(** The naive scanner: a one-member family. *)
+val naive : schema:Schema.t -> aggregates:Aggregate.t array -> family
+
+(** [indexed ?share ?chunks ~schema ~aggregates ()] builds the Section
+    5.3/5.4 evaluator as a family of [chunks] (default 1) members over one
+    shared per-tick index cache.  With [share] (the default), instances
+    whose access paths agree share one index group — Section 6's "all
+    divisible queries share the same range tree"; [~share:false] gives
+    every instance private trees (the ablation baseline).
+
+    A one-member family builds structures lazily, on first probe.  With
+    several members, each safe to drive from its own domain after
+    [prepare], [prepare] eagerly builds every index structure any member
+    could reach (group indexes, categorical partitions, divisible /
+    enumeration / kD sub-structures), so the members' queries never write
+    shared state; they are constructed memoization-free, so a structure
+    somehow missed is rebuilt call-locally rather than raced on. *)
+val indexed :
+  ?share:bool ->
+  ?chunks:int ->
+  schema:Schema.t ->
+  aggregates:Aggregate.t array ->
+  unit ->
+  family
 
 (** Counter totals across every member (for reporting). *)
 val family_stats : family -> eval_stats

@@ -158,82 +158,6 @@ let key_table (c : compiled) (units : Tuple.t array) : int -> Tuple.t option =
     fun k -> Hashtbl.find_opt table k
   end
 
-(* One group's decision+action work: materialize the members' working rows
-   and random streams, then run the group's plan into [acc]. *)
-let run_group (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
-    ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t) ~(units : Tuple.t array)
-    ~(rand_for : key:int -> int -> int) (g : group) : unit =
-  Sgl_util.Fault_inject.hit "exec.group";
-  Sgl_util.Telemetry.Counter.add tel_rows_in (Array.length g.members);
-  match find_plan c g.script with
-  | None -> raise (Exec_error (Fmt.str "no plan for script %S" g.script))
-  | Some plan ->
-    let body () =
-      let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
-      let rands =
-        Array.map
-          (fun i ->
-            let key = Tuple.key schema units.(i) in
-            rand_for ~key)
-          g.members
-      in
-      run_plan ~schema ~evaluator ~find_key ~acc ~plan ~rows ~rands
-    in
-    if Sgl_util.Telemetry.Span.enabled () then
-      Sgl_util.Telemetry.Span.with_ ~cat:"exec" ("group:" ^ g.script) body
-    else body ()
-
-(* Run a full decision+action pass: each group's script over its members.
-   Returns the combined effects of the tick, ready for post-processing.
-   [delta] (what changed since the previous tick's unit array) is passed
-   straight to the evaluator, which may use it to keep cached index
-   structures warm; omitting it only costs rebuilds, never correctness. *)
-let run_tick ?delta ?cols (c : compiled) ~(evaluator : Eval.t) ~(units : Tuple.t array)
-    ~(groups : group list) ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
-  let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table c units in
-  let acc = Combine.Acc.create schema in
-  List.iter (run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
-  acc
-
-(* The parallel decision phase.  The unit array is cut into
-   [Array.length family.members] contiguous chunks; chunk [k] evaluates
-   the intersection of every group with its range on lane [k mod lanes],
-   probing the read-only snapshot [family.prepare] just published.  Each
-   chunk accumulates into a private [Combine.Acc]; the per-chunk bags are
-   folded left-to-right with the accumulator-level (+), whose
-   associativity and commutativity make the merged result independent of
-   how units were chunked — so any chunk count, including 1, reproduces
-   the sequential tick bit-for-bit on integral workloads. *)
-let run_tick_parallel ?delta ?cols (c : compiled) ~(pool : Sgl_util.Domain_pool.t)
-    ~(family : Eval.family) ~(units : Tuple.t array) ~(groups : group list)
-    ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
-  let schema = c.prog.Core_ir.schema in
-  family.Eval.prepare ?delta ?cols units;
-  let find_key = key_table c units in
-  let chunks = Array.length family.Eval.members in
-  let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
-  let run_chunk k =
-    let lo, hi = ranges.(k) in
-    let evaluator = family.Eval.members.(k) in
-    let acc = Combine.Acc.create schema in
-    List.iter
-      (fun g ->
-        (* Group membership need not be sorted: filter, don't slice. *)
-        let mine = Array.of_list (List.filter (fun i -> lo <= i && i < hi)
-                                    (Array.to_list g.members)) in
-        if Array.length mine > 0 then
-          run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for
-            { g with members = mine })
-      groups;
-    acc
-  in
-  let accs = Sgl_util.Domain_pool.parallel_map pool run_chunk (Array.init chunks (fun k -> k)) in
-  let out = Combine.Acc.create schema in
-  Array.iter (fun acc -> Combine.Acc.merge_into ~dst:out acc) accs;
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Fused execution: the same ticks, driven by specialized kernels.
 
@@ -255,178 +179,111 @@ let fuse ?(fold = fun (_ : string) (_ : Expr.t) -> None) (c : compiled) : fused 
       (name, Loop_ir.Compile.compile ~fold:(fold name) ~schema (Loop_ir.Lower.lower plan)))
     c.plans
 
-(* Mirrors [run_group]: the ["exec.group"] injection point fires first and
-   with the same call count as under interpreted execution, so an
-   [At_count] fault quarantines the same script whichever backend runs the
-   tick; ["fused.kernel"] fires only on this path. *)
-let run_group_fused ?cols (c : compiled) ~(schema : Schema.t) ~(fused : fused)
-    ~(evaluator : Eval.t) ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t)
-    ~(units : Tuple.t array) ~(rand_for : key:int -> int -> int) (g : group) : unit =
-  Sgl_util.Fault_inject.hit "exec.group";
-  Sgl_util.Telemetry.Counter.add tel_rows_in (Array.length g.members);
-  match List.assoc_opt g.script fused with
-  | None -> raise (Exec_error (Fmt.str "no fused kernel for script %S" g.script))
-  | Some kernel ->
-    let body () =
-      Sgl_util.Fault_inject.hit "fused.kernel";
-      Sgl_util.Telemetry.Counter.add tel_fused_kernels 1;
-      Sgl_util.Telemetry.Counter.add tel_fused_rows (Array.length g.members);
-      let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
-      let rands =
-        Array.map
-          (fun i ->
-            let key = Tuple.key schema units.(i) in
-            rand_for ~key)
-          g.members
-      in
-      kernel
-        { Loop_ir.Compile.evaluator; find_key; acc; cols; ids = g.members }
-        ~rows ~rands
-    in
-    if Sgl_util.Telemetry.Span.enabled () then
-      Sgl_util.Telemetry.Span.with_ ~cat:"exec" ("kernel:" ^ g.script) body
-    else body ()
-
-let run_tick_fused ?delta ?cols (c : compiled) ~(fused : fused) ~(evaluator : Eval.t)
-    ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
-    Combine.Acc.t =
-  let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table c units in
-  let acc = Combine.Acc.create schema in
-  List.iter
-    (run_group_fused ?cols c ~schema ~fused ~evaluator ~find_key ~acc ~units ~rand_for)
-    groups;
-  acc
-
-(* ------------------------------------------------------------------ *)
-(* Guarded (quarantine-mode) execution.
-
-   Each group accumulates into a *private* effect bag merged into the
-   tick's accumulator only when the whole group succeeds, so a group that
-   raises mid-plan contributes nothing at all — the per-group transactional
-   discipline behind the [Quarantine_script] fault policy.  Because bags
-   merge through the combination operator (+), a fault-free guarded tick is
-   bit-identical to the unguarded one on integral workloads. *)
-
 type group_fault = {
   gf_script : string;
   gf_exn : exn;
   gf_backtrace : Printexc.raw_backtrace;
-  gf_suppressed : int; (* further failures of the same group on other chunks *)
 }
 
-let run_tick_guarded ?delta ?cols (c : compiled) ~(evaluator : Eval.t) ~(units : Tuple.t array)
-    ~(groups : group list) ~(rand_for : key:int -> int -> int) :
-    Combine.Acc.t * group_fault list =
-  let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
-  let find_key = key_table c units in
-  let acc = Combine.Acc.create schema in
-  let faults = ref [] in
-  List.iter
-    (fun g ->
-      let gacc = Combine.Acc.create schema in
-      match run_group c ~schema ~evaluator ~find_key ~acc:gacc ~units ~rand_for g with
-      | () -> Combine.Acc.merge_into ~dst:acc gacc
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        faults :=
-          { gf_script = g.script; gf_exn = e; gf_backtrace = bt; gf_suppressed = 0 } :: !faults)
-    groups;
-  (acc, List.rev !faults)
+exception Group_failed of group_fault
 
-(* Guarded fused tick: the same per-group transactional discipline as
-   [run_tick_guarded], driving the kernels.  A raising kernel contributes
-   nothing and is reported under its script name, so [Quarantine_script]
-   behaves identically whichever backend runs the tick. *)
-let run_tick_fused_guarded ?delta ?cols (c : compiled) ~(fused : fused) ~(evaluator : Eval.t)
+(* One group's decision+action work: materialize the members' working rows
+   and random streams, then run the group's plan (or, given [kernels], its
+   fused kernel) into [acc].  The ["exec.group"] injection point fires
+   first under both backends, so an [At_count] fault hits the same group
+   whichever one runs the tick; ["fused.kernel"] fires only on the fused
+   path.  Whatever the group raises comes back as [Group_failed], naming
+   the script. *)
+let run_group ?kernels ?cols (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
+    ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t) ~(units : Tuple.t array)
+    ~(rand_for : key:int -> int -> int) (g : group) : unit =
+  let materialize () =
+    let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
+    let rands = Array.map (fun i -> rand_for ~key:(Tuple.key schema units.(i))) g.members in
+    (rows, rands)
+  in
+  let missing what = raise (Exec_error (Fmt.str "no %s for script %S" what g.script)) in
+  let body () =
+    match kernels with
+    | None -> begin
+      match find_plan c g.script with
+      | None -> missing "plan"
+      | Some plan ->
+        let rows, rands = materialize () in
+        run_plan ~schema ~evaluator ~find_key ~acc ~plan ~rows ~rands
+    end
+    | Some fused -> begin
+      match List.assoc_opt g.script fused with
+      | None -> missing "fused kernel"
+      | Some kernel ->
+        Sgl_util.Fault_inject.hit "fused.kernel";
+        Sgl_util.Telemetry.Counter.add tel_fused_kernels 1;
+        Sgl_util.Telemetry.Counter.add tel_fused_rows (Array.length g.members);
+        let rows, rands = materialize () in
+        kernel { Loop_ir.Compile.evaluator; find_key; acc; cols; ids = g.members } ~rows ~rands
+    end
+  in
+  let label = match kernels with None -> "group:" | Some _ -> "kernel:" in
+  try
+    Sgl_util.Fault_inject.hit "exec.group";
+    Sgl_util.Telemetry.Counter.add tel_rows_in (Array.length g.members);
+    if Sgl_util.Telemetry.Span.enabled () then
+      Sgl_util.Telemetry.Span.with_ ~cat:"exec" (label ^ g.script) body
+    else body ()
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Printexc.raise_with_backtrace
+      (Group_failed { gf_script = g.script; gf_exn = e; gf_backtrace = bt })
+      bt
+
+(* Run a full decision+action pass: each group's script over its members.
+   Returns the combined effects of the tick, ready for post-processing.
+   [delta] (what changed since the previous tick's unit array) is passed
+   straight to [evaluator.prepare], which may use it to keep cached index
+   structures warm; omitting it only costs rebuilds, never correctness.
+
+   A one-member family runs every group on the calling domain into one
+   accumulator.  With more members the unit array is cut into one
+   contiguous chunk per member; chunk [k] evaluates the intersection of
+   every group with its range (on lane [k mod lanes] of [pool], when
+   given), probing the read-only snapshot [prepare] just published, into a
+   private accumulator.  The per-chunk bags are folded left-to-right with
+   the accumulator-level (+), whose associativity and commutativity make
+   the merged result independent of how units were chunked on integral
+   workloads. *)
+let run_tick ?delta ?cols ?pool ?kernels (c : compiled) ~(evaluator : Eval.family)
     ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
-    Combine.Acc.t * group_fault list =
+    Combine.Acc.t =
   let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.begin_tick ?delta ?cols units;
+  evaluator.Eval.prepare ?delta ?cols units;
   let find_key = key_table c units in
-  let acc = Combine.Acc.create schema in
-  let faults = ref [] in
-  List.iter
-    (fun g ->
-      let gacc = Combine.Acc.create schema in
-      match
-        run_group_fused ?cols c ~schema ~fused ~evaluator ~find_key ~acc:gacc ~units ~rand_for g
-      with
-      | () -> Combine.Acc.merge_into ~dst:acc gacc
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        faults :=
-          { gf_script = g.script; gf_exn = e; gf_backtrace = bt; gf_suppressed = 0 } :: !faults)
-    groups;
-  (acc, List.rev !faults)
-
-(* One chunk's verdict on one group. *)
-type chunk_outcome =
-  | Chunk_skip (* no members of the group in this chunk *)
-  | Chunk_ok of Combine.Acc.t
-  | Chunk_failed of exn * Printexc.raw_backtrace
-
-let run_tick_parallel_guarded ?delta ?cols (c : compiled) ~(pool : Sgl_util.Domain_pool.t)
-    ~(family : Eval.family) ~(units : Tuple.t array) ~(groups : group list)
-    ~(rand_for : key:int -> int -> int) : Combine.Acc.t * group_fault list =
-  let schema = c.prog.Core_ir.schema in
-  family.Eval.prepare ?delta ?cols units;
-  let find_key = key_table c units in
-  let chunks = Array.length family.Eval.members in
-  let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
-  let groups_arr = Array.of_list groups in
-  let run_chunk k =
-    let lo, hi = ranges.(k) in
-    let evaluator = family.Eval.members.(k) in
-    Array.map
-      (fun g ->
-        let mine =
-          Array.of_list
-            (List.filter (fun i -> lo <= i && i < hi) (Array.to_list g.members))
-        in
-        if Array.length mine = 0 then Chunk_skip
-        else begin
-          let gacc = Combine.Acc.create schema in
-          match
-            run_group c ~schema ~evaluator ~find_key ~acc:gacc ~units ~rand_for
-              { g with members = mine }
-          with
-          | () -> Chunk_ok gacc
-          | exception e -> Chunk_failed (e, Printexc.get_raw_backtrace ())
-        end)
-      groups_arr
+  let run_groups evaluator acc groups =
+    List.iter (run_group ?kernels ?cols c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups
   in
-  let per_chunk =
-    Sgl_util.Domain_pool.parallel_map pool run_chunk (Array.init chunks (fun k -> k))
-  in
-  (* A group's bag merges only when every chunk of it succeeded: a group
-     failing on any chunk contributes nothing from any chunk, so quarantine
-     semantics do not depend on where the chunk boundaries fell. *)
-  let acc = Combine.Acc.create schema in
-  let faults = ref [] in
-  Array.iteri
-    (fun gi g ->
-      let failures = ref [] in
-      Array.iter
-        (fun outcomes ->
-          match outcomes.(gi) with
-          | Chunk_skip | Chunk_ok _ -> ()
-          | Chunk_failed (e, bt) -> failures := (e, bt) :: !failures)
-        per_chunk;
-      match List.rev !failures with
-      | [] ->
-        Array.iter
-          (fun outcomes ->
-            match outcomes.(gi) with
-            | Chunk_ok gacc -> Combine.Acc.merge_into ~dst:acc gacc
-            | Chunk_skip | Chunk_failed _ -> ())
-          per_chunk
-      | (e, bt) :: rest ->
-        faults :=
-          { gf_script = g.script; gf_exn = e; gf_backtrace = bt;
-            gf_suppressed = List.length rest }
-          :: !faults)
-    groups_arr;
-  (acc, List.rev !faults)
+  match evaluator.Eval.members with
+  | [| member |] ->
+    let acc = Combine.Acc.create schema in
+    run_groups member acc groups;
+    acc
+  | members ->
+    let chunks = Array.length members in
+    let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
+    let run_chunk k =
+      let lo, hi = ranges.(k) in
+      let acc = Combine.Acc.create schema in
+      (* Group membership need not be sorted: filter, don't slice. *)
+      List.filter_map
+        (fun g ->
+          match List.filter (fun i -> lo <= i && i < hi) (Array.to_list g.members) with
+          | [] -> None
+          | mine -> Some { g with members = Array.of_list mine })
+        groups
+      |> run_groups members.(k) acc;
+      acc
+    in
+    let map =
+      match pool with Some pool -> Sgl_util.Domain_pool.parallel_map pool | None -> Array.map
+    in
+    let out = Combine.Acc.create schema in
+    Array.iter (Combine.Acc.merge_into ~dst:out) (map run_chunk (Array.init chunks Fun.id));
+    out

@@ -136,6 +136,29 @@ let test_battle_sim_bad_evaluator () =
   let code, _ = run_command (Printf.sprintf "%s --evaluator warp9 --ticks 1" (bin "battle_sim")) in
   Alcotest.(check bool) "fails" true (code <> 0)
 
+(* --domains picks the parallel evaluator's domain count; it must not
+   silently replace an evaluator that has no domains. *)
+let test_battle_sim_domains_conflict () =
+  let run flags =
+    run_command (Printf.sprintf "%s --units 40 --ticks 2 %s" (bin "battle_sim") flags)
+  in
+  List.iter
+    (fun ev ->
+      let code, out = run ("--evaluator " ^ ev ^ " --domains 2") in
+      Alcotest.(check bool) (ev ^ " + --domains fails") true (code <> 0);
+      Alcotest.(check bool) (ev ^ ": error names --domains") true
+        (contains ~needle:"--domains" out);
+      Alcotest.(check bool) (ev ^ ": error names --evaluator " ^ ev) true
+        (contains ~needle:("--evaluator " ^ ev) out))
+    [ "naive"; "fused" ];
+  List.iter
+    (fun ev ->
+      let code, out = run ("--evaluator " ^ ev ^ " --domains 2") in
+      Alcotest.(check int) (ev ^ " + --domains runs") 0 code;
+      Alcotest.(check bool) (ev ^ " + --domains runs parallel:2") true
+        (contains ~needle:"evaluator parallel:2" out))
+    [ "indexed"; "parallel" ]
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -154,5 +177,6 @@ let suite =
         tc "runs and reports" `Quick test_battle_sim_runs;
         tc "naive and indexed battles match" `Quick test_battle_sim_naive_matches;
         tc "bad evaluator rejected" `Quick test_battle_sim_bad_evaluator;
+        tc "--domains conflicts with naive and fused" `Quick test_battle_sim_domains_conflict;
       ] );
   ]

@@ -180,7 +180,7 @@ let exec_unknown_script () =
            ~groups:[ { Exec.script = "necromancer"; members = [| 0 |] } ]
            ~rand_for:(fun ~key:_ _ -> 0));
       false
-    with Exec.Exec_error msg ->
+    with Exec.Group_failed { gf_exn = Exec.Exec_error msg; _ } ->
       Alcotest.(check bool) "message names the script" true (contains ~sub:"necromancer" msg);
       true
   in
@@ -255,8 +255,8 @@ let quarantine_completes () =
           f.Fault.script
       | fs -> Alcotest.failf "expected one logged fault, got %d" (List.length fs))
 
-(* Quarantine under the parallel evaluator: group guards must compose
-   with chunked evaluation. *)
+(* Quarantine under the parallel evaluator: the retry must compose with
+   chunked evaluation. *)
 let quarantine_parallel () =
   with_injection (fun () ->
       let sim =
@@ -415,8 +415,8 @@ let degrade_exhausted () =
       Alcotest.(check bool) "re-raises once the chain is exhausted" true raised;
       Alcotest.(check int) "nothing half-applied" 0 (Simulation.tick_count sim))
 
-(* Guarded execution is bit-identical to unguarded when nothing fires:
-   per-group accumulators merge through (+), which is exact here. *)
+(* Every policy is bit-identical to [Fail] when nothing fires: the
+   fault-free tick is the same code under all three. *)
 let quarantine_faultfree_identical () =
   let run policy =
     let sim = battle_sim ?fault_policy:policy ~evaluator:Simulation.Indexed () in
@@ -427,6 +427,182 @@ let quarantine_faultfree_identical () =
   check_states ~msg:"quarantine (fault-free) vs fail" baseline
     (run (Some Simulation.Quarantine_script));
   check_states ~msg:"degrade (fault-free) vs fail" baseline (run (Some Simulation.Degrade))
+
+(* ------------------------------------------------------------------ *)
+(* The fault policy never changes the trace *)
+
+(* Three scripts showering float damage on every enemy in a +-6 box: a
+   Sum attribute receiving many non-dyadic contributions per target, so
+   any re-association of the combination operator shows in the digest. *)
+let aoe_schema () =
+  let open Sgl_relalg in
+  Schema.create
+    [
+      Schema.attr "key" Value.TInt;
+      Schema.attr "player" Value.TInt;
+      Schema.attr "posx" Value.TFloat;
+      Schema.attr "posy" Value.TFloat;
+      Schema.attr "health" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "damage" Value.TFloat;
+    ]
+
+let aoe_source =
+  let action name amount =
+    Printf.sprintf
+      {|
+action %s(u) {
+  on all(e.player <> u.player
+         and e.posx >= u.posx - 6.0 and e.posx <= u.posx + 6.0
+         and e.posy >= u.posy - 6.0 and e.posy <= u.posy + 6.0) {
+    damage <- %s;
+  }
+}
+script %s(u) { perform %s(u); }
+|}
+      (String.capitalize_ascii name) amount name (String.capitalize_ascii name)
+  in
+  String.concat "" [ action "a" "0.1"; action "b" "0.7 * 0.3"; action "c" "1.0 / 3.0" ]
+
+let aoe_sim ?fault_policy ~evaluator () =
+  let open Sgl_relalg in
+  let schema = aoe_schema () in
+  let prog = Sgl_lang.Compile.compile ~schema aoe_source in
+  let prng = Prng.create 1 in
+  let units =
+    Array.init 60 (fun i ->
+        Tuple.of_list schema
+          [
+            Value.Int i;
+            Value.Int (i mod 2);
+            Value.Float (Prng.float_range prng ~lo:0. ~hi:20. [ i; 1 ]);
+            Value.Float (Prng.float_range prng ~lo:0. ~hi:20. [ i; 2 ]);
+            Value.Float 0.;
+            Value.Float 0.;
+          ])
+  in
+  let key = Schema.find schema "key" and health = Schema.find schema "health" in
+  let damage = Schema.find schema "damage" in
+  let config =
+    {
+      Simulation.prog;
+      script_of = (fun u -> Some [| "a"; "b"; "c" |].(Value.to_int (Tuple.get u key) mod 3));
+      postprocess =
+        Postprocess.make ~schema
+          ~updates:[ (health, Expr.Binop (Expr.Sub, Expr.UAttr health, Expr.EAttr damage)) ]
+          ~remove_when:(Expr.Const (Value.Bool false));
+      movement = None;
+      death = Simulation.Remove;
+      seed = 1;
+      optimize = true;
+    }
+  in
+  Simulation.create ?fault_policy config ~evaluator ~units
+
+(* The per-tick state digest chain of a run. *)
+let digest_chain ~ticks sim =
+  List.init ticks (fun _ ->
+      Simulation.step sim;
+      Simulation.state_digest sim)
+
+let trace_evaluators =
+  [
+    Simulation.Naive;
+    Simulation.Indexed;
+    Simulation.Fused;
+    Simulation.Parallel { domains = 1 };
+    Simulation.Parallel { domains = 3 };
+  ]
+
+(* With nothing armed, every policy must reproduce the evaluator's own
+   [Fail] chain digest for digest, on integral and float workloads. *)
+let policy_trace_identical ~ticks make () =
+  List.iter
+    (fun evaluator ->
+      let chain fault_policy = digest_chain ~ticks (make ~fault_policy ~evaluator ()) in
+      let reference = chain Simulation.Fail in
+      List.iter
+        (fun policy ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: %s chain = fail chain" (Simulation.evaluator_name evaluator)
+               (Simulation.fault_policy_name policy))
+            reference (chain policy))
+        [ Simulation.Quarantine_script; Simulation.Degrade ])
+    trace_evaluators
+
+let battle_policy_trace =
+  policy_trace_identical ~ticks:15 (fun ~fault_policy ~evaluator () ->
+      battle_sim ~fault_policy ~evaluator ())
+
+let aoe_policy_trace =
+  policy_trace_identical ~ticks:20 (fun ~fault_policy ~evaluator () ->
+      aoe_sim ~fault_policy ~evaluator ())
+
+(* Every group raising on one tick: quarantine excludes one script per
+   retry until none is left, and the tick then commits with no decisions
+   at all — identically under every backend. *)
+let quarantine_every_group () =
+  let run evaluator =
+    with_injection (fun () ->
+        let sc = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 40) () in
+        let config = Scenario.sim_config ~seed:11 sc in
+        let sim =
+          Simulation.create ~fault_policy:Simulation.Quarantine_script config ~evaluator
+            ~units:sc.Scenario.units
+        in
+        Simulation.run sim ~ticks:3;
+        let scripts =
+          Array.to_list (Simulation.units sim)
+          |> List.filter_map config.Simulation.script_of
+          |> List.sort_uniq compare
+        in
+        Fault_inject.arm ~point:"exec.group" Fault_inject.Always;
+        Simulation.step sim;
+        Fault_inject.reset ();
+        let msg = Simulation.evaluator_name evaluator in
+        Alcotest.(check int) (msg ^ ": the tick commits") 4 (Simulation.tick_count sim);
+        Alcotest.(check (list string)) (msg ^ ": every script quarantined") scripts
+          (List.sort compare (Simulation.quarantined_scripts sim));
+        Alcotest.(check int) (msg ^ ": one fault per group") (List.length scripts)
+          (Simulation.fault_count sim);
+        Simulation.run sim ~ticks:2;
+        sorted_units sim)
+  in
+  let indexed = run Simulation.Indexed in
+  check_states ~msg:"fused vs indexed" indexed (run Simulation.Fused);
+  check_states ~msg:"parallel:3 vs indexed" indexed (run (Simulation.Parallel { domains = 3 }))
+
+(* Under Fail a group fault names its script and keeps the original
+   exception, not the executor's wrapper. *)
+let fail_group_fault_context () =
+  with_injection (fun () ->
+      let sim = battle_sim ~evaluator:Simulation.Indexed () in
+      Fault_inject.arm ~point:"exec.group" (Fault_inject.At_count 1);
+      match Simulation.step sim with
+      | () -> Alcotest.fail "step did not raise under the fail policy"
+      | exception Fault.Error f ->
+        Alcotest.(check bool) "a script is named" true (f.Fault.script <> None);
+        Alcotest.(check bool) "original exception" true
+          (match f.Fault.exn with
+          | Fault_inject.Injected { point; _ } -> point = "exec.group"
+          | _ -> false))
+
+(* A fault outside any script group cannot be quarantined away. *)
+let quarantine_post_fault_fails () =
+  with_injection (fun () ->
+      let sim =
+        battle_sim ~fault_policy:Simulation.Quarantine_script ~evaluator:Simulation.Indexed ()
+      in
+      Simulation.step sim;
+      let before = sorted_units sim in
+      Fault_inject.arm ~point:"post.apply" (Fault_inject.At_count 1);
+      (match Simulation.step sim with
+      | () -> Alcotest.fail "step did not raise on a post-processing fault"
+      | exception Fault.Error f ->
+        Alcotest.(check string) "fault phase" "post" (Fault.phase_name f.Fault.phase);
+        Alcotest.(check (option string)) "no script" None f.Fault.script);
+      Alcotest.(check int) "tick counter unchanged" 1 (Simulation.tick_count sim);
+      Alcotest.(check (list string)) "nothing quarantined" [] (Simulation.quarantined_scripts sim);
+      check_states ~msg:"state rolled back" before (sorted_units sim))
 
 (* Domain_pool surfaces the first lane failure and counts the rest. *)
 let pool_suppressed_count () =
@@ -488,5 +664,18 @@ let suite =
         Alcotest.test_case "degrade: exhausted chain re-raises" `Quick degrade_exhausted;
         Alcotest.test_case "guards are bit-identical when nothing fires" `Slow
           quarantine_faultfree_identical;
+      ] );
+    ( "fault.trace",
+      [
+        Alcotest.test_case "battle: every policy reproduces the fail chain" `Slow
+          battle_policy_trace;
+        Alcotest.test_case "float AoE: every policy reproduces the fail chain" `Quick
+          aoe_policy_trace;
+        Alcotest.test_case "quarantine: every group failing still commits" `Quick
+          quarantine_every_group;
+        Alcotest.test_case "quarantine: a post fault rolls back and raises" `Quick
+          quarantine_post_fault_fails;
+        Alcotest.test_case "fail: a group fault names its script" `Quick
+          fail_group_fault_context;
       ] );
   ]

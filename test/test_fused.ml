@@ -34,7 +34,7 @@ let effects_fused ?(optimize = true) prog script_name units rand_for_key =
     [ { Exec.script = script_name; members = Array.init (Array.length units) (fun i -> i) } ]
   in
   Combine.Acc.to_relation
-    (Exec.run_tick_fused compiled ~fused ~evaluator ~units ~groups ~rand_for:rand_for_key)
+    (Exec.run_tick ~kernels:fused compiled ~evaluator ~units ~groups ~rand_for:rand_for_key)
 
 (* The per-row random stream is a pure function of (tick, key, draw), so
    the same closure drives both backends without coupling them. *)

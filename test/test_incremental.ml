@@ -247,8 +247,8 @@ let degrade_with_cache () =
       check_states ~msg:"degraded cached vs clean naive" clean (sorted_units sim))
 
 (* Quarantine with the cache on vs off: the same injection schedule must
-   quarantine the same group and land on the same states — group guards and
-   structure reuse are orthogonal. *)
+   quarantine the same group and land on the same states — quarantine
+   retries and structure reuse are orthogonal. *)
 let quarantine_cache_parity () =
   let run ~index_cache =
     with_injection (fun () ->
