@@ -8,7 +8,7 @@
    Sections (a [-full] variant runs the paper-scale sizes):
      fig10 fig10-full capacity density
      ablate-divisible ablate-sweep ablate-nn ablate-combine ablate-share
-     phases parallel parallel-full incremental incremental-full
+     phases incremental incremental-full
      fused fused-full columnar columnar-full
      faults telemetry obs persist micro
 
@@ -53,7 +53,7 @@ let battle_seconds ~(evaluator : Simulation.evaluator_kind) ~(n : int) ~(density
 let ticks_for ~evaluator ~n =
   match evaluator with
   | Simulation.Naive -> if n >= 4000 then 2 else if n >= 1000 then 3 else 10
-  | Simulation.Indexed | Simulation.Parallel _ | Simulation.Fused ->
+  | Simulation.Indexed | Simulation.Fused ->
     if n >= 8000 then 3 else 10
 
 (* ------------------------------------------------------------------ *)
@@ -111,8 +111,8 @@ let capacity ~full () =
   let max_probe evaluator = match (evaluator, full) with
     | Simulation.Naive, false -> 4_000
     | Simulation.Naive, true -> 16_000
-    | (Simulation.Indexed | Simulation.Parallel _ | Simulation.Fused), false -> 32_000
-    | (Simulation.Indexed | Simulation.Parallel _ | Simulation.Fused), true -> 64_000
+    | (Simulation.Indexed | Simulation.Fused), false -> 32_000
+    | (Simulation.Indexed | Simulation.Fused), true -> 64_000
   in
   let tick_time evaluator n =
     let per_tick, _ = battle_seconds ~evaluator ~n ~density:0.01 ~ticks:2 in
@@ -205,7 +205,7 @@ let time_agg_batch ~schema ~units (agg : Aggregate.t) ~(kind : [ `Naive | `Index
   ev.Eval.prepare units;
   let rands = Array.map (fun _ -> fun (_ : int) -> 0) units in
   let (), seconds =
-    Timer.timed (fun () -> ignore (ev.Eval.members.(0).Eval.eval_agg ~agg_id:0 ~rows:units ~rands))
+    Timer.timed (fun () -> ignore (ev.Eval.eval_agg ~agg_id:0 ~rows:units ~rands))
   in
   seconds
 
@@ -443,7 +443,7 @@ let ablate_share () =
                  ~rand_for:(fun ~key i -> (key * 31) + i + tick))
           done)
     in
-    (seconds /. float_of_int ticks, Eval.family_stats evaluator)
+    (seconds /. float_of_int ticks, evaluator.Eval.stats)
   in
   pr "%8s %14s %12s %14s %12s@." "units" "shared (s/t)" "builds" "private (s/t)" "builds";
   List.iter
@@ -452,59 +452,6 @@ let ablate_share () =
       let tp, sp = run ~share:false n in
       pr "%8d %14.4f %12d %14.4f %12d@." n ts ss.Eval.index_builds tp sp.Eval.index_builds)
     [ 1000; 2000; 4000 ]
-
-(* ------------------------------------------------------------------ *)
-(* Parallel decision phase: sequential indexed vs domain-pool fan-out *)
-
-(* Decision-phase seconds per tick, measured from the engine's own phase
-   timer so movement/post noise stays out of the scaling curve. *)
-let decision_per_tick ~(evaluator : Simulation.evaluator_kind) ~(n : int) ~(ticks : int) : float =
-  let scenario =
-    Battle.Scenario.setup ~density:0.01 ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-  in
-  let sim = Battle.Scenario.simulation ~evaluator scenario in
-  (* warm one tick outside the measurement: compilation, pool spin-up *)
-  Simulation.step sim;
-  let before = (Simulation.report sim).Simulation.decision_s in
-  Simulation.run sim ~ticks;
-  let after = (Simulation.report sim).Simulation.decision_s in
-  (after -. before) /. float_of_int ticks
-
-let parallel_scaling ~full () =
-  header "Parallel decision phase - domain-pool fan-out vs sequential indexed";
-  pr "(decision-phase wall time per tick; results are bit-identical across@.";
-  pr " domain counts by construction - the differential suite pins that)@.@.";
-  let sizes = if full then [ 2_000; 10_000; 20_000 ] else [ 1_000; 4_000; 10_000 ] in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  pr "%8s %14s" "units" "seq (s/t)";
-  List.iter (fun d -> pr " %13s" (Printf.sprintf "%dd (s/t)" d)) domain_counts;
-  pr " %10s@." "4d speedup";
-  List.iter
-    (fun n ->
-      let ticks = ticks_for ~evaluator:Simulation.Indexed ~n in
-      let emit label t =
-        Bench_json.emit ~section:"parallel"
-          ~config:[ ("evaluator", label); ("units", string_of_int n) ]
-          ~ticks_per_s:(1. /. t)
-          ~phases:[ ("decision_s", t) ]
-      in
-      let seq = decision_per_tick ~evaluator:Simulation.Indexed ~n ~ticks in
-      emit "indexed" seq;
-      let par =
-        List.map
-          (fun domains ->
-            let t = decision_per_tick ~evaluator:(Simulation.Parallel { domains }) ~n ~ticks in
-            emit (Printf.sprintf "parallel:%d" domains) t;
-            (domains, t))
-          domain_counts
-      in
-      pr "%8d %14.4f" n seq;
-      List.iter (fun (_, t) -> pr " %13.4f" t) par;
-      let four = List.assoc 4 par in
-      pr " %9.2fx@." (seq /. four))
-    sizes;
-  pr "@.(on a single-core host the fan-out can only add overhead; the curve@.";
-  pr " is still useful as a regression bound on that overhead)@."
 
 (* ------------------------------------------------------------------ *)
 (* Incremental index maintenance: the cross-tick structure cache *)
@@ -606,7 +553,7 @@ let incremental_sim ~(index_cache : bool) ~(evaluator : Simulation.evaluator_kin
   Simulation.create ~index_cache config ~evaluator ~units:(incremental_units schema ~n ~churn)
 
 (* Ticks per second plus the final report; one warm-up tick outside the
-   clock (compilation, pool spin-up, the unavoidable first cold build). *)
+   clock (compilation, the unavoidable first cold build). *)
 let incremental_rate ~index_cache ~evaluator ~n ~churn ~ticks : float * Simulation.report =
   let sim = incremental_sim ~index_cache ~evaluator ~n ~churn in
   Simulation.step sim;
@@ -622,9 +569,7 @@ let incremental ~full () =
   pr " Unit states are bit-identical either way - the differential suite pins it.)@.@.";
   let sizes = if full then [ 2_000; 8_000; 20_000 ] else [ 2_000; 8_000 ] in
   let churns = [ 0.01; 0.10; 0.50 ] in
-  let evaluators =
-    [ ("indexed", Simulation.Indexed); ("parallel:2", Simulation.Parallel { domains = 2 }) ]
-  in
+  let evaluators = [ ("indexed", Simulation.Indexed) ] in
   pr "%-11s %8s %7s %14s %14s %8s %10s@." "evaluator" "units" "churn" "warm (t/s)"
     "cold (t/s)" "speedup" "reuses";
   List.iter
@@ -1140,13 +1085,7 @@ let fused_bench ~full () =
   pr " bit-identical to every other evaluator by the conformance suite;@.";
   pr " only the time changes.)@.@.";
   let sizes = if full then [ 2_000; 8_000; 12_000; 20_000 ] else [ 2_000; 8_000; 12_000 ] in
-  let evaluators =
-    [
-      ("indexed", Simulation.Indexed);
-      ("parallel:2", Simulation.Parallel { domains = 2 });
-      ("fused", Simulation.Fused);
-    ]
-  in
+  let evaluators = [ ("indexed", Simulation.Indexed); ("fused", Simulation.Fused) ] in
   pr "%8s %6s" "units" "cache";
   List.iter (fun (name, _) -> pr " %13s" (name ^ " (s/t)")) evaluators;
   pr " %12s@." "fused gain";
@@ -1282,8 +1221,6 @@ let faults_bench () =
     [
       ("degrade indexed->naive", Simulation.Degrade, Simulation.Indexed, "eval.member",
        Fault_inject.Always);
-      ("degrade parallel->indexed", Simulation.Degrade, Simulation.Parallel { domains = 2 },
-       "pool.lane", Fault_inject.Always);
       ("quarantine retry", Simulation.Quarantine_script, Simulation.Indexed, "exec.group",
        Fault_inject.At_count 2);
     ];
@@ -1324,11 +1261,7 @@ let columnar_bench ~full () =
        the mirror anyway; measured at 12k to document the ~1x, skipped at
        100k (it would dominate the wall clock without informing anything) *)
     (if n <= 12_000 then [ ("naive", Simulation.Naive) ] else [])
-    @ [
-        ("indexed", Simulation.Indexed);
-        ("parallel:2", Simulation.Parallel { domains = 2 });
-        ("fused", Simulation.Fused);
-      ]
+    @ [ ("indexed", Simulation.Indexed); ("fused", Simulation.Fused) ]
   in
   pr "%8s %12s %14s %14s %9s %14s %14s@." "units" "evaluator" "boxed (s/t)" "columnar (s/t)"
     "gain" "boxed bld" "columnar bld";
@@ -1487,7 +1420,6 @@ let everything ~full () =
   ablate_combine ();
   ablate_share ();
   phases ();
-  parallel_scaling ~full ();
   incremental ~full ();
   fused_bench ~full ();
   columnar_bench ~full ();
@@ -1530,8 +1462,6 @@ let () =
             | "ablate-combine" -> ablate_combine ()
             | "ablate-share" -> ablate_share ()
             | "phases" -> phases ()
-            | "parallel" -> parallel_scaling ~full:false ()
-            | "parallel-full" -> parallel_scaling ~full:true ()
             | "incremental" -> incremental ~full:false ()
             | "incremental-full" -> incremental ~full:true ()
             | "fused" -> fused_bench ~full:false ()

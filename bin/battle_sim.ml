@@ -2,7 +2,7 @@
    line, with either aggregate evaluator.
 
      dune exec bin/battle_sim.exe -- --units 1000 --ticks 100 --evaluator indexed
-     dune exec bin/battle_sim.exe -- --units 5000 --evaluator parallel --domains 4
+     dune exec bin/battle_sim.exe -- --units 5000 --evaluator fused
 *)
 
 open Cmdliner
@@ -27,25 +27,18 @@ let print_flight_summary (path : string) : int =
       (match last with None -> "null" | Some s -> Obs.Flight.sample_json s);
     0
 
-let run units ticks evaluator domains density seed optimize resurrect index_cache verbose ascii
+let run units ticks evaluator density seed optimize resurrect index_cache verbose ascii
     trace fault_policy injects metrics trace_spans explain_plans ckpt_dir ckpt_every do_restore
     no_fsync sleep_ms obs_port flight_cap dump_flight print_flight summary_json =
   match print_flight with
   | Some path -> print_flight_summary path
   | None ->
   let evaluator_kind =
-    match (evaluator, domains) with
-    (* --domains N picks the domain count of the indexed decision phase *)
-    | ("naive" | "fused"), n when n > 0 ->
-      Fmt.failwith "--domains %d cannot be combined with --evaluator %s (use indexed or parallel)"
-        n evaluator
-    | ("indexed" | "parallel"), n when n > 0 -> Simulation.Parallel { domains = n }
-    | "naive", _ -> Simulation.Naive
-    | "indexed", _ -> Simulation.Indexed
-    | "fused", _ -> Simulation.Fused
-    | "parallel", _ -> Simulation.Parallel { domains = Domain.recommended_domain_count () }
-    | other, _ ->
-      Fmt.failwith "unknown evaluator %S (expected naive, indexed, fused or parallel)" other
+    match evaluator with
+    | "naive" -> Simulation.Naive
+    | "indexed" -> Simulation.Indexed
+    | "fused" -> Simulation.Fused
+    | other -> Fmt.failwith "unknown evaluator %S (expected naive, indexed or fused)" other
   in
   let fault_policy =
     match fault_policy with
@@ -301,18 +294,8 @@ let evaluator_arg =
     value
     & opt string "indexed"
     & info [ "evaluator"; "e" ]
-        ~doc:"Aggregate evaluator: naive, indexed, fused (plans compiled into closure kernels \
-              over the indexed evaluator), or parallel (indexed with the decision phase fanned \
-              out over OCaml domains).")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "domains" ]
-        ~doc:"Run the parallel evaluator over this many domains (0: follow --evaluator; \
-              'parallel' without --domains uses the recommended domain count).  Only with \
-              --evaluator indexed or parallel; naive and fused reject it.")
+        ~doc:"Aggregate evaluator: naive, indexed, or fused (plans compiled into closure \
+              kernels over the indexed evaluator).")
 
 let density_arg =
   Arg.(value & opt float 0.01 & info [ "density" ] ~doc:"Fraction of grid squares occupied.")
@@ -345,7 +328,7 @@ let fault_policy_arg =
     & info [ "fault-policy" ]
         ~doc:"What a tick does when a phase raises: fail (rollback and abort), quarantine \
               (exclude the failing script group and keep going), or degrade (demote the \
-              evaluator fused/parallel -> indexed -> naive and retry the tick).")
+              evaluator fused -> indexed -> naive and retry the tick).")
 
 let inject_arg =
   Arg.(
@@ -353,7 +336,7 @@ let inject_arg =
     & opt_all string []
     & info [ "inject" ] ~docv:"POINT:SPEC"
         ~doc:"Arm a fault-injection point, e.g. eval.member:count=3, exec.group:always, \
-              pool.lane:p=0.1,seed=7.  Repeatable.")
+              index.build:p=0.1,seed=7.  Repeatable.")
 
 let metrics_arg =
   Arg.(
@@ -476,11 +459,11 @@ let cmd =
     (Cmd.info "battle_sim" ~version:Sgl.version ~doc)
     Term.(
       const
-        (fun u t e dom d s no_opt no_res no_cache v a tr fp inj m sp ex cd ce rst nf slp op fc
-             dfl pfl sj ->
-          run u t e dom d s (not no_opt) (not no_res) (not no_cache) v a tr fp inj m sp ex cd ce
+        (fun u t e d s no_opt no_res no_cache v a tr fp inj m sp ex cd ce rst nf slp op fc dfl
+             pfl sj ->
+          run u t e d s (not no_opt) (not no_res) (not no_cache) v a tr fp inj m sp ex cd ce
             rst nf slp op fc dfl pfl sj)
-      $ units_arg $ ticks_arg $ evaluator_arg $ domains_arg $ density_arg $ seed_arg
+      $ units_arg $ ticks_arg $ evaluator_arg $ density_arg $ seed_arg
       $ optimize_arg $ resurrect_arg $ index_cache_arg $ verbose_arg $ ascii_arg $ trace_arg
       $ fault_policy_arg $ inject_arg $ metrics_arg $ trace_spans_arg $ explain_arg
       $ checkpoint_dir_arg $ checkpoint_every_arg $ restore_arg $ no_fsync_arg $ sleep_ms_arg

@@ -1,9 +1,9 @@
 (* Effect-commutativity race detection (rules R001-R004).
 
-   The engine's determinism argument (Section 4.2 / 5.1, and the parallel
-   decision phase built on it) is: every effect contribution combines
-   through the per-attribute ⊕, which is associative and commutative, so
-   the tick's outcome is independent of evaluation and chunk-merge order.
+   The engine's determinism argument (Section 4.2 / 5.1) is: every effect
+   contribution combines through the per-attribute ⊕, which is associative
+   and commutative, so the tick's outcome is independent of evaluation
+   order.
    That argument has a static precondition nothing enforced until now —
    scripts must only write attributes that *have* a ⊕ (non-const tags),
    and reads must not assume same-tick visibility of effects.  This pass
@@ -16,9 +16,9 @@
      unchecked.
    - R002: a const-tagged attribute is writable from multiple units — a
      key/all target (any unit can hit any row) or several distinct write
-     sites.  Under a chunked [Exec.run_tick] the surviving value would
-     depend on chunk order; this is the write-write race the ⊕ tags exist to
-     prevent.
+     sites.  The surviving value would depend on evaluation order (group
+     order, kernel fusion); this is the write-write race the ⊕ tags exist
+     to prevent.
    - R003: a script reads an effect attribute some script writes in the
      same tick.  Decision-phase reads observe the pre-tick snapshot, so
      the value is well-defined but one tick stale — a correctness hazard
@@ -159,7 +159,7 @@ let check ?(post_reads : int list = []) ?(pos_of : string -> Ast.pos = fun _ -> 
         emit
           (Rules.diag ~pos:(pos_of script) ~context:script ~rule:"R002"
              "const-tagged attribute %S is writable from multiple units (%s): without a \
-              commutative ⊕ the surviving value depends on parallel chunk order"
+              commutative ⊕ the surviving value depends on evaluation order"
              (name_of attr)
              (String.concat ", "
                 (List.map (fun (s, t) -> Fmt.str "%s/%s" s (target_kind_name t)) sites)))

@@ -1,7 +1,7 @@
 (** Effect-commutativity race detection (rules R001-R004): per-script
     read/write attribute sets over the closed core IR, checked against the
-    ⊕-safety preconditions the parallel decision phase and the incremental
-    index cache assume. *)
+    ⊕-safety preconditions the fused kernels' reordering and the
+    incremental index cache assume. *)
 
 open Sgl_lang
 

@@ -3,8 +3,8 @@
 
    Rule families:
    - T: type diagnostics surfaced through the collect-all typechecker;
-   - R: effect-race detection — the ⊕-safety conditions the parallel
-     decision phase and the incremental index cache silently assume;
+   - R: effect-race detection — the ⊕-safety conditions the fused kernels'
+     reordering and the incremental index cache silently assume;
    - V: plan translation validation — the optimizer's rewrites are checked,
      not trusted;
    - P: performance lints tied to [Agg_plan.analyze] and plan structure;
@@ -49,7 +49,7 @@ let all : t list =
       rationale =
         "a const-tagged attribute is writable from multiple units (key/all target or \
          several effect sites): with no commutative ⊕ the surviving value depends on \
-         parallel chunk order";
+         evaluation order";
     };
     {
       id = "R003";

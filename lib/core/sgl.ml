@@ -22,7 +22,6 @@ module Varray = Sgl_util.Varray
 module Stats = Sgl_util.Stats
 module Timer = Sgl_util.Timer
 module Telemetry = Sgl_util.Telemetry
-module Domain_pool = Sgl_util.Domain_pool
 module Float_sort = Sgl_util.Float_sort
 
 (* Relational substrate *)

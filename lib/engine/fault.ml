@@ -3,8 +3,7 @@
    Any exception escaping a tick phase is wrapped into a [Fault.t] carrying
    everything an operator needs to reproduce and triage it: the tick, the
    phase, the script group (when attributable), the evaluator that was
-   running, the raw exception and its backtrace, and how many further lane
-   failures the domain pool suppressed behind the one re-raised.
+   running, and the raw exception and its backtrace.
 
    Faults accumulate in a bounded in-memory [Log]: a long-running world
    under a permissive fault policy must not leak memory while a bad script
@@ -31,13 +30,12 @@ type t = {
   exn : exn;
   message : string;
   backtrace : string;
-  suppressed : int; (* further lane failures hidden behind [exn] *)
 }
 
 exception Error of t
 
-let make ~(tick : int) ~(phase : phase) ?script ~(evaluator : string) ?(suppressed = 0)
-    (exn : exn) (bt : Printexc.raw_backtrace) : t =
+let make ~(tick : int) ~(phase : phase) ?script ~(evaluator : string) (exn : exn)
+    (bt : Printexc.raw_backtrace) : t =
   {
     tick;
     phase;
@@ -46,15 +44,12 @@ let make ~(tick : int) ~(phase : phase) ?script ~(evaluator : string) ?(suppress
     exn;
     message = Printexc.to_string exn;
     backtrace = Printexc.raw_backtrace_to_string bt;
-    suppressed;
   }
 
 let pp ppf (f : t) =
-  Fmt.pf ppf "tick %d [%s/%s]%a: %s%a" f.tick (phase_name f.phase) f.evaluator
+  Fmt.pf ppf "tick %d [%s/%s]%a: %s" f.tick (phase_name f.phase) f.evaluator
     (fun ppf -> function None -> () | Some s -> Fmt.pf ppf " script %s" s)
     f.script f.message
-    (fun ppf n -> if n > 0 then Fmt.pf ppf " (+%d suppressed lane failures)" n)
-    f.suppressed
 
 let () =
   Printexc.register_printer (function
@@ -78,7 +73,7 @@ module Log = struct
         Sgl_util.Varray.create
           {
             tick = 0; phase = Decision; script = None; evaluator = ""; exn = Not_found;
-            message = ""; backtrace = ""; suppressed = 0;
+            message = ""; backtrace = "";
           };
       total = 0;
     }

@@ -2,8 +2,7 @@
 
     A fault wraps an exception that escaped a tick phase with the context
     needed to reproduce it: tick, phase, script group (when attributable),
-    evaluator kind, the exception and its backtrace, and the number of
-    additional domain-pool lane failures suppressed behind it. *)
+    evaluator kind, and the exception and its backtrace. *)
 
 type phase =
   | Decision
@@ -21,7 +20,6 @@ type t = {
   exn : exn;
   message : string;
   backtrace : string;
-  suppressed : int;
 }
 
 (** Raised by {!Simulation.step} under the [Fail] policy (and by [Degrade]
@@ -33,7 +31,6 @@ val make :
   phase:phase ->
   ?script:string ->
   evaluator:string ->
-  ?suppressed:int ->
   exn ->
   Printexc.raw_backtrace ->
   t

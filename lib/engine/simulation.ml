@@ -34,13 +34,11 @@ type config = {
 type evaluator_kind =
   | Naive
   | Indexed
-  | Parallel of { domains : int } (* chunked decision phase over a domain pool *)
   | Fused (* plans lowered to the loop IR and compiled into kernels *)
 
 let evaluator_name = function
   | Naive -> "naive"
   | Indexed -> "indexed"
-  | Parallel { domains } -> Printf.sprintf "parallel:%d" domains
   | Fused -> "fused"
 
 (* What [step] does when a tick phase raises (ticks are transactional:
@@ -48,7 +46,7 @@ let evaluator_name = function
 type fault_policy =
   | Fail (* roll back, re-raise with context *)
   | Quarantine_script (* roll back, exclude the failing script group, retry *)
-  | Degrade (* demote the evaluator fused/parallel -> indexed -> naive and retry *)
+  | Degrade (* demote the evaluator fused -> indexed -> naive and retry *)
 
 let fault_policy_name = function
   | Fail -> "fail"
@@ -59,16 +57,13 @@ let fault_policy_name = function
    interpreted indexed evaluator: same index structures, no kernels. *)
 let demotion = function
   | Fused -> Some Indexed
-  | Parallel _ -> Some Indexed
   | Indexed -> Some Naive
   | Naive -> None
 
-(* The engine behind a simulation: the evaluator family whose members
-   chunk the decision phase, the domain pool they fan out over (parallel
-   only), and the fused kernels that replace plan walking (fused only). *)
+(* The engine behind a simulation: the evaluator, and the fused kernels
+   that replace plan walking (fused only). *)
 type engine = {
-  evaluator : Eval.family;
-  pool : Domain_pool.t option;
+  evaluator : Eval.t;
   kernels : Exec.fused option;
 }
 
@@ -181,7 +176,6 @@ type t = {
   c_retries : Telemetry.counter; (* tick retries by Degrade or Quarantine_script *)
   c_rollbacks : Telemetry.counter; (* snapshot restores after a fault *)
   c_faults : Telemetry.counter; (* faults observed (log may drop some) *)
-  c_suppressed : Telemetry.counter; (* secondary failures hidden by a re-raise *)
   h_tick_s : Telemetry.histogram; (* per-tick wall-clock, feeds report percentiles *)
   (* The per-commit observer (None by default).  The engine never depends
      on what it does; nothing it can reach feeds back into unit state, so
@@ -198,16 +192,10 @@ type t = {
 
 let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
     ~(compiled : Exec.compiled) (evaluator : evaluator_kind) : engine =
-  let indexed ?chunks () = Eval.indexed ?chunks ~schema ~aggregates () in
+  let indexed () = Eval.indexed ~schema ~aggregates () in
   match evaluator with
-  | Naive -> { evaluator = Eval.naive ~schema ~aggregates; pool = None; kernels = None }
-  | Indexed -> { evaluator = indexed (); pool = None; kernels = None }
-  | Parallel { domains } ->
-    (* Pools are shared process-wide by size: repeated simulations reuse
-       the same worker domains instead of exhausting the runtime's
-       domain budget. *)
-    let pool = Domain_pool.shared ~domains in
-    { evaluator = indexed ~chunks:(Domain_pool.size pool) (); pool = Some pool; kernels = None }
+  | Naive -> { evaluator = Eval.naive ~schema ~aggregates; kernels = None }
+  | Indexed -> { evaluator = indexed (); kernels = None }
   | Fused ->
     (* Kernels specialize the plans, not the evaluator: the indexed
        evaluator underneath still owns aggregate evaluation, AoE
@@ -218,7 +206,6 @@ let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
     let oracle = Sgl_analysis.Absint.make_oracle compiled.Exec.prog in
     {
       evaluator = indexed ();
-      pool = None;
       kernels = Some (Exec.fuse ~fold:oracle.Sgl_analysis.Absint.fold compiled);
     }
 
@@ -261,7 +248,6 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     c_retries = Telemetry.Registry.counter tel "sim.retries";
     c_rollbacks = Telemetry.Registry.counter tel "sim.rollbacks";
     c_faults = Telemetry.Registry.counter tel "sim.faults";
-    c_suppressed = Telemetry.Registry.counter tel "sim.suppressed";
     h_tick_s = Telemetry.Registry.histogram tel "sim.tick_seconds";
     observer = None;
     fault_log = Fault.Log.create ~capacity:fault_log_capacity ();
@@ -314,7 +300,7 @@ let add_stats (dst : Eval.eval_stats) (src : Eval.eval_stats) : unit =
    counters so the report stays cumulative across the whole run. *)
 let demote (t : t) (weaker : evaluator_kind) : unit =
   Telemetry.Span.instant ~cat:"fault" "demote";
-  add_stats t.retired_stats (Eval.family_stats t.engine.evaluator);
+  add_stats t.retired_stats t.engine.evaluator.Eval.stats;
   t.degradations <-
     t.degradations @ [ (t.tick, evaluator_name t.evaluator, evaluator_name weaker) ];
   let schema = t.config.prog.Core_ir.schema in
@@ -335,7 +321,6 @@ let counter_snapshot (t : t) : (string * int) list =
     ("faults", Telemetry.Counter.value t.c_faults);
     ("retries", Telemetry.Counter.value t.c_retries);
     ("rollbacks", Telemetry.Counter.value t.c_rollbacks);
-    ("suppressed", Telemetry.Counter.value t.c_suppressed);
   ]
 
 let state_of (t : t) : Checkpoint.state =
@@ -455,10 +440,10 @@ let run_phases (t : t) : unit =
   (* decision + action *)
   t.phase <- Fault.Decision;
   let acc =
-    let { evaluator; pool; kernels } = t.engine in
+    let { evaluator; kernels } = t.engine in
     Telemetry.Span.with_ ~cat:"phase" "decision" @@ fun () ->
     Timer.record t.timings.decision (fun () ->
-        Exec.run_tick ?delta:delta_in ?cols ?pool ?kernels t.compiled ~evaluator ~units:t.units
+        Exec.run_tick ?delta:delta_in ?cols ?kernels t.compiled ~evaluator ~units:t.units
           ~groups:(groups t) ~rand_for)
   in
   (* post-processing *)
@@ -531,7 +516,7 @@ let run_phases (t : t) : unit =
 let cumulative_stats (t : t) : Eval.eval_stats =
   let s = Eval.fresh_stats () in
   add_stats s t.retired_stats;
-  add_stats s (Eval.family_stats t.engine.evaluator);
+  add_stats s t.engine.evaluator.Eval.stats;
   s
 
 (* Counter values and cumulative timings captured before a step, so the
@@ -629,14 +614,12 @@ let step (t : t) : unit =
         | Exec.Group_failed gf -> (Some gf.Exec.gf_script, gf.Exec.gf_exn, gf.Exec.gf_backtrace)
         | exn -> (None, exn, bt)
       in
-      let suppressed = Option.fold ~none:0 ~some:Domain_pool.suppressed_failures t.engine.pool in
       let fault =
-        Fault.make ~tick:t.tick ~phase:t.phase ?script ~evaluator:(evaluator_name t.evaluator)
-          ~suppressed exn bt
+        Fault.make ~tick:t.tick ~phase:t.phase ?script ~evaluator:(evaluator_name t.evaluator) exn
+          bt
       in
       Fault.Log.push t.fault_log fault;
       Telemetry.Counter.incr t.c_faults;
-      Telemetry.Counter.add t.c_suppressed suppressed;
       Telemetry.Span.instant ~cat:"fault" "rollback";
       t.units <- units0;
       (* Swap the mirror's column pointers back to the restored state.
@@ -766,7 +749,6 @@ let restore ?fault_policy ?fault_log_capacity ?index_cache (config : config)
       set_counter "faults" t.c_faults;
       set_counter "retries" t.c_retries;
       set_counter "rollbacks" t.c_rollbacks;
-      set_counter "suppressed" t.c_suppressed;
       (* Replay the journal chain: every journal whose base is at or after
          the loaded generation, oldest first.  The chain exists because
          rotation happens at checkpoint time — journal [base=B] covers
@@ -858,7 +840,6 @@ type report = {
   faults : int; (* faults observed, including any the bounded log dropped *)
   retries : int; (* tick retries performed by Degrade or Quarantine_script *)
   rollbacks : int; (* snapshot restores performed after faults *)
-  suppressed : int; (* secondary failures hidden behind re-raised ones *)
   quarantined : string list;
   degradations : (int * string * string) list; (* tick, from, to *)
   tick_p50_s : float; (* per-tick wall-clock percentiles (sim.tick_seconds) *)
@@ -912,7 +893,6 @@ let report (t : t) : report =
     faults = Telemetry.Counter.value t.c_faults;
     retries = Telemetry.Counter.value t.c_retries;
     rollbacks = Telemetry.Counter.value t.c_rollbacks;
-    suppressed = Telemetry.Counter.value t.c_suppressed;
     quarantined = t.quarantined;
     degradations = t.degradations;
     tick_p50_s = ts.Telemetry.p50;
@@ -930,8 +910,8 @@ let pp_report ppf (r : report) =
     r.index_reuses r.index_probes r.naive_scans r.uniform_hits r.deaths r.resurrections;
   (* fault-free runs keep the pre-fault-layer report byte-identical *)
   if r.faults > 0 || r.retries > 0 || r.quarantined <> [] || r.degradations <> [] then
-    Fmt.pf ppf "@,faults=%d retries=%d rollbacks=%d suppressed=%d quarantined=[%s] degraded=[%s]"
-      r.faults r.retries r.rollbacks r.suppressed
+    Fmt.pf ppf "@,faults=%d retries=%d rollbacks=%d quarantined=[%s] degraded=[%s]"
+      r.faults r.retries r.rollbacks
       (String.concat "," r.quarantined)
       (String.concat ","
          (List.map (fun (tick, from_, to_) -> Fmt.str "t%d:%s->%s" tick from_ to_) r.degradations));

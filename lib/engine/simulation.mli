@@ -24,12 +24,6 @@ type config = {
 type evaluator_kind =
   | Naive
   | Indexed
-  | Parallel of { domains : int }
-      (** The indexed evaluator with the decision phase fanned out over a
-          shared pool of [domains] OCaml domains (clamped to [\[1, 64\]]).
-          Produces tick-for-tick the same unit states as [Indexed] for any
-          domain count: chunks merge through the combination operator (+),
-          which is associative and commutative. *)
   | Fused
       (** The indexed evaluator driven through fused kernels: every plan
           is lowered to the loop IR ({!Sgl_qopt.Loop_ir}) and compiled
@@ -50,10 +44,10 @@ val evaluator_name : evaluator_kind -> string
       and every later tick and reported, and the tick is retried without
       it.  The retried tick equals a run in which that group contributed
       nothing; its units stay in the environment.  Faults not attributable
-      to one group (the parallel index prebuild, post-processing,
+      to one group (opening the tick's index cache, post-processing,
       movement, death) still fail.
-    - [Degrade]: demote the evaluator along fused/parallel -> indexed ->
-      naive and retry the tick.  Every PRNG draw is keyed by [~tick ~key], so
+    - [Degrade]: demote the evaluator along fused -> indexed -> naive
+      and retry the tick.  Every PRNG draw is keyed by [~tick ~key], so
       the retried tick is bit-identical to a healthy run of the weaker
       evaluator; when even naive fails, re-raise. *)
 type fault_policy =
@@ -180,7 +174,7 @@ val current_evaluator : t -> evaluator_kind
 (** The simulation's private, always-enabled telemetry registry: the
     source of truth behind the engine counters of {!report}
     ([sim.deaths], [sim.resurrections], [sim.retries], [sim.rollbacks],
-    [sim.faults], [sim.suppressed]).  Independent of the ambient
+    [sim.faults]).  Independent of the ambient
     {!Sgl_util.Telemetry.default}, so concurrent simulations never mix
     counts. *)
 val telemetry : t -> Telemetry.Registry.t
@@ -253,9 +247,6 @@ type report = {
   rollbacks : int;
       (** snapshot restores performed after faults (every fault a policy
           absorbs or re-raises rolled the tick back exactly once) *)
-  suppressed : int;
-      (** secondary failures hidden behind the re-raised one (other
-          domain-pool lanes) *)
   quarantined : string list;
   degradations : (int * string * string) list;
   tick_p50_s : float;

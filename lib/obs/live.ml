@@ -81,7 +81,7 @@ let report_json (t : t) : string =
         \"death_s\": %s, \"total_s\": %s, \"tick_p50_s\": %s, \"tick_p90_s\": %s, \
         \"tick_p99_s\": %s, \"index_builds\": %d, \"index_probes\": %d, \"naive_scans\": %d, \
         \"uniform_hits\": %d, \"index_reuses\": %d, \"deaths\": %d, \"resurrections\": %d, \
-        \"faults\": %d, \"retries\": %d, \"rollbacks\": %d, \"suppressed\": %d, \
+        \"faults\": %d, \"retries\": %d, \"rollbacks\": %d, \
         \"quarantined\": [%s], \"degradations\": %d},\n"
        (f r.Simulation.decision_s) (f r.Simulation.build_s) (f r.Simulation.post_s)
        (f r.Simulation.movement_s) (f r.Simulation.death_s) (f r.Simulation.total_s)
@@ -89,7 +89,7 @@ let report_json (t : t) : string =
        r.Simulation.index_builds r.Simulation.index_probes r.Simulation.naive_scans
        r.Simulation.uniform_hits r.Simulation.index_reuses r.Simulation.deaths
        r.Simulation.resurrections r.Simulation.faults r.Simulation.retries
-       r.Simulation.rollbacks r.Simulation.suppressed
+       r.Simulation.rollbacks
        (String.concat ", " (List.map Telemetry.json_string r.Simulation.quarantined))
        (List.length r.Simulation.degradations));
   Buffer.add_string b "  \"sim\": ";

@@ -88,9 +88,7 @@ let run ~(schema : Schema.t) ~(snapshot : snapshot) ?(key : int option) (body : 
         | Ok probe -> begin
           let ev = Eval.naive ~schema ~aggregates:[| agg |] in
           ev.Eval.prepare snapshot.q_units;
-          match
-            ev.Eval.members.(0).Eval.eval_agg ~agg_id:0 ~rows:[| probe |] ~rands:[| (fun _ -> 0) |]
-          with
+          match ev.Eval.eval_agg ~agg_id:0 ~rows:[| probe |] ~rands:[| (fun _ -> 0) |] with
           | exception Aggregate.Aggregate_error e -> Error e
           | exception Expr.Eval_error e -> Error e
           | exception Value.Type_error e -> Error e

@@ -40,9 +40,8 @@ let fresh_stats () =
 (* ------------------------------------------------------------------ *)
 (* Telemetry.
 
-   [eval_stats] stays the per-evaluator source of truth for the report —
-   each family member owns its record, so lanes never contend.  The
-   telemetry layer adds *global* counters in the ambient registry (one
+   [eval_stats] stays the per-evaluator source of truth for the report.
+   The telemetry layer adds *global* counters in the ambient registry (one
    atomic add per already-counted event, gated on one atomic load) plus
    per-aggregate-instance counters that back EXPLAIN: how each instance's
    probes were actually answered — prefix-aggregate lookups, enumerations,
@@ -100,19 +99,15 @@ type t = {
     contributor_rands:(int -> int) array ->
     acc:Combine.Acc.t ->
     unit;
-  stats : eval_stats;
-}
-
-(* [prepare] opens a tick over the unit array for every member.  [delta]
-   describes what changed since the previous [prepare]'s unit array;
-   [None] (or a structural delta) forces a cold rebuild of every cached
-   structure.  [cols] is the columnar mirror of the units when the caller
-   maintains one — index builds then scan contiguous typed columns instead
-   of boxed rows.  Purely an access-path hint: results are bit-identical
-   with or without it. *)
-type family = {
-  members : t array;
+  (* Open a tick over the unit array.  [delta] describes what changed
+     since the previous [prepare]'s unit array; [None] (or a structural
+     delta) forces a cold rebuild of every cached structure.  [cols] is
+     the columnar mirror of the units when the caller maintains one —
+     index builds then scan contiguous typed columns instead of boxed
+     rows.  Purely an access-path hint: results are bit-identical with or
+     without it. *)
   prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
+  stats : eval_stats;
 }
 
 let dummy_rand (_ : int) = 0
@@ -120,9 +115,9 @@ let dummy_rand (_ : int) = 0
 (* ------------------------------------------------------------------ *)
 (* Naive evaluator *)
 
-let naive_core ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
-    ~(units : Tuple.t array ref) ~(stats : eval_stats) : t =
+let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : t =
   let tels = agg_tels aggregates in
+  let units = ref [||] and stats = fresh_stats () in
   {
     name = "naive";
     eval_agg =
@@ -156,14 +151,8 @@ let naive_core ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
                 end)
               !units)
           contributors);
-    stats;
-  }
-
-let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : family =
-  let units = ref [||] in
-  {
-    members = [| naive_core ~schema ~aggregates ~units ~stats:(fresh_stats ()) |];
     prepare = (fun ?delta:_ ?cols:_ e -> units := e);
+    stats;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -343,14 +332,9 @@ let build_index ?(epoch = 0) ?cols (st : eval_stats) ~(group : group) ~(data : T
   count_build st t0;
   { data; epoch; group; cat; cols }
 
-(* The [memoize] flag on the [ensure_*] builders: when false, a missing
-   structure is built and returned but NOT stored in [sub].  Members of a
-   shared-index family run with [memoize:false] so that — should the eager
-   [prebuild] pass ever miss a structure — two domains can never race on
-   the [sub_index] fields; they only ever read them.  Sequential
-   evaluators (and call-local indexes like the AoE contributor index) pass
-   [memoize:true] and keep the original caching behaviour. *)
-let ensure_geometry ~(memoize : bool) st (bi : built_index) ~(ex : int) ~(ey : int)
+(* The [ensure_*] functions return a partition's sub-structure, building
+   and storing it in [sub] on first use. *)
+let ensure_geometry st (bi : built_index) ~(ex : int) ~(ey : int)
     (sub : sub_index) : Geometry.t =
   match List.assoc_opt (ex, ey) sub.geoms with
   | Some g -> g
@@ -358,18 +342,18 @@ let ensure_geometry ~(memoize : bool) st (bi : built_index) ~(ex : int) ~(ey : i
     let t0 = Timer.now () in
     let coord attr = gather_column bi (Expr.EAttr attr) sub.members in
     let g = Geometry.make ~x:(coord ex) ~y:(coord ey) in
-    if memoize then sub.geoms <- ((ex, ey), g) :: sub.geoms;
+    sub.geoms <- ((ex, ey), g) :: sub.geoms;
     st.build_seconds <- st.build_seconds +. (Timer.now () -. t0);
     g
 
-let ensure_divisible ~(memoize : bool) st (bi : built_index) (sub : sub_index) : div_struct =
+let ensure_divisible st (bi : built_index) (sub : sub_index) : div_struct =
   match sub.divisible with
   | Some d -> d
   | None ->
     (* fetched before the clock starts: the geometry times itself *)
     let geometry =
       match bi.group.box_attrs with
-      | [ ax; ay ] -> Some (ensure_geometry ~memoize st bi ~ex:ax ~ey:ay sub)
+      | [ ax; ay ] -> Some (ensure_geometry st bi ~ex:ax ~ey:ay sub)
       | _ -> None
     in
     let t0 = Timer.now () in
@@ -393,11 +377,11 @@ let ensure_divisible ~(memoize : bool) st (bi : built_index) (sub : sub_index) :
         let coord attr = gather_column bi (Expr.EAttr attr) members in
         Div_range (Range_tree.build ~dims:(List.map coord attrs) ~stats:(Some stats) ~m n)
     in
-    if memoize then sub.divisible <- Some d;
+    sub.divisible <- Some d;
     count_build st t0;
     d
 
-let ensure_enum_tree ~(memoize : bool) st (bi : built_index) (sub : sub_index) : Range_tree.t =
+let ensure_enum_tree st (bi : built_index) (sub : sub_index) : Range_tree.t =
   match sub.enum_tree with
   | Some t -> t
   | None ->
@@ -409,19 +393,18 @@ let ensure_enum_tree ~(memoize : bool) st (bi : built_index) (sub : sub_index) :
       | attrs -> List.map (fun a -> gather_column bi (Expr.EAttr a) sub.members) attrs
     in
     let t = Range_tree.build ~dims ~stats:None ~m:0 n in
-    if memoize then sub.enum_tree <- Some t;
+    sub.enum_tree <- Some t;
     count_build st t0;
     t
 
-let ensure_kd ~(memoize : bool) st (bi : built_index) ~(ex : int) ~(ey : int) (sub : sub_index) :
-    Kd_tree.t =
+let ensure_kd st (bi : built_index) ~(ex : int) ~(ey : int) (sub : sub_index) : Kd_tree.t =
   match List.assoc_opt (ex, ey) sub.kds with
   | Some t -> t
   | None ->
-    let g = ensure_geometry ~memoize st bi ~ex ~ey sub in
+    let g = ensure_geometry st bi ~ex ~ey sub in
     let t0 = Timer.now () in
     let t = Kd_tree.build g sub.members in
-    if memoize then sub.kds <- ((ex, ey), t) :: sub.kds;
+    sub.kds <- ((ex, ey), t) :: sub.kds;
     count_build st t0;
     t
 
@@ -616,7 +599,7 @@ let finish_components ~(agg : Aggregate.t) ~(row : Tuple.t) ~(rand : int -> int)
   | _ ->
     raise (Aggregate.Aggregate_error (Fmt.str "aggregate %s has invalid arity" agg.Aggregate.name))
 
-let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Agg_plan.strategy)
+let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
     ~(agg : Aggregate.t) ~(membership : membership) ~(bi : built_index)
     ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
   match strategy with
@@ -631,7 +614,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
     let swept =
       match (sweep, components) with
       | Some info, [ Agg_plan.C_extremal { kind } ] ->
-        Some (sweep_batch st ~tel ~memoize ~probe ~bi ~info ~kind ~rows ~rands)
+        Some (sweep_batch st ~tel ~probe ~bi ~info ~kind ~rows ~rands)
       | _ -> None
     in
     (* per divisible component, its own statistics out of the group's columns *)
@@ -658,13 +641,13 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
               match comp with
               | Agg_plan.C_divisible { kind; stat_offset; stat_count } ->
                 if enumerate then
-                  eval_enum_component st ~tel ~memoize ~bi ~access ~row ~rand ~parts ~box kind
+                  eval_enum_component st ~tel ~bi ~access ~row ~rand ~parts ~box kind
                 else begin
                   (* each partition is summed on its own, then added in *)
                   Array.fill total 0 n_stats 0.;
                   List.iter
                     (fun sub ->
-                      let d = ensure_divisible ~memoize st bi sub in
+                      let d = ensure_divisible st bi sub in
                       count_probes st tel 1;
                       match d with
                       | Div_total t ->
@@ -686,10 +669,10 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
                   Telemetry.Counter.incr tel.tel_sweep;
                   if best_id.(i) < 0 then None
                   else finish_extremal ~bi ~row ~rand kind best_value.(i) best_id.(i)
-                | None -> eval_enum_component st ~tel ~memoize ~bi ~access ~row ~rand ~parts ~box kind
+                | None -> eval_enum_component st ~tel ~bi ~access ~row ~rand ~parts ~box kind
               end
               | Agg_plan.C_nearest { kind } ->
-                eval_nearest st ~tel ~memoize ~bi ~access ~box ~row ~rand ~parts kind)
+                eval_nearest st ~tel ~bi ~access ~box ~row ~rand ~parts kind)
             components mine
         in
         finish_components ~agg ~row ~rand per_component)
@@ -700,7 +683,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(memoize : bool) ~(strategy : Ag
    partitions, ties toward the smaller id as the naive scan breaks them.
    Per row: the best data id (-1: none), its value, and the accepted
    partitions. *)
-and sweep_batch st ~(tel : agg_tel) ~(memoize : bool) ~(probe : probe) ~(bi : built_index)
+and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
     ~(info : Agg_plan.sweep_info) ~(kind : Aggregate.kind) ~(rows : Tuple.t array)
     ~(rands : (int -> int) array) : int array * float array * sub_index list array =
   let maximize =
@@ -723,9 +706,7 @@ and sweep_batch st ~(tel : agg_tel) ~(memoize : bool) ~(probe : probe) ~(bi : bu
       | None -> ()
       | Some sub ->
         let members = sub.members in
-        let g =
-          ensure_geometry ~memoize st bi ~ex:info.Agg_plan.x_data ~ey:info.Agg_plan.y_data sub
-        in
+        let g = ensure_geometry st bi ~ex:info.Agg_plan.x_data ~ey:info.Agg_plan.y_data sub in
         let value = gather_column bi objective members in
         let nq =
           Array.fold_left (fun n parts -> if List.memq sub parts then n + 1 else n) 0 row_parts
@@ -764,7 +745,7 @@ and sweep_batch st ~(tel : agg_tel) ~(memoize : bool) ~(probe : probe) ~(bi : bu
 
 (* Nearest neighbour per accepted partition's kD-tree; the partitions'
    answers fold toward the smaller (distance, id). *)
-and eval_nearest st ~(tel : agg_tel) ~(memoize : bool) ~(bi : built_index)
+and eval_nearest st ~(tel : agg_tel) ~(bi : built_index)
     ~(access : Agg_plan.access) ~(box : Interval.box) ~(row : Tuple.t) ~(rand : int -> int)
     ~(parts : sub_index list) (kind : Aggregate.kind) : Value.t option =
   match kind with
@@ -789,7 +770,7 @@ and eval_nearest st ~(tel : agg_tel) ~(memoize : bool) ~(bi : built_index)
     let best =
       List.fold_left
         (fun best sub ->
-          let kd = ensure_kd ~memoize st bi ~ex:exa ~ey:eya sub in
+          let kd = ensure_kd st bi ~ex:exa ~ey:eya sub in
           count_probes st tel 1;
           match Kd_tree.nearest ?filter kd ~qx ~qy with
           | None -> best
@@ -808,14 +789,14 @@ and eval_nearest st ~(tel : agg_tel) ~(memoize : bool) ~(bi : built_index)
 
 (* Enumeration path: report the box contents, filter residuals, and fall
    back to the one-component naive evaluation over the candidates. *)
-and eval_enum_component st ~(tel : agg_tel) ~(memoize : bool) ~(bi : built_index)
+and eval_enum_component st ~(tel : agg_tel) ~(bi : built_index)
     ~(access : Agg_plan.access) ~(row : Tuple.t) ~(rand : int -> int) ~(parts : sub_index list)
     ~(box : Interval.box) (kind : Aggregate.kind) : Value.t option =
   let candidates = Varray.create 0 in
   let box = if bi.group.box_attrs = [] then whole_slab else box in
   List.iter
     (fun sub ->
-      let tree = ensure_enum_tree ~memoize st bi sub in
+      let tree = ensure_enum_tree st bi sub in
       count_probes st tel 1;
       Range_tree.query_enum tree box (fun k -> Varray.push candidates sub.members.(k)))
     parts;
@@ -854,12 +835,10 @@ let eval_uniform st ~(tel : agg_tel) ~(agg : Aggregate.t) ~(units : Tuple.t arra
 (* ------------------------------------------------------------------ *)
 (* The indexed evaluator *)
 
-(* Construction state shared by every member of an [indexed] family: one
-   per-tick index cache, so the parallel decision phase probes one set of
-   indexes from every domain. *)
+(* Construction state of an [indexed] evaluator: the instance -> group
+   assignment and the per-tick index cache. *)
 type indexed_ctx = {
   ctx_schema : Schema.t;
-  ctx_aggregates : Aggregate.t array;
   strategies : Agg_plan.strategy array;
   memberships : membership option array;
   ctx_units : Tuple.t array ref;
@@ -915,7 +894,6 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
   in
   {
     ctx_schema = schema;
-    ctx_aggregates = aggregates;
     strategies;
     memberships;
     ctx_units = ref [||];
@@ -940,8 +918,7 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
      unit (its inputs may be dirty elsewhere, but not here).  A partition's
      geometry follows the same rule over its two coordinates: kept, it
      would hand a rebuilt tree last tick's positions;
-   - everything else is dropped and rebuilt lazily (sequential) or by the
-     family's eager prebuild (parallel).
+   - everything else is dropped and rebuilt lazily, on first probe.
 
    Structural deltas (death, resurrection, reordering) invalidate
    everything: data ids are positional. *)
@@ -1015,7 +992,7 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
     true
   end
 
-(* Open a tick on a shared context: bump the epoch, publish the unit
+(* Open a tick on a context: bump the epoch, publish the unit
    array, and either revalidate the cache against the delta or drop it
    cold.  Structures that survive keep their epoch current; everything
    else reads as a miss. *)
@@ -1041,31 +1018,23 @@ let open_tick (ctx : indexed_ctx) (st : eval_stats) ?(delta : Delta.t option)
     in
     List.iter (Hashtbl.remove ctx.cache) stale
 
-(* Look a membership's group index up in the shared cache.  The returned
-   flag is true when the index had to be built *call-locally* (cache miss
-   with memoization off): such an index is private to the caller, so the
-   caller may memoize sub-structures on it even from a worker domain.
+(* Look a membership's group index up in the cache, building it on a miss.
    Entries from an earlier epoch are misses: a quarantine retry or a
    degraded re-run must never probe a structure [open_tick] has not
    revalidated for the current unit array. *)
-let group_index (ctx : indexed_ctx) (st : eval_stats) ~(memoize : bool) (m : membership) :
-    built_index * bool =
+let group_index (ctx : indexed_ctx) (st : eval_stats) (m : membership) : built_index =
   match Hashtbl.find_opt ctx.cache m.group.group_id with
-  | Some bi when bi.epoch = ctx.epoch -> (bi, false)
+  | Some bi when bi.epoch = ctx.epoch -> bi
   | Some _ | None ->
     let bi = build_index ~epoch:ctx.epoch ?cols:!(ctx.ctx_cols) st ~group:m.group ~data:!(ctx.ctx_units) in
-    if memoize then Hashtbl.replace ctx.cache m.group.group_id bi;
-    (bi, not memoize)
+    Hashtbl.replace ctx.cache m.group.group_id bi;
+    bi
 
-(* One evaluator over a (possibly shared) context.  With [memoize:false]
-   the evaluator never writes into shared index state: cache misses build
-   call-local structures instead.  Family members run with [memoize:false]
-   so every shared structure they touch was published by [prebuild] before
-   the domains forked. *)
-let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(memoize : bool) :
-    t =
-  let schema = ctx.ctx_schema in
-  let aggregates = ctx.ctx_aggregates in
+(* The indexed evaluator over a fresh context.  Structures are built lazily,
+   on first probe, and kept in the cross-tick cache. *)
+let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array) () : t =
+  let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
+  let stats = fresh_stats () in
   let units = ctx.ctx_units in
   let tels = agg_tels aggregates in
   let eval_agg ~agg_id ~rows ~rands =
@@ -1087,9 +1056,8 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(
         rows
     | Agg_plan.Indexed _ as strategy ->
       let membership = Option.get ctx.memberships.(agg_id) in
-      let bi, local = group_index ctx stats ~memoize membership in
-      eval_indexed_batch stats ~tel ~memoize:(memoize || local) ~strategy ~agg ~membership ~bi
-        ~rows ~rands
+      let bi = group_index ctx stats membership in
+      eval_indexed_batch stats ~tel ~strategy ~agg ~membership ~bi ~rows ~rands
   in
   (* Area-of-effect combination (Section 5.4): swap the roles of u and e so
      contributors become the data set and affected units the probers, then
@@ -1199,9 +1167,7 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(
                 (eval_uniform stats ~tel:aoe_tel ~agg ~units:contributors ~rows:probers
                    ~rands:prands)
             | Agg_plan.Indexed { access; stats_exprs; _ } ->
-              (* a fresh single-instance group over the contributor set;
-                 the index is call-local, so memoizing on it is safe from
-                 any domain *)
+              (* a fresh single-instance group over the contributor set *)
               let cat_attrs, box_attrs, data_filter = group_signature access in
               let g =
                 { group_id = -1; cat_attrs; box_attrs; data_filter; stats_exprs = []; n_stats = 0;
@@ -1210,96 +1176,19 @@ let indexed_member (ctx : indexed_ctx) ~(name : string) ~(stats : eval_stats) ~(
               let membership = join_group g stats_exprs in
               let bi = build_index stats ~group:g ~data:contributors in
               contribute
-                (eval_indexed_batch stats ~tel:aoe_tel ~memoize:true ~strategy ~agg ~membership
-                   ~bi ~rows:probers ~rands:prands))
+                (eval_indexed_batch stats ~tel:aoe_tel ~strategy ~agg ~membership ~bi
+                   ~rows:probers ~rands:prands))
           plans
       end
     end
   in
-  { name; eval_agg; apply_aoe; stats }
-
-(* ------------------------------------------------------------------ *)
-(* Families: the parallel decision phase's snapshot discipline *)
-
-(* Force every index structure any member could reach this tick, so that
-   once the domains fork the shared context is read-only.  Mirrors the
-   reachability analysis in [eval_indexed_batch]: group indexes and their
-   categorical partitions always; per-partition divisible / enumeration /
-   kD structures according to the strategy's components (the single-sweep
-   extremal case runs the sweep-line per batch, over the partition's
-   geometry, and builds no other per-partition structure). *)
-let prebuild (ctx : indexed_ctx) (st : eval_stats) : unit =
-  Array.iteri
-    (fun agg_id m_opt ->
-      match m_opt with
-      | None -> ()
-      | Some m -> begin
-        match ctx.strategies.(agg_id) with
-        | Agg_plan.Uniform | Agg_plan.Naive_only _ -> ()
-        | Agg_plan.Indexed { components; sweep; enumerate; _ } ->
-          let bi, _ = group_index ctx st ~memoize:true m in
-          let single_sweep =
-            match (sweep, components) with
-            | Some info, [ Agg_plan.C_extremal _ ] -> Some info
-            | _ -> None
-          in
-          List.iter
-            (fun key ->
-              match Cat_index.find bi.cat key with
-              | None -> ()
-              | Some sub ->
-                Option.iter
-                  (fun (info : Agg_plan.sweep_info) ->
-                    ignore
-                      (ensure_geometry ~memoize:true st bi ~ex:info.Agg_plan.x_data
-                         ~ey:info.Agg_plan.y_data sub))
-                  single_sweep;
-                List.iter
-                  (fun comp ->
-                    match comp with
-                    | Agg_plan.C_divisible _ ->
-                      if enumerate then ignore (ensure_enum_tree ~memoize:true st bi sub)
-                      else ignore (ensure_divisible ~memoize:true st bi sub)
-                    | Agg_plan.C_extremal _ ->
-                      if Option.is_none single_sweep then
-                        ignore (ensure_enum_tree ~memoize:true st bi sub)
-                    | Agg_plan.C_nearest { kind } -> begin
-                      match kind with
-                      | Aggregate.Nearest { ex = Expr.EAttr exa; ey = Expr.EAttr eya; _ } ->
-                        ignore (ensure_kd ~memoize:true st bi ~ex:exa ~ey:eya sub)
-                      | _ -> ()
-                    end)
-                  components)
-            (Cat_index.partition_keys bi.cat)
-      end)
-    ctx.memberships
-
-(* The indexed evaluator as a family of [chunks] members over one shared
-   per-tick index cache.  A single member never has two domains over the
-   context at once, so it memoizes lazily and [prepare] only opens the
-   tick.  Several members may run concurrently: they are built
-   memoization-free, and [prepare] publishes every structure they could
-   reach before the domains fork. *)
-let indexed ?(share = true) ?(chunks = 1) ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
-    () : family =
-  let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
-  if chunks <= 1 then begin
-    let stats = fresh_stats () in
-    { members = [| indexed_member ctx ~name:"indexed" ~stats ~memoize:true |];
-      prepare = (fun ?delta ?cols units -> open_tick ctx stats ?delta ?cols units) }
-  end
-  else begin
-    let members =
-      Array.init chunks (fun i ->
-          indexed_member ctx ~name:(Printf.sprintf "indexed#%d" i) ~stats:(fresh_stats ())
-            ~memoize:false)
-    in
-    let prepare ?delta ?cols units =
-      open_tick ctx members.(0).stats ?delta ?cols units;
-      prebuild ctx members.(0).stats
-    in
-    { members; prepare }
-  end
+  {
+    name = "indexed";
+    eval_agg;
+    apply_aoe;
+    prepare = (fun ?delta ?cols units -> open_tick ctx stats ?delta ?cols units);
+    stats;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN: the compiled per-instance plan annotated with live counters.
@@ -1397,16 +1286,3 @@ let explain ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
     (Telemetry.Counter.value tel_naive_scan);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
-
-let family_stats (fam : family) : eval_stats =
-  let out = fresh_stats () in
-  Array.iter
-    (fun m ->
-      out.index_builds <- out.index_builds + m.stats.index_builds;
-      out.index_probes <- out.index_probes + m.stats.index_probes;
-      out.naive_scans <- out.naive_scans + m.stats.naive_scans;
-      out.uniform_hits <- out.uniform_hits + m.stats.uniform_hits;
-      out.index_reuses <- out.index_reuses + m.stats.index_reuses;
-      out.build_seconds <- out.build_seconds +. m.stats.build_seconds)
-    fam.members;
-  out

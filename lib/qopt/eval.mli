@@ -15,6 +15,18 @@ type eval_stats = {
   mutable build_seconds : float;
 }
 
+(** An aggregate evaluator.  [prepare ?delta ?cols units] opens a tick
+    over [units] and must run before any query of that tick.
+
+    [delta] summarises what changed since the previous [prepare]'s unit
+    array; when present and non-structural, the indexed evaluator
+    revalidates cached structures against it instead of dropping them.
+    Omitting [delta] is always sound: the cache goes cold and everything
+    rebuilds.  [cols], when given, is a columnar mirror of [units] (same
+    rows, same order): index builds then scan contiguous typed columns
+    instead of boxed rows.  It is purely an access-path hint — results are
+    bit-identical with or without it, and a mirror that does not cover
+    [units] is ignored. *)
 type t = {
   name : string;
   eval_agg : agg_id:int -> rows:Tuple.t array -> rands:(int -> int) array -> Value.t array;
@@ -25,56 +37,23 @@ type t = {
     contributor_rands:(int -> int) array ->
     acc:Combine.Acc.t ->
     unit;
-  stats : eval_stats;
-}
-
-(** Evaluators over one unit array, one member per chunk of it.  Members
-    answer queries; [prepare ?delta ?cols units] opens the tick for all of
-    them and must run on the coordinating domain before any member does.
-
-    [delta] summarises what changed since the previous [prepare]'s unit
-    array; when present and non-structural, the indexed evaluators
-    revalidate cached structures against it instead of dropping them.
-    Omitting [delta] is always sound: the cache goes cold and everything
-    rebuilds.  [cols], when given, is a columnar mirror of [units] (same
-    rows, same order): index builds then scan contiguous typed columns
-    instead of boxed rows.  It is purely an access-path hint — results are
-    bit-identical with or without it, and a mirror that does not cover
-    [units] is ignored. *)
-type family = {
-  members : t array;
   prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
+  stats : eval_stats;
 }
 
 val fresh_stats : unit -> eval_stats
 
-(** The naive scanner: a one-member family. *)
-val naive : schema:Schema.t -> aggregates:Aggregate.t array -> family
+(** The naive scanner. *)
+val naive : schema:Schema.t -> aggregates:Aggregate.t array -> t
 
-(** [indexed ?share ?chunks ~schema ~aggregates ()] builds the Section
-    5.3/5.4 evaluator as a family of [chunks] (default 1) members over one
-    shared per-tick index cache.  With [share] (the default), instances
-    whose access paths agree share one index group — Section 6's "all
-    divisible queries share the same range tree"; [~share:false] gives
-    every instance private trees (the ablation baseline).
-
-    A one-member family builds structures lazily, on first probe.  With
-    several members, each safe to drive from its own domain after
-    [prepare], [prepare] eagerly builds every index structure any member
-    could reach (group indexes, categorical partitions, divisible /
-    enumeration / kD sub-structures), so the members' queries never write
-    shared state; they are constructed memoization-free, so a structure
-    somehow missed is rebuilt call-locally rather than raced on. *)
+(** [indexed ?share ~schema ~aggregates ()] builds the Section 5.3/5.4
+    evaluator over a per-tick index cache.  With [share] (the default),
+    instances whose access paths agree share one index group — Section 6's
+    "all divisible queries share the same range tree"; [~share:false]
+    gives every instance private trees (the ablation baseline).  Index
+    structures are built lazily, on first probe. *)
 val indexed :
-  ?share:bool ->
-  ?chunks:int ->
-  schema:Schema.t ->
-  aggregates:Aggregate.t array ->
-  unit ->
-  family
-
-(** Counter totals across every member (for reporting). *)
-val family_stats : family -> eval_stats
+  ?share:bool -> schema:Schema.t -> aggregates:Aggregate.t array -> unit -> t
 
 (** [explain ~schema ~aggregates ()] renders the compiled plan of every
     aggregate instance — chosen strategy, index group, access path —

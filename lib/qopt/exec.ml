@@ -147,8 +147,7 @@ let run_plan ~(schema : Schema.t) ~(evaluator : Eval.t) ~(find_key : int -> Tupl
 
 (* The tick's key table: every unit addressable by key for [Core_ir.Key]
    targets.  Built once per tick, and only when some plan has such a
-   target; read-only afterwards, so worker domains may probe it
-   concurrently. *)
+   target. *)
 let key_table (c : compiled) (units : Tuple.t array) : int -> Tuple.t option =
   if not c.keyed then fun _ -> None
   else begin
@@ -236,54 +235,17 @@ let run_group ?kernels ?cols (c : compiled) ~(schema : Schema.t) ~(evaluator : E
       (Group_failed { gf_script = g.script; gf_exn = e; gf_backtrace = bt })
       bt
 
-(* Run a full decision+action pass: each group's script over its members.
-   Returns the combined effects of the tick, ready for post-processing.
-   [delta] (what changed since the previous tick's unit array) is passed
-   straight to [evaluator.prepare], which may use it to keep cached index
-   structures warm; omitting it only costs rebuilds, never correctness.
-
-   A one-member family runs every group on the calling domain into one
-   accumulator.  With more members the unit array is cut into one
-   contiguous chunk per member; chunk [k] evaluates the intersection of
-   every group with its range (on lane [k mod lanes] of [pool], when
-   given), probing the read-only snapshot [prepare] just published, into a
-   private accumulator.  The per-chunk bags are folded left-to-right with
-   the accumulator-level (+), whose associativity and commutativity make
-   the merged result independent of how units were chunked on integral
-   workloads. *)
-let run_tick ?delta ?cols ?pool ?kernels (c : compiled) ~(evaluator : Eval.family)
-    ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
-    Combine.Acc.t =
+(* Run a full decision+action pass: each group's script over its members,
+   on the calling domain, into one accumulator.  Returns the combined
+   effects of the tick, ready for post-processing.  [delta] (what changed
+   since the previous tick's unit array) is passed straight to
+   [evaluator.prepare], which may use it to keep cached index structures
+   warm; omitting it only costs rebuilds, never correctness. *)
+let run_tick ?delta ?cols ?kernels (c : compiled) ~(evaluator : Eval.t) ~(units : Tuple.t array)
+    ~(groups : group list) ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
   let schema = c.prog.Core_ir.schema in
   evaluator.Eval.prepare ?delta ?cols units;
   let find_key = key_table c units in
-  let run_groups evaluator acc groups =
-    List.iter (run_group ?kernels ?cols c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups
-  in
-  match evaluator.Eval.members with
-  | [| member |] ->
-    let acc = Combine.Acc.create schema in
-    run_groups member acc groups;
-    acc
-  | members ->
-    let chunks = Array.length members in
-    let ranges = Sgl_util.Domain_pool.chunk_ranges ~n:(Array.length units) ~chunks in
-    let run_chunk k =
-      let lo, hi = ranges.(k) in
-      let acc = Combine.Acc.create schema in
-      (* Group membership need not be sorted: filter, don't slice. *)
-      List.filter_map
-        (fun g ->
-          match List.filter (fun i -> lo <= i && i < hi) (Array.to_list g.members) with
-          | [] -> None
-          | mine -> Some { g with members = Array.of_list mine })
-        groups
-      |> run_groups members.(k) acc;
-      acc
-    in
-    let map =
-      match pool with Some pool -> Sgl_util.Domain_pool.parallel_map pool | None -> Array.map
-    in
-    let out = Combine.Acc.create schema in
-    Array.iter (Combine.Acc.merge_into ~dst:out) (map run_chunk (Array.init chunks Fun.id));
-    out
+  let acc = Combine.Acc.create schema in
+  List.iter (run_group ?kernels ?cols c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
+  acc

@@ -77,14 +77,7 @@ exception Group_failed of group_fault
     the kernels (float binds become column loads).  Purely an access-path
     hint — ticks are bit-identical with or without it.
 
-    The chunk count is the number of [evaluator] members.  One member runs
-    every group on the calling domain.  With more, the unit array is split
-    into one contiguous chunk per member, each chunk evaluated against the
-    snapshot [prepare] published — fanned out over [pool] when given — and
-    the per-chunk effect bags folded with the combination operator (+).
-    Because (+) is associative and commutative and the chunking is a pure
-    function of [units], the result is independent of the chunk count and
-    of domain scheduling on integral workloads.
+    Every group runs on the calling domain into one accumulator.
 
     With [kernels], groups run through their fused kernels instead of plan
     walking: bit-identical to the interpreter with the same evaluator, as
@@ -98,10 +91,9 @@ exception Group_failed of group_fault
 val run_tick :
   ?delta:Delta.t ->
   ?cols:Colstore.t ->
-  ?pool:Sgl_util.Domain_pool.t ->
   ?kernels:fused ->
   compiled ->
-  evaluator:Eval.family ->
+  evaluator:Eval.t ->
   units:Tuple.t array ->
   groups:group list ->
   rand_for:(key:int -> int -> int) ->

@@ -72,7 +72,7 @@ end
 module Compile : sig
   (** Everything a kernel needs at run time beyond the rows themselves.
       The evaluator is a parameter (not baked in at compile time) so one
-      compiled kernel serves every tick, chunk and degraded retry.
+      compiled kernel serves every tick and degraded retry.
       [cols]/[ids] give scalar binds a columnar fast path: when [cols]
       mirrors the tick's unit array and [ids.(i)] is the unit id behind
       working row [i], float-typed [Bind_col] steps load operands straight

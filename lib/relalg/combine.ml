@@ -141,21 +141,4 @@ module Acc = struct
       if t.touched.(i) then out := i :: !out
     done;
     !out
-
-  let tel_merge_ops = Sgl_util.Telemetry.counter "combine.merge_ops"
-
-  (* Fold every group of [src] into [dst], in [src]'s insertion order.
-     Each accumulated row is itself a combined contribution, so merging
-     with [add] is exactly (+) — associativity and commutativity of the
-     per-tag folds make the result independent of how contributions were
-     partitioned across accumulators (the fact the parallel decision phase
-     rests on; test_laws pins it on random partitions). *)
-  let merge_into ~(dst : t) (src : t) : unit =
-    Sgl_util.Telemetry.Counter.add tel_merge_ops (cardinality src);
-    (* [add] conservatively marks every effect attribute; restore the
-       union of the two exact touched sets afterwards so the merged bag
-       reports no more than its parts did. *)
-    let saved = Array.copy dst.touched in
-    iter (add dst) src;
-    Array.iteri (fun i v -> dst.touched.(i) <- v || src.touched.(i)) saved
 end

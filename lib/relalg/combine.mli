@@ -22,13 +22,6 @@ module Acc : sig
       on the group's first touch. *)
   val add_attr : t -> base:Tuple.t -> key:int -> int -> Value.t -> unit
 
-  (** [merge_into ~dst src] folds every group of [src] into [dst]: the
-      accumulator-level (+).  Because the per-tag folds are associative and
-      commutative, folding per-partition accumulators in any order equals
-      accumulating every contribution into one — the algebraic fact the
-      parallel decision phase's chunk merge rests on. *)
-  val merge_into : dst:t -> t -> unit
-
   val find_opt : t -> int -> Tuple.t option
   val to_relation : t -> Relation.t
   val iter : (Tuple.t -> unit) -> t -> unit

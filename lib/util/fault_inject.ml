@@ -2,14 +2,14 @@
 
    Recovery code that is only exercised by real production failures is
    untested code.  This module lets the engine compile *named injection
-   points* into its hot paths (e.g. "exec.group", "pool.lane"); a point is
+   points* into its hot paths (e.g. "exec.group", "index.build"); a point is
    inert until armed with a firing spec, and an armed point raises
    [Injected] deterministically — by seeded probability or at an exact call
    count — so every fault-handling path is reproducible from a seed.
 
    The fast path is a single atomic load of an immutable array: with no
    point armed, [hit] costs one load and one length test.  Points may fire
-   from worker domains, so per-point call counters are atomics and the
+   from any thread, so per-point call counters are atomics and the
    armed set is published as a whole (arm/reset must not race with a
    running simulation; fire counts are then exact). *)
 
@@ -31,7 +31,7 @@ let () =
 let points =
   [
     "eval.member"; "exec.group"; "fused.kernel"; "index.build"; "io.checkpoint.write";
-    "io.journal.append"; "io.restore.read"; "pool.lane"; "post.apply";
+    "io.journal.append"; "io.restore.read"; "post.apply";
   ]
 
 type point = {

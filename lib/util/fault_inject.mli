@@ -26,7 +26,6 @@ exception Injected of { point : string; count : int }
     ["io.checkpoint.write"] (per section of a checkpoint being written),
     ["io.journal.append"] (per journal record appended),
     ["io.restore.read"] (per persisted file opened during recovery),
-    ["pool.lane"] (per domain-pool lane, per fan-out),
     ["post.apply"] (the post-processing query). *)
 val points : string list
 

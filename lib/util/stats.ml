@@ -100,7 +100,7 @@ let percentile t q =
     else Float.min t.max (Float.max t.min (representative !idx))
   end
 
-(* Chan et al.'s parallel Welford combination: merging per-lane
+(* Chan et al.'s parallel Welford combination: merging per-shard
    accumulators gives the same mean/M2 as folding every sample into one
    (up to float rounding), independent of how samples were partitioned.
    The qcheck merge-order-invariance law pins that. *)

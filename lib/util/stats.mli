@@ -33,7 +33,7 @@ val reset : t -> unit
     been [add]ed individually (Chan et al.'s parallel Welford update, so
     the result is independent of how samples were partitioned across
     accumulators, up to float rounding).  [src] is unchanged.  Used to
-    aggregate per-lane telemetry histograms. *)
+    aggregate per-shard telemetry histograms. *)
 val merge : into:t -> t -> unit
 
 val copy : t -> t

@@ -1,11 +1,11 @@
 (* Unified telemetry: a metrics registry and a span tracer.
 
-   The engine's performance-critical subsystems (parallel decision phase,
+   The engine's performance-critical subsystems (index builds and probes,
    transactional ticks, incremental index cache) record what they do
    through this module, the way a query processor keeps runtime statistics
    behind EXPLAIN ANALYZE:
 
-   - a *registry* of named metrics — atomic counters (worker lanes record
+   - a *registry* of named metrics — atomic counters (any thread records
      without locks), gauges, and histograms backed by sharded Welford
      accumulators ({!Stats}) merged on read;
    - a *span tracer* that buffers (name, thread, start, duration) tuples
@@ -21,7 +21,7 @@
    differential suite pins that.
 
    Registries are first-class: the global {!default} registry carries the
-   process-wide hot-path metrics (eval.*, exec.*, pool.*, combine.*, and
+   process-wide hot-path metrics (eval.*, exec.*, fused.*, and
    the per-aggregate agg.* counters behind EXPLAIN), while a simulation
    owns a private always-on registry for its report counters, so
    concurrent simulations never share state. *)
@@ -34,7 +34,7 @@ type counter = { c_name : string; c_cell : int Atomic.t; c_on : bool Atomic.t }
 
 type gauge = { g_name : string; g_cell : float Atomic.t; g_on : bool Atomic.t }
 
-(* Histograms shard by domain id so concurrent lanes hit distinct
+(* Histograms shard by domain id so concurrent recorders hit distinct
    mutexes; [snapshot] merges the shards with [Stats.merge], which is
    partition-independent by construction. *)
 let histogram_shards = 8
@@ -258,7 +258,7 @@ module Registry = struct
 end
 
 (* The process-wide ambient registry: hot-path metrics from the
-   evaluator, executor, pool and combiner land here.  Disabled until a
+   evaluator and executor land here.  Disabled until a
    tool (--metrics, --explain, the bench telemetry section) opts in. *)
 let default : Registry.t = Registry.create ()
 
@@ -281,7 +281,7 @@ module Span = struct
     ev_dur_ns : int64; (* -1 for instant events *)
   }
 
-  (* One process-wide tracer.  Spans are pushed from worker domains, so
+  (* One process-wide tracer.  Spans may be pushed from any thread, so
      the buffer is mutex-protected; the cost only exists while tracing
      (the disabled path is the atomic load in [with_]). *)
   let on : bool Atomic.t = Atomic.make false

@@ -2,7 +2,7 @@
 
     Metrics and spans are inert until enabled; the disabled fast path is a
     single atomic load per call site (the {!Fault_inject} pattern).
-    Counters are atomics, so domain-pool lanes record without locks;
+    Counters are atomics, so any thread records without locks;
     histograms shard per domain and merge through {!Stats.merge} on read.
     Telemetry never feeds back into simulation state: unit states are
     bit-identical with telemetry on, off, or under EXPLAIN.
@@ -51,7 +51,7 @@ module Histogram : sig
   val name : histogram -> string
 
   (** Folds into the shard owned by the calling domain (per-shard mutex,
-      so lanes rarely contend). *)
+      so recorders rarely contend). *)
   val observe : histogram -> float -> unit
 
   (** Merge every shard ({!Stats.merge}) and summarize. *)
@@ -103,8 +103,8 @@ module Registry : sig
   val write_json : t -> path:string -> unit
 end
 
-(** The process-wide ambient registry: the evaluator, executor, pool and
-    combiner record here.  Disabled by default. *)
+(** The process-wide ambient registry: the evaluator and executor record
+    here.  Disabled by default. *)
 val default : Registry.t
 
 (** Enable/disable {!default}. *)
@@ -124,8 +124,8 @@ val reset : unit -> unit
 (** The span tracer: one process-wide buffer of (name, category, domain,
     start, duration) tuples, dumped in Chrome trace-event format (load at
     chrome://tracing or ui.perfetto.dev).  Each event's [tid] is the
-    recording domain's id, so the parallel decision phase renders one
-    timeline row per lane. *)
+    recording domain's id, so each domain renders as its own timeline
+    row. *)
 module Span : sig
   (** Clear the buffer, stamp the time origin, enable recording. *)
   val start : unit -> unit

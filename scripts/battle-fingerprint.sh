@@ -1,8 +1,8 @@
 #!/bin/sh
 # The reference fingerprint of the paper's battle: 12 000 units, 40 ticks,
-# seed 42.  Every evaluator, domain count and fault policy must end on the
-# same state digest with the same deaths and resurrections; a change that
-# moves any of them changed the simulation, not just its speed.
+# seed 42.  Every evaluator, fault policy and index-cache setting must
+# end on the same state digest with the same deaths and resurrections; a
+# change that moves any of them changed the simulation, not just its speed.
 #
 # Usage: scripts/battle-fingerprint.sh [leg ...]   (default: indexed fused)
 #

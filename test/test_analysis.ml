@@ -483,13 +483,13 @@ let certified_differential () =
   let diags = Effect_race.check ~post_reads:(post_reads schema) prog in
   Alcotest.(check int) "battle program is race-certified" 0
     ((Diagnostic.count diags).Diagnostic.errors);
-  Test_parallel.differential ~ticks:25 ~make_sim:(fun evaluator ->
+  Test_engine.differential ~ticks:25 ~make_sim:(fun evaluator ->
       let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 24) () in
-      Scenario.simulation ~seed:23 ~evaluator scenario)
+      Scenario.simulation ~seed:23 ~evaluator scenario) ()
 
 let conflict_flagged_statically () =
   (* the same check certifying the battle program rejects the seeded
-     conflict — the lint gates before parallel execution, not after *)
+     conflict — the lint gates before execution, not after *)
   let diags = Effect_race.check (const_conflict_program ()) in
   Alcotest.(check bool) "const conflict is rejected" true
     ((Diagnostic.count diags).Diagnostic.errors > 0);

@@ -355,7 +355,7 @@ let test_checkpoint_v1_compat () =
       units;
       quarantined = [ "healer" ];
       counters = [ ("sim.deaths", 5) ];
-      degradations = [ (17, "parallel:4", "indexed") ];
+      degradations = [ (17, "fused", "indexed") ];
     }
   in
   let dir = Filename.temp_file "sgl_ckpt_v1" "" in

@@ -408,6 +408,196 @@ let test_simulation_seed_changes_outcome () =
   in
   Alcotest.(check bool) "different seed, different battle" false (run 1 = run 2)
 
+(* ------------------------------------------------------------------ *)
+(* Differential harness: every evaluator must leave bit-identical unit
+   states.  Exactness of float sums on integer lattices turns "same
+   multiset of contributions" into "same bits". *)
+
+(* Canonical view of a simulation's unit state: sorted by key (unique in
+   every scenario here), compared tuple-by-tuple.  [compare] rather than
+   [(=)] so the check is total even if a NaN ever leaks into a state. *)
+let sorted_units (sim : Simulation.t) : Tuple.t array =
+  let s = Simulation.schema sim in
+  let out = Array.map Tuple.copy (Simulation.units sim) in
+  Array.sort (fun a b -> compare (Tuple.key s a) (Tuple.key s b)) out;
+  out
+
+let check_states ~(msg : string) (expected : Tuple.t array) (got : Tuple.t array) =
+  Alcotest.(check int) (msg ^ ": population") (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun i e ->
+      if compare e got.(i) <> 0 then
+        Alcotest.failf "%s: unit %d diverged@.expected %s@.got      %s" msg i
+          (Fmt.str "%a" Tuple.pp e) (Fmt.str "%a" Tuple.pp got.(i)))
+    expected
+
+(* Run one scenario under [Naive] and each evaluator of [against] (by
+   default every other one) and insist on identical states after [ticks]. *)
+let differential ?(against = [ Simulation.Indexed; Simulation.Fused ]) ~(ticks : int)
+    ~(make_sim : Simulation.evaluator_kind -> Simulation.t) () : unit =
+  let run evaluator =
+    let sim = make_sim evaluator in
+    Simulation.run sim ~ticks;
+    Alcotest.(check int) "tick count" ticks (Simulation.tick_count sim);
+    sorted_units sim
+  in
+  let baseline = run Simulation.Naive in
+  List.iter
+    (fun ev ->
+      check_states ~msg:(Simulation.evaluator_name ev ^ " vs naive") baseline (run ev))
+    against
+
+(* The 60-a-side formation battle of the standard unit mix. *)
+let formation_sim (evaluator : Simulation.evaluator_kind) : Simulation.t =
+  let scenario =
+    Sgl_battle.Scenario.setup ~density:0.02 ~per_side:(Sgl_battle.Scenario.standard_mix 60) ()
+  in
+  Sgl_battle.Scenario.simulation ~seed:11 ~evaluator scenario
+
+(* The frost-mage scenario (Section 2.2's priority-set effects): Pmax
+   combination with overlapping cones from many casters. *)
+let frost_schema () =
+  Schema.create
+    [
+      Schema.attr "key" Value.TInt;
+      Schema.attr "player" Value.TInt;
+      Schema.attr "rank" Value.TInt; (* 0 = grunt, 1 = frost mage, 2 = archmage *)
+      Schema.attr "posx" Value.TFloat;
+      Schema.attr "posy" Value.TFloat;
+      Schema.attr "speed" Value.TFloat;
+      Schema.attr "base_speed" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "movevect_x" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "movevect_y" Value.TFloat;
+      Schema.attr ~tag:Schema.Pmax "setspeed" Value.TVec; (* (priority, value) *)
+    ]
+
+let frost_behaviour =
+  {|
+action ConeOfCold(u) {
+  on all(e.player <> u.player
+         and e.posx >= u.posx - 8.0 and e.posx <= u.posx + 8.0
+         and e.posy >= u.posy - 8.0 and e.posy <= u.posy + 8.0) {
+    setspeed <- (1.0, 0.0);
+  }
+}
+
+action GreaterHaste(u) {
+  on all(e.player <> u.player and e.rank = 0
+         and e.posx >= u.posx - 6.0 and e.posx <= u.posx + 6.0
+         and e.posy >= u.posy - 3.0 and e.posy <= u.posy + 3.0) {
+    setspeed <- (2.0, 3.0);
+  }
+}
+
+action March(u) {
+  on self { movevect_x <- 5; }
+}
+
+script grunt(u) { perform March(u); }
+script frost_mage(u) { perform ConeOfCold(u); }
+script archmage(u) { perform GreaterHaste(u); }
+|}
+
+let frost_mage_sim (evaluator : Simulation.evaluator_kind) : Simulation.t =
+  let schema = frost_schema () in
+  let prog = Sgl_lang.Compile.compile ~schema frost_behaviour in
+  let make ~key ~player ~rank ~x ~y =
+    Tuple.of_list schema
+      [
+        Value.Int key; Value.Int player; Value.Int rank; Value.Float x; Value.Float y;
+        Value.Float 2.; Value.Float 2.; Value.Float 0.; Value.Float 0.;
+        Value.Vec (Vec2.make 0. 0.);
+      ]
+  in
+  (* 60 grunts on an integer lattice marching into a picket line of 14
+     frost mages and 5 archmages with heavily overlapping auras *)
+  let grunts =
+    List.init 60 (fun i ->
+        make ~key:i ~player:0 ~rank:0
+          ~x:(float_of_int (8 + (i mod 6)))
+          ~y:(float_of_int (2 + (2 * (i / 6)))))
+  in
+  let mages =
+    List.init 14 (fun i ->
+        make ~key:(100 + i) ~player:1 ~rank:1 ~x:(float_of_int (18 + (i mod 3)))
+          ~y:(float_of_int (1 + (2 * i / 2))))
+  in
+  let archmages =
+    List.init 5 (fun i ->
+        make ~key:(200 + i) ~player:1 ~rank:2 ~x:17. ~y:(float_of_int (4 + (4 * i))))
+  in
+  let units = Array.of_list (grunts @ mages @ archmages) in
+  let speed = Schema.find schema "speed" and setspeed = Schema.find schema "setspeed" in
+  let base_speed = Schema.find schema "base_speed" in
+  let open Expr in
+  let hit = MinOf (Const (Value.Float 1.), MaxOf (Const (Value.Float 0.), VecX (EAttr setspeed))) in
+  let new_speed =
+    Binop
+      ( Add,
+        Binop (Mul, UAttr base_speed, Binop (Sub, Const (Value.Float 1.), hit)),
+        Binop (Mul, VecY (EAttr setspeed), hit) )
+  in
+  let rank = Schema.find schema "rank" in
+  let config =
+    {
+      Simulation.prog;
+      script_of =
+        (fun u ->
+          Some
+            (match Value.to_int (Tuple.get u rank) with
+            | 1 -> "frost_mage"
+            | 2 -> "archmage"
+            | _ -> "grunt"));
+      postprocess =
+        Postprocess.make ~schema ~updates:[ (speed, new_speed) ]
+          ~remove_when:(Const (Value.Bool false));
+      movement =
+        Some
+          {
+            Movement.posx = Schema.find schema "posx";
+            posy = Schema.find schema "posy";
+            mvx = Schema.find schema "movevect_x";
+            mvy = Schema.find schema "movevect_y";
+            speed = 3.;
+            speed_attr = Some speed;
+            width = 80;
+            height = 48;
+          };
+      death = Simulation.Remove;
+      seed = 8;
+      optimize = true;
+    }
+  in
+  Simulation.create config ~evaluator ~units
+
+(* [Simulation.run] must execute exactly [ticks] steps even while the
+   death rule rewrites the unit array every tick (resurrection keeps the
+   population constant; removal shrinks it) — the loop bound is fixed up
+   front, not re-read from mutated state. *)
+let resurrection_fixed_ticks () =
+  let scenario =
+    Sgl_battle.Scenario.setup ~density:0.02 ~per_side:(Sgl_battle.Scenario.standard_mix 40) ()
+  in
+  let population = Array.length scenario.Sgl_battle.Scenario.units in
+  let sim =
+    Sgl_battle.Scenario.simulation ~seed:3 ~resurrect:true ~evaluator:Simulation.Indexed scenario
+  in
+  Simulation.run sim ~ticks:50;
+  Alcotest.(check int) "exactly 50 ticks" 50 (Simulation.tick_count sim);
+  Alcotest.(check int) "resurrection keeps the workload constant" population
+    (Array.length (Simulation.units sim));
+  (* a second run starts from the current tick and adds exactly as asked *)
+  Simulation.run sim ~ticks:7;
+  Alcotest.(check int) "incremental run" 57 (Simulation.tick_count sim)
+
+(* The engine's own set-at-a-time evaluator against the naive one, over
+   50 ticks; test_fused adds the compiled backend on the same scenarios. *)
+let formation_naive_indexed () =
+  differential ~against:[ Simulation.Indexed ] ~ticks:50 ~make_sim:formation_sim ()
+
+let frost_mage_naive_indexed () =
+  differential ~against:[ Simulation.Indexed ] ~ticks:50 ~make_sim:frost_mage_sim ()
+
 let base_suite =
   let tc = Alcotest.test_case in
   [
@@ -438,6 +628,9 @@ let base_suite =
         tc "health and cooldown invariants" `Quick test_simulation_health_invariants;
         tc "deterministic under a seed" `Quick test_simulation_deterministic_same_seed;
         tc "seed changes the battle" `Quick test_simulation_seed_changes_outcome;
+        tc "resurrection: run executes a fixed tick count" `Quick resurrection_fixed_ticks;
+        tc "formation battle: naive = indexed" `Slow formation_naive_indexed;
+        tc "frost mage (Pmax): naive = indexed" `Slow frost_mage_naive_indexed;
       ] );
   ]
 

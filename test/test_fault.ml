@@ -1,8 +1,8 @@
 (* Fault tolerance: the injection registry, transactional ticks, and the
    three fault policies.
 
-   The differential contract under test mirrors test_parallel: because
-   every PRNG draw is keyed by [~tick ~key] and parallel = indexed = naive
+   The differential contract under test mirrors test_engine's: because
+   every PRNG draw is keyed by [~tick ~key] and fused = indexed = naive
    bit-for-bit, a [Degrade] run that demotes mid-flight must land on
    exactly the states of a fault-free run of the weaker evaluator. *)
 
@@ -50,14 +50,14 @@ let inject_counting () =
 
 let inject_always () =
   with_injection (fun () ->
-      Fault_inject.arm ~point:"pool.lane" Fault_inject.Always;
+      Fault_inject.arm ~point:"index.build" Fault_inject.Always;
       for i = 1 to 5 do
-        match Fault_inject.hit "pool.lane" with
+        match Fault_inject.hit "index.build" with
         | () -> Alcotest.failf "call %d did not fire" i
         | exception Fault_inject.Injected { count; _ } ->
           Alcotest.(check int) "call number" i count
       done;
-      Alcotest.(check int) "every call fires" 5 (Fault_inject.fired "pool.lane"))
+      Alcotest.(check int) "every call fires" 5 (Fault_inject.fired "index.build"))
 
 let inject_prob_deterministic () =
   let pattern seed =
@@ -87,8 +87,8 @@ let inject_parse () =
   in
   check_ok "always" "eval.member:always" ("eval.member", Fault_inject.Always);
   check_ok "count" "exec.group:count=3" ("exec.group", Fault_inject.At_count 3);
-  check_ok "prob with seed" "pool.lane:p=0.25,seed=9"
-    ("pool.lane", Fault_inject.Prob { p = 0.25; seed = 9 });
+  check_ok "prob with seed" "index.build:p=0.25,seed=9"
+    ("index.build", Fault_inject.Prob { p = 0.25; seed = 9 });
   let is_error = function Error _ -> true | Ok _ -> false in
   Alcotest.(check bool) "missing colon" true (is_error (Fault_inject.parse_arg "evalmember"));
   Alcotest.(check bool) "bad spec" true (is_error (Fault_inject.parse_arg "eval.member:sometimes"));
@@ -255,49 +255,6 @@ let quarantine_completes () =
           f.Fault.script
       | fs -> Alcotest.failf "expected one logged fault, got %d" (List.length fs))
 
-(* Quarantine under the parallel evaluator: the retry must compose with
-   chunked evaluation. *)
-let quarantine_parallel () =
-  with_injection (fun () ->
-      let sim =
-        battle_sim ~fault_policy:Simulation.Quarantine_script
-          ~evaluator:(Simulation.Parallel { domains = 3 })
-          ()
-      in
-      Fault_inject.arm ~point:"exec.group" (Fault_inject.At_count 4);
-      Simulation.run sim ~ticks:10;
-      Alcotest.(check int) "all ticks ran" 10 (Simulation.tick_count sim);
-      Alcotest.(check bool) "a group was quarantined" true
-        (Simulation.quarantined_scripts sim <> []))
-
-(* Degrade: a parallel run whose pool faults must land on exactly the
-   states of a fault-free indexed run. *)
-let degrade_parallel_to_indexed () =
-  let clean =
-    let sim = battle_sim ~evaluator:Simulation.Indexed () in
-    Simulation.run sim ~ticks:30;
-    sorted_units sim
-  in
-  with_injection (fun () ->
-      Fault_inject.arm ~point:"pool.lane" Fault_inject.Always;
-      let sim =
-        battle_sim ~fault_policy:Simulation.Degrade
-          ~evaluator:(Simulation.Parallel { domains = 2 })
-          ()
-      in
-      Simulation.run sim ~ticks:30;
-      Alcotest.(check int) "all ticks ran" 30 (Simulation.tick_count sim);
-      Alcotest.(check string) "landed on indexed" "indexed"
-        (Simulation.evaluator_name (Simulation.current_evaluator sim));
-      Alcotest.(check int) "one retry" 1 (Simulation.retries sim);
-      (match Simulation.degradations sim with
-      | [ (tick, from_, to_) ] ->
-        Alcotest.(check int) "demoted on the first tick" 0 tick;
-        Alcotest.(check string) "from parallel" "parallel:2" from_;
-        Alcotest.(check string) "to indexed" "indexed" to_
-      | ds -> Alcotest.failf "expected one demotion, got %d" (List.length ds));
-      check_states ~msg:"degraded parallel vs clean indexed" clean (sorted_units sim))
-
 (* Degrade all the way down: a fault inside the indexed evaluator itself
    demotes to naive; states match a fault-free naive run. *)
 let degrade_to_naive () =
@@ -308,17 +265,13 @@ let degrade_to_naive () =
   in
   with_injection (fun () ->
       Fault_inject.arm ~point:"eval.member" Fault_inject.Always;
-      let sim =
-        battle_sim ~fault_policy:Simulation.Degrade
-          ~evaluator:(Simulation.Parallel { domains = 2 })
-          ()
-      in
+      let sim = battle_sim ~fault_policy:Simulation.Degrade ~evaluator:Simulation.Fused () in
       Simulation.run sim ~ticks:15;
       Alcotest.(check int) "all ticks ran" 15 (Simulation.tick_count sim);
       Alcotest.(check string) "landed on naive" "naive"
         (Simulation.evaluator_name (Simulation.current_evaluator sim));
       Alcotest.(check int) "two retries" 2 (Simulation.retries sim);
-      check_states ~msg:"degraded parallel vs clean naive" clean (sorted_units sim));
+      check_states ~msg:"degraded fused vs clean naive" clean (sorted_units sim));
   (* the same chain entered one rung down: indexed -> naive mid-run *)
   with_injection (fun () ->
       Fault_inject.arm ~point:"index.build" (Fault_inject.At_count 30);
@@ -509,8 +462,6 @@ let trace_evaluators =
     Simulation.Naive;
     Simulation.Indexed;
     Simulation.Fused;
-    Simulation.Parallel { domains = 1 };
-    Simulation.Parallel { domains = 3 };
   ]
 
 (* With nothing armed, every policy must reproduce the evaluator's own
@@ -568,8 +519,7 @@ let quarantine_every_group () =
         sorted_units sim)
   in
   let indexed = run Simulation.Indexed in
-  check_states ~msg:"fused vs indexed" indexed (run Simulation.Fused);
-  check_states ~msg:"parallel:3 vs indexed" indexed (run (Simulation.Parallel { domains = 3 }))
+  check_states ~msg:"fused vs indexed" indexed (run Simulation.Fused)
 
 (* Under Fail a group fault names its script and keeps the original
    exception, not the executor's wrapper. *)
@@ -604,29 +554,6 @@ let quarantine_post_fault_fails () =
       Alcotest.(check (list string)) "nothing quarantined" [] (Simulation.quarantined_scripts sim);
       check_states ~msg:"state rolled back" before (sorted_units sim))
 
-(* Domain_pool surfaces the first lane failure and counts the rest. *)
-let pool_suppressed_count () =
-  let pool = Domain_pool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let raised =
-        try
-          ignore
-            (Domain_pool.parallel_map pool
-               (fun x -> if x mod 2 = 0 then failwith (Fmt.str "lane%d" x) else x)
-               (Array.init 8 (fun i -> i)));
-          false
-        with Failure _ -> true
-      in
-      Alcotest.(check bool) "first failure re-raised" true raised;
-      Alcotest.(check bool) "other lane failures counted" true
-        (Domain_pool.suppressed_failures pool >= 1);
-      (* a clean map resets the count *)
-      ignore (Domain_pool.parallel_map pool (fun x -> x) [| 1; 2 |]);
-      Alcotest.(check int) "clean map clears suppressed" 0
-        (Domain_pool.suppressed_failures pool))
-
 let suite =
   [
     ( "fault.inject",
@@ -644,22 +571,17 @@ let suite =
         Alcotest.test_case "Trace.record after close raises" `Quick trace_after_close;
         Alcotest.test_case "Trace.create rejects unknown attributes" `Quick trace_unknown_attr;
         Alcotest.test_case "Exec.run_tick names the unknown script" `Quick exec_unknown_script;
-        Alcotest.test_case "Domain_pool counts suppressed lane failures" `Quick
-          pool_suppressed_count;
       ] );
     ( "fault.policy",
       [
         Alcotest.test_case "fail: rollback, context, recovery" `Quick fail_policy_rolls_back;
         Alcotest.test_case "quarantine: excluded group, run completes" `Quick quarantine_completes;
-        Alcotest.test_case "quarantine composes with parallel chunks" `Slow quarantine_parallel;
         Alcotest.test_case "quarantine: fused = indexed on the faulting script" `Slow
           quarantine_fused_differential;
         Alcotest.test_case "fused.kernel point quarantines in context" `Slow
           quarantine_fused_kernel_point;
         Alcotest.test_case "degrade: fused -> indexed, bit-identical" `Slow
           degrade_fused_to_indexed;
-        Alcotest.test_case "degrade: parallel -> indexed, bit-identical" `Slow
-          degrade_parallel_to_indexed;
         Alcotest.test_case "degrade: down to naive, bit-identical" `Slow degrade_to_naive;
         Alcotest.test_case "degrade: exhausted chain re-raises" `Quick degrade_exhausted;
         Alcotest.test_case "guards are bit-identical when nothing fires" `Slow

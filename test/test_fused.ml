@@ -1,16 +1,15 @@
 (* The fused compiled backend: Lower/Compile unit tests against the
-   interpreted executor, the four-way conformance differential, and qcheck
-   fuzzing of randomized scripts through all four evaluators.
+   interpreted executor, the three-way conformance differential, and qcheck
+   fuzzing of randomized scripts through all three evaluators.
 
-   The contract under test extends test_parallel's: [Simulation.Fused]
-   produces *bit-identical* unit states to [Naive], [Indexed] and
-   [Parallel] — the kernels mirror [Expr.eval] operation-for-operation,
-   and the reordering introduced by operator fusion only permutes
-   contributions to the commutative ⊕-accumulator.  The kernel-level tests
-   pin each plan shape (naive scan, enumeration probe, range probe,
-   extremal window, uniform) against the interpreted plan walker on a
-   fixed 100-row store, including empty / single-row / duplicate-key
-   stores mirroring test_index's edge cases. *)
+   The contract under test: [Simulation.Fused] produces *bit-identical*
+   unit states to [Naive] and [Indexed] — the kernels mirror [Expr.eval]
+   operation-for-operation, and the reordering introduced by operator
+   fusion only permutes contributions to the commutative ⊕-accumulator.
+   The kernel-level tests pin each plan shape (naive scan, enumeration
+   probe, range probe, extremal window, uniform) against the interpreted
+   plan walker on a fixed 100-row store, including empty / single-row /
+   duplicate-key stores mirroring test_index's edge cases. *)
 
 open Sgl_relalg
 open Sgl_lang
@@ -174,33 +173,13 @@ let lowering_validates () =
     (Test_qopt.uniform_source :: edge_sources)
 
 (* ------------------------------------------------------------------ *)
-(* Four-way conformance: naive = indexed = parallel = fused *)
+(* Three-way conformance: naive = indexed = fused *)
 
-let differential4 ~(ticks : int) ~(make_sim : Sgl_engine.Simulation.evaluator_kind -> Sgl_engine.Simulation.t) =
-  let open Sgl_engine in
-  let run evaluator =
-    let sim = make_sim evaluator in
-    Simulation.run sim ~ticks;
-    Alcotest.(check int) "tick count" ticks (Simulation.tick_count sim);
-    Test_parallel.sorted_units sim
-  in
-  let baseline = run Simulation.Naive in
-  Test_parallel.check_states ~msg:"indexed vs naive" baseline (run Simulation.Indexed);
-  Test_parallel.check_states ~msg:"parallel:3 vs naive" baseline
-    (run (Simulation.Parallel { domains = 3 }));
-  Test_parallel.check_states ~msg:"fused vs naive" baseline (run Simulation.Fused)
-
-let formation_battle () =
-  differential4 ~ticks:50 ~make_sim:(fun evaluator ->
-      let scenario =
-        Sgl_battle.Scenario.setup ~density:0.02 ~per_side:(Sgl_battle.Scenario.standard_mix 60) ()
-      in
-      Sgl_battle.Scenario.simulation ~seed:11 ~evaluator scenario)
-
-let frost_mage () = differential4 ~ticks:50 ~make_sim:Test_parallel.frost_mage_sim
+let formation_battle () = Test_engine.differential ~ticks:50 ~make_sim:Test_engine.formation_sim ()
+let frost_mage () = Test_engine.differential ~ticks:50 ~make_sim:Test_engine.frost_mage_sim ()
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzing: randomized scripts through all four evaluators *)
+(* Fuzzing: randomized scripts through all three evaluators *)
 
 (* Single-tick effects: the fused kernels against the naive and indexed
    plan walkers on the same generated program (test_fuzz's generators; its
@@ -227,8 +206,7 @@ let fused_tick_equivalence =
 
 (* Full-simulation churn: random movement, deaths and key-targeted
    effects for 20 ticks under [Naive] and [Fused] from the same seed must
-   leave identical unit states — the fused mirror of test_fuzz's
-   parallel_sim_equivalence. *)
+   leave identical unit states. *)
 let fused_sim_equivalence =
   QCheck.Test.make ~name:"fuzz: 20-tick simulation, naive = fused" ~count:25
     (QCheck.pair Test_fuzz.arb_program (QCheck.int_range 0 1000))
@@ -296,8 +274,8 @@ let suite =
       ] );
     ( "fused.differential",
       [
-        tc "formation battle: naive = indexed = parallel = fused" `Slow formation_battle;
-        tc "frost mage (Pmax): naive = indexed = parallel = fused" `Slow frost_mage;
+        tc "formation battle: naive = indexed = fused" `Slow formation_battle;
+        tc "frost mage (Pmax): naive = indexed = fused" `Slow frost_mage;
       ] );
     ( "fused.fuzz",
       [

@@ -403,14 +403,13 @@ let four_way_equivalence =
       && Relation.equal_as_multiset reference unshared
       && Relation.equal_as_multiset reference unoptimized)
 
-(* Full-simulation differential fuzzing for the parallel decision phase:
-   random scripts driven for 20 ticks under [Naive] and under
-   [Parallel { domains = 3 }] from the same seed must leave identical
-   unit states.  Random movement, deaths and key-targeted effects all
-   flow through the chunk merge; on failure QCheck prints the generated
-   script. *)
-let parallel_sim_equivalence =
-  QCheck.Test.make ~name:"fuzz: 20-tick simulation, naive = parallel:3" ~count:25
+(* Full-simulation differential fuzzing: random scripts driven for 20
+   ticks under [Naive] and under [Indexed] from the same seed must leave
+   identical unit states.  Random movement, deaths and key-targeted
+   effects all flow through the index cache; on failure QCheck prints the
+   generated script. *)
+let indexed_sim_equivalence =
+  QCheck.Test.make ~name:"fuzz: 20-tick simulation, naive = indexed" ~count:25
     (QCheck.pair arb_program (QCheck.int_range 0 1000))
     (fun (ast, seed) ->
       let s = schema () in
@@ -448,8 +447,8 @@ let parallel_sim_equivalence =
         out
       in
       let naive = final Sgl_engine.Simulation.Naive in
-      let parallel = final (Sgl_engine.Simulation.Parallel { domains = 3 }) in
-      compare naive parallel = 0)
+      let indexed = final Sgl_engine.Simulation.Indexed in
+      compare naive indexed = 0)
 
 let _ = no_rand_key
 
@@ -458,5 +457,5 @@ let suite =
     ( "fuzz.pipeline",
       [ QCheck_alcotest.to_alcotest pipeline_accepts;
         QCheck_alcotest.to_alcotest four_way_equivalence;
-        QCheck_alcotest.to_alcotest parallel_sim_equivalence ] );
+        QCheck_alcotest.to_alcotest indexed_sim_equivalence ] );
   ]

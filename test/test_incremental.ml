@@ -160,18 +160,7 @@ let cache_differential ~(ticks : int)
   Alcotest.(check bool) "the cache actually engaged" true
     ((Simulation.report warm).Simulation.index_reuses > 0);
   check_states ~msg:"indexed cold vs naive" baseline
-    (sorted_units (run ~index_cache:false Simulation.Indexed));
-  List.iter
-    (fun domains ->
-      check_states
-        ~msg:(Fmt.str "parallel:%d cached vs naive" domains)
-        baseline
-        (sorted_units (run ~index_cache:true (Simulation.Parallel { domains })));
-      check_states
-        ~msg:(Fmt.str "parallel:%d cold vs naive" domains)
-        baseline
-        (sorted_units (run ~index_cache:false (Simulation.Parallel { domains }))))
-    [ 1; 3 ]
+    (sorted_units (run ~index_cache:false Simulation.Indexed))
 
 let battle_cache_differential () =
   cache_differential ~ticks:50 ~make_sim:(fun ~index_cache evaluator ->
@@ -288,23 +277,6 @@ let rollback_discards_delta () =
       let twin = sentry_sim ~churn:30 ~n:80 Simulation.Indexed in
       Simulation.run twin ~ticks:21;
       check_states ~msg:"post-rollback vs never-faulted" (sorted_units twin) (sorted_units sim))
-
-(* ------------------------------------------------------------------ *)
-(* Solo-family memoization: a single-domain parallel family has exactly one
-   member on one lane, so it is safe to memoize — and with the cache on it
-   must reuse structures across ticks like the plain indexed evaluator. *)
-let solo_family_memoizes () =
-  let baseline =
-    let sim = sentry_sim ~churn:5 ~n:120 Simulation.Naive in
-    Simulation.run sim ~ticks:30;
-    sorted_units sim
-  in
-  let sim = sentry_sim ~churn:5 ~n:120 (Simulation.Parallel { domains = 1 }) in
-  Simulation.run sim ~ticks:30;
-  let r = Simulation.report sim in
-  Alcotest.(check bool) "solo family reused cached structures" true
-    (r.Simulation.index_reuses > 0);
-  check_states ~msg:"parallel:1 cached vs naive" baseline (sorted_units sim)
 
 (* ------------------------------------------------------------------ *)
 (* Shared partition geometry across ticks *)
@@ -425,7 +397,7 @@ let geometry_revalidation () =
   let cached =
     List.map
       (fun ev -> (ev, patrol_sim ~index_cache:true ev))
-      [ Simulation.Indexed; Simulation.Parallel { domains = 2 } ]
+      [ Simulation.Indexed ]
   in
   for tick = 1 to 30 do
     Simulation.step naive;
@@ -491,8 +463,6 @@ let suite =
         tc "quarantine parity: cache on = cache off" `Quick quarantine_cache_parity;
         tc "rollback discards the pending delta" `Quick rollback_discards_delta;
       ] );
-    ( "incremental.memoization",
-      [ tc "solo parallel family memoizes and reuses" `Quick solo_family_memoizes ] );
     ( "incremental.geometry",
       [ tc "moving units: sweep + cascade group = naive, tick by tick" `Quick
           geometry_revalidation ] );

@@ -145,13 +145,12 @@ let combine_group_by_key =
       Relation.iter (fun row -> Hashtbl.replace groups (Combine.group_key s row) ()) r;
       Relation.cardinality combined = Hashtbl.length groups)
 
-(* Chunk-merge invariance (the parallel decision phase's contract): split
-   a relation's rows into accumulators any way at all, fold the per-chunk
-   accumulators with [Acc.merge_into] in any order, and the result equals
-   one-pass combination of the whole relation.  The accumulator groups by
-   key alone, so the generator keeps const attributes functionally
-   determined by the key (as the engine does). *)
-let chunk_merge_invariance =
+(* Order invariance of the accumulator: add a relation's rows to one
+   [Combine.Acc] in any permutation, and the result equals one-pass
+   combination of the whole relation.  The accumulator groups by key
+   alone, so the generator keeps const attributes functionally determined
+   by the key (as the engine does). *)
+let acc_order_invariance =
   let s = schema () in
   let keyed_relation_gen =
     QCheck.Gen.(
@@ -169,30 +168,19 @@ let chunk_merge_invariance =
                rows))
         (list_size (int_range 0 30) (pair small_int small_int)))
   in
-  (* each row's chunk, a chunk count, and whether to merge in reverse *)
+  (* a relation and one permutation of its rows *)
   let gen =
     QCheck.Gen.(
       let* r = keyed_relation_gen in
-      let* chunks = int_range 1 7 in
-      let* assignment = list_size (return (Relation.cardinality r)) (int_range 0 (chunks - 1)) in
-      let* reverse = bool in
-      return (r, chunks, assignment, reverse))
+      let* rows = shuffle_l (Relation.fold (fun acc row -> row :: acc) [] r) in
+      return (r, rows))
   in
-  QCheck.Test.make ~name:"(+) is invariant under chunked accumulation" ~count:200
+  QCheck.Test.make ~name:"(+) is invariant under accumulation order" ~count:200
     (QCheck.make gen)
-    (fun (r, chunks, assignment, reverse) ->
-      let accs = Array.init chunks (fun _ -> Combine.Acc.create s) in
-      let assignment = Array.of_list assignment in
-      let i = ref 0 in
-      Relation.iter
-        (fun row ->
-          Combine.Acc.add accs.(assignment.(!i)) row;
-          incr i)
-        r;
-      let merged = Combine.Acc.create s in
-      let order = Array.init chunks (fun c -> if reverse then chunks - 1 - c else c) in
-      Array.iter (fun c -> Combine.Acc.merge_into ~dst:merged accs.(c)) order;
-      eq (Combine.Acc.to_relation merged) (Combine.combine r))
+    (fun (r, rows) ->
+      let acc = Combine.Acc.create s in
+      List.iter (Combine.Acc.add acc) rows;
+      eq (Combine.Acc.to_relation acc) (Combine.combine r))
 
 let combine_preserves_sums =
   (* total of a sum-tagged column is invariant under (+) *)
@@ -217,6 +205,6 @@ let suite =
         qtest group_count_totals;
         qtest combine_group_by_key;
         qtest combine_preserves_sums;
-        qtest chunk_merge_invariance;
+        qtest acc_order_invariance;
       ] );
   ]

@@ -7,7 +7,7 @@
    The corruption tests damage real files on purpose: every one must be
    *detected* (Codec.Corrupt or generation fallback), never silently
    loaded.  The differentials reuse the shared helpers in
-   [Test_parallel]. *)
+   [Test_engine]. *)
 
 open Sgl_util
 open Sgl_relalg
@@ -128,7 +128,7 @@ let roundtrip_pinned () =
     mk_state ~tick:123 ~seed:77
       ~quarantined:[ "archer"; "healer" ]
       ~counters:[ ("deaths", 4); ("resurrections", 4) ]
-      ~degradations:[ (9, "parallel:4", "indexed"); (11, "indexed", "naive") ]
+      ~degradations:[ (9, "fused", "indexed"); (11, "indexed", "naive") ]
       [| sample_tuple ~key:0 |]
   in
   check_state_eq full (roundtrip ~schema full)
@@ -435,8 +435,8 @@ let restore_differential ?fault_policy ?(damage = Clean) ?(every = 7) ~(k : int)
     Alcotest.(check bool) (msg ^ ": restored at or before the crash tick") true
       (Simulation.tick_count sim <= k);
     Simulation.run sim ~ticks:(n - Simulation.tick_count sim);
-    Test_parallel.check_states ~msg (Test_parallel.sorted_units reference)
-      (Test_parallel.sorted_units sim);
+    Test_engine.check_states ~msg (Test_engine.sorted_units reference)
+      (Test_engine.sorted_units sim);
     let a = Simulation.report reference and b = Simulation.report sim in
     Alcotest.(check int) (msg ^ ": deaths") a.Simulation.deaths b.Simulation.deaths;
     Alcotest.(check int)
@@ -446,12 +446,7 @@ let restore_differential ?fault_policy ?(damage = Clean) ?(every = 7) ~(k : int)
 let clean_recovery_all_evaluators () =
   List.iter
     (fun evaluator -> restore_differential ~k:13 ~n:30 evaluator)
-    [
-      Simulation.Naive;
-      Simulation.Indexed;
-      Simulation.Parallel { domains = 3 };
-      Simulation.Fused;
-    ]
+    [ Simulation.Naive; Simulation.Indexed; Simulation.Fused ]
 
 let torn_journal_recovery () =
   restore_differential ~damage:Torn_journal ~k:12 ~n:28 Simulation.Indexed
@@ -494,8 +489,8 @@ let degrade_recovery () =
   | Error e -> Alcotest.failf "restore after degrade failed: %s" e
   | Ok (b, _info) ->
     Alcotest.(check int) "recovered to the crash tick" 20 (Simulation.tick_count b);
-    Test_parallel.check_states ~msg:"degrade recovery" (Test_parallel.sorted_units a)
-      (Test_parallel.sorted_units b);
+    Test_engine.check_states ~msg:"degrade recovery" (Test_engine.sorted_units a)
+      (Test_engine.sorted_units b);
     if compare (Simulation.degradations a) (Simulation.degradations b) <> 0 then
       Alcotest.fail "the demotion history did not survive recovery"
 
@@ -528,8 +523,8 @@ let quarantine_recovery () =
       (Simulation.quarantined_scripts b);
     Simulation.run a ~ticks:8;
     Simulation.run b ~ticks:8;
-    Test_parallel.check_states ~msg:"quarantined continuation"
-      (Test_parallel.sorted_units a) (Test_parallel.sorted_units b)
+    Test_engine.check_states ~msg:"quarantined continuation"
+      (Test_engine.sorted_units a) (Test_engine.sorted_units b)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection on the I/O paths themselves *)
@@ -580,8 +575,8 @@ let injected_checkpoint_write () =
   | Ok (b, info) ->
     Alcotest.(check int) "full journal replay" 7 info.Simulation.replayed;
     Alcotest.(check int) "recovered to the crash tick" 7 (Simulation.tick_count b);
-    Test_parallel.check_states ~msg:"recovery after failed checkpoint"
-      (Test_parallel.sorted_units sim) (Test_parallel.sorted_units b)
+    Test_engine.check_states ~msg:"recovery after failed checkpoint"
+      (Test_engine.sorted_units sim) (Test_engine.sorted_units b)
 
 let injected_restore_read () =
   with_injection @@ fun () ->
@@ -596,8 +591,8 @@ let injected_restore_read () =
     Alcotest.(check int) "unreadable newest generation skipped" 1
       info.Simulation.generations_skipped;
     Alcotest.(check int) "recovered to the crash tick" 9 (Simulation.tick_count b);
-    Test_parallel.check_states ~msg:"recovery past unreadable generation"
-      (Test_parallel.sorted_units sim) (Test_parallel.sorted_units b)
+    Test_engine.check_states ~msg:"recovery past unreadable generation"
+      (Test_engine.sorted_units sim) (Test_engine.sorted_units b)
 
 let restore_errors () =
   with_dir @@ fun dir ->
@@ -653,7 +648,7 @@ let suite =
       ] );
     ( "persist.recovery",
       [
-        Alcotest.test_case "restore-at-k = uninterrupted (naive/indexed/parallel/fused)"
+        Alcotest.test_case "restore-at-k = uninterrupted (naive/indexed/fused)"
           `Slow clean_recovery_all_evaluators;
         Alcotest.test_case "torn journal tail: recovery discards and re-runs" `Quick
           torn_journal_recovery;

@@ -41,10 +41,7 @@ let battle ?fault_policy ?(resurrect = true) ~evaluator () =
 let sentry evaluator = Test_incremental.sentry_sim ~churn:10 ~n:120 evaluator
 
 let immutable_across_engines () =
-  let evaluators =
-    [ Simulation.Naive; Simulation.Indexed; Simulation.Fused;
-      Simulation.Parallel { domains = 2 } ]
-  in
+  let evaluators = [ Simulation.Naive; Simulation.Indexed; Simulation.Fused ] in
   List.iter
     (fun evaluator ->
       let name = Simulation.evaluator_name evaluator in
@@ -92,7 +89,7 @@ let idle_rows_shared () =
         Alcotest.(check bool) "a static unit's row is shared" true (after.(2) == before.(2));
         Alcotest.(check bool) "most rows are shared" true (!shared > Array.length before / 2)
       done)
-    [ Simulation.Indexed; Simulation.Fused; Simulation.Parallel { domains = 2 } ]
+    [ Simulation.Indexed; Simulation.Fused ]
 
 (* ------------------------------------------------------------------ *)
 (* Numerically-equal writes must reach the delta *)

@@ -220,7 +220,7 @@ let test_stats_merge_basic () =
 
 (* Merge-order invariance: any partition of the samples across any number
    of accumulators, merged in any order, agrees with the single-pass fold
-   (up to float rounding) — the law the cross-lane histogram aggregation
+   (up to float rounding) — the law the cross-shard histogram aggregation
    rests on. *)
 let stats_merge_order_invariance =
   QCheck.Test.make ~name:"Stats.merge is partition- and order-invariant" ~count:200
