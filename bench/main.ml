@@ -9,7 +9,7 @@
      fig10 fig10-full capacity density
      ablate-divisible ablate-sweep ablate-nn ablate-combine ablate-share
      phases incremental incremental-full
-     fused fused-full columnar columnar-full
+     columnar columnar-full
      faults telemetry obs persist micro
 
    Absolute numbers differ from the paper's 2 GHz Core Duo C++ engine; the
@@ -932,14 +932,12 @@ let obs_bench () =
     [ off; flight; sink; http ]
 
 (* ------------------------------------------------------------------ *)
-(* Fused kernels: compiled decision execution vs interpreted plan walking.
+(* The steering scenario (used by the fault-policy section).
 
    A decision-heavy scenario: every unit runs a scalar steering script —
    long expression chains over tuning constants, one cheap uniform
    aggregate per batch — so the decision phase is dominated by the
-   per-row work the fused backend compiles away (plan walking, context
-   allocation, re-evaluating constant subtrees) rather than by index
-   probes, which cost the same under every backend. *)
+   per-row work of the compiled kernels rather than by index probes. *)
 
 let fused_schema () =
   Schema.create
@@ -958,10 +956,9 @@ let fused_source =
   (* The tuning formulas k1..k6 are arithmetic over the script constants
      only, and they are spliced INLINE at every use site (a [let] would
      pin them to a register, and constant folding does not cross register
-     binds).  Each occurrence is a pure-constant subtree: the fused
-     backend folds it to one literal at specialization time, while the
-     interpreter re-walks the whole tree for every row on every tick.
-     The later formulas textually contain the earlier ones, so the trees
+     binds).  Each occurrence is a pure-constant subtree the kernel
+     compiler folds to one literal at specialization time.  The later
+     formulas textually contain the earlier ones, so the trees
      compound - exactly the "tuning arithmetic around the data" shape
      hand-written steering scripts exhibit. *)
   let k1 = "((WX + WY) * (1.0 - DRIFT) + (WX * 8.0 - WY * (DRIFT + 0.5)) * (WX + DRIFT * WY))" in
@@ -1038,8 +1035,8 @@ let fused_units schema ~n =
           Value.Float 0.;
         ])
 
-let fused_sim ?fault_policy ?(columnar = true) ~(index_cache : bool)
-    ~(evaluator : Simulation.evaluator_kind) ~(n : int) () : Simulation.t =
+let fused_sim ?fault_policy ~(evaluator : Simulation.evaluator_kind) ~(n : int) () :
+    Simulation.t =
   let schema = fused_schema () in
   let prog = compile ~schema fused_source in
   let config =
@@ -1065,67 +1062,7 @@ let fused_sim ?fault_policy ?(columnar = true) ~(index_cache : bool)
       optimize = true;
     }
   in
-  Simulation.create ?fault_policy ~index_cache ~columnar config ~evaluator
-    ~units:(fused_units schema ~n)
-
-(* Decision-phase seconds per tick from the engine's phase timer, one
-   warm-up tick outside the clock (compilation, kernel specialization). *)
-let fused_decision ~index_cache ~evaluator ~n ~ticks : float * Simulation.report =
-  let sim = fused_sim ~index_cache ~evaluator ~n () in
-  Simulation.step sim;
-  let before = (Simulation.report sim).Simulation.decision_s in
-  Simulation.run sim ~ticks;
-  let r = Simulation.report sim in
-  ((r.Simulation.decision_s -. before) /. float_of_int ticks, r)
-
-let fused_bench ~full () =
-  header "Fused kernels - compiled decision execution vs interpreted plan walking";
-  pr "(scalar steering scenario: the decision phase is per-row expression@.";
-  pr " work plus one uniform aggregate per batch.  The kernels are pinned@.";
-  pr " bit-identical to every other evaluator by the conformance suite;@.";
-  pr " only the time changes.)@.@.";
-  let sizes = if full then [ 2_000; 8_000; 12_000; 20_000 ] else [ 2_000; 8_000; 12_000 ] in
-  let evaluators = [ ("indexed", Simulation.Indexed); ("fused", Simulation.Fused) ] in
-  pr "%8s %6s" "units" "cache";
-  List.iter (fun (name, _) -> pr " %13s" (name ^ " (s/t)")) evaluators;
-  pr " %12s@." "fused gain";
-  List.iter
-    (fun n ->
-      let ticks = if n >= 8_000 then 5 else 10 in
-      List.iter
-        (fun index_cache ->
-          let results =
-            List.map
-              (fun (name, evaluator) ->
-                let t, r = fused_decision ~index_cache ~evaluator ~n ~ticks in
-                Bench_json.emit ~section:"fused"
-                  ~config:
-                    [
-                      ("evaluator", name);
-                      ("units", string_of_int n);
-                      ("cache", if index_cache then "warm" else "cold");
-                    ]
-                  ~ticks_per_s:(1. /. t)
-                  ~phases:
-                    [
-                      ("decision_s", t);
-                      ("build_s", r.Simulation.build_s);
-                      ("post_s", r.Simulation.post_s);
-                      ("movement_s", r.Simulation.movement_s);
-                      ("death_s", r.Simulation.death_s);
-                    ];
-                (name, t))
-              evaluators
-          in
-          pr "%8d %6s" n (if index_cache then "warm" else "cold");
-          List.iter (fun (_, t) -> pr " %13.4f" t) results;
-          pr " %11.2fx@." (List.assoc "indexed" results /. List.assoc "fused" results))
-        [ true; false ])
-    sizes;
-  pr "@.(the gain is the interpreter constant factor the kernels remove:@.";
-  pr " no plan walk, no per-evaluation context, constant subtrees folded@.";
-  pr " at specialization time.  Index-probe-bound workloads gain less -@.";
-  pr " probes cost the same under every backend.)@."
+  Simulation.create ?fault_policy config ~evaluator ~units:(fused_units schema ~n)
 
 (* ------------------------------------------------------------------ *)
 (* Fault tolerance: policy overhead and recovery latency *)
@@ -1153,7 +1090,7 @@ let faults_bench () =
                ()) );
       ( "steering 12k, fused",
         fun fault_policy ->
-          fused_sim ~fault_policy ~index_cache:true ~evaluator:Simulation.Fused ~n:12_000 () );
+          fused_sim ~fault_policy ~evaluator:Simulation.Fused ~n:12_000 () );
     ]
   in
   let rounds = 15 in
@@ -1257,11 +1194,11 @@ let columnar_bench ~full () =
   pr " and engine suites; only the time changes.)@.@.";
   let sizes = [ 12_000; 100_000 ] in
   let evaluators ~n =
-    (* the naive evaluator is O(n^2) per tick on this scenario and ignores
-       the mirror anyway; measured at 12k to document the ~1x, skipped at
-       100k (it would dominate the wall clock without informing anything) *)
+    (* the naive evaluator is O(n^2) per tick on this scenario and builds
+       no indexes; measured at 12k, skipped at 100k (it would dominate the
+       wall clock without informing anything) *)
     (if n <= 12_000 then [ ("naive", Simulation.Naive) ] else [])
-    @ [ ("indexed", Simulation.Indexed); ("fused", Simulation.Fused) ]
+    @ [ ("indexed", Simulation.Indexed) ]
   in
   pr "%8s %12s %14s %14s %9s %14s %14s@." "units" "evaluator" "boxed (s/t)" "columnar (s/t)"
     "gain" "boxed bld" "columnar bld";
@@ -1294,9 +1231,9 @@ let columnar_bench ~full () =
     sizes;
   pr "@.(the gain is boxing removed from the hot loops: index builds scan@.";
   pr " contiguous float arrays instead of pulling Value.t out of every@.";
-  pr " tuple, and fused kernels load bind operands straight from the@.";
-  pr " typed columns.  The naive evaluator takes no columnar path, so@.";
-  pr " its ratio documents measurement noise.)@."
+  pr " tuple, and kernels load bind operands straight from the typed@.";
+  pr " columns.  Under the naive evaluator only the kernels' column@.";
+  pr " loads change, which its O(n^2) scans drown out.)@."
 
 (* ------------------------------------------------------------------ *)
 (* Durable state: checkpoint/journal overhead on the 12k-unit battle.
@@ -1421,7 +1358,6 @@ let everything ~full () =
   ablate_share ();
   phases ();
   incremental ~full ();
-  fused_bench ~full ();
   columnar_bench ~full ();
   faults_bench ();
   telemetry_bench ();
@@ -1464,8 +1400,6 @@ let () =
             | "phases" -> phases ()
             | "incremental" -> incremental ~full:false ()
             | "incremental-full" -> incremental ~full:true ()
-            | "fused" -> fused_bench ~full:false ()
-            | "fused-full" -> fused_bench ~full:true ()
             | "columnar" -> columnar_bench ~full:false ()
             | "columnar-full" -> columnar_bench ~full:true ()
             | "faults" -> faults_bench ()

@@ -294,8 +294,8 @@ let evaluator_arg =
     value
     & opt string "indexed"
     & info [ "evaluator"; "e" ]
-        ~doc:"Aggregate evaluator: naive, indexed, or fused (plans compiled into closure \
-              kernels over the indexed evaluator).")
+        ~doc:"Aggregate evaluator: naive or indexed; fused is a synonym of indexed.  Every \
+              evaluator runs the same compiled kernels.")
 
 let density_arg =
   Arg.(value & opt float 0.01 & info [ "density" ] ~doc:"Fraction of grid squares occupied.")
@@ -328,7 +328,7 @@ let fault_policy_arg =
     & info [ "fault-policy" ]
         ~doc:"What a tick does when a phase raises: fail (rollback and abort), quarantine \
               (exclude the failing script group and keep going), or degrade (demote the \
-              evaluator fused -> indexed -> naive and retry the tick).")
+              evaluator from fused or indexed to naive and retry the tick).")
 
 let inject_arg =
   Arg.(

@@ -19,7 +19,7 @@
    - P005: an if-condition that folds to a constant (literals, consts and
      pure builtins only), leaving one arm dead.
 
-   P006 looks at what the fused backend will actually compile: a scalar
+   P006 looks at what the kernel compiler will actually compile: a scalar
    bind specializes to a typed-column load only under the eligibility
    rules of [Loop_ir.Compile.boxed_binds]; anything else keeps the kernel
    materializing boxed tuples inside its per-row loop. *)

@@ -136,7 +136,7 @@ let validate_rewrite ~(script : string) ?(pos = Ast.no_pos) ?prove ~(original : 
 (* ------------------------------------------------------------------ *)
 (* V003: lowering ⊕-equivalence *)
 
-(* The fused backend's [Loop_ir.Lower] splits every [Act]'s clause list —
+(* [Loop_ir.Lower] splits every [Act]'s clause list —
    self/key clauses fuse into passes, area clauses become batch ops — so
    the comparison runs at *clause* granularity: each (guard set, clause)
    pair of the plan must survive into the loop program and vice versa.

@@ -1,7 +1,7 @@
 (** Plan translation validation (rules V001, V002, V003): every optimizer
     output must be executable (registers bound before use, effects on
     tagged in-range attributes), ⊕-equivalent in guarded-effect structure
-    to the unrewritten translation, and preserved by the fused backend's
+    to the unrewritten translation, and preserved by the kernel compiler's
     lowering to the loop IR. *)
 
 open Sgl_relalg

@@ -90,7 +90,7 @@ let all : t list =
       severity = Diagnostic.Error;
       title = "lowering changed effect structure";
       rationale =
-        "translation validation for the fused backend: the loop program lowered from the \
+        "translation validation for the kernels: the loop program lowered from the \
          optimized plan does not carry the same guarded effect clauses — the compiled \
          kernel would contribute different effects than the plan it was specialized from";
     };

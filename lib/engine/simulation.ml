@@ -2,10 +2,10 @@
 
    Each clock tick runs the paper's phases:
 
-   1. decision + action — the optimized plans execute set-at-a-time over
-      every scripted unit; index building happens inside the pluggable
-      evaluator and is accounted separately (the paper's two index-building
-      phases);
+   1. decision + action — the optimized plans, compiled once into kernels,
+      execute set-at-a-time over every scripted unit; index building
+      happens inside the pluggable evaluator and is accounted separately
+      (the paper's two index-building phases);
    2. post-processing — the Example 4.1 query applies combined effects to
       unit state;
    3. movement — random order, collision detection, simple pathfinding;
@@ -34,7 +34,7 @@ type config = {
 type evaluator_kind =
   | Naive
   | Indexed
-  | Fused (* plans lowered to the loop IR and compiled into kernels *)
+  | Fused (* synonym of [Indexed], kept under its own name *)
 
 let evaluator_name = function
   | Naive -> "naive"
@@ -46,26 +46,24 @@ let evaluator_name = function
 type fault_policy =
   | Fail (* roll back, re-raise with context *)
   | Quarantine_script (* roll back, exclude the failing script group, retry *)
-  | Degrade (* demote the evaluator fused -> indexed -> naive and retry *)
+  | Degrade (* demote the evaluator fused/indexed -> naive and retry *)
 
 let fault_policy_name = function
   | Fail -> "fail"
   | Quarantine_script -> "quarantine"
   | Degrade -> "degrade"
 
-(* The next-weaker evaluator of the demotion chain.  Fused demotes to the
-   interpreted indexed evaluator: same index structures, no kernels. *)
+(* The next-weaker evaluator of the demotion chain. *)
 let demotion = function
-  | Fused -> Some Indexed
-  | Indexed -> Some Naive
+  | Fused | Indexed -> Some Naive
   | Naive -> None
 
-(* The engine behind a simulation: the evaluator, and the fused kernels
-   that replace plan walking (fused only). *)
-type engine = {
-  evaluator : Eval.t;
-  kernels : Exec.fused option;
-}
+(* A fresh evaluator of the given kind.  The kernels are compiled once per
+   simulation and take the evaluator as a run-time parameter, so this is
+   all a demotion replaces. *)
+let make_evaluator ~(schema : Schema.t) ~(aggregates : Aggregate.t array) = function
+  | Naive -> Eval.naive ~schema ~aggregates
+  | Indexed | Fused -> Eval.indexed ~schema ~aggregates ()
 
 (* Global mirror in the ambient registry (gated, off by default) so
    --metrics output carries rollbacks next to the evaluator counters; the
@@ -133,8 +131,8 @@ type tick_sample = {
 type t = {
   config : config;
   compiled : Exec.compiled;
-  mutable engine : engine; (* replaced when [Degrade] demotes *)
-  mutable evaluator : evaluator_kind;
+  mutable evaluator : Eval.t; (* replaced when [Degrade] demotes *)
+  mutable kind : evaluator_kind;
   policy : fault_policy;
   prng : Prng.t;
   (* The committed units.  Rows are immutable once committed: every phase
@@ -186,28 +184,9 @@ type t = {
   mutable phase : Fault.phase; (* the phase currently executing, for context *)
   mutable quarantined : string list; (* script groups excluded from future ticks *)
   mutable degradations : (int * string * string) list; (* tick, from, to *)
-  mutable retired_stats : Eval.eval_stats; (* totals of engines retired by demotion *)
+  mutable retired_stats : Eval.eval_stats; (* totals of evaluators retired by demotion *)
   mutable persist : persistence option; (* armed by [checkpoint_every] *)
 }
-
-let make_engine ~(schema : Schema.t) ~(aggregates : Aggregate.t array)
-    ~(compiled : Exec.compiled) (evaluator : evaluator_kind) : engine =
-  let indexed () = Eval.indexed ~schema ~aggregates () in
-  match evaluator with
-  | Naive -> { evaluator = Eval.naive ~schema ~aggregates; kernels = None }
-  | Indexed -> { evaluator = indexed (); kernels = None }
-  | Fused ->
-    (* Kernels specialize the plans, not the evaluator: the indexed
-       evaluator underneath still owns aggregate evaluation, AoE
-       combination and the cross-tick index cache.  The interval-fact
-       folding oracle runs with untrusted schema ranges (the engine must
-       stay correct on stores that violate the declared contracts), so it
-       only discharges expressions that are constant on *every* store. *)
-    let oracle = Sgl_analysis.Absint.make_oracle compiled.Exec.prog in
-    {
-      evaluator = indexed ();
-      kernels = Some (Exec.fuse ~fold:oracle.Sgl_analysis.Absint.fold compiled);
-    }
 
 let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = true)
     ?(columnar = true) (config : config) ~(evaluator : evaluator_kind)
@@ -215,19 +194,22 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
   let schema = config.prog.Core_ir.schema in
   let aggregates = config.prog.Core_ir.aggregates in
   let tel = Telemetry.Registry.create ~enabled:true () in
-  (* Interval facts for the optimizer's guard pruning.  Untrusted ranges:
-     folding decisions must hold on any store, declared contracts or not.
-     The cross-evaluator conformance harness and V002 validation (which
-     discharges guards with this same prover) keep the hook honest. *)
+  (* Interval facts for the optimizer's guard pruning and the kernels'
+     constant folding.  Untrusted ranges: the engine must stay correct on
+     stores that violate the declared contracts, so the oracle only
+     discharges what holds on *every* store.  The cross-evaluator
+     conformance harness and V002 validation (which discharges guards with
+     this same prover) keep the hook honest. *)
   let oracle = Sgl_analysis.Absint.make_oracle config.prog in
   let compiled =
-    Exec.compile ~optimize:config.optimize ~prove:oracle.Sgl_analysis.Absint.prove config.prog
+    Exec.compile ~optimize:config.optimize ~prove:oracle.Sgl_analysis.Absint.prove
+      ~fold:oracle.Sgl_analysis.Absint.fold config.prog
   in
   {
     config;
     compiled;
-    engine = make_engine ~schema ~aggregates ~compiled evaluator;
-    evaluator;
+    evaluator = make_evaluator ~schema ~aggregates evaluator;
+    kind = evaluator;
     policy = fault_policy;
     prng = Prng.create config.seed;
     units = Array.map Tuple.copy units;
@@ -296,17 +278,15 @@ let add_stats (dst : Eval.eval_stats) (src : Eval.eval_stats) : unit =
   dst.Eval.index_reuses <- dst.Eval.index_reuses + src.Eval.index_reuses;
   dst.Eval.build_seconds <- dst.Eval.build_seconds +. src.Eval.build_seconds
 
-(* Demote to the next-weaker evaluator, retiring the current engine's
+(* Demote to the next-weaker evaluator, retiring the current evaluator's
    counters so the report stays cumulative across the whole run. *)
 let demote (t : t) (weaker : evaluator_kind) : unit =
   Telemetry.Span.instant ~cat:"fault" "demote";
-  add_stats t.retired_stats t.engine.evaluator.Eval.stats;
-  t.degradations <-
-    t.degradations @ [ (t.tick, evaluator_name t.evaluator, evaluator_name weaker) ];
-  let schema = t.config.prog.Core_ir.schema in
-  t.engine <-
-    make_engine ~schema ~aggregates:t.config.prog.Core_ir.aggregates ~compiled:t.compiled weaker;
-  t.evaluator <- weaker
+  add_stats t.retired_stats t.evaluator.Eval.stats;
+  t.degradations <- t.degradations @ [ (t.tick, evaluator_name t.kind, evaluator_name weaker) ];
+  t.evaluator <-
+    make_evaluator ~schema:(schema t) ~aggregates:t.config.prog.Core_ir.aggregates weaker;
+  t.kind <- weaker
 
 (* ------------------------------------------------------------------ *)
 (* Durable state: snapshots and the commit journal *)
@@ -411,7 +391,7 @@ let journal_commit (t : t) (p : persistence) : unit =
 (* One attempt at the tick's phases.  Raises whatever a phase raises; on
    success [t.units] holds the post-tick state and the tick counter has
    advanced.  Crucially for the transactional wrapper in [step], no phase
-   writes into a committed row: plans work on full-width row copies,
+   writes into a committed row: kernels work on full-width row copies,
    post-processing and movement copy a row only when a value in it changes
    (at most once per tick between them), resurrection copies the rows it
    revives, every phase builds fresh arrays, and [t.units] is swapped as
@@ -440,10 +420,9 @@ let run_phases (t : t) : unit =
   (* decision + action *)
   t.phase <- Fault.Decision;
   let acc =
-    let { evaluator; kernels } = t.engine in
     Telemetry.Span.with_ ~cat:"phase" "decision" @@ fun () ->
     Timer.record t.timings.decision (fun () ->
-        Exec.run_tick ?delta:delta_in ?cols ?kernels t.compiled ~evaluator ~units:t.units
+        Exec.run_tick ?delta:delta_in ?cols t.compiled ~evaluator:t.evaluator ~units:t.units
           ~groups:(groups t) ~rand_for)
   in
   (* post-processing *)
@@ -511,12 +490,12 @@ let run_phases (t : t) : unit =
   t.pending_delta <- delta_out;
   t.tick <- t.tick + 1
 
-(* Cumulative evaluator statistics across demotions: retired engines'
-   totals plus the live engine's. *)
+(* Cumulative evaluator statistics across demotions: retired evaluators'
+   totals plus the live one's. *)
 let cumulative_stats (t : t) : Eval.eval_stats =
   let s = Eval.fresh_stats () in
   add_stats s t.retired_stats;
-  add_stats s t.engine.evaluator.Eval.stats;
+  add_stats s t.evaluator.Eval.stats;
   s
 
 (* Counter values and cumulative timings captured before a step, so the
@@ -572,7 +551,7 @@ let sample_of (t : t) (pre : pre_step) ~(tick_s : float) : tick_sample =
     s_demotions = List.length t.degradations - pre.pre_demotions;
     s_index_builds = s.Eval.index_builds - pre.pre_builds;
     s_index_reuses = s.Eval.index_reuses - pre.pre_reuses;
-    s_evaluator = evaluator_name t.evaluator;
+    s_evaluator = evaluator_name t.kind;
   }
 
 (* Transactional tick.  The pre-tick state is three references — the unit
@@ -615,7 +594,7 @@ let step (t : t) : unit =
         | exn -> (None, exn, bt)
       in
       let fault =
-        Fault.make ~tick:t.tick ~phase:t.phase ?script ~evaluator:(evaluator_name t.evaluator) exn
+        Fault.make ~tick:t.tick ~phase:t.phase ?script ~evaluator:(evaluator_name t.kind) exn
           bt
       in
       Fault.Log.push t.fault_log fault;
@@ -653,7 +632,7 @@ let step (t : t) : unit =
         retry ()
       | (Fail | Quarantine_script), _ -> fail ()
       | Degrade, _ -> begin
-        match demotion t.evaluator with
+        match demotion t.kind with
         | None -> fail ()
         | Some weaker ->
           demote t weaker;
@@ -852,7 +831,7 @@ let fault_count (t : t) : int = Telemetry.Counter.value t.c_faults
 let quarantined_scripts (t : t) : string list = t.quarantined
 let degradations (t : t) : (int * string * string) list = t.degradations
 let retries (t : t) : int = Telemetry.Counter.value t.c_retries
-let current_evaluator (t : t) : evaluator_kind = t.evaluator
+let current_evaluator (t : t) : evaluator_kind = t.kind
 
 (* The per-simulation registry, for archiving next to the ambient
    registry's metrics or asserting on engine counters in tests. *)

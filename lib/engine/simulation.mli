@@ -21,17 +21,18 @@ type config = {
   optimize : bool;
 }
 
+(** The aggregate evaluator behind the decision phase.  Every kind runs
+    the same kernels: each script's optimized plan is lowered to the loop
+    IR ({!Sgl_qopt.Loop_ir}) and compiled once at {!create} into a
+    closure-composed kernel that takes the evaluator as a run-time
+    parameter.  The kinds differ only in how aggregates and area effects
+    are evaluated, and produce tick-for-tick the same unit states. *)
 type evaluator_kind =
-  | Naive
-  | Indexed
+  | Naive  (** nested-loop scans *)
+  | Indexed  (** index structures, cached across ticks *)
   | Fused
-      (** The indexed evaluator driven through fused kernels: every plan
-          is lowered to the loop IR ({!Sgl_qopt.Loop_ir}) and compiled
-          once at startup into closure-composed kernels, eliminating the
-          per-row plan walking and evaluation-context allocation of the
-          interpreted backends.  Produces tick-for-tick the same unit
-          states as [Indexed] (rule V003 validates every lowering); under
-          [Degrade] it demotes to [Indexed], then [Naive]. *)
+      (** A synonym of [Indexed], kept under its own name ["fused"] for
+          callers and degradation records that use it. *)
 
 val evaluator_name : evaluator_kind -> string
 
@@ -46,10 +47,11 @@ val evaluator_name : evaluator_kind -> string
       nothing; its units stay in the environment.  Faults not attributable
       to one group (opening the tick's index cache, post-processing,
       movement, death) still fail.
-    - [Degrade]: demote the evaluator along fused -> indexed -> naive
-      and retry the tick.  Every PRNG draw is keyed by [~tick ~key], so
-      the retried tick is bit-identical to a healthy run of the weaker
-      evaluator; when even naive fails, re-raise. *)
+    - [Degrade]: demote the evaluator from fused or indexed to naive and
+      retry the tick.  The compiled kernels are kept; only the evaluator
+      they are handed changes.  Every PRNG draw is keyed by [~tick ~key],
+      so the retried tick is bit-identical to a healthy run of naive; when
+      even naive fails, re-raise. *)
 type fault_policy =
   | Fail
   | Quarantine_script
@@ -68,7 +70,7 @@ type t
     survive across ticks; [false] restores rebuild-every-tick behaviour.
     [columnar] (default [true]) hands the struct-of-arrays mirror of the
     unit array to the decision phase — index builds scan typed columns
-    and fused kernels load float operands directly; [false] keeps every
+    and kernels load float operands directly; [false] keeps every
     read on the boxed row path (the benchmark baseline).  Every setting
     combination produces bit-identical unit states — both switches only
     trade access-path work. *)

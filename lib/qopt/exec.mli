@@ -1,6 +1,7 @@
 (** Set-at-a-time execution of optimized plans: one tick's decision and
-    action phases for the scripted unit groups, with effects combined into
-    a {!Sgl_relalg.Combine.Acc}. *)
+    action phases for the scripted unit groups, each run through its
+    script's compiled kernel ({!Loop_ir}), with effects combined into a
+    {!Sgl_relalg.Combine.Acc}. *)
 
 open Sgl_relalg
 open Sgl_lang
@@ -8,6 +9,11 @@ open Sgl_lang
 type compiled = {
   prog : Core_ir.program;
   plans : (string * Plan.t) list;
+  kernels : (string * Loop_ir.Compile.kernel) list;
+      (** Every plan lowered through {!Loop_ir.Lower} and compiled by
+          {!Loop_ir.Compile} — the only row executor.  The evaluator is a
+          run-time parameter of the kernels, so one [compiled] serves every
+          tick and every evaluator a [Degrade] demotion switches to. *)
   width : int;
   rewrites : Rewrite.rewrite_stats;
   keyed : bool;
@@ -17,12 +23,18 @@ type compiled = {
 
 exception Exec_error of string
 
-(** Translate and (by default) optimize every entry script.  [prove],
-    indexed by script name, feeds interval facts into the rewrite's
-    condition pruning (see {!Rewrite.simplify}); validation must then run
-    with the same prover. *)
+(** Translate and (by default) optimize every entry script, then lower and
+    compile each plan into its kernel.  [prove], indexed by script name,
+    feeds interval facts into the rewrite's condition pruning (see
+    {!Rewrite.simplify}); validation must then run with the same prover.
+    [fold], indexed by script name, is the interval-fact constant-folding
+    oracle handed to {!Loop_ir.Compile.compile}. *)
 val compile :
-  ?optimize:bool -> ?prove:(string -> Expr.t -> bool option) -> Core_ir.program -> compiled
+  ?optimize:bool ->
+  ?prove:(string -> Expr.t -> bool option) ->
+  ?fold:(string -> Expr.t -> Value.t option) ->
+  Core_ir.program ->
+  compiled
 
 val find_plan : compiled -> string -> Plan.t option
 
@@ -33,27 +45,6 @@ type group = {
   script : string;
   members : int array; (* indexes into the tick's unit array *)
 }
-
-val run_plan :
-  schema:Schema.t ->
-  evaluator:Eval.t ->
-  find_key:(int -> Tuple.t option) ->
-  acc:Combine.Acc.t ->
-  plan:Plan.t ->
-  rows:Tuple.t array ->
-  rands:(int -> int) array ->
-  unit
-
-(** Fused execution backend: every script's plan lowered through
-    {!Loop_ir.Lower} and compiled once into a closure-composed kernel. *)
-type fused = (string * Loop_ir.Compile.kernel) list
-
-(** Lower and compile every plan of [compiled].  Done once per scenario;
-    the evaluator remains a run-time parameter of the kernels, so the same
-    [fused] serves every tick and survives [Degrade] demotion.  [fold],
-    indexed by script name, is the interval-fact constant-folding oracle
-    handed to {!Loop_ir.Compile.compile}. *)
-val fuse : ?fold:(string -> Expr.t -> Value.t option) -> compiled -> fused
 
 (** One script group's failure: the script, and what it raised. *)
 type group_fault = {
@@ -77,21 +68,18 @@ exception Group_failed of group_fault
     the kernels (float binds become column loads).  Purely an access-path
     hint — ticks are bit-identical with or without it.
 
-    Every group runs on the calling domain into one accumulator.
-
-    With [kernels], groups run through their fused kernels instead of plan
-    walking: bit-identical to the interpreter with the same evaluator, as
-    kernels mirror its expression semantics and fusion only permutes
-    contributions to the commutative accumulator (rule V003 validates each
-    lowering).  The ["fused.kernel"] injection point fires per group,
-    after ["exec.group"].
+    Every group runs its script's kernel on the calling domain into one
+    accumulator, after the ["exec.group"] injection point.  Kernels mirror
+    {!Sgl_relalg.Expr.eval} operation-for-operation and fusion only
+    permutes contributions to the commutative accumulator (rule V003
+    validates each lowering), so a tick equals the reference interpreter's
+    ({!Sgl_lang.Interp}) under any evaluator.
 
     Raises {!Group_failed} when a group raises; the tick's effects are then
     lost, and the caller decides whether to retry without that script. *)
 val run_tick :
   ?delta:Delta.t ->
   ?cols:Colstore.t ->
-  ?kernels:fused ->
   compiled ->
   evaluator:Eval.t ->
   units:Tuple.t array ->

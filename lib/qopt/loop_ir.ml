@@ -1,22 +1,21 @@
 (* The fused loop IR: imperative loop programs lowered from optimized
-   plans, compiled once per scenario into closure-composed kernels.
+   plans, compiled once per simulation into closure-composed kernels — the
+   engine's only row executor.
 
-   [Plan.t] execution ([Exec.run_plan]) is tree-at-a-time: each node loops
-   over the live selection, every expression evaluation allocates an
-   [Expr.ctx], and every [Select] partitions through intermediate lists.
-   The loop IR keeps the same batch boundaries the pluggable evaluator
-   needs — aggregate binds and area-of-effect combination — but fuses all
-   straight-line work (register binds, self/key effect emissions) into
-   single passes, and [Compile] turns each pass into one composed closure
-   specialized at startup.
+   Read literally, a [Plan.t] is tree-at-a-time: each node loops over the
+   live selection and every [Select] partitions it.  The loop IR keeps the
+   batch boundaries the pluggable evaluator needs — aggregate binds and
+   area-of-effect combination — but fuses all straight-line work (register
+   binds, self/key effect emissions) into single passes, and [Compile]
+   turns each pass into one composed closure specialized at startup.
 
-   Bit-identity with the interpreter is a hard requirement (the
-   conformance harness diffs unit states after 50 ticks), so every closure
-   mirrors [Expr.eval] operation-for-operation: same error messages, same
-   short-circuiting, same tie-breaking in min/max, and constant folding
-   only for [Random]-free subtrees whose value cannot depend on the row —
-   with a run-time fallback when folding itself raises, so errors surface
-   where the interpreter would raise them. *)
+   Bit-identity with the reference interpreter ([Interp]) is a hard
+   requirement (the conformance harness diffs unit states after 50 ticks),
+   so every closure mirrors [Expr.eval] operation-for-operation: same
+   error messages, same short-circuiting, same tie-breaking in min/max, and
+   constant folding only for [Random]-free subtrees whose value cannot
+   depend on the row — with a run-time fallback when folding itself
+   raises, so errors surface where the interpreter would raise them. *)
 
 open Sgl_relalg
 open Sgl_lang
@@ -468,10 +467,9 @@ module Compile = struct
 
   type state = { env : env; rows : Tuple.t array; rands : (int -> int) array }
 
-  (* A compiled program runs over an explicit selection of row indexes —
-     the loop-IR analogue of [Exec.run_plan]'s [sel].  Callers guarantee
-     the selection is non-empty, mirroring the interpreter's skip of empty
-     sub-plans (in particular: no aggregate batch is ever evaluated over
+  (* A compiled program runs over an explicit selection of row indexes.
+     Callers guarantee the selection is non-empty: empty sub-programs are
+     skipped (in particular, no aggregate batch is ever evaluated over
      zero rows). *)
   let rec compile_prog (schema : Schema.t) ~(columnar : bool) ~fold (p : t) :
       state -> int array -> unit =

@@ -9,8 +9,9 @@
     (aggregate binds, area-of-effect combination).  {!Compile} then
     specializes the loop program once, composing one closure per operation
     into a kernel of type [env -> rows -> rands -> unit]; running a tick
-    executes the composed closures with no plan walking, no evaluation-
-    context allocation, and constant subexpressions folded away.
+    executes the composed closures with no evaluation-context allocation
+    and constant subexpressions folded away.  Kernels are the engine's only
+    row executor ({!Exec.run_tick} runs every script group through one).
 
     Soundness: effects combine through the associative-commutative-
     idempotent ⊕, and each row's random stream is a pure function keyed by
@@ -19,7 +20,8 @@
     ops — permutes only the order in which contributions meet ⊕.  Rule
     V003 ({!Sgl_analysis.Plan_check}) validates every lowering by
     comparing guarded effect clauses; the conformance harness pins the
-    kernels bit-identical against the interpreted evaluators. *)
+    kernels bit-identical against the reference interpreter
+    ({!Sgl_lang.Interp}). *)
 
 open Sgl_relalg
 open Sgl_lang

@@ -30,8 +30,8 @@ let () =
    list: a typo in a point name must fail loudly, not silently never fire. *)
 let points =
   [
-    "eval.member"; "exec.group"; "fused.kernel"; "index.build"; "io.checkpoint.write";
-    "io.journal.append"; "io.restore.read"; "post.apply";
+    "eval.member"; "exec.group"; "index.build"; "io.checkpoint.write"; "io.journal.append";
+    "io.restore.read"; "post.apply";
   ]
 
 type point = {

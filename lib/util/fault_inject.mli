@@ -21,7 +21,6 @@ exception Injected of { point : string; count : int }
 (** The injection points compiled into the engine:
     ["eval.member"] (indexed-evaluator aggregate batch),
     ["exec.group"] (per script group, per tick),
-    ["fused.kernel"] (per kernel row batch of the fused evaluator),
     ["index.build"] (per-tick index construction),
     ["io.checkpoint.write"] (per section of a checkpoint being written),
     ["io.journal.append"] (per journal record appended),

@@ -403,7 +403,7 @@ let fixtures_flagged () =
         Alcotest.failf "%s: expected %s, got [%s]" path rule (String.concat "; " (rules_of diags)))
     expect
 
-(* P006 fires on what the fused backend actually compiles: a bind the
+(* P006 fires on what the kernel compiler actually compiles: a bind the
    kernel can load from typed columns stays silent, one it cannot is
    reported.  The fixture covers the firing side; this pins the clean
    side so the lint cannot degenerate into flagging every bind. *)

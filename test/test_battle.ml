@@ -106,11 +106,6 @@ let test_standard_mix () =
 (* ------------------------------------------------------------------ *)
 (* Integration: naive engine = indexed engine, tick by tick *)
 
-let sorted_units sim =
-  let units = Array.copy (Simulation.units sim) in
-  Array.sort compare units;
-  units
-
 let check_engines_agree ~n ~ticks ~density =
   let scenario = Scenario.setup ~density ~per_side:(Scenario.standard_mix (n / 2)) () in
   let sim_n = Scenario.simulation ~evaluator:Simulation.Naive scenario in
@@ -118,7 +113,7 @@ let check_engines_agree ~n ~ticks ~density =
   for t = 1 to ticks do
     Simulation.step sim_n;
     Simulation.step sim_i;
-    if sorted_units sim_n <> sorted_units sim_i then
+    if Test_engine.sorted_units sim_n <> Test_engine.sorted_units sim_i then
       Alcotest.failf "engines diverged at tick %d (n=%d)" t n
   done
 
@@ -141,7 +136,7 @@ let test_optimizer_preserves_behaviour () =
   for t = 1 to 20 do
     Simulation.step sim_opt;
     Simulation.step sim_raw;
-    if sorted_units sim_opt <> sorted_units sim_raw then
+    if Test_engine.sorted_units sim_opt <> Test_engine.sorted_units sim_raw then
       Alcotest.failf "optimizer changed behaviour at tick %d" t
   done
 

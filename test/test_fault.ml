@@ -193,22 +193,6 @@ let battle_sim ?fault_policy ~evaluator () =
   let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 40) () in
   Scenario.simulation ~seed:11 ?fault_policy ~evaluator scenario
 
-let sorted_units (sim : Simulation.t) =
-  let s = Simulation.schema sim in
-  let out = Array.map Sgl_relalg.Tuple.copy (Simulation.units sim) in
-  Array.sort (fun a b -> compare (Sgl_relalg.Tuple.key s a) (Sgl_relalg.Tuple.key s b)) out;
-  out
-
-let check_states ~(msg : string) expected got =
-  Alcotest.(check int) (msg ^ ": population") (Array.length expected) (Array.length got);
-  Array.iteri
-    (fun i e ->
-      if compare e got.(i) <> 0 then
-        Alcotest.failf "%s: unit %d diverged@.expected %s@.got      %s" msg i
-          (Fmt.str "%a" Sgl_relalg.Tuple.pp e)
-          (Fmt.str "%a" Sgl_relalg.Tuple.pp got.(i)))
-    expected
-
 (* Fail: the tick rolls back, the error carries context, and the
    simulation is still usable once the injection is disarmed. *)
 let fail_policy_rolls_back () =
@@ -216,7 +200,7 @@ let fail_policy_rolls_back () =
       let sim = battle_sim ~evaluator:Simulation.Indexed () in
       Simulation.step sim;
       Simulation.step sim;
-      let before = sorted_units sim in
+      let before = Test_engine.sorted_units sim in
       Fault_inject.arm ~point:"post.apply" (Fault_inject.At_count 1);
       let fault =
         match Simulation.step sim with
@@ -227,7 +211,7 @@ let fail_policy_rolls_back () =
       Alcotest.(check string) "fault phase" "post" (Fault.phase_name fault.Fault.phase);
       Alcotest.(check string) "fault evaluator" "indexed" fault.Fault.evaluator;
       Alcotest.(check int) "tick counter unchanged" 2 (Simulation.tick_count sim);
-      check_states ~msg:"state rolled back" before (sorted_units sim);
+      Test_engine.check_states ~msg:"state rolled back" before (Test_engine.sorted_units sim);
       Alcotest.(check int) "fault logged" 1 (Simulation.fault_count sim);
       (* disarm and keep going: the failed tick reruns cleanly *)
       Fault_inject.reset ();
@@ -261,7 +245,7 @@ let degrade_to_naive () =
   let clean =
     let sim = battle_sim ~evaluator:Simulation.Naive () in
     Simulation.run sim ~ticks:15;
-    sorted_units sim
+    Test_engine.sorted_units sim
   in
   with_injection (fun () ->
       Fault_inject.arm ~point:"eval.member" Fault_inject.Always;
@@ -270,9 +254,10 @@ let degrade_to_naive () =
       Alcotest.(check int) "all ticks ran" 15 (Simulation.tick_count sim);
       Alcotest.(check string) "landed on naive" "naive"
         (Simulation.evaluator_name (Simulation.current_evaluator sim));
-      Alcotest.(check int) "two retries" 2 (Simulation.retries sim);
-      check_states ~msg:"degraded fused vs clean naive" clean (sorted_units sim));
-  (* the same chain entered one rung down: indexed -> naive mid-run *)
+      Alcotest.(check int) "one retry" 1 (Simulation.retries sim);
+      Test_engine.check_states ~msg:"degraded fused vs clean naive" clean
+        (Test_engine.sorted_units sim));
+  (* the same demotion entered on indexed, mid-run *)
   with_injection (fun () ->
       Fault_inject.arm ~point:"index.build" (Fault_inject.At_count 30);
       let sim = battle_sim ~fault_policy:Simulation.Degrade ~evaluator:Simulation.Indexed () in
@@ -282,10 +267,11 @@ let degrade_to_naive () =
         (Simulation.evaluator_name (Simulation.current_evaluator sim));
       Alcotest.(check bool) "demoted after tick 0" true
         (match Simulation.degradations sim with [ (t, _, _) ] -> t > 0 | _ -> false);
-      check_states ~msg:"mid-run demotion vs clean naive" clean (sorted_units sim))
+      Test_engine.check_states ~msg:"mid-run demotion vs clean naive" clean
+        (Test_engine.sorted_units sim))
 
-(* Quarantine decisions must not depend on the backend: [exec.group] is
-   hit once per script group under both the interpreted and the fused
+(* Quarantine decisions must not depend on the evaluator's name:
+   [exec.group] is hit once per script group whichever evaluator runs the
    tick, so the same call count quarantines the same script. *)
 let quarantine_fused_differential () =
   let quarantined evaluator =
@@ -301,56 +287,33 @@ let quarantine_fused_differential () =
   Alcotest.(check int) "one group quarantined under fused" 1 (List.length fused);
   Alcotest.(check (list string)) "same script quarantined" indexed fused
 
-(* The fused-only injection point: a faulting kernel is reported under its
-   script name and excluded like any other group failure — and the
-   interpreted backend never reaches the point at all. *)
-let quarantine_fused_kernel_point () =
-  with_injection (fun () ->
-      Fault_inject.arm ~point:"fused.kernel" (Fault_inject.At_count 7);
-      let sim =
-        battle_sim ~fault_policy:Simulation.Quarantine_script ~evaluator:Simulation.Fused ()
-      in
-      Simulation.run sim ~ticks:20;
-      Alcotest.(check int) "all ticks ran" 20 (Simulation.tick_count sim);
-      let quarantined = Simulation.quarantined_scripts sim in
-      Alcotest.(check int) "one group quarantined" 1 (List.length quarantined);
-      let known = [ "knight"; "knight_move"; "archer"; "archer_reposition"; "healer" ] in
-      Alcotest.(check bool) "a real battle script" true (List.mem (List.hd quarantined) known);
-      (match Simulation.faults sim with
-      | [ f ] ->
-        Alcotest.(check (option string)) "fault names the script" (Some (List.hd quarantined))
-          f.Fault.script
-      | fs -> Alcotest.failf "expected one logged fault, got %d" (List.length fs));
-      let calls_before = Fault_inject.calls "fused.kernel" in
-      let sim2 = battle_sim ~evaluator:Simulation.Indexed () in
-      Simulation.run sim2 ~ticks:5;
-      Alcotest.(check int) "indexed never hits fused.kernel" calls_before
-        (Fault_inject.calls "fused.kernel"))
-
-(* Degrade out of the fused backend: a kernel fault demotes fused ->
-   indexed, and the retried run lands on exactly the states of a clean
-   indexed run — the kernels share the evaluator, so nothing is lost. *)
-let degrade_fused_to_indexed () =
+(* Degrade out of fused: a group fault on the first tick demotes straight
+   to naive (fused is a synonym of indexed, one rung above naive), and the
+   retried run lands on exactly the states of a clean naive run — the
+   kernels compiled at startup survive the demotion, only the evaluator
+   they are handed changes. *)
+let degrade_fused_to_naive () =
   let clean =
-    let sim = battle_sim ~evaluator:Simulation.Indexed () in
+    let sim = battle_sim ~evaluator:Simulation.Naive () in
     Simulation.run sim ~ticks:30;
-    sorted_units sim
+    Test_engine.sorted_units sim
   in
   with_injection (fun () ->
-      Fault_inject.arm ~point:"fused.kernel" Fault_inject.Always;
+      Fault_inject.arm ~point:"exec.group" (Fault_inject.At_count 1);
       let sim = battle_sim ~fault_policy:Simulation.Degrade ~evaluator:Simulation.Fused () in
       Simulation.run sim ~ticks:30;
       Alcotest.(check int) "all ticks ran" 30 (Simulation.tick_count sim);
-      Alcotest.(check string) "landed on indexed" "indexed"
+      Alcotest.(check string) "landed on naive" "naive"
         (Simulation.evaluator_name (Simulation.current_evaluator sim));
       Alcotest.(check int) "one retry" 1 (Simulation.retries sim);
       (match Simulation.degradations sim with
       | [ (tick, from_, to_) ] ->
         Alcotest.(check int) "demoted on the first tick" 0 tick;
         Alcotest.(check string) "from fused" "fused" from_;
-        Alcotest.(check string) "to indexed" "indexed" to_
+        Alcotest.(check string) "to naive" "naive" to_
       | ds -> Alcotest.failf "expected one demotion, got %d" (List.length ds));
-      check_states ~msg:"degraded fused vs clean indexed" clean (sorted_units sim))
+      Test_engine.check_states ~msg:"degraded fused vs clean naive" clean
+        (Test_engine.sorted_units sim))
 
 (* Degrade exhausted: when even naive faults, step re-raises in context. *)
 let degrade_exhausted () =
@@ -374,12 +337,13 @@ let quarantine_faultfree_identical () =
   let run policy =
     let sim = battle_sim ?fault_policy:policy ~evaluator:Simulation.Indexed () in
     Simulation.run sim ~ticks:25;
-    sorted_units sim
+    Test_engine.sorted_units sim
   in
   let baseline = run None in
-  check_states ~msg:"quarantine (fault-free) vs fail" baseline
+  Test_engine.check_states ~msg:"quarantine (fault-free) vs fail" baseline
     (run (Some Simulation.Quarantine_script));
-  check_states ~msg:"degrade (fault-free) vs fail" baseline (run (Some Simulation.Degrade))
+  Test_engine.check_states ~msg:"degrade (fault-free) vs fail" baseline
+    (run (Some Simulation.Degrade))
 
 (* ------------------------------------------------------------------ *)
 (* The fault policy never changes the trace *)
@@ -516,10 +480,10 @@ let quarantine_every_group () =
         Alcotest.(check int) (msg ^ ": one fault per group") (List.length scripts)
           (Simulation.fault_count sim);
         Simulation.run sim ~ticks:2;
-        sorted_units sim)
+        Test_engine.sorted_units sim)
   in
   let indexed = run Simulation.Indexed in
-  check_states ~msg:"fused vs indexed" indexed (run Simulation.Fused)
+  Test_engine.check_states ~msg:"fused vs indexed" indexed (run Simulation.Fused)
 
 (* Under Fail a group fault names its script and keeps the original
    exception, not the executor's wrapper. *)
@@ -543,7 +507,7 @@ let quarantine_post_fault_fails () =
         battle_sim ~fault_policy:Simulation.Quarantine_script ~evaluator:Simulation.Indexed ()
       in
       Simulation.step sim;
-      let before = sorted_units sim in
+      let before = Test_engine.sorted_units sim in
       Fault_inject.arm ~point:"post.apply" (Fault_inject.At_count 1);
       (match Simulation.step sim with
       | () -> Alcotest.fail "step did not raise on a post-processing fault"
@@ -552,7 +516,7 @@ let quarantine_post_fault_fails () =
         Alcotest.(check (option string)) "no script" None f.Fault.script);
       Alcotest.(check int) "tick counter unchanged" 1 (Simulation.tick_count sim);
       Alcotest.(check (list string)) "nothing quarantined" [] (Simulation.quarantined_scripts sim);
-      check_states ~msg:"state rolled back" before (sorted_units sim))
+      Test_engine.check_states ~msg:"state rolled back" before (Test_engine.sorted_units sim))
 
 let suite =
   [
@@ -578,10 +542,8 @@ let suite =
         Alcotest.test_case "quarantine: excluded group, run completes" `Quick quarantine_completes;
         Alcotest.test_case "quarantine: fused = indexed on the faulting script" `Slow
           quarantine_fused_differential;
-        Alcotest.test_case "fused.kernel point quarantines in context" `Slow
-          quarantine_fused_kernel_point;
-        Alcotest.test_case "degrade: fused -> indexed, bit-identical" `Slow
-          degrade_fused_to_indexed;
+        Alcotest.test_case "degrade: fused -> naive in one retry, bit-identical" `Slow
+          degrade_fused_to_naive;
         Alcotest.test_case "degrade: down to naive, bit-identical" `Slow degrade_to_naive;
         Alcotest.test_case "degrade: exhausted chain re-raises" `Quick degrade_exhausted;
         Alcotest.test_case "guards are bit-identical when nothing fires" `Slow

@@ -1,15 +1,16 @@
-(* The fused compiled backend: Lower/Compile unit tests against the
-   interpreted executor, the three-way conformance differential, and qcheck
-   fuzzing of randomized scripts through all three evaluators.
+(* The compiled kernels: Lower/Compile unit tests against the reference
+   interpreter, the three-way conformance differential, and qcheck fuzzing
+   of randomized scripts through all three evaluators.
 
-   The contract under test: [Simulation.Fused] produces *bit-identical*
-   unit states to [Naive] and [Indexed] — the kernels mirror [Expr.eval]
+   The contract under test: kernels are the only row executor, so every
+   evaluator ([Naive], [Indexed] and its synonym [Fused]) must produce
+   *bit-identical* unit states — the kernels mirror [Expr.eval]
    operation-for-operation, and the reordering introduced by operator
    fusion only permutes contributions to the commutative ⊕-accumulator.
    The kernel-level tests pin each plan shape (naive scan, enumeration
-   probe, range probe, extremal window, uniform) against the interpreted
-   plan walker on a fixed 100-row store, including empty / single-row /
-   duplicate-key stores mirroring test_index's edge cases. *)
+   probe, range probe, extremal window, uniform) against [Interp] on a
+   fixed 100-row store, including empty / single-row / duplicate-key
+   stores mirroring test_index's edge cases. *)
 
 open Sgl_relalg
 open Sgl_lang
@@ -19,38 +20,68 @@ open Sgl_util
 let schema () = Test_lang.schema ()
 
 (* ------------------------------------------------------------------ *)
-(* Kernel vs interpreter: one fixed store per plan shape *)
+(* Kernel vs reference interpreter: one fixed store per plan shape *)
 
-(* Run one script over [units] through the fused path: compile, lower,
-   specialize, execute — the exact startup sequence [Simulation] uses. *)
-let effects_fused ?(optimize = true) prog script_name units rand_for_key =
-  let compiled = Exec.compile ~optimize prog in
-  let fused = Exec.fuse compiled in
-  let evaluator =
-    Eval.indexed ~schema:prog.Core_ir.schema ~aggregates:prog.Core_ir.aggregates ()
+(* Run one script over [units] through its kernel the way a simulation
+   does: compiled with the interval-fact oracle pruning guards and folding
+   constants, and run with the columnar mirror, so float binds load their
+   operands from typed columns. *)
+let effects_kernel ~evaluator prog script_name units rand_for_key =
+  let oracle = Sgl_analysis.Absint.make_oracle prog in
+  let compiled =
+    Exec.compile ~prove:oracle.Sgl_analysis.Absint.prove ~fold:oracle.Sgl_analysis.Absint.fold
+      prog
   in
   let groups =
     [ { Exec.script = script_name; members = Array.init (Array.length units) (fun i -> i) } ]
   in
+  let cols = Colstore.of_tuples prog.Core_ir.schema units in
   Combine.Acc.to_relation
-    (Exec.run_tick ~kernels:fused compiled ~evaluator ~units ~groups ~rand_for:rand_for_key)
+    (Exec.run_tick ~cols compiled ~evaluator ~units ~groups ~rand_for:rand_for_key)
+
+(* Effects by unit key: the accumulator merges every target sharing a key
+   into one row, while the reference interpreter keeps one row per target
+   tuple.  Folding each key's rows with ⊕ and keeping the key and the
+   effect attributes makes the two comparable on duplicate-key stores too
+   (on unique keys the remaining attributes are the unit's own).  Values
+   compare as printed, like [Relation.equal_as_multiset]. *)
+let effects_by_key s (r : Relation.t) : (int * string list) list =
+  let effects = Schema.effect_indices s in
+  let tbl = Hashtbl.create 16 in
+  Relation.iter
+    (fun row ->
+      let key = Tuple.key s row in
+      let vals = List.map (Tuple.get row) effects in
+      Hashtbl.replace tbl key
+        (match Hashtbl.find_opt tbl key with
+        | None -> vals
+        | Some prev ->
+          List.map2
+            (fun i (a, b) -> Schema.combine_values s i a b)
+            effects (List.combine prev vals)))
+    r;
+  Hashtbl.to_seq tbl
+  |> Seq.map (fun (key, vals) -> (key, List.map (Fmt.str "%a" Value.pp) vals))
+  |> List.of_seq |> List.sort compare
 
 (* The per-row random stream is a pure function of (tick, key, draw), so
-   the same closure drives both backends without coupling them. *)
+   the same closure drives both executors without coupling them. *)
 let check_kernel_on ~(src : string) ~script (units : Tuple.t array) ~seed =
   let s = schema () in
   let prog = Compile.compile ~schema:s src in
   let prng = Prng.create (seed * 7919) in
   let rand_for_key ~key i = Prng.script_random prng ~tick:0 ~key i in
-  let interpreted =
-    let ev = Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates () in
-    Test_qopt.normalize_effects s
-      (Test_qopt.effects_exec ~optimize:true ~evaluator:ev prog script units rand_for_key)
+  let rand_for u i = rand_for_key ~key:(Tuple.key s u) i in
+  let reference =
+    Test_qopt.normalize_effects s (Test_qopt.effects_reference prog script units rand_for)
   in
-  let fused = Test_qopt.normalize_effects s (effects_fused prog script units rand_for_key) in
-  if not (Relation.equal_as_multiset interpreted fused) then
-    Alcotest.failf "fused kernel diverged from interpreted plan@.interp:@.%a@.fused:@.%a"
-      Relation.pp interpreted Relation.pp fused
+  let evaluator = Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates () in
+  let kernel =
+    Test_qopt.normalize_effects s (effects_kernel ~evaluator prog script units rand_for_key)
+  in
+  if compare (effects_by_key s reference) (effects_by_key s kernel) <> 0 then
+    Alcotest.failf "kernel diverged from the reference interpreter@.interp:@.%a@.kernel:@.%a"
+      Relation.pp reference Relation.pp kernel
 
 let check_kernel ?(src = Test_lang.figure3_source) ~script ~n ~seed () =
   check_kernel_on ~src ~script (Test_qopt.random_units (schema ()) ~n ~seed) ~seed
@@ -62,6 +93,31 @@ let kernel_range_aoe () = check_kernel ~src:Test_qopt.aoe_source ~script:"main" 
 let kernel_sweep () = check_kernel ~src:Test_qopt.sweep_source ~script:"main" ~n:100 ~seed:34 ()
 let kernel_uniform () =
   check_kernel ~src:Test_qopt.uniform_source ~script:"main" ~n:100 ~seed:35 ()
+
+(* Float binds over schema attributes through every operation the column
+   path specializes; the conformance harness has no other reference for
+   the typed-column loads than the interpreter's boxed evaluation. *)
+let float_bind_source =
+  {|
+action Steer(u, vx, vy) {
+  on self { movevect_x <- vx; movevect_y <- vy; }
+}
+
+script main(u) {
+  let px = u.posx * 0.75 - u.posy / 4.0 + (u.range - u.posx);
+  let py = max(u.posx, u.posy) - min(u.range, u.posy) * 0.5 + abs(u.posy - u.posx);
+  let pz = sqrt(u.posx * u.posx + u.posy * u.posy) - (0.0 - u.range);
+  if px > py then { perform Steer(u, px, pz); } else { perform Steer(u, py, 0.0 - pz); }
+}
+|}
+
+let kernel_float_columns () =
+  let s = schema () in
+  let compiled = Exec.compile (Compile.compile ~schema:s float_bind_source) in
+  let lowered = Loop_ir.Lower.lower (Option.get (Exec.find_plan compiled "main")) in
+  Alcotest.(check int) "every bind loads from the columns" 0
+    (List.length (Loop_ir.Compile.boxed_binds ~schema:s lowered));
+  check_kernel ~src:float_bind_source ~script:"main" ~n:100 ~seed:36 ()
 
 let edge_sources =
   [
@@ -181,11 +237,12 @@ let frost_mage () = Test_engine.differential ~ticks:50 ~make_sim:Test_engine.fro
 (* ------------------------------------------------------------------ *)
 (* Fuzzing: randomized scripts through all three evaluators *)
 
-(* Single-tick effects: the fused kernels against the naive and indexed
-   plan walkers on the same generated program (test_fuzz's generators; its
-   own property already pins interp = naive = indexed). *)
-let fused_tick_equivalence =
-  QCheck.Test.make ~name:"fuzz: naive = indexed = fused (one tick)" ~count:40
+(* Single-tick effects: the kernels, compiled with the engine's oracles,
+   over the naive and the indexed evaluator against the reference
+   interpreter on the same generated program (test_fuzz's generators; its
+   own property pins the oracle-free compile). *)
+let kernel_tick_equivalence =
+  QCheck.Test.make ~name:"fuzz: naive = indexed = interp, engine oracles (one tick)" ~count:40
     (QCheck.pair Test_fuzz.arb_program (QCheck.int_range 0 1000))
     (fun (ast, seed) ->
       let s = schema () in
@@ -193,16 +250,16 @@ let fused_tick_equivalence =
       let units = Test_qopt.random_units s ~n:35 ~seed:(seed + 1) in
       let prng = Prng.create (seed + 5000) in
       let rand_for_key ~key i = Prng.script_random prng ~tick:0 ~key i in
-      let exec ev =
-        Test_qopt.normalize_effects s
-          (Test_qopt.effects_exec ~optimize:true ~evaluator:ev prog "main" units rand_for_key)
+      let rand_for u i = rand_for_key ~key:(Tuple.key s u) i in
+      let reference =
+        Test_qopt.normalize_effects s (Test_qopt.effects_reference prog "main" units rand_for)
+      in
+      let exec evaluator =
+        Test_qopt.normalize_effects s (effects_kernel ~evaluator prog "main" units rand_for_key)
       in
       let naive = exec (Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates) in
       let indexed = exec (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()) in
-      let fused =
-        Test_qopt.normalize_effects s (effects_fused prog "main" units rand_for_key)
-      in
-      Relation.equal_as_multiset naive fused && Relation.equal_as_multiset indexed fused)
+      Relation.equal_as_multiset reference naive && Relation.equal_as_multiset reference indexed)
 
 (* Full-simulation churn: random movement, deaths and key-targeted
    effects for 20 ticks under [Naive] and [Fused] from the same seed must
@@ -259,6 +316,7 @@ let suite =
         tc "range probe + AoE vs interpreter" `Quick kernel_range_aoe;
         tc "sweep-line argmin vs interpreter" `Quick kernel_sweep;
         tc "uniform stddev vs interpreter" `Quick kernel_uniform;
+        tc "float column binds vs interpreter" `Quick kernel_float_columns;
         tc "empty store" `Quick kernel_empty;
         tc "single row" `Quick kernel_single_row;
         tc "duplicate keys" `Quick kernel_duplicate_keys;
@@ -279,7 +337,7 @@ let suite =
       ] );
     ( "fused.fuzz",
       [
-        QCheck_alcotest.to_alcotest fused_tick_equivalence;
+        QCheck_alcotest.to_alcotest kernel_tick_equivalence;
         QCheck_alcotest.to_alcotest fused_sim_equivalence;
       ] );
   ]

@@ -19,22 +19,6 @@ open Sgl_battle
 
 let with_injection f = Fun.protect ~finally:Fault_inject.reset f
 
-let sorted_units (sim : Simulation.t) =
-  let s = Simulation.schema sim in
-  let out = Array.map Tuple.copy (Simulation.units sim) in
-  Array.sort (fun a b -> compare (Tuple.key s a) (Tuple.key s b)) out;
-  out
-
-let check_states ~(msg : string) expected got =
-  Alcotest.(check int) (msg ^ ": population") (Array.length expected) (Array.length got);
-  Array.iteri
-    (fun i e ->
-      if compare e got.(i) <> 0 then
-        Alcotest.failf "%s: unit %d diverged@.expected %s@.got      %s" msg i
-          (Fmt.str "%a" Tuple.pp e)
-          (Fmt.str "%a" Tuple.pp got.(i)))
-    expected
-
 (* ------------------------------------------------------------------ *)
 (* The sentry scenario: a mostly static army watched by a few scouts whose
    aggregate counts feed persistent state through a threshold.  Churn is
@@ -154,13 +138,14 @@ let cache_differential ~(ticks : int)
     Alcotest.(check int) "tick count" ticks (Simulation.tick_count sim);
     sim
   in
-  let baseline = sorted_units (run ~index_cache:true Simulation.Naive) in
+  let baseline = Test_engine.sorted_units (run ~index_cache:true Simulation.Naive) in
   let warm = run ~index_cache:true Simulation.Indexed in
-  check_states ~msg:"indexed cached vs naive" baseline (sorted_units warm);
+  Test_engine.check_states ~msg:"indexed cached vs naive" baseline
+    (Test_engine.sorted_units warm);
   Alcotest.(check bool) "the cache actually engaged" true
     ((Simulation.report warm).Simulation.index_reuses > 0);
-  check_states ~msg:"indexed cold vs naive" baseline
-    (sorted_units (run ~index_cache:false Simulation.Indexed))
+  Test_engine.check_states ~msg:"indexed cold vs naive" baseline
+    (Test_engine.sorted_units (run ~index_cache:false Simulation.Indexed))
 
 let battle_cache_differential () =
   cache_differential ~ticks:50 ~make_sim:(fun ~index_cache evaluator ->
@@ -219,7 +204,7 @@ let degrade_with_cache () =
   let clean =
     let sim = battle_sim_for_faults ~index_cache:true ~evaluator:Simulation.Naive () in
     Simulation.run sim ~ticks:40;
-    sorted_units sim
+    Test_engine.sorted_units sim
   in
   with_injection (fun () ->
       Fault_inject.arm ~point:"eval.member" (Fault_inject.At_count 200);
@@ -233,7 +218,8 @@ let degrade_with_cache () =
         (Simulation.evaluator_name (Simulation.current_evaluator sim));
       Alcotest.(check bool) "demotion happened mid-run" true
         (match Simulation.degradations sim with [ (t, _, _) ] -> t > 0 | _ -> false);
-      check_states ~msg:"degraded cached vs clean naive" clean (sorted_units sim))
+      Test_engine.check_states ~msg:"degraded cached vs clean naive" clean
+        (Test_engine.sorted_units sim))
 
 (* Quarantine with the cache on vs off: the same injection schedule must
    quarantine the same group and land on the same states — quarantine
@@ -248,12 +234,12 @@ let quarantine_cache_parity () =
         in
         Simulation.run sim ~ticks:25;
         Alcotest.(check int) "all ticks ran" 25 (Simulation.tick_count sim);
-        (Simulation.quarantined_scripts sim, sorted_units sim))
+        (Simulation.quarantined_scripts sim, Test_engine.sorted_units sim))
   in
   let quarantined_warm, warm = run ~index_cache:true in
   let quarantined_cold, cold = run ~index_cache:false in
   Alcotest.(check (list string)) "same group quarantined" quarantined_cold quarantined_warm;
-  check_states ~msg:"quarantined cached vs cold" cold warm
+  Test_engine.check_states ~msg:"quarantined cached vs cold" cold warm
 
 (* A rolled-back tick commits no delta: the Fail policy restores the state
    and the next successful tick revalidates against the *previous
@@ -276,7 +262,8 @@ let rollback_discards_delta () =
       Simulation.run sim ~ticks:20;
       let twin = sentry_sim ~churn:30 ~n:80 Simulation.Indexed in
       Simulation.run twin ~ticks:21;
-      check_states ~msg:"post-rollback vs never-faulted" (sorted_units twin) (sorted_units sim))
+      Test_engine.check_states ~msg:"post-rollback vs never-faulted"
+        (Test_engine.sorted_units twin) (Test_engine.sorted_units sim))
 
 (* ------------------------------------------------------------------ *)
 (* Shared partition geometry across ticks *)
@@ -401,16 +388,16 @@ let geometry_revalidation () =
   in
   for tick = 1 to 30 do
     Simulation.step naive;
-    let expected = sorted_units naive in
+    let expected = Test_engine.sorted_units naive in
     List.iter
       (fun (ev, sim) ->
         Simulation.step sim;
         (match Simulation.last_delta sim with
         | Some d when not (Delta.structural d) -> ()
         | _ -> Alcotest.failf "tick %d: expected a non-structural delta" tick);
-        check_states
+        Test_engine.check_states
           ~msg:(Fmt.str "tick %d: %s cached vs naive" tick (Simulation.evaluator_name ev))
-          expected (sorted_units sim))
+          expected (Test_engine.sorted_units sim))
       cached
   done;
   List.iter
@@ -436,7 +423,7 @@ let fuzz_churn =
       let run evaluator =
         let sim = sentry_sim ~churn ~thresh ~seed ~n evaluator in
         Simulation.run sim ~ticks;
-        sorted_units sim
+        Test_engine.sorted_units sim
       in
       let naive = run Simulation.Naive and cached = run Simulation.Indexed in
       Array.length naive = Array.length cached

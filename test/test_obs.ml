@@ -318,12 +318,6 @@ let flight_counter_deltas () =
 (* ------------------------------------------------------------------ *)
 (* The differential guarantee: full obs stack on vs everything off *)
 
-let sorted_units (sim : Simulation.t) : Tuple.t array =
-  let s = Simulation.schema sim in
-  let out = Array.map Tuple.copy (Simulation.units sim) in
-  Array.sort (fun a b -> compare (Tuple.key s a) (Tuple.key s b)) out;
-  out
-
 let obs_is_invisible () =
   let run ~obs =
     let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 30) () in
@@ -350,7 +344,7 @@ let obs_is_invisible () =
       ignore (h ~path:"/query" ~params:[ ("q", "count(*) where e.health > 0") ]);
       Live.stop live;
       (try Sys.remove path with Sys_error _ -> ()));
-    (sorted_units sim, Sgl_persist.Codec.units_digest (Simulation.units sim))
+    (Test_engine.sorted_units sim, Sgl_persist.Codec.units_digest (Simulation.units sim))
   in
   let baseline, base_digest = run ~obs:false in
   let observed, obs_digest = run ~obs:true in

@@ -478,8 +478,8 @@ let degrade_recovery () =
   in
   Simulation.checkpoint_every ~fsync:false a ~dir ~every:6;
   Simulation.run a ~ticks:8;
-  Fault_inject.arm ~point:"fused.kernel" Fault_inject.Always;
-  Simulation.step a (* tick 9 faults, demotes fused -> indexed, retries *);
+  Fault_inject.arm ~point:"exec.group" (Fault_inject.At_count 1);
+  Simulation.step a (* tick 9 faults, demotes fused -> naive, retries *);
   Fault_inject.reset ();
   Simulation.run a ~ticks:11 (* to tick 20, on the demoted evaluator *);
   Alcotest.(check bool) "a degradation was recorded" true (Simulation.degradations a <> []);

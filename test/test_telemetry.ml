@@ -4,7 +4,6 @@
    EXPLAIN.  Observation never feeds back into the simulation. *)
 
 open Sgl_util
-open Sgl_relalg
 open Sgl_engine
 open Sgl_battle
 
@@ -154,22 +153,6 @@ let trace_close_idempotent () =
 (* ------------------------------------------------------------------ *)
 (* The differential guarantee *)
 
-let sorted_units (sim : Simulation.t) : Tuple.t array =
-  let s = Simulation.schema sim in
-  let out = Array.map Tuple.copy (Simulation.units sim) in
-  Array.sort (fun a b -> compare (Tuple.key s a) (Tuple.key s b)) out;
-  out
-
-let check_states ~(msg : string) (expected : Tuple.t array) (got : Tuple.t array) =
-  Alcotest.(check int) (msg ^ ": population") (Array.length expected) (Array.length got);
-  Array.iteri
-    (fun i e ->
-      if compare e got.(i) <> 0 then
-        Alcotest.failf "%s: unit %d diverged@.expected %s@.got      %s" msg i
-          (Fmt.str "%a" Tuple.pp e)
-          (Fmt.str "%a" Tuple.pp got.(i)))
-    expected
-
 (* Same scenario, same seed, four observability configurations; the unit
    states must agree bit for bit. *)
 let telemetry_is_invisible () =
@@ -190,7 +173,7 @@ let telemetry_is_invisible () =
       in
       Alcotest.(check bool) "explain non-empty" true (String.length text > 0)
     end;
-    let states = sorted_units sim in
+    let states = Test_engine.sorted_units sim in
     if spans then begin
       Alcotest.(check bool) "spans recorded" true (Telemetry.Span.count () > 0);
       Telemetry.Span.stop ()
@@ -203,9 +186,10 @@ let telemetry_is_invisible () =
     states
   in
   let baseline = run ~metrics:false ~spans:false ~explain:false in
-  check_states ~msg:"metrics vs off" baseline (run ~metrics:true ~spans:false ~explain:false);
-  check_states ~msg:"spans vs off" baseline (run ~metrics:false ~spans:true ~explain:false);
-  check_states ~msg:"explain vs off" baseline (run ~metrics:true ~spans:false ~explain:true)
+  let check msg got = Test_engine.check_states ~msg baseline got in
+  check "metrics vs off" (run ~metrics:true ~spans:false ~explain:false);
+  check "spans vs off" (run ~metrics:false ~spans:true ~explain:false);
+  check "explain vs off" (run ~metrics:true ~spans:false ~explain:true)
 
 (* The per-simulation registry: report counters live in telemetry now, and
    the two views must agree. *)
