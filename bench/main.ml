@@ -9,7 +9,6 @@
      fig10 fig10-full capacity density
      ablate-divisible ablate-sweep ablate-nn ablate-combine ablate-share
      phases incremental incremental-full
-     columnar columnar-full
      faults telemetry obs persist micro
 
    Absolute numbers differ from the paper's 2 GHz Core Duo C++ engine; the
@@ -360,9 +359,11 @@ script healer(u) { perform Aura(u); }
       | `Indexed -> Eval.indexed ~schema ~aggregates:prog.Core_ir.aggregates ()
     in
     let groups = [ { Exec.script = "healer"; members = Array.init n (fun i -> i) } ] in
+    let cols = Sgl_relalg.Colstore.of_tuples schema units in
     let (), seconds =
       Timer.timed (fun () ->
-          ignore (Exec.run_tick compiled ~evaluator ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)))
+          ignore
+            (Exec.run_tick ~cols compiled ~evaluator ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)))
     in
     seconds
   in
@@ -435,11 +436,12 @@ let ablate_share () =
         buckets []
     in
     let ticks = 5 in
+    let cols = Sgl_relalg.Colstore.of_tuples schema units in
     let (), seconds =
       Timer.timed (fun () ->
           for tick = 0 to ticks - 1 do
             ignore
-              (Exec.run_tick compiled ~evaluator ~units ~groups
+              (Exec.run_tick ~cols compiled ~evaluator ~units ~groups
                  ~rand_for:(fun ~key i -> (key * 31) + i + tick))
           done)
     in
@@ -1166,76 +1168,6 @@ let faults_bench () =
   pr " quarantine; later ticks run at that configuration's pace)@."
 
 (* ------------------------------------------------------------------ *)
-(* Columnar store: the struct-of-arrays access path vs boxed rows.
-
-   The full battle scenario — real kd/segment/cascade index builds every
-   tick — run with the columnar mirror handed to the decision phase
-   ("columnar") and withheld ("boxed", [~columnar:false] — the
-   pre-columnar access path: every read boxes a [Value.t] out of a
-   tuple).  Storage and results are identical either way; only the
-   access path changes. *)
-
-let columnar_run ~columnar ~evaluator ~n ~ticks : float * float =
-  let scenario =
-    Battle.Scenario.setup ~density:0.01 ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-  in
-  let sim = Battle.Scenario.simulation ~columnar ~evaluator scenario in
-  Simulation.step sim;
-  let r0 = Simulation.report sim in
-  Simulation.run sim ~ticks;
-  let r = Simulation.report sim in
-  ( (r.Simulation.decision_s -. r0.Simulation.decision_s) /. float_of_int ticks,
-    (r.Simulation.build_s -. r0.Simulation.build_s) /. float_of_int ticks )
-
-let columnar_bench ~full () =
-  header "Columnar store - struct-of-arrays access path vs boxed rows";
-  pr "(one warm-up tick outside the clock; decision_s includes build_s.@.";
-  pr " The two access paths are pinned bit-identical by the conformance@.";
-  pr " and engine suites; only the time changes.)@.@.";
-  let sizes = [ 12_000; 100_000 ] in
-  let evaluators ~n =
-    (* the naive evaluator is O(n^2) per tick on this scenario and builds
-       no indexes; measured at 12k, skipped at 100k (it would dominate the
-       wall clock without informing anything) *)
-    (if n <= 12_000 then [ ("naive", Simulation.Naive) ] else [])
-    @ [ ("indexed", Simulation.Indexed) ]
-  in
-  pr "%8s %12s %14s %14s %9s %14s %14s@." "units" "evaluator" "boxed (s/t)" "columnar (s/t)"
-    "gain" "boxed bld" "columnar bld";
-  List.iter
-    (fun n ->
-      let evs = evaluators ~n in
-      List.iter
-        (fun (name, evaluator) ->
-          let ticks =
-            if name = "naive" then 1 else if n >= 100_000 then (if full then 3 else 2) else 5
-          in
-          let measure columnar =
-            let d, b = columnar_run ~columnar ~evaluator ~n ~ticks in
-            Bench_json.emit ~section:"columnar"
-              ~config:
-                [
-                  ("evaluator", name);
-                  ("units", string_of_int n);
-                  ("access", if columnar then "columnar" else "boxed");
-                ]
-              ~ticks_per_s:(1. /. d)
-              ~phases:[ ("decision_s", d); ("build_s", b) ];
-            (d, b)
-          in
-          let bd, bb = measure false in
-          let cd, cb = measure true in
-          pr "%8d %12s %14.4f %14.4f %8.2fx %14.4f %14.4f@." n name bd cd (bd /. cd) bb cb)
-        evs;
-      if n > 12_000 then pr "%8d %12s %s@." n "naive" "(skipped: O(n^2) per tick)")
-    sizes;
-  pr "@.(the gain is boxing removed from the hot loops: index builds scan@.";
-  pr " contiguous float arrays instead of pulling Value.t out of every@.";
-  pr " tuple, and kernels load bind operands straight from the typed@.";
-  pr " columns.  Under the naive evaluator only the kernels' column@.";
-  pr " loads change, which its O(n^2) scans drown out.)@."
-
-(* ------------------------------------------------------------------ *)
 (* Durable state: checkpoint/journal overhead on the 12k-unit battle.
 
    Baseline is the shipped default (persistence off).  The durable
@@ -1358,7 +1290,6 @@ let everything ~full () =
   ablate_share ();
   phases ();
   incremental ~full ();
-  columnar_bench ~full ();
   faults_bench ();
   telemetry_bench ();
   obs_bench ();
@@ -1400,8 +1331,6 @@ let () =
             | "phases" -> phases ()
             | "incremental" -> incremental ~full:false ()
             | "incremental-full" -> incremental ~full:true ()
-            | "columnar" -> columnar_bench ~full:false ()
-            | "columnar-full" -> columnar_bench ~full:true ()
             | "faults" -> faults_bench ()
             | "telemetry" -> telemetry_bench ()
             | "obs" -> obs_bench ()

@@ -23,5 +23,5 @@ val check_ast : ?consts:(string * Value.t) list -> Ast.program -> Diagnostic.t l
     {!Sgl_qopt.Loop_ir.Lower} and its
     {!Sgl_qopt.Loop_ir.Compile.boxed_binds} reported — the binds for
     which the fused kernel materializes boxed tuples inside its per-row
-    loop even when a columnar mirror is available. *)
+    loop instead of loading from the column store. *)
 val check_kernels : ?pos_of:(string -> Ast.pos) -> Core_ir.program -> Diagnostic.t list

@@ -114,7 +114,7 @@ let sim_config ?(optimize = true) ?(seed = 42) ?(resurrect = true) (t : t) : Sim
   }
 
 (* Assemble a full simulation over the scenario. *)
-let simulation ?optimize ?seed ?resurrect ?fault_policy ?index_cache ?columnar
+let simulation ?optimize ?seed ?resurrect ?fault_policy ?index_cache
     ~(evaluator : Simulation.evaluator_kind) (t : t) : Simulation.t =
   let config = sim_config ?optimize ?seed ?resurrect t in
-  Simulation.create ?fault_policy ?index_cache ?columnar config ~evaluator ~units:t.units
+  Simulation.create ?fault_policy ?index_cache config ~evaluator ~units:t.units

@@ -36,16 +36,15 @@ val sim_config :
   ?optimize:bool -> ?seed:int -> ?resurrect:bool -> t -> Simulation.config
 
 (** Assemble the full simulation: battle scripts, post-processing, movement,
-    death rule (resurrection by default).  [index_cache] and [columnar]
-    are forwarded to {!Simulation.create} (cross-tick index structure
-    reuse and the struct-of-arrays access path, both on by default). *)
+    death rule (resurrection by default).  [fault_policy] and
+    [index_cache] are forwarded to {!Simulation.create} (cross-tick index
+    structure reuse, on by default). *)
 val simulation :
   ?optimize:bool ->
   ?seed:int ->
   ?resurrect:bool ->
   ?fault_policy:Simulation.fault_policy ->
   ?index_cache:bool ->
-  ?columnar:bool ->
   evaluator:Simulation.evaluator_kind ->
   t ->
   Simulation.t

@@ -140,15 +140,12 @@ type t = {
      consecutive committed arrays and a rollback only swaps this pointer. *)
   mutable units : Tuple.t array;
   grid : Movement.grid option; (* movement's occupancy table, reused every tick *)
-  (* Columnar mirror of [units] (struct-of-arrays, one typed column per
-     schema attribute).  [units] stays authoritative; the mirror is
-     refreshed copy-on-write at each commit point, keyed by the tick's
-     dirty-attribute delta, and handed to the decision phase as the
-     evaluators' and kernels' contiguous access path.  A faulting tick
-     never refreshes it, so after rollback it still mirrors the restored
-     unit array. *)
-  store : Colstore.t;
-  columnar : bool; (* hand the mirror to the decision phase as an access path *)
+  (* The column store of [units] (struct-of-arrays, one typed column per
+     schema attribute), committed with it: refreshed copy-on-write at each
+     commit, keyed by the tick's dirty-attribute delta, and the decision
+     phase's access path for index builds and kernel column loads.  A
+     rollback swaps it back to the pre-tick snapshot, like [units]. *)
+  mutable store : Colstore.t;
   index_cache : bool; (* hand deltas to the evaluator across ticks *)
   (* What the last committed tick changed, relative to the unit array its
      decision phase saw.  Consumed by the next tick's [prepare]; cleared
@@ -189,8 +186,7 @@ type t = {
 }
 
 let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = true)
-    ?(columnar = true) (config : config) ~(evaluator : evaluator_kind)
-    ~(units : Tuple.t array) : t =
+    (config : config) ~(evaluator : evaluator_kind) ~(units : Tuple.t array) : t =
   let schema = config.prog.Core_ir.schema in
   let aggregates = config.prog.Core_ir.aggregates in
   let tel = Telemetry.Registry.create ~enabled:true () in
@@ -216,7 +212,6 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     grid = Option.map Movement.create_grid config.movement;
     (* decomposed into columns at build time; shares nothing with [units] *)
     store = Colstore.of_tuples schema units;
-    columnar;
     index_cache;
     pending_delta = None;
     digest_cache = None;
@@ -348,7 +343,9 @@ let checkpoint_now (t : t) : unit =
   | Some p ->
     Telemetry.Span.with_ ~cat:"persist" "checkpoint" @@ fun () ->
     let t0 = Timer.now_ns () in
-    let (_ : string) = Checkpoint.save ~dir:p.p_dir ~fsync:p.p_fsync ~schema:(schema t) (state_of t) in
+    let (_ : string) =
+      Checkpoint.save ~dir:p.p_dir ~fsync:p.p_fsync ~schema:(schema t) ~store:t.store (state_of t)
+    in
     Option.iter Journal.close p.p_journal;
     p.p_base <- t.tick;
     p.p_journal <- Some (Journal.create ~dir:p.p_dir ~base:t.tick ~fsync:p.p_fsync);
@@ -406,24 +403,13 @@ let run_phases (t : t) : unit =
      and every tick opens cold. *)
   let delta_in = if t.index_cache then t.pending_delta else None in
   let delta_out = if t.index_cache then Some (Delta.create sch) else None in
-  (* The columnar mirror is committed alongside [t.units]; mid-restore or
-     after a half-applied refresh it may not cover the array, in which
-     case the tick simply runs on boxed reads. *)
-  let cols =
-    if
-      t.columnar
-      && Colstore.length t.store = Array.length t.units
-      && Colstore.rectangular t.store
-    then Some t.store
-    else None
-  in
   (* decision + action *)
   t.phase <- Fault.Decision;
   let acc =
     Telemetry.Span.with_ ~cat:"phase" "decision" @@ fun () ->
     Timer.record t.timings.decision (fun () ->
-        Exec.run_tick ?delta:delta_in ?cols t.compiled ~evaluator:t.evaluator ~units:t.units
-          ~groups:(groups t) ~rand_for)
+        Exec.run_tick ?delta:delta_in ~cols:t.store t.compiled ~evaluator:t.evaluator
+          ~units:t.units ~groups:(groups t) ~rand_for)
   in
   (* post-processing *)
   t.phase <- Fault.Post;
@@ -482,10 +468,10 @@ let run_phases (t : t) : unit =
      health and positions, which structural subsumes.) *)
   if Array.length dead > 0 then Option.iter Delta.record_structural delta_out;
   t.units <- final;
-  (* Commit the columnar mirror copy-on-write: clean columns (per the
-     tick's dirty-attribute summary) keep their arrays, dirty ones rebuild
-     into fresh arrays.  Runs only on the success path — a faulting tick
-     leaves the mirror on the pre-tick state the rollback restores. *)
+  (* Commit the column store copy-on-write: clean columns (per the tick's
+     dirty-attribute summary) keep their arrays, dirty ones rebuild into
+     fresh arrays, so the snapshot [step] took still reads the pre-tick
+     state. *)
   Colstore.refresh ?delta:delta_out t.store final;
   t.pending_delta <- delta_out;
   t.tick <- t.tick + 1
@@ -554,23 +540,25 @@ let sample_of (t : t) (pre : pre_step) ~(tick_s : float) : tick_sample =
     s_evaluator = evaluator_name t.kind;
   }
 
-(* Transactional tick.  The pre-tick state is three references — the unit
-   array (whose rows no phase writes into; see [run_phases]) and two
-   counters — so the snapshot is O(1) and the fault-free path pays only
-   the exception handler.  The fault-free tick is the same code under
-   every policy.  On a fault: restore the snapshot, log the fault with
-   full context, then apply the policy.  [Quarantine_script] excludes the
-   failing script group and retries the tick without it; [Degrade]
-   retries the tick under the next-weaker evaluator.  Every PRNG draw is
-   keyed by [~tick ~key], so a retry is bit-identical to a healthy run of
-   the new configuration: for quarantine, to the failed group having
-   contributed nothing (its units stay in the environment). *)
+(* Transactional tick.  The pre-tick state is the unit array (whose rows
+   no phase writes into; see [run_phases]), a snapshot of the column store
+   sharing its column arrays, and two counters, so the snapshot is
+   O(arity) and the fault-free path pays only the exception handler.
+   The fault-free tick is the same code under every policy.  On a fault:
+   restore the snapshot, log the fault with full context, then apply the
+   policy.  [Quarantine_script] excludes the failing script group and
+   retries the tick without it; [Degrade] retries the tick under the
+   next-weaker evaluator.  Every PRNG draw is keyed by [~tick ~key], so a
+   retry is bit-identical to a healthy run of the new configuration: for
+   quarantine, to the failed group having contributed nothing (its units
+   stay in the environment). *)
 let step (t : t) : unit =
   (* Captured before the attempt so the observer (if any) can report
      per-tick deltas; [pre] costs nothing when no observer is installed. *)
   let t_start = Timer.now_ns () in
   let pre = match t.observer with None -> None | Some _ -> Some (pre_step_of t) in
   let units0 = t.units
+  and store0 = Colstore.snapshot t.store
   and deaths0 = Telemetry.Counter.value t.c_deaths
   and resurrections0 = Telemetry.Counter.value t.c_resurrections in
   let rec attempt () =
@@ -601,11 +589,11 @@ let step (t : t) : unit =
       Telemetry.Counter.incr t.c_faults;
       Telemetry.Span.instant ~cat:"fault" "rollback";
       t.units <- units0;
-      (* Swap the mirror's column pointers back to the restored state.
-         Usually a no-op rebuild of identical content (the failed attempt
-         never reached the commit refresh), but it also repairs a refresh
-         that itself faulted half-way. *)
-      Colstore.refresh t.store units0;
+      (* [store0] shares the pre-tick column arrays, which no refresh
+         writes into, so even a refresh that faulted half-way left it
+         intact.  The retry refreshes a copy, keeping [store0] for the
+         next rollback. *)
+      t.store <- Colstore.snapshot store0;
       (* [set] writes through the enabled gate: the snapshot restore must
          happen whatever the registry state, like the field writes did. *)
       Telemetry.Counter.set t.c_deaths deaths0;

@@ -61,24 +61,25 @@ val fault_policy_name : fault_policy -> string
 
 type t
 
-(** [create ?fault_policy ?fault_log_capacity ?index_cache ?columnar
-    config ~evaluator ~units] assembles a simulation.  [fault_policy]
-    defaults to [Fail]; [fault_log_capacity] bounds the in-memory fault
-    log (default 64 — later faults are counted but not retained).
+(** [create ?fault_policy ?fault_log_capacity ?index_cache config
+    ~evaluator ~units] assembles a simulation.  [fault_policy] defaults
+    to [Fail]; [fault_log_capacity] bounds the in-memory fault log
+    (default 64 — later faults are counted but not retained).
     [index_cache] (default [true]) hands each tick's delta summary to the
     next tick's evaluator so index structures over untouched attributes
-    survive across ticks; [false] restores rebuild-every-tick behaviour.
-    [columnar] (default [true]) hands the struct-of-arrays mirror of the
-    unit array to the decision phase — index builds scan typed columns
-    and kernels load float operands directly; [false] keeps every
-    read on the boxed row path (the benchmark baseline).  Every setting
-    combination produces bit-identical unit states — both switches only
-    trade access-path work. *)
+    survive across ticks; [false] restores rebuild-every-tick behaviour,
+    with bit-identical unit states.
+
+    The simulation keeps the units' column store (one typed column per
+    schema attribute) as part of its committed state: every commit
+    refreshes it copy-on-write, a rollback restores it with the rows, and
+    it is the decision phase's access path (index builds scan its typed
+    columns, kernels load float operands from it) and the source of the
+    checkpoints' unit columns. *)
 val create :
   ?fault_policy:fault_policy ->
   ?fault_log_capacity:int ->
   ?index_cache:bool ->
-  ?columnar:bool ->
   config ->
   evaluator:evaluator_kind ->
   units:Tuple.t array ->

@@ -42,14 +42,15 @@ type state = {
 
 let path ~dir ~tick = Filename.concat dir (Printf.sprintf "ckpt-%010d.sglc" tick)
 
-(* v2 unit payload: the array decomposed into per-attribute typed columns.
-   Deterministic (so still "one state, one byte string"): a column is
-   typed exactly when every stored value carries the schema type's
-   constructor, boxed otherwise — [Colstore]'s promotion rule. *)
-let encode_units_columnar (w : Codec.W.t) ~(schema : Schema.t) (units : Tuple.t array) : unit =
-  let store = Colstore.of_tuples schema units in
-  if not (Colstore.rectangular store) then
-    invalid_arg "Checkpoint.save: units must have schema arity";
+(* v2 unit payload: the unit array's per-attribute typed columns, read
+   from its column store.  Deterministic (so still "one state, one byte
+   string"): a column is typed exactly when every stored value carries the
+   schema type's constructor, boxed otherwise — [Colstore]'s promotion
+   rule, which its copy-on-write refresh keeps. *)
+let encode_units_columnar (w : Codec.W.t) ~(schema : Schema.t) ~(store : Colstore.t)
+    (units : Tuple.t array) : unit =
+  if Colstore.length store <> Array.length units || not (Colstore.rectangular store) then
+    invalid_arg "Checkpoint.save: the store must hold the units, each of schema arity";
   let n = Array.length units in
   Codec.W.u32 w n;
   Codec.W.u16 w (Schema.arity schema);
@@ -125,7 +126,7 @@ let section (b : Buffer.t) ~(tag : string) (fill : Codec.W.t -> unit) : unit =
   fill w;
   Codec.write_section b ~tag (Codec.W.contents w)
 
-let encode ~(schema : Schema.t) (st : state) : string =
+let encode ~(schema : Schema.t) ~(store : Colstore.t) (st : state) : string =
   let b = Buffer.create (4096 + (64 * Array.length st.units)) in
   Codec.write_header b ~magic ~version;
   section b ~tag:"META" (fun w ->
@@ -134,7 +135,7 @@ let encode ~(schema : Schema.t) (st : state) : string =
       Codec.W.int w st.cache_epoch;
       Codec.W.u32 w (Array.length st.units));
   section b ~tag:"SCHM" (fun w -> Codec.W.schema w schema);
-  section b ~tag:"COLU" (fun w -> encode_units_columnar w ~schema st.units);
+  section b ~tag:"COLU" (fun w -> encode_units_columnar w ~schema ~store st.units);
   section b ~tag:"QUAR" (fun w ->
       Codec.W.u16 w (List.length st.quarantined);
       List.iter (Codec.W.str w) st.quarantined);
@@ -169,9 +170,10 @@ let fsync_dir (dir : string) : unit =
       ~finally:(fun () -> Unix.close fd)
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
-let save ~(dir : string) ~(fsync : bool) ~(schema : Schema.t) (st : state) : string =
+let save ~(dir : string) ~(fsync : bool) ~(schema : Schema.t) ~(store : Colstore.t) (st : state)
+    : string =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let body = encode ~schema st in
+  let body = encode ~schema ~store st in
   let final = path ~dir ~tick:st.tick in
   let tmp = final ^ ".tmp" in
   let oc = open_out_bin tmp in

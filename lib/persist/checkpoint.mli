@@ -34,11 +34,14 @@ type state = {
 (** [path ~dir ~tick] is the generation file name for [tick]. *)
 val path : dir:string -> tick:int -> string
 
-(** [save ~dir ~fsync ~schema state] atomically writes the generation for
-    [state.tick] and returns its path.  Hits the ["io.checkpoint.write"]
-    injection point once per section.  Raises [Sys_error]/[Unix_error] on
-    real I/O failure. *)
-val save : dir:string -> fsync:bool -> schema:Schema.t -> state -> string
+(** [save ~dir ~fsync ~schema ~store state] atomically writes the
+    generation for [state.tick] and returns its path.  [store] is the
+    column store of [state.units] (same rows, same order); the unit
+    columns are written from it.  Raises [Invalid_argument] when its
+    length differs from [state.units] or a row is not of schema arity.
+    Hits the ["io.checkpoint.write"] injection point once per section.
+    Raises [Sys_error]/[Unix_error] on real I/O failure. *)
+val save : dir:string -> fsync:bool -> schema:Schema.t -> store:Colstore.t -> state -> string
 
 (** [load ~schema path] reads and fully validates one generation: header
     magic and version, every section CRC, and that the persisted schema

@@ -102,10 +102,9 @@ type t = {
   (* Open a tick over the unit array.  [delta] describes what changed
      since the previous [prepare]'s unit array; [None] (or a structural
      delta) forces a cold rebuild of every cached structure.  [cols] is
-     the columnar mirror of the units when the caller maintains one —
-     index builds then scan contiguous typed columns instead of boxed
-     rows.  Purely an access-path hint: results are bit-identical with or
-     without it. *)
+     the column store of the units, read unchecked by index builds; the
+     indexed evaluator builds one when it is omitted, the naive one
+     ignores it. *)
   prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
   stats : eval_stats;
 }
@@ -245,41 +244,42 @@ type built_index = {
   mutable epoch : int;
   group : group;
   cat : sub_index Cat_index.t;
-  (* Columnar mirror of [data] when the caller maintains one; sub-structure
-     builds then read coordinates/statistics from contiguous typed columns.
-     Swapped alongside [data] on revalidation. *)
-  mutable cols : Colstore.t option;
+  (* The column store of [data]: sub-structure builds read coordinates and
+     statistics from its typed columns.  Swapped alongside [data] on
+     revalidation. *)
+  mutable cols : Colstore.t;
 }
 
 (* Write [Expr.eval_float e] over each member's row into
    [out.(k * stride + off)], [k] the member's position.  A bare attribute
-   the columnar mirror holds as a numeric column is copied straight from
+   the column store holds as a numeric column is copied straight from
    it ([Expr.eval_float] of [EAttr j] is [Value.to_float row.(j)], which
    the column reproduces exactly); anything else evaluates the expression
    against the boxed row.  Builds gather once into arrays sized by the
    partition instead of calling an accessor per visit. *)
 let gather (bi : built_index) (e : Expr.t) (members : int array) (out : float array) ~stride ~off
     : unit =
-  let col =
-    match (e, bi.cols) with
-    | Expr.EAttr j, Some cs when j < Schema.arity (Colstore.schema cs) -> Some (Colstore.col cs j)
-    | _ -> None
-  in
   let n = Array.length members in
-  match col with
-  | Some (Colstore.Floats a) ->
-    for k = 0 to n - 1 do
-      out.((k * stride) + off) <- a.(members.(k))
-    done
-  | Some (Colstore.Ints a) ->
-    for k = 0 to n - 1 do
-      out.((k * stride) + off) <- float_of_int a.(members.(k))
-    done
-  | Some (Colstore.Bools _ | Colstore.Boxed _) | None ->
+  let boxed () =
     for k = 0 to n - 1 do
       out.((k * stride) + off) <-
         Expr.eval_float { Expr.u = [||]; e = Some bi.data.(members.(k)); rand = dummy_rand } e
     done
+  in
+  match e with
+  | Expr.EAttr j when j < Schema.arity (Colstore.schema bi.cols) -> begin
+    match Colstore.col bi.cols j with
+    | Colstore.Floats a ->
+      for k = 0 to n - 1 do
+        out.((k * stride) + off) <- a.(members.(k))
+      done
+    | Colstore.Ints a ->
+      for k = 0 to n - 1 do
+        out.((k * stride) + off) <- float_of_int a.(members.(k))
+      done
+    | Colstore.Bools _ | Colstore.Boxed _ -> boxed ()
+  end
+  | _ -> boxed ()
 
 let gather_column (bi : built_index) (e : Expr.t) (members : int array) : float array =
   let out = Array.make (Array.length members) 0. in
@@ -295,36 +295,25 @@ let count_build (st : eval_stats) (t0 : float) : unit =
   Telemetry.Counter.incr tel_index_build;
   Telemetry.Histogram.observe tel_build_hist dt
 
-let build_index ?(epoch = 0) ?cols (st : eval_stats) ~(group : group) ~(data : Tuple.t array) :
-    built_index =
+let build_index ?(epoch = 0) (st : eval_stats) ~(group : group) ~(data : Tuple.t array)
+    ~(cols : Colstore.t) : built_index =
   Fault_inject.hit "index.build";
   let t0 = Timer.now () in
-  (* Only trust a columnar mirror that actually covers [data]. *)
-  let cols =
-    match cols with
-    | Some cs when Colstore.length cs = Array.length data && Colstore.rectangular cs -> Some cs
-    | _ -> None
-  in
   let n = Array.length data in
   let pass id =
     let ctx = { Expr.u = [||]; e = Some data.(id); rand = dummy_rand } in
     Predicate.holds ctx group.data_filter
   in
   let ids = Array.of_list (List.filter pass (List.init n (fun i -> i))) in
-  let keys =
-    match cols with
-    | Some cs ->
-      let readers =
-        List.map
-          (fun a ->
-            match Colstore.int_reader cs a with
-            | Some r -> r
-            | None -> fun id -> Value.to_int (Tuple.get data.(id) a))
-          group.cat_attrs
-      in
-      fun id -> List.map (fun r -> r id) readers
-    | None -> fun id -> List.map (fun a -> Value.to_int (Tuple.get data.(id) a)) group.cat_attrs
+  let readers =
+    List.map
+      (fun a ->
+        match Colstore.int_reader cols a with
+        | Some r -> r
+        | None -> fun id -> Value.to_int (Tuple.get data.(id) a))
+      group.cat_attrs
   in
+  let keys id = List.map (fun r -> r id) readers in
   let cat =
     Cat_index.create ~keys ~ids ~builder:(fun members ->
         { members; geoms = []; divisible = None; enum_tree = None; kds = [] })
@@ -842,7 +831,7 @@ type indexed_ctx = {
   strategies : Agg_plan.strategy array;
   memberships : membership option array;
   ctx_units : Tuple.t array ref;
-  ctx_cols : Colstore.t option ref; (* columnar mirror of [ctx_units], when published *)
+  ctx_cols : Colstore.t ref; (* the column store of [ctx_units] *)
   cache : (int, built_index) Hashtbl.t; (* group id -> built index, epoch-stamped *)
   mutable epoch : int; (* bumped once per [prepare] *)
 }
@@ -897,7 +886,7 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
     strategies;
     memberships;
     ctx_units = ref [||];
-    ctx_cols = ref None;
+    ctx_cols = ref (Colstore.create schema);
     cache = Hashtbl.create 32;
     epoch = 0;
   }
@@ -999,12 +988,8 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
 let open_tick (ctx : indexed_ctx) (st : eval_stats) ?(delta : Delta.t option)
     ?(cols : Colstore.t option) (units : Tuple.t array) : unit =
   ctx.ctx_units := units;
-  (* Only publish a mirror that actually covers [units]; anything else
-     (mid-restore, ragged store) falls back to boxed reads everywhere. *)
   ctx.ctx_cols :=
-    (match cols with
-    | Some cs when Colstore.length cs = Array.length units && Colstore.rectangular cs -> Some cs
-    | _ -> None);
+    (match cols with Some cs -> cs | None -> Colstore.of_tuples ctx.ctx_schema units);
   ctx.epoch <- ctx.epoch + 1;
   match delta with
   | None -> Hashtbl.reset ctx.cache
@@ -1026,7 +1011,9 @@ let group_index (ctx : indexed_ctx) (st : eval_stats) (m : membership) : built_i
   match Hashtbl.find_opt ctx.cache m.group.group_id with
   | Some bi when bi.epoch = ctx.epoch -> bi
   | Some _ | None ->
-    let bi = build_index ~epoch:ctx.epoch ?cols:!(ctx.ctx_cols) st ~group:m.group ~data:!(ctx.ctx_units) in
+    let bi =
+      build_index ~epoch:ctx.epoch st ~group:m.group ~data:!(ctx.ctx_units) ~cols:!(ctx.ctx_cols)
+    in
     Hashtbl.replace ctx.cache m.group.group_id bi;
     bi
 
@@ -1147,6 +1134,13 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
       else begin
         let probers = !units in
         let prands = Array.map (fun _ -> dummy_rand) probers in
+        (* The contributors are working rows (schema slots, then bind
+           registers); their index builds read the schema slots' columns. *)
+        let contributor_store =
+          lazy
+            (let arity = Schema.arity schema in
+             Colstore.of_tuples schema (Array.map (fun r -> Array.sub r 0 arity) contributors))
+        in
         List.iter
           (fun plan ->
             let attr, agg, strategy = Option.get plan in
@@ -1174,7 +1168,9 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
                   g_reuses = group_reuse_counter (-1) }
               in
               let membership = join_group g stats_exprs in
-              let bi = build_index stats ~group:g ~data:contributors in
+              let bi =
+                build_index stats ~group:g ~data:contributors ~cols:(Lazy.force contributor_store)
+              in
               contribute
                 (eval_indexed_batch stats ~tel:aoe_tel ~strategy ~agg ~membership ~bi
                    ~rows:probers ~rands:prands))

@@ -22,11 +22,11 @@ type eval_stats = {
     array; when present and non-structural, the indexed evaluator
     revalidates cached structures against it instead of dropping them.
     Omitting [delta] is always sound: the cache goes cold and everything
-    rebuilds.  [cols], when given, is a columnar mirror of [units] (same
-    rows, same order): index builds then scan contiguous typed columns
-    instead of boxed rows.  It is purely an access-path hint — results are
-    bit-identical with or without it, and a mirror that does not cover
-    [units] is ignored. *)
+    rebuilds.  [cols] is the column store of [units] (same rows, same
+    order, each of schema arity); the indexed evaluator's builds read its
+    typed columns unchecked, so a caller must not hand it a store of
+    other rows ({!Exec.run_tick} checks it).  Omitted, the indexed
+    evaluator builds one from [units]; the naive evaluator ignores it. *)
 type t = {
   name : string;
   eval_agg : agg_id:int -> rows:Tuple.t array -> rands:(int -> int) array -> Value.t array;

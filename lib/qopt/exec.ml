@@ -108,7 +108,7 @@ exception Group_failed of group_fault
    and random streams, then run the script's kernel into [acc].  The
    ["exec.group"] injection point fires first.  Whatever the group raises
    comes back as [Group_failed], naming the script. *)
-let run_group ?cols (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
+let run_group ~(cols : Colstore.t) (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
     ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t) ~(units : Tuple.t array)
     ~(rand_for : key:int -> int -> int) (g : group) : unit =
   let body () =
@@ -138,12 +138,17 @@ let run_group ?cols (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
    effects of the tick, ready for post-processing.  [delta] (what changed
    since the previous tick's unit array) is passed straight to
    [evaluator.prepare], which may use it to keep cached index structures
-   warm; omitting it only costs rebuilds, never correctness. *)
-let run_tick ?delta ?cols (c : compiled) ~(evaluator : Eval.t) ~(units : Tuple.t array)
-    ~(groups : group list) ~(rand_for : key:int -> int -> int) : Combine.Acc.t =
+   warm; omitting it only costs rebuilds, never correctness.  [cols] must
+   be the column store of [units]: the one coverage check of the decision
+   phase is here, so the evaluator and the kernels read it unchecked. *)
+let run_tick ?delta ~(cols : Colstore.t) (c : compiled) ~(evaluator : Eval.t)
+    ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
+    Combine.Acc.t =
+  if Colstore.length cols <> Array.length units || not (Colstore.rectangular cols) then
+    invalid_arg "Exec.run_tick: the column store does not cover the unit array";
   let schema = c.prog.Core_ir.schema in
-  evaluator.Eval.prepare ?delta ?cols units;
+  evaluator.Eval.prepare ?delta ~cols units;
   let find_key = key_table c units in
   let acc = Combine.Acc.create schema in
-  List.iter (run_group ?cols c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
+  List.iter (run_group ~cols c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
   acc

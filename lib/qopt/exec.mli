@@ -63,10 +63,11 @@ exception Group_failed of group_fault
     [evaluator.prepare] opens the tick first, with [delta] (what changed
     since the previous tick's unit array) so the cross-tick index cache can
     revalidate instead of rebuilding; omitting it is always sound (cold
-    tick).  [cols], when given, is the columnar mirror of [units]: it is
-    forwarded to the evaluator (index builds scan typed columns) and into
-    the kernels (float binds become column loads).  Purely an access-path
-    hint — ticks are bit-identical with or without it.
+    tick).  [cols] is the column store of [units] (same rows, same order):
+    it is forwarded to the evaluator (index builds scan typed columns) and
+    into the kernels (float binds become column loads).  Raises
+    [Invalid_argument] when [cols] does not have the length of [units] or
+    some row of it is not of schema arity; no later reader checks again.
 
     Every group runs its script's kernel on the calling domain into one
     accumulator, after the ["exec.group"] injection point.  Kernels mirror
@@ -79,7 +80,7 @@ exception Group_failed of group_fault
     lost, and the caller decides whether to retry without that script. *)
 val run_tick :
   ?delta:Delta.t ->
-  ?cols:Colstore.t ->
+  cols:Colstore.t ->
   compiled ->
   evaluator:Eval.t ->
   units:Tuple.t array ->

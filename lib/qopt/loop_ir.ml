@@ -197,8 +197,7 @@ module Compile = struct
     evaluator : Eval.t;
     find_key : int -> Tuple.t option;
     acc : Combine.Acc.t;
-    cols : Colstore.t option;
-        (* columnar mirror of the unit array; [None] disables column loads *)
+    cols : Colstore.t; (* the tick's column store of the unit array *)
     ids : int array;
         (* unit id (row id in [cols]) of each kernel row, parallel to [rows] *)
   }
@@ -384,7 +383,7 @@ module Compile = struct
       Some
         (fun cs ->
           match Colstore.col cs j with
-          | Colstore.Floats a -> Some (fun id -> Array.unsafe_get a id)
+          | Colstore.Floats a -> Some (fun id -> a.(id))
           | _ -> None)
     | Expr.Binop (Expr.Add, a, b) -> bin a b ( +. )
     | Expr.Binop (Expr.Sub, a, b) -> bin a b ( -. )
@@ -401,7 +400,7 @@ module Compile = struct
   (* Steps and programs *)
 
   (* One step as a per-row closure, resolved against the env once per
-     kernel invocation (the env carries the tick's columnar mirror, which
+     kernel invocation (the env carries the tick's column store, which
      changes between invocations).  The trailing [int] is the kernel-row
      index, used to map into [env.ids] for column loads. *)
   let compile_step (schema : Schema.t) ~(columnar : bool) ~fold (step : step) :
@@ -418,14 +417,11 @@ module Compile = struct
         | None -> generic
         | Some mk -> (
           fun env ->
-            match env.cols with
+            match mk env.cols with
             | None -> generic env
-            | Some cs -> (
-              match mk cs with
-              | None -> generic env
-              | Some g ->
-                let ids = env.ids in
-                fun row _rand i -> row.(slot) <- Value.Float (g (Array.unsafe_get ids i))))
+            | Some g ->
+              let ids = env.ids in
+              fun row _rand i -> row.(slot) <- Value.Float (g ids.(i)))
       end
     | Emit c ->
       let ups =
@@ -480,8 +476,8 @@ module Compile = struct
       let mks = List.map (compile_step schema ~columnar ~fold) steps in
       let kk = compile_prog schema k in
       fun st sel ->
-        (* resolve the steps against this invocation's env (columnar
-           mirror, accumulator), then run the fused loop *)
+        (* resolve the steps against this invocation's env (column
+           store, accumulator), then run the fused loop *)
         let f = compose (List.map (fun mk -> mk st.env) mks) in
         Array.iter (fun i -> f st.rows.(i) st.rands.(i) i) sel;
         kk st sel
@@ -553,20 +549,6 @@ module Compile = struct
   let compile ?(fold = fun (_ : Expr.t) -> None) ~(schema : Schema.t) (p : t) : kernel =
     let run = compile_prog schema ~columnar:(columnar_ok ~schema p) ~fold p in
     fun env ~rows ~rands ->
-      if Array.length rows > 0 then begin
-        (* Trust the columnar mirror only when the id map covers the rows
-           and stays in range — otherwise drop to boxed reads wholesale. *)
-        let env =
-          match env.cols with
-          | None -> env
-          | Some cs ->
-            let n = Colstore.length cs in
-            if
-              Array.length env.ids >= Array.length rows
-              && Array.for_all (fun id -> id >= 0 && id < n) env.ids
-            then env
-            else { env with cols = None }
-        in
+      if Array.length rows > 0 then
         run { env; rows; rands } (Array.init (Array.length rows) (fun i -> i))
-      end
 end

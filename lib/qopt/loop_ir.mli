@@ -75,17 +75,18 @@ module Compile : sig
   (** Everything a kernel needs at run time beyond the rows themselves.
       The evaluator is a parameter (not baked in at compile time) so one
       compiled kernel serves every tick and degraded retry.
-      [cols]/[ids] give scalar binds a columnar fast path: when [cols]
-      mirrors the tick's unit array and [ids.(i)] is the unit id behind
-      working row [i], float-typed [Bind_col] steps load operands straight
-      from the typed columns (bit-identical to the boxed evaluation; see
-      {!boxed_binds} for the exact eligibility rules).  [cols = None]
-      (or a mismatched id map) runs every step on the boxed path. *)
+      [cols] is the column store of the tick's unit array and [ids.(i)]
+      the unit id behind working row [i]; every id must be below
+      [Colstore.length cols] ({!Exec.run_tick} checks the store against
+      the unit array, and its ids index that array).  Float-typed
+      [Bind_col] steps load operands straight from the typed columns
+      (bit-identical to the boxed evaluation; see {!boxed_binds} for the
+      exact eligibility rules); every other step reads the boxed rows. *)
   type env = {
     evaluator : Eval.t;
     find_key : int -> Tuple.t option;
     acc : Combine.Acc.t;
-    cols : Colstore.t option;
+    cols : Colstore.t;
     ids : int array;
   }
 
@@ -105,8 +106,8 @@ module Compile : sig
       — {!Sgl_analysis} derives such oracles from the abstract domain. *)
   val compile : ?fold:(Expr.t -> Value.t option) -> schema:Schema.t -> t -> kernel
 
-  (** The scalar binds of [p] that stay on the boxed-row path even when a
-      columnar mirror is available — i.e. the kernel materializes tuples
+  (** The scalar binds of [p] that stay on the boxed-row path although
+      the column store is at hand — i.e. the kernel materializes tuples
       inside its per-row loop for them.  A bind specializes to a column
       load only when its expression is float-guaranteed over column-backed
       schema attributes through [+ - * / neg abs sqrt min max] (operations

@@ -75,13 +75,26 @@ module Col = struct
       done
 end
 
-(* Multiset equality up to row order: sort printable forms and compare.
-   Only used by tests and assertions, so the cost is acceptable. *)
+(* Multiset equality up to row order: sort exact row keys and compare.
+   Floats are keyed by every bit (hex), so a last-bit difference shows.
+   The key identifies what [Value.equal] identifies: [-0.] with [0.], and
+   [Int n] with [Float (float n)] for |n| <= 2^53, where the conversion
+   is exact.  A NaN is keyed by its bits, so it matches the same NaN.  Only used by
+   tests and assertions, so the cost is acceptable. *)
 let equal_as_multiset a b =
-  cardinality a = cardinality b
-  &&
-  let keyed r = List.sort compare (List.map Fmt.(str "%a" Tuple.pp) (to_list r)) in
-  keyed a = keyed b
+  let num f = Printf.sprintf "%h" (if f = 0. then 0. else f) in
+  let value = function
+    | Value.Float f -> num f
+    | Value.Int n when abs n <= 1 lsl 53 -> num (float_of_int n)
+    | Value.Int n -> string_of_int n
+    | Value.Bool b -> string_of_bool b
+    | Value.Vec v -> Printf.sprintf "<%s %s>" (num v.Vec2.x) (num v.Vec2.y)
+  in
+  let keyed r =
+    List.sort compare
+      (List.map (fun t -> String.concat ";" (Array.to_list (Array.map value t))) (to_list r))
+  in
+  cardinality a = cardinality b && keyed a = keyed b
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a (%d rows)@,%a@]" Schema.pp (schema t) (cardinality t)

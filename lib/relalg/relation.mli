@@ -68,7 +68,9 @@ module Col : sig
   val iter_floats : t -> int -> (int -> float -> unit) -> unit
 end
 
-(** Order-insensitive multiset equality (test helper). *)
+(** Order-insensitive multiset equality (test helper).  Values compare
+    bit-exactly, up to [Value.equal]'s identifications: [-0.] equals
+    [0.], and [Int n] equals [Float (float n)] for |n| <= 2^53. *)
 val equal_as_multiset : t -> t -> bool
 
 val pp : t Fmt.t

@@ -231,6 +231,55 @@ let test_refresh_shares_clean_columns () =
     Alcotest.(check (float 0.) ) "old array untouched" 0.5 a.(1)
   | _ -> Alcotest.fail "x column not float-typed")
 
+(* A snapshot is the simulation's rollback point: refreshing the live
+   store, copy-on-write or structurally, must not change what it reads. *)
+let test_snapshot_survives_refresh () =
+  let schema =
+    Schema.create
+      [
+        Schema.attr "key" Value.TInt; Schema.attr "x" Value.TFloat; Schema.attr "hp" Value.TInt;
+        Schema.attr "alive" Value.TBool;
+      ]
+  in
+  let rows =
+    Array.init 32 (fun i ->
+        [| Value.Int i; Value.Float (float_of_int i); Value.Int 100; Value.Bool (i mod 2 = 0) |])
+  in
+  let store = Colstore.of_tuples schema rows in
+  let snap = Colstore.snapshot store in
+  (* dirty "x" and "alive"; the new "x" mixes tags, so its column boxes *)
+  let moved =
+    Array.map
+      (fun r ->
+        let k = Value.to_int r.(0) in
+        [| r.(0); (if k = 3 then Value.Int 7 else Value.Float (Value.to_float r.(1) +. 1.));
+           r.(2); Value.Bool (k mod 2 = 1) |])
+      rows
+  in
+  let delta = Delta.create schema in
+  Array.iteri
+    (fun i _ ->
+      Delta.record delta ~attr:1 ~key:i;
+      Delta.record delta ~attr:3 ~key:i)
+    rows;
+  Colstore.refresh ~delta store moved;
+  Alcotest.(check bool) "live store lands on the moved rows" true
+    (rows_strict_eq moved (Colstore.to_array store));
+  Alcotest.(check bool) "snapshot keeps the rows after a copy-on-write refresh" true
+    (rows_strict_eq rows (Colstore.to_array snap));
+  (* a structural tick: one unit dies, the rest reorder *)
+  let snap2 = Colstore.snapshot store in
+  let fewer = Array.of_list (List.rev (List.tl (Array.to_list moved))) in
+  let structural = Delta.create schema in
+  Delta.record_structural structural;
+  Colstore.refresh ~delta:structural store fewer;
+  Alcotest.(check bool) "live store lands on the fewer rows" true
+    (rows_strict_eq fewer (Colstore.to_array store));
+  Alcotest.(check bool) "first snapshot still unchanged" true
+    (rows_strict_eq rows (Colstore.to_array snap));
+  Alcotest.(check bool) "second snapshot keeps the moved rows" true
+    (rows_strict_eq moved (Colstore.to_array snap2))
+
 (* ------------------------------------------------------------------ *)
 (* Relation view: map/filter preserve extension slots (satellite fix). *)
 
@@ -367,7 +416,7 @@ let test_checkpoint_v1_compat () =
       Unix.rmdir dir)
     (fun () ->
       (* v2 writer round-trips *)
-      let p2 = Checkpoint.save ~dir ~fsync:false ~schema st in
+      let p2 = Test_persist.save ~dir ~schema st in
       let got2 = Checkpoint.load ~schema p2 in
       Alcotest.(check bool) "v2 units round-trip" true (rows_strict_eq units got2.Checkpoint.units);
       Alcotest.(check int) "v2 tick" 42 got2.Checkpoint.tick;
@@ -391,6 +440,7 @@ let suite =
         qtest law_float_reader;
         qtest law_refresh;
         Alcotest.test_case "refresh shares clean columns" `Quick test_refresh_shares_clean_columns;
+        Alcotest.test_case "snapshot survives refresh" `Quick test_snapshot_survives_refresh;
         Alcotest.test_case "relation map/filter preserve extensions" `Quick
           test_relation_preserves_extensions;
         Alcotest.test_case "100k-unit population" `Quick test_100k_population;

@@ -66,7 +66,7 @@ let test_identical_positions () =
       (let compiled = Exec.compile prog in
        let groups = [ { Exec.script = "main"; members = Array.init 30 (fun i -> i) } ] in
        Combine.Acc.to_relation
-         (Exec.run_tick compiled
+         (Test_qopt.run_tick compiled
             ~evaluator:(Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
             ~units ~groups ~rand_for:rand_for_key))
   in

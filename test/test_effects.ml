@@ -202,7 +202,7 @@ let test_freeze_engines_agree () =
       ]
     in
     let acc =
-      Sgl_qopt.Exec.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
+      Test_qopt.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
     in
     Combine.Acc.to_relation acc
   in

@@ -176,7 +176,7 @@ let exec_unknown_script () =
   let raised =
     try
       ignore
-        (Exec.run_tick compiled ~evaluator ~units
+        (Test_qopt.run_tick compiled ~evaluator ~units
            ~groups:[ { Exec.script = "necromancer"; members = [| 0 |] } ]
            ~rand_for:(fun ~key:_ _ -> 0));
       false

@@ -24,8 +24,8 @@ let schema () = Test_lang.schema ()
 
 (* Run one script over [units] through its kernel the way a simulation
    does: compiled with the interval-fact oracle pruning guards and folding
-   constants, and run with the columnar mirror, so float binds load their
-   operands from typed columns. *)
+   constants, and run with the units' column store, so float binds load
+   their operands from typed columns. *)
 let effects_kernel ~evaluator prog script_name units rand_for_key =
   let oracle = Sgl_analysis.Absint.make_oracle prog in
   let compiled =
@@ -35,9 +35,8 @@ let effects_kernel ~evaluator prog script_name units rand_for_key =
   let groups =
     [ { Exec.script = script_name; members = Array.init (Array.length units) (fun i -> i) } ]
   in
-  let cols = Colstore.of_tuples prog.Core_ir.schema units in
   Combine.Acc.to_relation
-    (Exec.run_tick ~cols compiled ~evaluator ~units ~groups ~rand_for:rand_for_key)
+    (Test_qopt.run_tick compiled ~evaluator ~units ~groups ~rand_for:rand_for_key)
 
 (* Effects by unit key: the accumulator merges every target sharing a key
    into one row, while the reference interpreter keeps one row per target

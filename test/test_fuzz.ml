@@ -385,7 +385,7 @@ let four_way_equivalence =
         in
         Test_qopt.normalize_effects s
           (Combine.Acc.to_relation
-             (Exec.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key))
+             (Test_qopt.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key))
       in
       let naive = exec ~optimize:true (Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates) in
       let indexed =

@@ -76,7 +76,7 @@ let test_mods_engines_agree () =
           [ { Exec.script = entry; members = Array.init (Array.length units) (fun i -> i) } ]
         in
         Combine.Acc.to_relation
-          (Exec.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key)
+          (Test_qopt.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key)
       in
       let naive = run (Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates) in
       let indexed = run (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()) in
@@ -101,7 +101,7 @@ let test_plague_stacks_damage () =
   let compiled = Exec.compile prog in
   let groups = [ { Exec.script = "plague_bearer"; members = [| 0; 1 |] } ] in
   let acc =
-    Exec.run_tick compiled
+    Test_qopt.run_tick compiled
       ~evaluator:(Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
       ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
   in

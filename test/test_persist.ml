@@ -80,9 +80,14 @@ let mk_state ?(tick = 17) ?(seed = 5) ?(quarantined = []) ?(counters = [])
     ?(degradations = []) units =
   { Checkpoint.tick; seed; cache_epoch = tick; units; quarantined; counters; degradations }
 
+(* [Checkpoint.save] of a state with the column store of its units. *)
+let save ~dir ~(schema : Schema.t) (st : Checkpoint.state) : string =
+  Checkpoint.save ~dir ~fsync:false ~schema
+    ~store:(Colstore.of_tuples schema st.Checkpoint.units) st
+
 let roundtrip ~(schema : Schema.t) (st : Checkpoint.state) : Checkpoint.state =
   with_dir (fun dir ->
-      let path = Checkpoint.save ~dir ~fsync:false ~schema st in
+      let path = save ~dir ~schema st in
       Checkpoint.load ~schema path)
 
 let check_state_eq (a : Checkpoint.state) (b : Checkpoint.state) =
@@ -185,7 +190,7 @@ let with_saved (f : schema:Schema.t -> path:string -> 'a) : 'a =
   let schema = rich_schema () in
   with_dir (fun dir ->
       let st = mk_state [| sample_tuple ~key:0; sample_tuple ~key:1 |] in
-      let path = Checkpoint.save ~dir ~fsync:false ~schema st in
+      let path = save ~dir ~schema st in
       f ~schema ~path)
 
 let truncation_detected () =
@@ -323,8 +328,7 @@ let generation_fallback () =
   with_dir (fun dir ->
       let save tick =
         ignore
-          (Checkpoint.save ~dir ~fsync:false ~schema
-             (mk_state ~tick [| sample_tuple ~key:tick |]))
+          (save ~dir ~schema (mk_state ~tick [| sample_tuple ~key:tick |]))
       in
       save 10;
       save 20;
@@ -354,8 +358,7 @@ let prune_generations () =
       List.iter
         (fun tick ->
           ignore
-            (Checkpoint.save ~dir ~fsync:false ~schema
-               (mk_state ~tick [| sample_tuple ~key:tick |]));
+            (save ~dir ~schema (mk_state ~tick [| sample_tuple ~key:tick |]));
           Journal.close (Journal.create ~dir ~base:tick ~fsync:false))
         [ 5; 10; 15; 20 ];
       Checkpoint.prune ~dir ~keep:2;
@@ -536,6 +539,32 @@ let sim_with_persistence ?(every = 0) (dir : string) =
   Simulation.checkpoint_every ~fsync:false sim ~dir ~every;
   (sim, cfg)
 
+(* The simulation writes its checkpoints' unit columns from its committed
+   column store.  The file must equal one written from a store built
+   afresh from its rows — after a non-structural tick (a copy-on-write
+   refresh) and after a structural one (deaths and resurrections). *)
+let checkpoint_from_committed_store () =
+  with_dir @@ fun dir ->
+  with_dir @@ fun fresh_dir ->
+  let sim, _ = sim_with_persistence dir in
+  let schema = Simulation.schema sim in
+  let deaths () = (Simulation.report sim).Simulation.deaths in
+  let checked = ref [] in
+  while List.length !checked < 2 && Simulation.tick_count sim < 60 do
+    let d0 = deaths () in
+    Simulation.step sim;
+    let kind = if deaths () > d0 then "structural" else "non-structural" in
+    if not (List.mem kind !checked) then begin
+      checked := kind :: !checked;
+      Simulation.checkpoint_now sim;
+      let path = Checkpoint.path ~dir ~tick:(Simulation.tick_count sim) in
+      let st = { (Checkpoint.load ~schema path) with Checkpoint.units = Simulation.units sim } in
+      Alcotest.(check bool) (kind ^ " tick: same bytes") true
+        (read_file path = read_file (save ~dir:fresh_dir ~schema st))
+    end
+  done;
+  Alcotest.(check int) "both kinds of tick checked" 2 (List.length !checked)
+
 let injected_journal_append () =
   with_injection @@ fun () ->
   with_dir @@ fun dir ->
@@ -658,6 +687,8 @@ let suite =
         Alcotest.test_case "degrade retry before the crash replays bit-identically" `Quick
           degrade_recovery;
         Alcotest.test_case "quarantine set survives restore" `Quick quarantine_recovery;
+        Alcotest.test_case "checkpoints write the committed column store" `Quick
+          checkpoint_from_committed_store;
       ] );
     ( "persist.faults",
       [

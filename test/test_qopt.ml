@@ -213,12 +213,18 @@ let effects_reference prog script_name units rand_for =
   let script = Option.get (Core_ir.find_script prog script_name) in
   Combine.combine (Interp.run_script ~prog ~script ~units ~rand_for)
 
+(* [Exec.run_tick] over [units] and their column store, as a simulation
+   keeps it: every kernel test runs the column path the engine runs. *)
+let run_tick (c : Exec.compiled) ~evaluator ~units ~groups ~rand_for =
+  let cols = Colstore.of_tuples c.Exec.prog.Core_ir.schema units in
+  Exec.run_tick ~cols c ~evaluator ~units ~groups ~rand_for
+
 let effects_exec ~optimize ~evaluator prog script_name units rand_for_key =
   let compiled = Exec.compile ~optimize prog in
   let groups =
     [ { Exec.script = script_name; members = Array.init (Array.length units) (fun i -> i) } ]
   in
-  let acc = Exec.run_tick compiled ~evaluator ~units ~groups ~rand_for:rand_for_key in
+  let acc = run_tick compiled ~evaluator ~units ~groups ~rand_for:rand_for_key in
   Combine.Acc.to_relation acc
 
 let check_equivalence ?(src = Test_lang.figure3_source) ~script ~n ~seed () =
@@ -395,6 +401,23 @@ let equivalence_property =
       check_equivalence ~script:"main" ~n ~seed:(seed + 100) ();
       true)
 
+(* The decision phase checks its column store once, up front: a store of
+   other rows (here one unit short) is rejected before any kernel runs. *)
+let test_run_tick_rejects_foreign_store () =
+  let s = schema () in
+  let prog = Compile.compile ~schema:s Test_lang.figure3_source in
+  let compiled = Exec.compile prog in
+  let units = random_units s ~n:8 ~seed:5 in
+  let cols = Colstore.of_tuples s (Array.sub units 0 7) in
+  let groups = [ { Exec.script = "main"; members = Array.init 8 (fun i -> i) } ] in
+  match
+    Exec.run_tick ~cols compiled
+      ~evaluator:(Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+      ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
+  with
+  | _ -> Alcotest.fail "a store one row short was accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -427,6 +450,7 @@ let suite =
         tc "enumeration residual" `Quick test_equiv_enum;
         tc "int-valued bounds fall back exactly" `Quick test_equiv_int_bounds;
         tc "index-group sharing equivalence" `Quick test_share_equivalence;
+        tc "run_tick rejects a store of other rows" `Quick test_run_tick_rejects_foreign_store;
         QCheck_alcotest.to_alcotest equivalence_property;
       ] );
   ]

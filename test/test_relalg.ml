@@ -433,6 +433,23 @@ let test_algebra_join_key_dup () =
   Alcotest.(check bool) "duplicate key rejected" true
     (try ignore (Algebra.join_key r r); false with Algebra.Algebra_error _ -> true)
 
+(* The effects-equivalence tests compare relations with
+   [equal_as_multiset], so it must see a last-bit float difference while
+   keeping [Value.equal]'s identifications. *)
+let test_multiset_float_exact () =
+  let s = Schema.create [ Schema.attr "key" Value.TInt; Schema.attr "v" Value.TFloat ] in
+  let rel vs = Relation.of_tuples s (List.map (fun v -> [| v_int 0; v |]) vs) in
+  let eq a b = Relation.equal_as_multiset (rel a) (rel b) in
+  Alcotest.(check bool) "1.0000001 vs 1.0000002" false
+    (eq [ v_float 1.0000001 ] [ v_float 1.0000002 ]);
+  Alcotest.(check bool) "last bit" false (eq [ v_float 0.3 ] [ v_float (0.1 +. 0.2) ]);
+  Alcotest.(check bool) "Int 3 vs Float 3." true (eq [ v_int 3 ] [ v_float 3. ]);
+  Alcotest.(check bool) "0. vs -0." true (eq [ v_float 0. ] [ v_float (-0.) ]);
+  Alcotest.(check bool) "row order" true
+    (eq [ v_float 1.5; v_float 2.5 ] [ v_float 2.5; v_float 1.5 ]);
+  Alcotest.(check bool) "multiplicity" false
+    (eq [ v_float 1.5; v_float 1.5; v_float 2.5 ] [ v_float 1.5; v_float 2.5; v_float 2.5 ])
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -484,5 +501,6 @@ let suite =
         tc "product/union" `Quick test_algebra_product_union;
         tc "group aggregate" `Quick test_algebra_group_agg;
         tc "join duplicate key" `Quick test_algebra_join_key_dup;
+        tc "multiset equality is float-exact" `Quick test_multiset_float_exact;
       ] );
   ]
