@@ -40,7 +40,6 @@ let analyze_core ?(post_reads : int list = []) ?(pos_of : string -> Ast.pos = fu
   Diagnostic.sort
     (Effect_race.check ~post_reads ~pos_of prog
     @ Perf_lint.check_aggregates ~pos_of prog
-    @ Perf_lint.check_kernels ~pos_of prog
     @ Absint.check ~pos_of prog
     @ Footprint.check ~pos_of prog
     @ Plan_check.validate_program ~pos_of ~prove:oracle.Absint.prove prog)
@@ -64,7 +63,6 @@ let analyze_ast ?(consts : (string * Value.t) list = []) ?(post_reads : int list
       (front
       @ Effect_race.check ~post_reads ~pos_of core
       @ Perf_lint.check_aggregates ~pos_of core
-      @ Perf_lint.check_kernels ~pos_of core
       @ Absint.check ~pos_of core
       @ Footprint.check ~pos_of core
       @ Plan_check.validate_program ~pos_of ~prove:oracle.Absint.prove core)

@@ -1,4 +1,4 @@
-(* Performance lints (rules P001-P006).
+(* Performance lints (rules P001-P005).
 
    The aggregate-level rules are tied to [Agg_plan.analyze] — the same
    classification the indexed evaluator uses — so a lint fires exactly
@@ -17,12 +17,7 @@
 
    - P004: a let binding never read in its continuation;
    - P005: an if-condition that folds to a constant (literals, consts and
-     pure builtins only), leaving one arm dead.
-
-   P006 looks at what the kernel compiler will actually compile: a scalar
-   bind specializes to a typed-column load only under the eligibility
-   rules of [Loop_ir.Compile.boxed_binds]; anything else keeps the kernel
-   materializing boxed tuples inside its per-row loop. *)
+     pure builtins only), leaving one arm dead. *)
 
 open Sgl_relalg
 open Sgl_lang
@@ -74,31 +69,6 @@ let check_aggregates ?(pos_of : string -> Ast.pos = fun _ -> Ast.no_pos)
                   components)))
     prog.Core_ir.aggregates;
   List.rev !out
-
-(* ------------------------------------------------------------------ *)
-(* Fused-kernel lint (P006) over the lowered loop programs *)
-
-let check_kernels ?(pos_of : string -> Ast.pos = fun _ -> Ast.no_pos)
-    (prog : Core_ir.program) : Diagnostic.t list =
-  let schema = prog.Core_ir.schema in
-  let aggs = prog.Core_ir.aggregates in
-  List.concat_map
-    (fun (s : Core_ir.script) ->
-      let name = s.Core_ir.name in
-      let loop =
-        Loop_ir.Lower.lower (Rewrite.optimize ~aggs (Plan.of_core schema s.Core_ir.body))
-      in
-      match Loop_ir.Compile.boxed_binds ~schema loop with
-      | [] -> []
-      | boxed ->
-        [
-          Rules.diag ~pos:(pos_of name) ~context:name ~rule:"P006"
-            "%d scalar bind(s) (%s) stay on the boxed-row path: the fused kernel \
-             materializes tuples inside its per-row loop instead of loading typed columns"
-            (List.length boxed)
-            (String.concat ", " (List.map (fun (slot, _) -> Printf.sprintf "r%d" slot) boxed));
-        ])
-    prog.Core_ir.scripts
 
 (* ------------------------------------------------------------------ *)
 (* AST lints (P004, P005) over the surface program *)

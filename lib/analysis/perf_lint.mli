@@ -1,7 +1,6 @@
-(** Performance lints (rules P001-P006): aggregate instances that defeat
-    the index planner (tied to {!Sgl_qopt.Agg_plan.analyze}), script
-    text the optimizer will silently discard, and binds the fused
-    backend cannot specialize to columnar loads. *)
+(** Performance lints (rules P001-P005): aggregate instances that defeat
+    the index planner (tied to {!Sgl_qopt.Agg_plan.analyze}) and script
+    text the optimizer will silently discard. *)
 
 open Sgl_lang
 open Sgl_relalg
@@ -17,11 +16,3 @@ val check_aggregates :
     to {!Sgl_lang.Compile.compile}); [D_const] declarations are picked up
     from the program itself. *)
 val check_ast : ?consts:(string * Value.t) list -> Ast.program -> Diagnostic.t list
-
-(** P006 (bind stays on the boxed-row path) per script of the closed
-    program: each script's optimized plan is lowered through
-    {!Sgl_qopt.Loop_ir.Lower} and its
-    {!Sgl_qopt.Loop_ir.Compile.boxed_binds} reported — the binds for
-    which the fused kernel materializes boxed tuples inside its per-row
-    loop instead of loading from the column store. *)
-val check_kernels : ?pos_of:(string -> Ast.pos) -> Core_ir.program -> Diagnostic.t list

@@ -135,16 +135,6 @@ let all : t list =
          is dead and the test costs a per-unit evaluation before rewriting";
     };
     {
-      id = "P006";
-      severity = Diagnostic.Info;
-      title = "fused bind falls back to tuple materialization";
-      rationale =
-        "a scalar bind is not float-guaranteed over column-backed attributes (random, \
-         comparisons, integer arithmetic, environment reads), so the fused kernel \
-         materializes boxed tuples inside its per-row loop instead of loading typed \
-         columns";
-    };
-    {
       id = "S001";
       severity = Diagnostic.Info;
       title = "unbounded read region";

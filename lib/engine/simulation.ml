@@ -142,8 +142,8 @@ type t = {
   grid : Movement.grid option; (* movement's occupancy table, reused every tick *)
   (* The column store of [units] (struct-of-arrays, one typed column per
      schema attribute), committed with it: refreshed copy-on-write at each
-     commit, keyed by the tick's dirty-attribute delta, and the decision
-     phase's access path for index builds and kernel column loads.  A
+     commit, keyed by the tick's dirty-attribute delta, and what the
+     decision phase's index builds scan.  A
      rollback swaps it back to the pre-tick snapshot, like [units]. *)
   mutable store : Colstore.t;
   index_cache : bool; (* hand deltas to the evaluator across ticks *)

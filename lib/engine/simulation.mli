@@ -73,9 +73,8 @@ type t
     The simulation keeps the units' column store (one typed column per
     schema attribute) as part of its committed state: every commit
     refreshes it copy-on-write, a rollback restores it with the rows, and
-    it is the decision phase's access path (index builds scan its typed
-    columns, kernels load float operands from it) and the source of the
-    checkpoints' unit columns. *)
+    it is what the decision phase's index builds scan and the source of
+    the checkpoints' unit columns. *)
 val create :
   ?fault_policy:fault_policy ->
   ?fault_log_capacity:int ->

@@ -114,6 +114,41 @@ let dummy_rand (_ : int) = 0
 (* ------------------------------------------------------------------ *)
 (* Naive evaluator *)
 
+(* One fresh O(n) scan of [units] per probing row: the naive evaluator's
+   answer, and the indexed one's for a [Naive_only] instance. *)
+let naive_batch (stats : eval_stats) ~(tel : agg_tel) ~(agg : Aggregate.t) ~(units : Tuple.t array)
+    ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
+  Telemetry.Counter.add tel.tel_rows (Array.length rows * Array.length units);
+  Array.mapi
+    (fun i row ->
+      stats.naive_scans <- stats.naive_scans + 1;
+      Telemetry.Counter.incr tel_naive_scan;
+      Aggregate.eval_naive ~units ~ctx:{ Expr.u = row; e = None; rand = rands.(i) } agg)
+    rows
+
+(* One area clause applied by brute force: every contributor tests every
+   unit against the predicate.  The naive evaluator's [apply_aoe], and the
+   indexed one's fallback for clauses its planner cannot index. *)
+let naive_aoe (stats : eval_stats) ~(schema : Schema.t) ~(units : Tuple.t array) ~pred ~updates
+    ~(contributors : Tuple.t array) ~(contributor_rands : (int -> int) array) ~acc : unit =
+  Array.iteri
+    (fun i contributor ->
+      stats.naive_scans <- stats.naive_scans + 1;
+      Telemetry.Counter.incr tel_naive_scan;
+      let rand = contributor_rands.(i) in
+      Array.iter
+        (fun target ->
+          let ctx = { Expr.u = contributor; e = Some target; rand } in
+          if Predicate.holds ctx pred then begin
+            let key = Tuple.key schema target in
+            List.iter
+              (fun (attr, expr) ->
+                Combine.Acc.add_attr acc ~base:target ~key attr (Expr.eval ctx expr))
+              updates
+          end)
+        units)
+    contributors
+
 let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : t =
   let tels = agg_tels aggregates in
   let units = ref [||] and stats = fresh_stats () in
@@ -121,35 +156,12 @@ let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : t =
     name = "naive";
     eval_agg =
       (fun ~agg_id ~rows ~rands ->
-        let agg = aggregates.(agg_id) in
         let tel = tels.(agg_id) in
         Telemetry.Counter.incr tel.tel_batches;
-        Telemetry.Counter.add tel.tel_rows (Array.length rows * Array.length !units);
-        Array.mapi
-          (fun i row ->
-            stats.naive_scans <- stats.naive_scans + 1;
-            Telemetry.Counter.incr tel_naive_scan;
-            Aggregate.eval_naive ~units:!units ~ctx:{ Expr.u = row; e = None; rand = rands.(i) } agg)
-          rows);
+        naive_batch stats ~tel ~agg:aggregates.(agg_id) ~units:!units ~rows ~rands);
     apply_aoe =
       (fun ~pred ~updates ~contributors ~contributor_rands ~acc ->
-        Array.iteri
-          (fun i contributor ->
-            stats.naive_scans <- stats.naive_scans + 1;
-            Telemetry.Counter.incr tel_naive_scan;
-            let rand = contributor_rands.(i) in
-            Array.iter
-              (fun target ->
-                let ctx = { Expr.u = contributor; e = Some target; rand } in
-                if Predicate.holds ctx pred then begin
-                  let key = Tuple.key schema target in
-                  List.iter
-                    (fun (attr, expr) ->
-                      Combine.Acc.add_attr acc ~base:target ~key attr (Expr.eval ctx expr))
-                    updates
-                end)
-              !units)
-          contributors);
+        naive_aoe stats ~schema ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc);
     prepare = (fun ?delta:_ ?cols:_ e -> units := e);
     stats;
   }
@@ -1033,14 +1045,7 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
     Telemetry.Counter.incr tel.tel_batches;
     match ctx.strategies.(agg_id) with
     | Agg_plan.Uniform -> eval_uniform stats ~tel ~agg ~units:!units ~rows ~rands
-    | Agg_plan.Naive_only _ ->
-      Telemetry.Counter.add tel.tel_rows (Array.length rows * Array.length !units);
-      Array.mapi
-        (fun i row ->
-          stats.naive_scans <- stats.naive_scans + 1;
-          Telemetry.Counter.incr tel_naive_scan;
-          Aggregate.eval_naive ~units:!units ~ctx:{ Expr.u = row; e = None; rand = rands.(i) } agg)
-        rows
+    | Agg_plan.Naive_only _ -> naive_batch stats ~tel ~agg ~units:!units ~rows ~rands
     | Agg_plan.Indexed _ as strategy ->
       let membership = Option.get ctx.memberships.(agg_id) in
       let bi = group_index ctx stats membership in
@@ -1072,22 +1077,7 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
     in
     let swapped_pred = Predicate.of_conjuncts (List.map swap (Predicate.conjuncts pred)) in
     let naive_fallback () =
-      Array.iteri
-        (fun i contributor ->
-          stats.naive_scans <- stats.naive_scans + 1;
-          let rand = contributor_rands.(i) in
-          Array.iter
-            (fun target ->
-              let ctx = { Expr.u = contributor; e = Some target; rand } in
-              if Predicate.holds ctx pred then begin
-                let key = Tuple.key schema target in
-                List.iter
-                  (fun (attr, expr) ->
-                    Combine.Acc.add_attr acc ~base:target ~key attr (Expr.eval ctx expr))
-                  updates
-              end)
-            !units)
-        contributors
+      naive_aoe stats ~schema ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc
     in
     (* Indexable only when no update or conjunct needs the affected unit's
        random stream or mixes roles the planner cannot express. *)

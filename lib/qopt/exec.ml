@@ -55,7 +55,7 @@ let compile ?(optimize = true) ?(prove = fun (_ : string) (_ : Expr.t) -> None)
   let kernels =
     List.map
       (fun (name, plan) ->
-        (name, Loop_ir.Compile.compile ~fold:(fold name) ~schema (Loop_ir.Lower.lower plan)))
+        (name, Loop_ir.Compile.compile ~oracle:(fold name) ~schema (Loop_ir.Lower.lower plan)))
       plans
   in
   { prog; plans; kernels; width; rewrites = stats;
@@ -108,7 +108,7 @@ exception Group_failed of group_fault
    and random streams, then run the script's kernel into [acc].  The
    ["exec.group"] injection point fires first.  Whatever the group raises
    comes back as [Group_failed], naming the script. *)
-let run_group ~(cols : Colstore.t) (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
+let run_group (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
     ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t) ~(units : Tuple.t array)
     ~(rand_for : key:int -> int -> int) (g : group) : unit =
   let body () =
@@ -119,7 +119,7 @@ let run_group ~(cols : Colstore.t) (c : compiled) ~(schema : Schema.t) ~(evaluat
       Sgl_util.Telemetry.Counter.add tel_kernel_rows (Array.length g.members);
       let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
       let rands = Array.map (fun i -> rand_for ~key:(Tuple.key schema units.(i))) g.members in
-      kernel { Loop_ir.Compile.evaluator; find_key; acc; cols; ids = g.members } ~rows ~rands
+      kernel { Loop_ir.Compile.evaluator; find_key; acc } ~rows ~rands
   in
   try
     Sgl_util.Fault_inject.hit "exec.group";
@@ -140,7 +140,7 @@ let run_group ~(cols : Colstore.t) (c : compiled) ~(schema : Schema.t) ~(evaluat
    [evaluator.prepare], which may use it to keep cached index structures
    warm; omitting it only costs rebuilds, never correctness.  [cols] must
    be the column store of [units]: the one coverage check of the decision
-   phase is here, so the evaluator and the kernels read it unchecked. *)
+   phase is here, so the evaluator's index builds read it unchecked. *)
 let run_tick ?delta ~(cols : Colstore.t) (c : compiled) ~(evaluator : Eval.t)
     ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
     Combine.Acc.t =
@@ -150,5 +150,5 @@ let run_tick ?delta ~(cols : Colstore.t) (c : compiled) ~(evaluator : Eval.t)
   evaluator.Eval.prepare ?delta ~cols units;
   let find_key = key_table c units in
   let acc = Combine.Acc.create schema in
-  List.iter (run_group ~cols c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
+  List.iter (run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
   acc

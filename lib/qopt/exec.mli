@@ -28,7 +28,8 @@ exception Exec_error of string
     feeds interval facts into the rewrite's condition pruning (see
     {!Rewrite.simplify}); validation must then run with the same prover.
     [fold], indexed by script name, is the interval-fact constant-folding
-    oracle handed to {!Loop_ir.Compile.compile}. *)
+    oracle handed to {!Loop_ir.Compile.compile} (and from there to
+    {!Sgl_relalg.Expr.fold}). *)
 val compile :
   ?optimize:bool ->
   ?prove:(string -> Expr.t -> bool option) ->
@@ -64,15 +65,15 @@ exception Group_failed of group_fault
     since the previous tick's unit array) so the cross-tick index cache can
     revalidate instead of rebuilding; omitting it is always sound (cold
     tick).  [cols] is the column store of [units] (same rows, same order):
-    it is forwarded to the evaluator (index builds scan typed columns) and
-    into the kernels (float binds become column loads).  Raises
-    [Invalid_argument] when [cols] does not have the length of [units] or
-    some row of it is not of schema arity; no later reader checks again.
+    it is forwarded to the evaluator, whose index builds scan typed
+    columns.  Raises [Invalid_argument] when [cols] does not have the
+    length of [units] or some row of it is not of schema arity; no later
+    reader checks again.
 
     Every group runs its script's kernel on the calling domain into one
-    accumulator, after the ["exec.group"] injection point.  Kernels mirror
-    {!Sgl_relalg.Expr.eval} operation-for-operation and fusion only
-    permutes contributions to the commutative accumulator (rule V003
+    accumulator, after the ["exec.group"] injection point.  Kernels run
+    {!Sgl_relalg.Expr.eval} over constant-folded expressions and fusion
+    only permutes contributions to the commutative accumulator (rule V003
     validates each lowering), so a tick equals the reference interpreter's
     ({!Sgl_lang.Interp}) under any evaluator.
 

@@ -8,10 +8,11 @@
     boundaries only where the pluggable evaluator genuinely needs a batch
     (aggregate binds, area-of-effect combination).  {!Compile} then
     specializes the loop program once, composing one closure per operation
-    into a kernel of type [env -> rows -> rands -> unit]; running a tick
-    executes the composed closures with no evaluation-context allocation
-    and constant subexpressions folded away.  Kernels are the engine's only
-    row executor ({!Exec.run_tick} runs every script group through one).
+    into a kernel of type [env -> rows -> rands -> unit]; every expression
+    is constant-folded once ({!Sgl_relalg.Expr.fold}) and evaluated per
+    row by {!Sgl_relalg.Expr.eval}, over one evaluation context per row
+    per pass.  Kernels are the engine's only row executor
+    ({!Exec.run_tick} runs every script group through one).
 
     Soundness: effects combine through the associative-commutative-
     idempotent ⊕, and each row's random stream is a pure function keyed by
@@ -74,20 +75,11 @@ end
 module Compile : sig
   (** Everything a kernel needs at run time beyond the rows themselves.
       The evaluator is a parameter (not baked in at compile time) so one
-      compiled kernel serves every tick and degraded retry.
-      [cols] is the column store of the tick's unit array and [ids.(i)]
-      the unit id behind working row [i]; every id must be below
-      [Colstore.length cols] ({!Exec.run_tick} checks the store against
-      the unit array, and its ids index that array).  Float-typed
-      [Bind_col] steps load operands straight from the typed columns
-      (bit-identical to the boxed evaluation; see {!boxed_binds} for the
-      exact eligibility rules); every other step reads the boxed rows. *)
+      compiled kernel serves every tick and degraded retry. *)
   type env = {
     evaluator : Eval.t;
     find_key : int -> Tuple.t option;
     acc : Combine.Acc.t;
-    cols : Colstore.t;
-    ids : int array;
   }
 
   (** A specialized kernel: run the loop program over one group's
@@ -95,24 +87,14 @@ module Compile : sig
       accumulating effects into [env.acc]. *)
   type kernel = env -> rows:Tuple.t array -> rands:(int -> int) array -> unit
 
-  (** Compile a loop program once into composed closures.  Expression
-      evaluation mirrors {!Sgl_relalg.Expr.eval} operation-for-operation
-      (bit-identical results, including error behaviour), with
-      [Random]-free constant subtrees folded at compile time.  [fold] is
-      an external constant-folding oracle (interval facts): an expression
-      it pins compiles to the constant even when the structural folder
-      sees dynamic reads.  The oracle must only answer when every store
-      the kernel can meet evaluates the expression to exactly that value
-      — {!Sgl_analysis} derives such oracles from the abstract domain. *)
-  val compile : ?fold:(Expr.t -> Value.t option) -> schema:Schema.t -> t -> kernel
-
-  (** The scalar binds of [p] that stay on the boxed-row path although
-      the column store is at hand — i.e. the kernel materializes tuples
-      inside its per-row loop for them.  A bind specializes to a column
-      load only when its expression is float-guaranteed over column-backed
-      schema attributes through [+ - * / neg abs sqrt min max] (operations
-      whose float semantics are the plain primitives, keeping the two
-      paths bit-identical) and no step of [p] writes a schema slot.  Perf
-      lint P006 reports what this returns. *)
-  val boxed_binds : schema:Schema.t -> t -> (int * Expr.t) list
+  (** Compile a loop program once into composed closures.  Every
+      expression of the program (binds, effect updates and keys, partition
+      guards) is folded once by {!Sgl_relalg.Expr.fold} and run by
+      {!Sgl_relalg.Expr.eval}, so results and errors are the interpreter's.
+      [oracle] is an external constant-folding oracle (interval facts): an
+      expression it pins folds to the constant even over dynamic reads.
+      It must only answer when every store the kernel can meet evaluates
+      the expression to exactly that value — {!Sgl_analysis} derives such
+      oracles from the abstract domain. *)
+  val compile : ?oracle:(Expr.t -> Value.t option) -> schema:Schema.t -> t -> kernel
 end

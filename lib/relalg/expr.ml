@@ -95,6 +95,48 @@ and apply_cmp op a b =
   | Gt -> Value.compare_num a b > 0
   | Ge -> Value.compare_num a b >= 0
 
+(* Constant folding: one bottom-up rewrite.  The oracle's answer for a
+   node wins outright (it may pin reads the structural rule must treat as
+   dynamic, [Random] included: the per-row streams are pure in the draw
+   index).  Otherwise a node whose children all folded to constants is
+   evaluated once with a dummy context and becomes a constant — except
+   [Random], whose draw depends on the row's stream, and except when that
+   evaluation raises: the node then stays, so the error surfaces at run
+   time with the interpreter's message. *)
+let fold ?(oracle = fun (_ : t) -> None) (expr : t) : t =
+  let dummy = { u = [||]; e = None; rand = (fun _ -> 0) } in
+  let const = function Const _ -> true | _ -> false in
+  let try_eval node = match eval dummy node with v -> Const v | exception _ -> node in
+  let rec go expr =
+    match oracle expr with
+    | Some v -> Const v
+    | None -> begin
+      match expr with
+      | Const _ | UAttr _ | EAttr _ -> expr
+      | Random a -> Random (go a)
+      | Binop (op, a, b) -> two (fun a b -> Binop (op, a, b)) a b
+      | Cmp (op, a, b) -> two (fun a b -> Cmp (op, a, b)) a b
+      | And (a, b) -> two (fun a b -> And (a, b)) a b
+      | Or (a, b) -> two (fun a b -> Or (a, b)) a b
+      | VecOf (a, b) -> two (fun a b -> VecOf (a, b)) a b
+      | MinOf (a, b) -> two (fun a b -> MinOf (a, b)) a b
+      | MaxOf (a, b) -> two (fun a b -> MaxOf (a, b)) a b
+      | Not a -> one (fun a -> Not a) a
+      | Neg a -> one (fun a -> Neg a) a
+      | VecX a -> one (fun a -> VecX a) a
+      | VecY a -> one (fun a -> VecY a) a
+      | Abs a -> one (fun a -> Abs a) a
+      | Sqrt a -> one (fun a -> Sqrt a) a
+    end
+  and one mk a =
+    let a = go a in
+    if const a then try_eval (mk a) else mk a
+  and two mk a b =
+    let a = go a and b = go b in
+    if const a && const b then try_eval (mk a b) else mk a b
+  in
+  go expr
+
 let eval_bool ctx expr = Value.to_bool (eval ctx expr)
 let eval_float ctx expr = Value.to_float (eval ctx expr)
 let eval_int ctx expr = Value.to_int (eval ctx expr)

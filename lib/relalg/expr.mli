@@ -38,6 +38,16 @@ val eval_int : ctx -> t -> int
 val apply_cmp : cmpop -> Value.t -> Value.t -> bool
 val apply_binop : binop -> Value.t -> Value.t -> Value.t
 
+(** Constant folding, bottom-up.  [oracle] is consulted first at every
+    node and its answer replaces the node; it must only answer when every
+    context the expression can meet evaluates it to exactly that value.
+    Otherwise a node other than [Random] whose children all fold to
+    constants becomes the constant it evaluates to — unless evaluating it
+    raises, in which case it stays so the error surfaces at run time.
+    [eval ctx (fold e)] equals [eval ctx e] for every [ctx], errors
+    included. *)
+val fold : ?oracle:(t -> Value.t option) -> t -> t
+
 (** Does the expression reference [e.*]? *)
 val mentions_e : t -> bool
 

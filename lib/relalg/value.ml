@@ -1,4 +1,4 @@
-(* Dynamically typed attribute values.
+(* Attribute values, typed at run time.
 
    The environment relation E stores unit state; SGL terms compute over it.
    Four runtime types suffice for the paper's workloads: integers (keys,

@@ -1,4 +1,4 @@
-(** Dynamically typed attribute values for the environment relation. *)
+(** Attribute values of the environment relation, typed at run time. *)
 
 open Sgl_util
 

@@ -1,4 +1,4 @@
-(* A growable array (OCaml 5.1 predates Stdlib.Dynarray).
+(* A growable array (OCaml 5.1 has none in its standard library).
 
    Used wherever the engine accumulates an unknown number of rows: effect
    relations, index build buffers, event queues. *)

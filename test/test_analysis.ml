@@ -61,7 +61,7 @@ let catalogue () =
       | Some r -> Alcotest.(check string) "find returns the rule" id r.Rules.id
       | None -> Alcotest.failf "rule %s missing from catalogue" id)
     [ "T001"; "R001"; "R002"; "R003"; "R004"; "V001"; "V002"; "V003"; "P001"; "P002"; "P003";
-      "P004"; "P005"; "P006"; "S001"; "S002"; "S003"; "N001"; "N002"; "N003" ];
+      "P004"; "P005"; "S001"; "S002"; "S003"; "N001"; "N002"; "N003" ];
   Alcotest.(check bool) "unknown id reports as error" true
     (Rules.severity "Z999" = Diagnostic.Error);
   (* severities pinned: R003/R004/P001/P004/P005 warn, P002/P003 info, rest error *)
@@ -81,7 +81,6 @@ let catalogue () =
       ("P003", Diagnostic.Info);
       ("P004", Diagnostic.Warn);
       ("P005", Diagnostic.Warn);
-      ("P006", Diagnostic.Info);
       ("S001", Diagnostic.Info);
       ("S002", Diagnostic.Warn);
       ("S003", Diagnostic.Warn);
@@ -386,7 +385,6 @@ let fixtures_flagged () =
       ("p003_unsweepable", "P003", false);
       ("p004_dead_let", "P004", false);
       ("p005_const_cond", "P005", false);
-      ("p006_boxed_bind", "P006", false);
       ("s001_unbounded_read", "S001", false);
       ("s002_global_effect", "S002", false);
       ("s003_key_escape", "S003", false);
@@ -402,31 +400,6 @@ let fixtures_flagged () =
       if not (has_rule rule diags) then
         Alcotest.failf "%s: expected %s, got [%s]" path rule (String.concat "; " (rules_of diags)))
     expect
-
-(* P006 fires on what the kernel compiler actually compiles: a bind the
-   kernel can load from typed columns stays silent, one it cannot is
-   reported.  The fixture covers the firing side; this pins the clean
-   side so the lint cannot degenerate into flagging every bind. *)
-let p006_tracks_specialization () =
-  let schema = battle_schema () in
-  let analyze src =
-    match
-      Driver.analyze_source ~consts:Scripts.constants ~post_reads:(post_reads schema) ~schema src
-    with
-    | Error m -> Alcotest.failf "parse: %s" m
-    | Ok diags -> diags
-  in
-  let clean =
-    "action Go(u, dx) { on self { movevect_x <- dx; } }\n\
-     script glider(u) { let dx = (0.0 - u.posx) * 0.5; perform Go(u, dx); }"
-  in
-  Alcotest.(check bool) "float-guaranteed bind loads columns (no P006)" false
-    (has_rule "P006" (analyze clean));
-  let boxed =
-    "action Go(u, dx) { on self { movevect_x <- dx; } }\n\
-     script jitter(u) { let dx = random(1) mod 3 - 1; perform Go(u, dx); }"
-  in
-  Alcotest.(check bool) "random bind stays boxed (P006)" true (has_rule "P006" (analyze boxed))
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer round trip: parse . print = identity up to Core IR *)
@@ -510,7 +483,6 @@ let suite =
         Alcotest.test_case "rewrite equivalence (V002)" `Quick rewrite_equivalence;
         Alcotest.test_case "shipped scripts lint clean" `Quick shipped_scripts_clean;
         Alcotest.test_case "seeded fixtures flagged by rule id" `Quick fixtures_flagged;
-        Alcotest.test_case "P006 tracks kernel specialization" `Quick p006_tracks_specialization;
         Alcotest.test_case "pretty round trip preserves core IR" `Quick pretty_roundtrip;
         Alcotest.test_case "race-certified differential pin" `Slow certified_differential;
         Alcotest.test_case "const conflict flagged before divergence" `Quick conflict_flagged_statically;

@@ -191,6 +191,122 @@ let combine_preserves_sums =
       in
       Float.abs (total r -. total (Combine.combine r)) < 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* Constant folding: [Expr.fold] is unobservable through [Expr.eval] *)
+
+let value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Value.Int i) (int_range (-3) 3);
+        map (fun f -> Value.Float f) (oneofl [ 0.; -0.; 0.5; -2.; 3.; nan; infinity ]);
+        map (fun b -> Value.Bool b) bool;
+        map2
+          (fun x y -> Value.make_vec (Value.Float x) (Value.Float y))
+          (oneofl [ 0.; 1.5; -1. ])
+          (oneofl [ 0.; 2.; -0.5 ]);
+      ])
+
+(* Expressions over mixed constants, unit and environment slots (slots 3
+   and 4 are out of range of the three-slot contexts below) and [Random]. *)
+let expr_gen =
+  QCheck.Gen.(
+    let leaf =
+      frequency
+        [
+          (4, map (fun v -> Expr.Const v) value_gen);
+          (2, map (fun i -> Expr.UAttr i) (int_range 0 4));
+          (1, map (fun i -> Expr.EAttr i) (int_range 0 4));
+        ]
+    in
+    sized_size (int_range 0 4)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             let sub = self (n - 1) in
+             let un mk = map mk sub and bin mk = map2 mk sub sub in
+             frequency
+               [
+                 (1, leaf);
+                 (1, un (fun a -> Expr.Random a));
+                 (1, un (fun a -> Expr.Not a));
+                 (1, un (fun a -> Expr.Neg a));
+                 (1, un (fun a -> Expr.VecX a));
+                 (1, un (fun a -> Expr.VecY a));
+                 (1, un (fun a -> Expr.Abs a));
+                 (1, un (fun a -> Expr.Sqrt a));
+                 ( 3,
+                   let* op = oneofl Expr.[ Add; Sub; Mul; Div; Mod ] in
+                   bin (fun a b -> Expr.Binop (op, a, b)) );
+                 ( 2,
+                   let* op = oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+                   bin (fun a b -> Expr.Cmp (op, a, b)) );
+                 (1, bin (fun a b -> Expr.And (a, b)));
+                 (1, bin (fun a b -> Expr.Or (a, b)));
+                 (1, bin (fun a b -> Expr.VecOf (a, b)));
+                 (1, bin (fun a b -> Expr.MinOf (a, b)));
+                 (1, bin (fun a b -> Expr.MaxOf (a, b)));
+               ]))
+
+let ctx_gen =
+  QCheck.Gen.(
+    let slots = array_size (return 3) value_gen in
+    let* u = slots in
+    let* e = opt slots in
+    let* salt = int_range 0 1000 in
+    return { Expr.u; e; rand = (fun i -> (i * 31) + salt) })
+
+let arb_expr_ctx =
+  QCheck.make ~print:(fun (e, _) -> Fmt.str "%a" Expr.pp e) QCheck.Gen.(pair expr_gen ctx_gen)
+
+(* A value, or the printed exception (constructor and message). *)
+let outcome ctx e =
+  match Expr.eval ctx e with
+  | v -> Ok v
+  | exception ex -> Error (Printexc.to_string ex)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> Value.identical x y
+  | Error m, Error n -> String.equal m n
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let fold_preserves_eval =
+  QCheck.Test.make ~name:"eval (fold e) = eval e, errors included" ~count:2000 arb_expr_ctx
+    (fun (e, ctx) -> same_outcome (outcome ctx (Expr.fold e)) (outcome ctx e))
+
+(* An oracle pinning [u.0] is honoured: folding under it equals evaluating
+   in a context whose slot 0 holds the pinned value. *)
+let fold_honours_oracle =
+  QCheck.Test.make ~name:"fold honours a pinning oracle" ~count:1000
+    (QCheck.make QCheck.Gen.(triple expr_gen ctx_gen value_gen))
+    (fun (e, ctx, v) ->
+      let oracle = function Expr.UAttr 0 -> Some v | _ -> None in
+      let pinned = { ctx with Expr.u = Array.mapi (fun i x -> if i = 0 then v else x) ctx.Expr.u } in
+      same_outcome (outcome ctx (Expr.fold ~oracle e)) (outcome pinned e)
+      &&
+      match Expr.fold ~oracle:(fun _ -> Some v) e with
+      | Expr.Const w -> Value.identical v w
+      | _ -> false)
+
+let rec count_random (e : Expr.t) =
+  match e with
+  | Expr.Const _ | Expr.UAttr _ | Expr.EAttr _ -> 0
+  | Expr.Random a -> 1 + count_random a
+  | Expr.Not a | Expr.Neg a | Expr.VecX a | Expr.VecY a | Expr.Abs a | Expr.Sqrt a ->
+    count_random a
+  | Expr.Binop (_, a, b) | Expr.Cmp (_, a, b) | Expr.And (a, b) | Expr.Or (a, b)
+  | Expr.VecOf (a, b) | Expr.MinOf (a, b) | Expr.MaxOf (a, b) ->
+    count_random a + count_random b
+
+let fold_keeps_random =
+  QCheck.Test.make ~name:"fold never folds Random structurally" ~count:1000
+    (QCheck.make ~print:(Fmt.str "%a" Expr.pp) expr_gen)
+    (fun e ->
+      count_random (Expr.fold e) = count_random e
+      && Expr.fold (Expr.Random (Expr.Const (Value.Int 1)))
+         = Expr.Random (Expr.Const (Value.Int 1)))
+
 let suite =
   [
     ( "laws.algebra",
@@ -207,4 +323,5 @@ let suite =
         qtest combine_preserves_sums;
         qtest acc_order_invariance;
       ] );
+    ("laws.fold", [ qtest fold_preserves_eval; qtest fold_honours_oracle; qtest fold_keeps_random ]);
   ]
