@@ -198,7 +198,7 @@ let time_agg_batch ~schema ~units (agg : Aggregate.t) ~(kind : [ `Naive | `Index
   let aggregates = [| agg |] in
   let ev =
     match kind with
-    | `Naive -> Eval.naive ~schema ~aggregates
+    | `Naive -> Eval.naive ~aggregates
     | `Indexed -> Eval.indexed ~schema ~aggregates ()
   in
   ev.Eval.prepare units;
@@ -355,15 +355,16 @@ script healer(u) { perform Aura(u); }
     in
     let evaluator =
       match kind with
-      | `Naive -> Eval.naive ~schema ~aggregates:prog.Core_ir.aggregates
+      | `Naive -> Eval.naive ~aggregates:prog.Core_ir.aggregates
       | `Indexed -> Eval.indexed ~schema ~aggregates:prog.Core_ir.aggregates ()
     in
     let groups = [ { Exec.script = "healer"; members = Array.init n (fun i -> i) } ] in
     let cols = Sgl_relalg.Colstore.of_tuples schema units in
+    let acc = Combine.Acc.create schema ~positions:n in
     let (), seconds =
       Timer.timed (fun () ->
-          ignore
-            (Exec.run_tick ~cols compiled ~evaluator ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)))
+          Exec.run_tick ~cols ~acc compiled ~evaluator ~units ~groups
+            ~rand_for:(fun ~key:_ _ -> 0))
     in
     seconds
   in
@@ -437,12 +438,12 @@ let ablate_share () =
     in
     let ticks = 5 in
     let cols = Sgl_relalg.Colstore.of_tuples schema units in
+    let acc = Combine.Acc.create schema ~positions:(Array.length units) in
     let (), seconds =
       Timer.timed (fun () ->
           for tick = 0 to ticks - 1 do
-            ignore
-              (Exec.run_tick ~cols compiled ~evaluator ~units ~groups
-                 ~rand_for:(fun ~key i -> (key * 31) + i + tick))
+            Exec.run_tick ~cols ~acc compiled ~evaluator ~units ~groups
+              ~rand_for:(fun ~key i -> (key * 31) + i + tick)
           done)
     in
     (seconds /. float_of_int ticks, evaluator.Eval.stats)
@@ -676,13 +677,19 @@ let micro () =
           ~x:(i mod 4096) ~y:(i / 4096))
   in
   let post_spec = Postprocess.battle_spec ~schema in
-  let no_effects = Combine.Acc.create schema in
-  let movers = Combine.Acc.create schema in
+  let no_effects = Combine.Acc.create schema ~positions:n50 in
+  let movers = Combine.Acc.create schema ~positions:n50 in
   Array.iteri
     (fun i u ->
       if i mod 100 = 0 then
-        Combine.Acc.add_attr movers ~base:u ~key:i (Schema.find schema "movevect_x") (Value.Float 1.))
+        Combine.Acc.add_attr movers ~base:u ~pos:i (Schema.find schema "movevect_x") (Value.Float 1.))
     units50;
+  (* The ⊕ merge layer: 12 000 contributions, a damage and an aura value
+     for each of 6000 units, into one accumulator emptied per run as a
+     simulation empties its own per tick. *)
+  let damage = Schema.find schema "damage" and inaura = Schema.find schema "inaura" in
+  let acc12k = Combine.Acc.create schema ~positions:6000 in
+  let hit = Value.Float 3. and aura = Value.Float 2. in
   let mconfig =
     {
       Movement.posx = Schema.find schema "posx";
@@ -707,7 +714,14 @@ let micro () =
       Test.make ~name:"movement_50k_1pct"
         (Staged.stage (fun () ->
              Array.blit units50 0 moved 0 n50;
-             Movement.run grid ~schema ~prng ~tick:(next ()) ~units:moved ~acc:movers));
+             Movement.run grid ~prng ~tick:(next ()) ~units:moved ~acc:movers));
+      Test.make ~name:"acc_add_attr_12k"
+        (Staged.stage (fun () ->
+             Combine.Acc.reset acc12k ~positions:6000;
+             for pos = 0 to 5999 do
+               Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos damage hit;
+               Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos inaura aura
+             done));
       Test.make ~name:"shuffle_50k"
         (Staged.stage (fun () -> Prng.shuffle_in_place prng [ next (); 17 ] order50));
       Test.make ~name:"sort_6000"

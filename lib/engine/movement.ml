@@ -150,25 +150,30 @@ let random_free_cell g (prng : Prng.t) ~(tick : int) ~(salt : int) : (int * int)
   in
   try_ 0
 
-(* Execute the phase.  [units] are the tick's survivors: rows of units
-   that do not move are left untouched; a unit that moves gets a fresh
-   copy with its new position, written back into [units] — unless
-   [owned.(i)] says [units.(i)] is already this tick's own copy, which is
-   then updated in place.  Candidate destinations are tried in decreasing
-   preference: the full clamped step, the half step, each axis alone; a
-   unit blocked on all of them stays put.  Each successful move is
-   recorded against [delta] (posx/posy + unit key) when given, so the
-   cross-tick index cache knows which spatial structures went stale.
+(* Execute the phase.  [units] are the tick's survivors, and
+   [positions.(i)] is the position [units.(i)] had in the tick's unit
+   array — its slot in [acc] and the position its moves are recorded at
+   (no [positions]: the identity).  Rows of units that do not move are
+   left untouched; a unit that moves gets a fresh copy with its new
+   position, written back into [units] — unless [owned.(i)] says
+   [units.(i)] is already this tick's own copy, which is then updated in
+   place.  Candidate destinations are tried in decreasing preference: the
+   full clamped step, the half step, each axis alone; a unit blocked on
+   all of them stays put.  Each successful move is recorded against
+   [delta] (posx/posy + unit position) when given, so the cross-tick index
+   cache knows which spatial structures went stale.
 
    Three passes: a sequential one fills the grid and marks the units with
    a nonzero decided vector; the shuffled one decides the moves against
    the grid, reading only the marked rows; a last sequential one writes
    the moved rows.  Writing in array order keeps the new rows in memory
    in the order scans read them. *)
-let run ?(delta : Delta.t option) ?(owned = [||]) (g : grid) ~(schema : Schema.t)
-    ~(prng : Prng.t) ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) : unit =
+let run ?(delta : Delta.t option) ?(owned = [||]) ?(positions = [||]) (g : grid) ~(prng : Prng.t)
+    ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) : unit =
   let config = g.config in
   let n = Array.length units in
+  let identity = Array.length positions = 0 in
+  let pos i = if identity then i else positions.(i) in
   reserve g n ~rehash:false;
   if Array.length g.dest <> n then begin
     g.dest <- Array.make n still;
@@ -180,7 +185,7 @@ let run ?(delta : Delta.t option) ?(owned = [||]) (g : grid) ~(schema : Schema.t
     add_code g
       (encode g (Value.to_int (Tuple.get u config.posx)) (Value.to_int (Tuple.get u config.posy)));
     let moves =
-      match Combine.Acc.find_opt acc (Tuple.key schema u) with
+      match Combine.Acc.find_opt acc (pos i) with
       | None -> false
       | Some effects ->
         Value.to_float (Tuple.get effects config.mvx) <> 0.
@@ -195,7 +200,7 @@ let run ?(delta : Delta.t option) ?(owned = [||]) (g : grid) ~(schema : Schema.t
     let i = order.(o) in
     if dest.(i) = steered then begin
       let u = units.(i) in
-      match Combine.Acc.find_opt acc (Tuple.key schema u) with
+      match Combine.Acc.find_opt acc (pos i) with
       | None -> ()
       | Some effects ->
         let vx = Value.to_float (Tuple.get effects config.mvx) in
@@ -248,8 +253,7 @@ let run ?(delta : Delta.t option) ?(owned = [||]) (g : grid) ~(schema : Schema.t
       match delta with
       | None -> ()
       | Some d ->
-        let key = Tuple.key schema u in
-        if cx <> x then Delta.record d ~attr:config.posx ~key;
-        if cy <> y then Delta.record d ~attr:config.posy ~key
+        if cx <> x then Delta.record d ~attr:config.posx ~pos:(pos i);
+        if cy <> y then Delta.record d ~attr:config.posy ~pos:(pos i)
     end
   done

@@ -48,17 +48,20 @@ val random_free_cell : grid -> Prng.t -> tick:int -> salt:int -> (int * int) opt
 (** Execute the phase over the tick's survivors [units] in random order:
     fill [grid] with their cells, then move each unit with a nonzero
     decided vector to the first free candidate of full step, half step,
-    x only, y only.  A unit that moves gets a fresh row copy, written back
-    into [units], unless [owned.(i)] marks [units.(i)] as a copy the tick
-    already made (see {!Postprocess.outcome}), which is then updated in
-    place; no other row is written.  Each successful move records
-    posx/posy + unit key against [delta] when given (cross-tick index
-    cache bookkeeping). *)
+    x only, y only.  [positions.(i)] is the position [units.(i)] had in
+    the tick's unit array ({!Postprocess.outcome}); its decided vector is
+    read from that slot of [acc] with one array load, and omitted
+    [positions] mean the identity.  A unit that moves gets a fresh row
+    copy, written back into [units], unless [owned.(i)] marks [units.(i)]
+    as a copy the tick already made (see {!Postprocess.outcome}), which is
+    then updated in place; no other row is written.  Each successful move
+    records posx/posy + that position against [delta] when given
+    (cross-tick index cache bookkeeping). *)
 val run :
   ?delta:Delta.t ->
   ?owned:bool array ->
+  ?positions:int array ->
   grid ->
-  schema:Schema.t ->
   prng:Prng.t ->
   tick:int ->
   units:Tuple.t array ->

@@ -34,36 +34,27 @@ let reads (t : t) : int list =
   List.sort_uniq compare
     (List.concat_map (fun (_, e) -> Expr.e_slots e) t.updates @ Expr.e_slots t.remove_when)
 
-(* The unit's combined-effect row: initialized zeros folded with whatever
-   the accumulator collected (max-tagged attrs see max(0, contribution),
-   matching the paper's initialize-to-zero semantics). *)
-let effects_row (schema : Schema.t) (acc : Combine.Acc.t) (key : int) : Tuple.t =
-  let row = Tuple.create schema in
-  (match Combine.Acc.find_opt acc key with
-  | None -> ()
-  | Some contributions ->
-    List.iter
-      (fun i ->
-        let zero = Value.zero_of (Schema.ty_at schema i) in
-        Tuple.set row i (Schema.combine_values schema i zero (Tuple.get contributions i)))
-      (Schema.effect_indices schema));
-  row
-
 type outcome = {
   survivors : Tuple.t array;
+  positions : int array;
   dead : Tuple.t array;
   owned : bool array;
 }
 
-(* Apply the step.  Committed rows are immutable and shared: a unit keeps
-   its input row (physically) unless an update writes a value that is not
+(* Apply the step.  Unit [p]'s combined effects are slot [p] of [acc]:
+   initialized zeros folded with whatever the slot collected (max-tagged
+   attrs see max(0, contribution), matching the paper's initialize-to-zero
+   semantics), written into one scratch row the call reuses; units without
+   a slot read one shared, read-only zero effects row.
+
+   Committed rows are immutable and shared: a unit keeps its input row
+   (physically) unless an update writes a value that is not
    [Value.identical] to the old one, and then gets one fresh copy holding
-   every change.  Units without an accumulator entry read one shared,
-   read-only zero effects row.  When [delta] is given, every such write is
-   recorded against it (attribute and unit key) — the mutation-side half of
+   every change.  When [delta] is given, every such write is recorded
+   against it (attribute and unit position) — the mutation-side half of
    the cross-tick index cache's contract, and the column set the
-   incremental digest and the columnar mirror re-encode: a change this
-   phase fails to record would let a stale structure survive. *)
+   incremental digest and the column store re-encode: a change this phase
+   fails to record would let a stale structure survive. *)
 let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
     ~(rand_for : key:int -> int -> int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) :
     outcome =
@@ -71,43 +62,59 @@ let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
   match (t.updates, t.remove_when) with
   | [], Expr.Const (Value.Bool false) ->
     (* nothing to write and nobody dies *)
-    { survivors = Array.copy units; dead = [||]; owned = [||] }
+    { survivors = Array.copy units; positions = [||]; dead = [||]; owned = [||] }
   | updates, remove_when ->
     let n = Array.length units in
     let zero = Some (Tuple.create schema) in
+    let scratch = Tuple.create schema in
+    let effects = Some scratch in
+    let zeros =
+      List.map (fun i -> (i, Value.zero_of (Schema.ty_at schema i))) (Schema.effect_indices schema)
+    in
     let survivors = Array.make n [||] and n_alive = ref 0 in
-    let dead = ref [] and owned = ref [||] in
-    Array.iter
-      (fun u ->
-        let key = Tuple.key schema u in
-        let e =
-          match Combine.Acc.find_opt acc key with
-          | None -> zero
-          | Some _ -> Some (effects_row schema acc key)
-        in
-        let ctx = { Expr.u; e; rand = rand_for ~key } in
-        let row = ref u in
-        List.iter
-          (fun (i, expr) ->
-            let v = Expr.eval ctx expr in
-            if not (Value.identical v (Tuple.get u i)) then begin
-              (match delta with Some d -> Delta.record d ~attr:i ~key | None -> ());
-              if !row == u then row := Tuple.copy u;
-              Tuple.set !row i v
-            end)
-          updates;
-        if Expr.eval_bool ctx remove_when then dead := !row :: !dead
-        else begin
-          if !row != u then begin
-            if !owned == [||] then owned := Array.make n false;
-            !owned.(!n_alive) <- true
-          end;
-          survivors.(!n_alive) <- !row;
-          incr n_alive
-        end)
-      units;
+    let positions = ref [||] and dead = ref [] and owned = ref [||] in
+    for p = 0 to n - 1 do
+      let u = units.(p) in
+      let key = Tuple.key schema u in
+      let e =
+        match Combine.Acc.find_opt acc p with
+        | None -> zero
+        | Some contributions ->
+          List.iter
+            (fun (i, z) -> scratch.(i) <- Schema.combine_values schema i z contributions.(i))
+            zeros;
+          effects
+      in
+      let ctx = { Expr.u; e; rand = rand_for ~key } in
+      let row = ref u in
+      List.iter
+        (fun (i, expr) ->
+          let v = Expr.eval ctx expr in
+          if not (Value.identical v (Tuple.get u i)) then begin
+            (match delta with Some d -> Delta.record d ~attr:i ~pos:p | None -> ());
+            if !row == u then row := Tuple.copy u;
+            Tuple.set !row i v
+          end)
+        updates;
+      if Expr.eval_bool ctx remove_when then begin
+        (* the first death ends the identity: survivors so far sit at
+           their own positions *)
+        if Array.length !positions = 0 then positions := Array.init n Fun.id;
+        dead := !row :: !dead
+      end
+      else begin
+        if !row != u then begin
+          if Array.length !owned = 0 then owned := Array.make n false;
+          !owned.(!n_alive) <- true
+        end;
+        if Array.length !positions > 0 then !positions.(!n_alive) <- p;
+        survivors.(!n_alive) <- !row;
+        incr n_alive
+      end
+    done;
     {
       survivors = (if !n_alive = n then survivors else Array.sub survivors 0 !n_alive);
+      positions = !positions;
       dead = Array.of_list (List.rev !dead);
       owned = !owned;
     }

@@ -19,16 +19,17 @@ val make : schema:Schema.t -> updates:(int * Expr.t) list -> remove_when:Expr.t 
     analyzer's dead-effect lint. *)
 val reads : t -> int list
 
-(** The unit's combined-effect row: initialized zeros folded with the
-    accumulator's contributions. *)
-val effects_row : Schema.t -> Combine.Acc.t -> int -> Tuple.t
-
 (** What one application of the step produced. *)
 type outcome = {
   survivors : Tuple.t array;
       (** Surviving units in input order, in a fresh array the caller owns.
           A row is the input row itself (physically) unless an update
           changed it, and then one fresh copy. *)
+  positions : int array;
+      (** [positions.(i)] is the input position of [survivors.(i)], the
+          slot of its effects in the accumulator.  [[||]] when no unit
+          died: the mapping is then the identity and no array is built.
+          May be longer than [survivors]. *)
   dead : Tuple.t array; (** Units the death rule removed, in input order. *)
   owned : bool array;
       (** [owned.(i)]: [survivors.(i)] is a copy this call made, so the
@@ -36,13 +37,16 @@ type outcome = {
           [[||]] when no row was copied. *)
 }
 
-(** Apply the step to every unit.  Input rows are never written: a unit
-    whose updates all yield {!Value.identical} values keeps its row, and
-    units without an accumulator entry share one read-only zero effects
-    row.  A step with no updates and the constant-false death rule
-    evaluates nothing per unit.  When [delta] is given, each update that changes the
+(** Apply the step to every unit.  [units.(p)]'s combined effects are
+    slot [p] of [acc] (see {!Sgl_qopt.Exec.run_tick}), folded onto zeros: one array
+    load per unit, with no key lookup, into one scratch effects row the
+    call reuses.  Input rows are never written: a unit whose updates all
+    yield {!Value.identical} values keeps its row, and units without an
+    accumulator slot share one read-only zero effects row.  A step with
+    no updates and the constant-false death rule evaluates nothing per
+    unit.  When [delta] is given, each update that changes the
     attribute's value (tag or bits) is recorded against it (attribute +
-    unit key) for the cross-tick index cache. *)
+    unit position) for the cross-tick index cache. *)
 val apply :
   ?delta:Delta.t ->
   t ->

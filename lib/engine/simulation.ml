@@ -62,7 +62,7 @@ let demotion = function
    simulation and take the evaluator as a run-time parameter, so this is
    all a demotion replaces. *)
 let make_evaluator ~(schema : Schema.t) ~(aggregates : Aggregate.t array) = function
-  | Naive -> Eval.naive ~schema ~aggregates
+  | Naive -> Eval.naive ~aggregates
   | Indexed | Fused -> Eval.indexed ~schema ~aggregates ()
 
 (* Global mirror in the ambient registry (gated, off by default) so
@@ -140,6 +140,11 @@ type t = {
      consecutive committed arrays and a rollback only swaps this pointer. *)
   mutable units : Tuple.t array;
   grid : Movement.grid option; (* movement's occupancy table, reused every tick *)
+  (* The tick's ⊕ accumulator, one slot per unit position: the decision
+     phase fills it, post-processing and movement read it, and it is
+     emptied after movement.  Allocated once and grown only with the
+     population. *)
+  acc : Combine.Acc.t;
   (* The column store of [units] (struct-of-arrays, one typed column per
      schema attribute), committed with it: refreshed copy-on-write at each
      commit, keyed by the tick's dirty-attribute delta, and what the
@@ -210,6 +215,7 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     prng = Prng.create config.seed;
     units = Array.map Tuple.copy units;
     grid = Option.map Movement.create_grid config.movement;
+    acc = Combine.Acc.create schema ~positions:(Array.length units);
     (* decomposed into columns at build time; shares nothing with [units] *)
     store = Colstore.of_tuples schema units;
     index_cache;
@@ -405,15 +411,14 @@ let run_phases (t : t) : unit =
   let delta_out = if t.index_cache then Some (Delta.create sch) else None in
   (* decision + action *)
   t.phase <- Fault.Decision;
-  let acc =
-    Telemetry.Span.with_ ~cat:"phase" "decision" @@ fun () ->
-    Timer.record t.timings.decision (fun () ->
-        Exec.run_tick ?delta:delta_in ~cols:t.store t.compiled ~evaluator:t.evaluator
-          ~units:t.units ~groups:(groups t) ~rand_for)
-  in
+  let acc = t.acc in
+  Telemetry.Span.with_ ~cat:"phase" "decision" (fun () ->
+      Timer.record t.timings.decision (fun () ->
+          Exec.run_tick ?delta:delta_in ~cols:t.store ~acc t.compiled ~evaluator:t.evaluator
+            ~units:t.units ~groups:(groups t) ~rand_for));
   (* post-processing *)
   t.phase <- Fault.Post;
-  let { Postprocess.survivors; dead; owned } =
+  let { Postprocess.survivors; positions; dead; owned } =
     Telemetry.Span.with_ ~cat:"phase" "post" @@ fun () ->
     Timer.record t.timings.post (fun () ->
         Postprocess.apply ?delta:delta_out t.config.postprocess ~schema:sch ~rand_for
@@ -425,9 +430,14 @@ let run_phases (t : t) : unit =
       Timer.record t.timings.movement (fun () ->
           Option.iter
             (fun grid ->
-              Movement.run ?delta:delta_out ~owned grid ~schema:sch ~prng:t.prng ~tick
+              Movement.run ?delta:delta_out ~owned ~positions grid ~prng:t.prng ~tick
                 ~units:survivors ~acc)
             t.grid));
+  (* Movement was the accumulator's last reader.  Drop its rows now: the
+     simulation keeps the accumulator, so rows still in it when the next
+     minor collection runs (a read between ticks, say) would be promoted,
+     where they die young otherwise. *)
+  Combine.Acc.reset acc ~positions:0;
   (* death handling *)
   t.phase <- Fault.Death;
   let final =

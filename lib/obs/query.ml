@@ -86,7 +86,7 @@ let run ~(schema : Schema.t) ~(snapshot : snapshot) ?(key : int option) (body : 
         match probe with
         | Error e -> Error e
         | Ok probe -> begin
-          let ev = Eval.naive ~schema ~aggregates:[| agg |] in
+          let ev = Eval.naive ~aggregates:[| agg |] in
           ev.Eval.prepare snapshot.q_units;
           match ev.Eval.eval_agg ~agg_id:0 ~rows:[| probe |] ~rands:[| (fun _ -> 0) |] with
           | exception Aggregate.Aggregate_error e -> Error e

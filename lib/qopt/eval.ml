@@ -129,27 +129,25 @@ let naive_batch (stats : eval_stats) ~(tel : agg_tel) ~(agg : Aggregate.t) ~(uni
 (* One area clause applied by brute force: every contributor tests every
    unit against the predicate.  The naive evaluator's [apply_aoe], and the
    indexed one's fallback for clauses its planner cannot index. *)
-let naive_aoe (stats : eval_stats) ~(schema : Schema.t) ~(units : Tuple.t array) ~pred ~updates
+let naive_aoe (stats : eval_stats) ~(units : Tuple.t array) ~pred ~updates
     ~(contributors : Tuple.t array) ~(contributor_rands : (int -> int) array) ~acc : unit =
   Array.iteri
     (fun i contributor ->
       stats.naive_scans <- stats.naive_scans + 1;
       Telemetry.Counter.incr tel_naive_scan;
       let rand = contributor_rands.(i) in
-      Array.iter
-        (fun target ->
+      Array.iteri
+        (fun pos target ->
           let ctx = { Expr.u = contributor; e = Some target; rand } in
-          if Predicate.holds ctx pred then begin
-            let key = Tuple.key schema target in
+          if Predicate.holds ctx pred then
             List.iter
               (fun (attr, expr) ->
-                Combine.Acc.add_attr acc ~base:target ~key attr (Expr.eval ctx expr))
-              updates
-          end)
+                Combine.Acc.add_attr acc ~base:target ~pos attr (Expr.eval ctx expr))
+              updates)
         units)
     contributors
 
-let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : t =
+let naive ~(aggregates : Aggregate.t array) : t =
   let tels = agg_tels aggregates in
   let units = ref [||] and stats = fresh_stats () in
   {
@@ -161,7 +159,7 @@ let naive ~(schema : Schema.t) ~(aggregates : Aggregate.t array) : t =
         naive_batch stats ~tel ~agg:aggregates.(agg_id) ~units:!units ~rows ~rands);
     apply_aoe =
       (fun ~pred ~updates ~contributors ~contributor_rands ~acc ->
-        naive_aoe stats ~schema ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc);
+        naive_aoe stats ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc);
     prepare = (fun ?delta:_ ?cols:_ e -> units := e);
     stats;
   }
@@ -946,7 +944,6 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
     st.index_reuses <- st.index_reuses + 1;
     Telemetry.Counter.incr tel_index_reuse;
     Telemetry.Counter.incr bi.group.g_reuses;
-    let schema = ctx.ctx_schema in
     let no_dirty_units = Delta.dirty_key_count delta = 0 in
     let div_clean =
       not
@@ -958,10 +955,7 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
       (fun _key sub ->
         let partition_clean =
           no_dirty_units
-          || not
-               (Array.exists
-                  (fun id -> Delta.dirty_key delta (Tuple.key schema units.(id)))
-                  sub.members)
+          || not (Array.exists (Delta.dirty_pos delta) sub.members)
         in
         let keep kept =
           if kept then begin
@@ -1077,7 +1071,7 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
     in
     let swapped_pred = Predicate.of_conjuncts (List.map swap (Predicate.conjuncts pred)) in
     let naive_fallback () =
-      naive_aoe stats ~schema ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc
+      naive_aoe stats ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc
     in
     (* Indexable only when no update or conjunct needs the affected unit's
        random stream or mixes roles the planner cannot express. *)
@@ -1139,9 +1133,8 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
                 (fun i v ->
                   let vec = Value.to_vec v in
                   if vec.Sgl_util.Vec2.y > 0. then
-                    Combine.Acc.add_attr acc ~base:probers.(i)
-                      ~key:(Tuple.key schema probers.(i))
-                      attr (Value.Float vec.Sgl_util.Vec2.x))
+                    Combine.Acc.add_attr acc ~base:probers.(i) ~pos:i attr
+                      (Value.Float vec.Sgl_util.Vec2.x))
                 vals
             in
             match strategy with

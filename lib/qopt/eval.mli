@@ -44,7 +44,7 @@ type t = {
 val fresh_stats : unit -> eval_stats
 
 (** The naive scanner. *)
-val naive : schema:Schema.t -> aggregates:Aggregate.t array -> t
+val naive : aggregates:Aggregate.t array -> t
 
 (** [indexed ?share ~schema ~aggregates ()] builds the Section 5.3/5.4
     evaluator over a per-tick index cache.  With [share] (the default),

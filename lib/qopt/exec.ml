@@ -55,7 +55,7 @@ let compile ?(optimize = true) ?(prove = fun (_ : string) (_ : Expr.t) -> None)
   let kernels =
     List.map
       (fun (name, plan) ->
-        (name, Loop_ir.Compile.compile ~oracle:(fold name) ~schema (Loop_ir.Lower.lower plan)))
+        (name, Loop_ir.Compile.compile ~oracle:(fold name) (Loop_ir.Lower.lower plan)))
       plans
   in
   { prog; plans; kernels; width; rewrites = stats;
@@ -84,16 +84,27 @@ type group = {
   members : int array; (* indexes into the tick's unit array *)
 }
 
-(* The tick's key table: every unit addressable by key for [Core_ir.Key]
-   targets.  Built once per tick, and only when some plan has such a
+(* Unit keys, hashed without the polymorphic hash: the multiply-and-shift
+   keeps strided keys apart in the low bits the table indexes by. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x1E3779B97F4A7C15) lsr 31
+end)
+
+(* The tick's key table: the position of every unit by key, for
+   [Core_ir.Key] targets ([-1]: no such unit; a duplicated key names its
+   last unit).  Built once per tick, and only when some plan has such a
    target. *)
-let key_table (c : compiled) (units : Tuple.t array) : int -> Tuple.t option =
-  if not c.keyed then fun _ -> None
+let key_table (c : compiled) (units : Tuple.t array) : int -> int =
+  if not c.keyed then fun _ -> -1
   else begin
     let schema = c.prog.Core_ir.schema in
-    let table = Hashtbl.create (Array.length units * 2) in
-    Array.iter (fun row -> Hashtbl.replace table (Tuple.key schema row) row) units;
-    fun k -> Hashtbl.find_opt table k
+    let table = Key_tbl.create (2 * Array.length units) in
+    (* [add] shadows an earlier binding, so [find] answers the last unit *)
+    Array.iteri (fun pos row -> Key_tbl.add table (Tuple.key schema row) pos) units;
+    fun k -> match Key_tbl.find table k with pos -> pos | exception Not_found -> -1
   end
 
 type group_fault = {
@@ -109,7 +120,7 @@ exception Group_failed of group_fault
    ["exec.group"] injection point fires first.  Whatever the group raises
    comes back as [Group_failed], naming the script. *)
 let run_group (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
-    ~(find_key : int -> Tuple.t option) ~(acc : Combine.Acc.t) ~(units : Tuple.t array)
+    ~(find_key : int -> int) ~(acc : Combine.Acc.t) ~(units : Tuple.t array)
     ~(rand_for : key:int -> int -> int) (g : group) : unit =
   let body () =
     match List.assoc_opt g.script c.kernels with
@@ -119,7 +130,7 @@ let run_group (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
       Sgl_util.Telemetry.Counter.add tel_kernel_rows (Array.length g.members);
       let rows = Array.map (fun i -> make_row c.width units.(i)) g.members in
       let rands = Array.map (fun i -> rand_for ~key:(Tuple.key schema units.(i))) g.members in
-      kernel { Loop_ir.Compile.evaluator; find_key; acc } ~rows ~rands
+      kernel { Loop_ir.Compile.evaluator; units; find_key; acc } ~members:g.members ~rows ~rands
   in
   try
     Sgl_util.Fault_inject.hit "exec.group";
@@ -134,21 +145,21 @@ let run_group (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
       bt
 
 (* Run a full decision+action pass: each group's script over its members,
-   on the calling domain, into one accumulator.  Returns the combined
-   effects of the tick, ready for post-processing.  [delta] (what changed
+   on the calling domain, into [acc] — emptied first and addressed by unit
+   position.  Leaves the combined effects of the tick in it, ready for
+   post-processing.  [delta] (what changed
    since the previous tick's unit array) is passed straight to
    [evaluator.prepare], which may use it to keep cached index structures
    warm; omitting it only costs rebuilds, never correctness.  [cols] must
    be the column store of [units]: the one coverage check of the decision
    phase is here, so the evaluator's index builds read it unchecked. *)
-let run_tick ?delta ~(cols : Colstore.t) (c : compiled) ~(evaluator : Eval.t)
-    ~(units : Tuple.t array) ~(groups : group list) ~(rand_for : key:int -> int -> int) :
-    Combine.Acc.t =
+let run_tick ?delta ~(cols : Colstore.t) ~(acc : Combine.Acc.t) (c : compiled)
+    ~(evaluator : Eval.t) ~(units : Tuple.t array) ~(groups : group list)
+    ~(rand_for : key:int -> int -> int) : unit =
   if Colstore.length cols <> Array.length units || not (Colstore.rectangular cols) then
     invalid_arg "Exec.run_tick: the column store does not cover the unit array";
   let schema = c.prog.Core_ir.schema in
   evaluator.Eval.prepare ?delta ~cols units;
   let find_key = key_table c units in
-  let acc = Combine.Acc.create schema in
-  List.iter (run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups;
-  acc
+  Combine.Acc.reset acc ~positions:(Array.length units);
+  List.iter (run_group c ~schema ~evaluator ~find_key ~acc ~units ~rand_for) groups

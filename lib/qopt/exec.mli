@@ -1,7 +1,7 @@
 (** Set-at-a-time execution of optimized plans: one tick's decision and
     action phases for the scripted unit groups, each run through its
     script's compiled kernel ({!Loop_ir}), with effects combined into a
-    {!Sgl_relalg.Combine.Acc}. *)
+    {!Sgl_relalg.Combine.Acc} addressed by unit position. *)
 
 open Sgl_relalg
 open Sgl_lang
@@ -59,7 +59,14 @@ type group_fault = {
 exception Group_failed of group_fault
 
 (** The tick's decision phase: run every group's script over its members
-    and return the combined effects.
+    and leave the combined effects in [acc].
+
+    [acc] is emptied first ({!Sgl_relalg.Combine.Acc.reset}, growing it to
+    the population when needed), then addressed by position in [units]:
+    a unit's effects land in slot [p] where [units.(p)] is the unit.  A
+    simulation passes the one accumulator it owns, so the tick allocates
+    no slot array.  [Key] targets resolve to positions through an int
+    table built once per tick, and only when some plan has one.
 
     [evaluator.prepare] opens the tick first, with [delta] (what changed
     since the previous tick's unit array) so the cross-tick index cache can
@@ -77,14 +84,16 @@ exception Group_failed of group_fault
     validates each lowering), so a tick equals the reference interpreter's
     ({!Sgl_lang.Interp}) under any evaluator.
 
-    Raises {!Group_failed} when a group raises; the tick's effects are then
-    lost, and the caller decides whether to retry without that script. *)
+    Raises {!Group_failed} when a group raises; [acc] then holds a partial
+    tick (the next call empties it), and the caller decides whether to
+    retry without that script. *)
 val run_tick :
   ?delta:Delta.t ->
   cols:Colstore.t ->
+  acc:Combine.Acc.t ->
   compiled ->
   evaluator:Eval.t ->
   units:Tuple.t array ->
   groups:group list ->
   rand_for:(key:int -> int -> int) ->
-  Combine.Acc.t
+  unit

@@ -167,44 +167,46 @@ end
 module Compile = struct
   type env = {
     evaluator : Eval.t;
-    find_key : int -> Tuple.t option;
+    units : Tuple.t array;
+    find_key : int -> int;
     acc : Combine.Acc.t;
   }
 
-  type kernel = env -> rows:Tuple.t array -> rands:(int -> int) array -> unit
+  type kernel = env -> members:int array -> rows:Tuple.t array -> rands:(int -> int) array -> unit
 
-  (* One step as a per-row closure over the row's evaluation context,
-     built once per row per pass ([ctx.u] is the working row, so a bind
-     is visible to every later step of the pass). *)
-  let compile_step (schema : Schema.t) ~fold (step : step) : env -> Expr.ctx -> unit =
+  (* One step as a per-row closure over the row's unit position and its
+     evaluation context, built once per row per pass ([ctx.u] is the
+     working row, so a bind is visible to every later step of the pass). *)
+  let compile_step ~fold (step : step) : env -> int -> Expr.ctx -> unit =
     match step with
     | Bind_col (slot, e) ->
       let e = fold e in
-      fun _env ctx -> ctx.Expr.u.(slot) <- Expr.eval ctx e
+      fun _env _pos ctx -> ctx.Expr.u.(slot) <- Expr.eval ctx e
     | Emit c ->
       let ups = List.map (fun (attr, e) -> (attr, fold e)) c.Core_ir.updates in
-      let emit env (ctx : Expr.ctx) (target : Tuple.t) =
-        let key = Tuple.key schema target in
+      let emit env (ctx : Expr.ctx) (target : Tuple.t) pos =
         let ctx = { ctx with Expr.e = Some target } in
         List.iter
-          (fun (attr, e) -> Combine.Acc.add_attr env.acc ~base:target ~key attr (Expr.eval ctx e))
+          (fun (attr, e) -> Combine.Acc.add_attr env.acc ~base:target ~pos attr (Expr.eval ctx e))
           ups
       in
       begin
         match c.Core_ir.target with
-        | Core_ir.Self -> fun env ctx -> emit env ctx ctx.Expr.u
+        | Core_ir.Self -> fun env pos ctx -> emit env ctx ctx.Expr.u pos
         | Core_ir.Key key_expr ->
           let key_expr = fold key_expr in
-          fun env ctx ->
-            begin
-              match env.find_key (Expr.eval_int ctx key_expr) with
-              | None -> ()
-              | Some target -> emit env ctx target
-            end
+          fun env _pos ctx ->
+            let target = env.find_key (Expr.eval_int ctx key_expr) in
+            if target >= 0 then emit env ctx env.units.(target) target
         | Core_ir.All _ -> invalid_arg "Loop_ir.Compile: area clause in a fused pass"
       end
 
-  type state = { env : env; rows : Tuple.t array; rands : (int -> int) array }
+  type state = {
+    env : env;
+    members : int array; (* row index -> the unit's position in [env.units] *)
+    rows : Tuple.t array;
+    rands : (int -> int) array;
+  }
 
   let row_ctx (st : state) i = { Expr.u = st.rows.(i); e = None; rand = st.rands.(i) }
 
@@ -212,22 +214,22 @@ module Compile = struct
      Callers guarantee the selection is non-empty: empty sub-programs are
      skipped (in particular, no aggregate batch is ever evaluated over
      zero rows). *)
-  let rec compile_prog (schema : Schema.t) ~fold (p : t) : state -> int array -> unit =
-    let compile_prog schema = compile_prog schema ~fold in
+  let rec compile_prog ~fold (p : t) : state -> int array -> unit =
+    let compile_prog = compile_prog ~fold in
     match p with
     | Halt -> fun _ _ -> ()
     | Pass (steps, k) ->
-      let fs = List.map (compile_step schema ~fold) steps in
-      let kk = compile_prog schema k in
+      let fs = List.map (compile_step ~fold) steps in
+      let kk = compile_prog k in
       fun st sel ->
         Array.iter
           (fun i ->
-            let ctx = row_ctx st i in
-            List.iter (fun f -> f st.env ctx) fs)
+            let ctx = row_ctx st i and pos = st.members.(i) in
+            List.iter (fun f -> f st.env pos ctx) fs)
           sel;
         kk st sel
     | Agg_fill { slot; agg_id; next } ->
-      let kk = compile_prog schema next in
+      let kk = compile_prog next in
       fun st sel ->
         let batch_rows = Array.map (fun i -> st.rows.(i)) sel in
         let batch_rands = Array.map (fun i -> st.rands.(i)) sel in
@@ -249,7 +251,7 @@ module Compile = struct
           invalid_arg "Loop_ir.Compile: non-area clause in an Aoe op"
       in
       let updates = c.Core_ir.updates in
-      let kk = compile_prog schema k in
+      let kk = compile_prog k in
       fun st sel ->
         let contributors = Array.map (fun i -> st.rows.(i)) sel in
         let contributor_rands = Array.map (fun i -> st.rands.(i)) sel in
@@ -258,7 +260,7 @@ module Compile = struct
         kk st sel
     | Partition (c, a, b) ->
       let c = fold c in
-      let ka = compile_prog schema a and kb = compile_prog schema b in
+      let ka = compile_prog a and kb = compile_prog b in
       fun st sel ->
         let n = Array.length sel in
         let yes = Array.make n 0 and no = Array.make n 0 in
@@ -277,12 +279,12 @@ module Compile = struct
         if !ny > 0 then ka st (Array.sub yes 0 !ny);
         if !nn > 0 then kb st (Array.sub no 0 !nn)
     | Fanout ps ->
-      let ks = List.map (compile_prog schema) ps in
+      let ks = List.map compile_prog ps in
       fun st sel -> List.iter (fun k -> k st sel) ks
 
-  let compile ?oracle ~(schema : Schema.t) (p : t) : kernel =
-    let run = compile_prog schema ~fold:(Expr.fold ?oracle) p in
-    fun env ~rows ~rands ->
+  let compile ?oracle (p : t) : kernel =
+    let run = compile_prog ~fold:(Expr.fold ?oracle) p in
+    fun env ~members ~rows ~rands ->
       if Array.length rows > 0 then
-        run { env; rows; rands } (Array.init (Array.length rows) (fun i -> i))
+        run { env; members; rows; rands } (Array.init (Array.length rows) (fun i -> i))
 end

@@ -75,17 +75,24 @@ end
 module Compile : sig
   (** Everything a kernel needs at run time beyond the rows themselves.
       The evaluator is a parameter (not baked in at compile time) so one
-      compiled kernel serves every tick and degraded retry. *)
+      compiled kernel serves every tick and degraded retry.  [units] is
+      the tick's unit array; [find_key k] is the position in it of the
+      unit keyed [k] (the last such unit), or [-1] when there is none; and
+      [acc] is the tick's accumulator, addressed by those positions. *)
   type env = {
     evaluator : Eval.t;
-    find_key : int -> Tuple.t option;
+    units : Tuple.t array;
+    find_key : int -> int;
     acc : Combine.Acc.t;
   }
 
   (** A specialized kernel: run the loop program over one group's
       full-width working rows and their per-row random streams,
-      accumulating effects into [env.acc]. *)
-  type kernel = env -> rows:Tuple.t array -> rands:(int -> int) array -> unit
+      accumulating effects into [env.acc].  [members.(i)] is the position
+      in [env.units] of the unit behind [rows.(i)]: a [Self] emission
+      from that row lands in slot [members.(i)], a [Key] emission in the
+      slot [env.find_key] names, with no key hashing on the [Self] path. *)
+  type kernel = env -> members:int array -> rows:Tuple.t array -> rands:(int -> int) array -> unit
 
   (** Compile a loop program once into composed closures.  Every
       expression of the program (binds, effect updates and keys, partition
@@ -96,5 +103,5 @@ module Compile : sig
       It must only answer when every store the kernel can meet evaluates
       the expression to exactly that value — {!Sgl_analysis} derives such
       oracles from the abstract domain. *)
-  val compile : ?oracle:(Expr.t -> Value.t option) -> schema:Schema.t -> t -> kernel
+  val compile : ?oracle:(Expr.t -> Value.t option) -> t -> kernel
 end

@@ -50,95 +50,71 @@ let union_combine (r : Relation.t) (s : Relation.t) : Relation.t =
   Relation.iter (Relation.add both) s;
   combine both
 
-(* Mutable per-key accumulator: the engine's O(1)-per-contribution
-   implementation of (+).  Rows are identified by key alone, which is valid
-   in the engine because const attributes are functionally determined by the
-   key there. *)
+(* The engine's accumulator for (+): one slot per position in the tick's
+   unit array, so a contribution costs an array load and a producer that
+   knows its target's position (every producer in the engine does) never
+   hashes a key.  Slots are per unit, not per (key, const attributes)
+   group: in the engine a unit's const attributes are its own.  One
+   accumulator lives as long as its simulation; [reset] empties it in
+   O(touched) and grows it only when the population does. *)
 module Acc = struct
-  (* Keys are unit keys; the movement phase probes this table once per
-     unit, so it is specialised to ints (no polymorphic hash or compare).
-     The multiply-and-shift keeps strided keys apart in the low bits the
-     table indexes by. *)
-  module Key_tbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash k = (k * 0x1E3779B97F4A7C15) lsr 31
-  end)
-
   type t = {
     schema : Schema.t;
-    effect_attrs : int list;
-    table : Tuple.t Key_tbl.t;
-    mutable order : int list;
-    (* delta surface: effect attributes that received at least one
-       contribution this tick (conservative for [add], exact for
-       [add_attr]) — downstream phases use it to predict what a tick can
-       possibly change before comparing values. *)
-    touched : bool array;
+    arity : int;
+    neutrals : (int * Value.t) list; (* every effect attribute, with its neutral value *)
+    (* by position: the slot's accumulator row, or [||] while untouched *)
+    mutable slots : Tuple.t array;
+    (* the touched positions, first touch first: [order.(0 .. n_touched - 1)];
+       [reset] walks them, [to_relation] keeps their order *)
+    mutable order : int array;
+    mutable n_touched : int;
   }
 
-  let create schema =
+  let create schema ~positions =
     {
       schema;
-      effect_attrs = Schema.effect_indices schema;
-      table = Key_tbl.create 256;
-      order = [];
-      touched = Array.make (Schema.arity schema) false;
+      arity = Schema.arity schema;
+      neutrals = List.map (fun i -> (i, Schema.neutral_of schema i)) (Schema.effect_indices schema);
+      slots = Array.make positions [||];
+      order = Array.make positions 0;
+      n_touched = 0;
     }
 
-  (* Merge the effect attributes of [row] into the accumulator. *)
-  let add t (row : Tuple.t) =
-    List.iter (fun i -> t.touched.(i) <- true) t.effect_attrs;
-    let key = Tuple.key t.schema row in
-    match Key_tbl.find_opt t.table key with
-    | None ->
-      let acc = Tuple.restrict t.schema (Tuple.copy row) in
-      List.iter
-        (fun i ->
-          let neutral = Schema.neutral_of t.schema i in
-          Tuple.set acc i (Schema.combine_values t.schema i neutral (Tuple.get row i)))
-        t.effect_attrs;
-      Key_tbl.add t.table key acc;
-      t.order <- key :: t.order
-    | Some acc ->
-      List.iter
-        (fun i ->
-          Tuple.set acc i (Schema.combine_values t.schema i (Tuple.get acc i) (Tuple.get row i)))
-        t.effect_attrs
+  let reset t ~positions =
+    for j = 0 to t.n_touched - 1 do
+      t.slots.(t.order.(j)) <- [||]
+    done;
+    t.n_touched <- 0;
+    if Array.length t.slots < positions then begin
+      t.slots <- Array.make positions [||];
+      t.order <- Array.make positions 0
+    end
 
-  (* Contribute a single attribute's effect for [key]; the const part of the
-     accumulator row is taken from [base] on first touch. *)
-  let add_attr t ~base ~key attr v =
-    t.touched.(attr) <- true;
+  (* Contribute a single attribute's effect to position [pos]; on the
+     slot's first touch its const part is the schema prefix of [base]. *)
+  let add_attr t ~(base : Tuple.t) ~pos attr v =
+    let acc = t.slots.(pos) in
     let acc =
-      match Key_tbl.find_opt t.table key with
-      | Some acc -> acc
-      | None ->
-        let acc = Tuple.restrict t.schema (Tuple.copy base) in
-        List.iter (fun i -> Tuple.set acc i (Schema.neutral_of t.schema i)) t.effect_attrs;
-        Key_tbl.add t.table key acc;
-        t.order <- key :: t.order;
+      if Array.length acc > 0 then acc
+      else begin
+        let acc = Array.sub base 0 t.arity in
+        List.iter (fun (i, neutral) -> acc.(i) <- neutral) t.neutrals;
+        t.slots.(pos) <- acc;
+        t.order.(t.n_touched) <- pos;
+        t.n_touched <- t.n_touched + 1;
         acc
+      end
     in
-    Tuple.set acc attr (Schema.combine_values t.schema attr (Tuple.get acc attr) v)
+    acc.(attr) <- Schema.combine_values t.schema attr acc.(attr) v
 
-  let find_opt t key = Key_tbl.find_opt t.table key
+  let find_opt t pos =
+    if pos < Array.length t.slots && Array.length t.slots.(pos) > 0 then Some t.slots.(pos)
+    else None
 
   let to_relation t =
     let out = Relation.create t.schema in
-    List.iter (fun k -> Relation.add out (Key_tbl.find t.table k)) (List.rev t.order);
-    out
-
-  let iter f t = List.iter (fun k -> f (Key_tbl.find t.table k)) (List.rev t.order)
-  let cardinality t = Key_tbl.length t.table
-
-  let touched_attr t attr = t.touched.(attr)
-
-  let touched_attrs t =
-    let out = ref [] in
-    for i = Array.length t.touched - 1 downto 0 do
-      if t.touched.(i) then out := i :: !out
+    for j = 0 to t.n_touched - 1 do
+      Relation.add out t.slots.(t.order.(j))
     done;
-    !out
+    out
 end

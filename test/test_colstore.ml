@@ -218,7 +218,7 @@ let test_refresh_shares_clean_columns () =
     Array.map (fun r -> [| r.(0); Value.Float (Value.to_float r.(1) +. 1.); r.(2) |]) rows
   in
   let delta = Delta.create schema in
-  Array.iteri (fun i _ -> Delta.record delta ~attr:1 ~key:i) rows;
+  Array.iteri (fun i _ -> Delta.record delta ~attr:1 ~pos:i) rows;
   Colstore.refresh ~delta store after;
   Alcotest.(check bool) "lands on after" true (rows_strict_eq after (Colstore.to_array store));
   (match (hp0, Colstore.col store 2) with
@@ -259,8 +259,8 @@ let test_snapshot_survives_refresh () =
   let delta = Delta.create schema in
   Array.iteri
     (fun i _ ->
-      Delta.record delta ~attr:1 ~key:i;
-      Delta.record delta ~attr:3 ~key:i)
+      Delta.record delta ~attr:1 ~pos:i;
+      Delta.record delta ~attr:3 ~pos:i)
     rows;
   Colstore.refresh ~delta store moved;
   Alcotest.(check bool) "live store lands on the moved rows" true

@@ -190,7 +190,7 @@ let test_freeze_engines_agree () =
   let run evaluator =
     let ev =
       match evaluator with
-      | `N -> Sgl_qopt.Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates
+      | `N -> Sgl_qopt.Eval.naive ~aggregates:prog.Core_ir.aggregates
       | `I -> Sgl_qopt.Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()
     in
     let compiled = Sgl_qopt.Exec.compile prog in

@@ -21,11 +21,11 @@ let test_post_health_and_death () =
   let spec = Postprocess.battle_spec ~schema:s in
   let u0 = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
   let u1 = knight s ~key:1 ~player:1 ~x:5 ~y:5 in
-  let acc = Combine.Acc.create s in
+  let acc = Combine.Acc.create s ~positions:2 in
   (* unit 0 takes 15 damage and 4 healing; unit 1 takes lethal damage *)
-  Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "damage") (Value.Float 15.);
-  Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "inaura") (Value.Float 4.);
-  Combine.Acc.add_attr acc ~base:u1 ~key:1 (a s "damage") (Value.Float 1000.);
+  Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "damage") (Value.Float 15.);
+  Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "inaura") (Value.Float 4.);
+  Combine.Acc.add_attr acc ~base:u1 ~pos:1 (a s "damage") (Value.Float 1000.);
   let r = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0; u1 |] ~acc in
   (match r.Postprocess.survivors with
   | [| row |] ->
@@ -40,8 +40,8 @@ let test_post_health_clamped_to_max () =
   let s = schema () in
   let spec = Postprocess.battle_spec ~schema:s in
   let u0 = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
-  let acc = Combine.Acc.create s in
-  Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "inaura") (Value.Float 50.);
+  let acc = Combine.Acc.create s ~positions:1 in
+  Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "inaura") (Value.Float 50.);
   let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check (float 1e-9)) "clamped" 60. (Value.to_float (Tuple.get row (a s "health")))
 
@@ -50,13 +50,13 @@ let test_post_cooldown () =
   let spec = Postprocess.battle_spec ~schema:s in
   let u0 = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
   Tuple.set u0 (a s "cooldown") (Value.Int 3);
-  let acc = Combine.Acc.create s in
+  let acc = Combine.Acc.create s ~positions:1 in
   let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check int) "decremented" 2 (Value.to_int (Tuple.get row (a s "cooldown")));
   (* fire at cooldown 0: restart from the unit's reload *)
   Tuple.set u0 (a s "cooldown") (Value.Int 0);
-  let acc = Combine.Acc.create s in
-  Combine.Acc.add_attr acc ~base:u0 ~key:0 (a s "weaponused") (Value.Int 1);
+  let acc = Combine.Acc.create s ~positions:1 in
+  Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "weaponused") (Value.Int 1);
   let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check int) "reloaded" Sgl_battle.D20.knight.Sgl_battle.D20.reload
     (Value.to_int (Tuple.get row (a s "cooldown")))
@@ -80,8 +80,8 @@ let test_post_shares_unchanged_rows () =
   let idle = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
   let hurt = knight s ~key:1 ~player:1 ~x:5 ~y:5 in
   let hurt_before = Tuple.copy hurt in
-  let acc = Combine.Acc.create s in
-  Combine.Acc.add_attr acc ~base:hurt ~key:1 (a s "damage") (Value.Float 5.);
+  let acc = Combine.Acc.create s ~positions:2 in
+  Combine.Acc.add_attr acc ~base:hurt ~pos:1 (a s "damage") (Value.Float 5.);
   let r = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| idle; hurt |] ~acc in
   Alcotest.(check bool) "idle row shared" true (r.Postprocess.survivors.(0) == idle);
   Alcotest.(check bool) "changed row copied" true (r.Postprocess.survivors.(1) != hurt);
@@ -113,17 +113,18 @@ let movement_config s ~width ~height =
     height;
   }
 
+(* [vectors]: (position, vx, vy) — the decided vector of [units.(position)]. *)
 let move_one s config ~units ~vectors =
-  let acc = Combine.Acc.create s in
+  let acc = Combine.Acc.create s ~positions:(Array.length units) in
   List.iter
-    (fun (key, vx, vy) ->
-      let u = Array.get units key in
-      Combine.Acc.add_attr acc ~base:u ~key (a s "movevect_x") (Value.Float vx);
-      Combine.Acc.add_attr acc ~base:u ~key (a s "movevect_y") (Value.Float vy))
+    (fun (pos, vx, vy) ->
+      let u = units.(pos) in
+      Combine.Acc.add_attr acc ~base:u ~pos (a s "movevect_x") (Value.Float vx);
+      Combine.Acc.add_attr acc ~base:u ~pos (a s "movevect_y") (Value.Float vy))
     vectors;
   let prng = Prng.create 1 in
   let g = Movement.create_grid config in
-  Movement.run g ~schema:s ~prng ~tick:0 ~units ~acc;
+  Movement.run g ~prng ~tick:0 ~units ~acc;
   g
 
 let test_movement_moves_and_clamps () =
@@ -179,9 +180,9 @@ let test_movement_copies_movers_only () =
   Alcotest.(check (float 0.)) "original row untouched" 5. (Value.to_float (Tuple.get mover (a s "posx")));
   Alcotest.(check (float 0.)) "copy moved" 6. (Value.to_float (Tuple.get units.(0) (a s "posx")));
   let units = [| mover; idle |] in
-  let acc = Combine.Acc.create s in
-  Combine.Acc.add_attr acc ~base:mover ~key:0 (a s "movevect_x") (Value.Float 1.);
-  Movement.run ~owned:[| true; false |] (Movement.create_grid config) ~schema:s ~prng:(Prng.create 1)
+  let acc = Combine.Acc.create s ~positions:2 in
+  Combine.Acc.add_attr acc ~base:mover ~pos:0 (a s "movevect_x") (Value.Float 1.);
+  Movement.run ~owned:[| true; false |] (Movement.create_grid config) ~prng:(Prng.create 1)
     ~tick:0 ~units ~acc;
   Alcotest.(check bool) "owned row written in place" true (units.(0) == mover);
   Alcotest.(check (float 0.)) "owned row moved" 6. (Value.to_float (Tuple.get mover (a s "posx")))
@@ -598,6 +599,144 @@ let formation_naive_indexed () =
 let frost_mage_naive_indexed () =
   differential ~against:[ Simulation.Indexed ] ~ticks:50 ~make_sim:frost_mage_sim ()
 
+(* ------------------------------------------------------------------ *)
+(* Position aliasing: a tick's effects and its delta are addressed by the
+   unit's position in the tick's unit array — never by its index among
+   the survivors, never by its key. *)
+
+let aliasing_schema () =
+  Schema.create
+    [
+      Schema.attr "key" Value.TInt;
+      Schema.attr "health" Value.TInt;
+      Schema.attr "target" Value.TInt; (* the key struck every tick; -1: none *)
+      Schema.attr "vx" Value.TFloat; (* the vector steered every tick *)
+      Schema.attr "vy" Value.TFloat;
+      Schema.attr "posx" Value.TFloat;
+      Schema.attr "posy" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "damage" Value.TInt;
+      Schema.attr ~tag:Schema.Sum "movevect_x" Value.TFloat;
+      Schema.attr ~tag:Schema.Sum "movevect_y" Value.TFloat;
+    ]
+
+let aliasing_source =
+  {|
+action Steer(u) { on self { movevect_x <- u.vx; movevect_y <- u.vy; } }
+action Strike(u, k) { on key(k) { damage <- 10; } }
+script main(u) {
+  perform Steer(u);
+  if u.target >= 0 then { perform Strike(u, u.target); }
+}
+|}
+
+let aliasing_unit s ~key ?(health = 100) ?(target = -1) ?(v = (0., 0.)) (x, y) =
+  Tuple.of_list s
+    [
+      Value.Int key; Value.Int health; Value.Int target; Value.Float (fst v); Value.Float (snd v);
+      Value.Float x; Value.Float y; Value.Int 0; Value.Float 0.; Value.Float 0.;
+    ]
+
+(* health := health - damage; a unit dies when the damage reaches its
+   health; the dead are removed. *)
+let aliasing_sim (units : Tuple.t array) : Simulation.t =
+  let s = aliasing_schema () in
+  let a = Schema.find s in
+  let open Expr in
+  let config =
+    {
+      Simulation.prog = Sgl_lang.Compile.compile ~schema:s aliasing_source;
+      script_of = (fun _ -> Some "main");
+      postprocess =
+        Postprocess.make ~schema:s
+          ~updates:[ (a "health", Binop (Sub, UAttr (a "health"), EAttr (a "damage"))) ]
+          ~remove_when:(Cmp (Le, UAttr (a "health"), EAttr (a "damage")));
+      movement =
+        Some
+          {
+            Movement.posx = a "posx";
+            posy = a "posy";
+            mvx = a "movevect_x";
+            mvy = a "movevect_y";
+            speed = 5.;
+            speed_attr = None;
+            width = 32;
+            height = 32;
+          };
+      death = Simulation.Remove;
+      seed = 1;
+      optimize = true;
+    }
+  in
+  Simulation.create config ~evaluator:Simulation.Indexed ~units
+
+let unit_by_key sim key =
+  let s = Simulation.schema sim in
+  match List.find_opt (fun u -> Tuple.key s u = key) (Array.to_list (Simulation.units sim)) with
+  | Some u -> u
+  | None -> Alcotest.failf "no unit keyed %d" key
+
+let float_at sim key name =
+  Value.to_float (Tuple.get (unit_by_key sim key) (Schema.find (Simulation.schema sim) name))
+
+(* (a) A death ahead of a mover shifts every later survivor down one
+   index.  The mover must still move by its own vector, and neither the
+   dead unit's vector nor the mover's may reach the survivor that took
+   its index. *)
+let test_removed_death_ahead_of_mover () =
+  let s = aliasing_schema () in
+  let sim =
+    aliasing_sim
+      [|
+        aliasing_unit s ~key:7 ~health:0 ~v:(3., 0.) (2., 2.);
+        aliasing_unit s ~key:3 ~v:(0., 2.) (10., 10.);
+        aliasing_unit s ~key:5 (20., 20.);
+      |]
+  in
+  Simulation.step sim;
+  Alcotest.(check int) "the doomed unit is removed" 2 (Array.length (Simulation.units sim));
+  Alcotest.(check (pair (float 0.) (float 0.))) "the mover moves by its own vector" (10., 12.)
+    (float_at sim 3 "posx", float_at sim 3 "posy");
+  Alcotest.(check (pair (float 0.) (float 0.))) "the idle unit stays put" (20., 20.)
+    (float_at sim 5 "posx", float_at sim 5 "posy")
+
+(* Keys a permutation of the positions, so reading a slot by key lands on
+   another, existing unit: position 0 (key 2) strikes key 1, at
+   position 3; position 2 (key 3) walks. *)
+let shuffled_key_units s =
+  [|
+    aliasing_unit s ~key:2 ~target:1 (1., 1.);
+    aliasing_unit s ~key:0 (5., 5.);
+    aliasing_unit s ~key:3 ~v:(1., 0.) (9., 9.);
+    aliasing_unit s ~key:1 (13., 13.);
+  |]
+
+(* (b) A [Key] target whose key is not its position: the damage lands on
+   the keyed unit and nowhere else. *)
+let test_key_target_shuffled_keys () =
+  let s = aliasing_schema () in
+  let sim = aliasing_sim (shuffled_key_units s) in
+  Simulation.step sim;
+  let health key = Value.to_int (Tuple.get (unit_by_key sim key) (Schema.find s "health")) in
+  Alcotest.(check (list int)) "health by key 0..3" [ 100; 90; 100; 100 ]
+    (List.map health [ 0; 1; 2; 3 ])
+
+(* (c) The recorded delta names the changed units by position: after a
+   non-structural tick on shuffled keys it covers the ground truth. *)
+let test_delta_covers_shuffled_keys () =
+  let s = aliasing_schema () in
+  let sim = aliasing_sim (shuffled_key_units s) in
+  let before = Array.copy (Simulation.units sim) in
+  Simulation.step sim;
+  let truth = Delta.of_tuples ~schema:s ~before ~after:(Simulation.units sim) in
+  Alcotest.(check bool) "the tick is not structural" false (Delta.structural truth);
+  Alcotest.(check int) "two units changed" 2 (Delta.dirty_key_count truth);
+  match Simulation.last_delta sim with
+  | None -> Alcotest.fail "no delta recorded"
+  | Some summary ->
+    Alcotest.(check bool) "summary is not structural" false (Delta.structural summary);
+    if not (Delta.covers ~summary ~truth) then
+      Alcotest.failf "summary %a does not cover truth %a" Delta.pp summary Delta.pp truth
+
 let base_suite =
   let tc = Alcotest.test_case in
   [
@@ -631,6 +770,12 @@ let base_suite =
         tc "resurrection: run executes a fixed tick count" `Quick resurrection_fixed_ticks;
         tc "formation battle: naive = indexed" `Slow formation_naive_indexed;
         tc "frost mage (Pmax): naive = indexed" `Slow frost_mage_naive_indexed;
+      ] );
+    ( "engine.positions",
+      [
+        tc "a removed death ahead of a mover" `Quick test_removed_death_ahead_of_mover;
+        tc "key target on shuffled keys" `Quick test_key_target_shuffled_keys;
+        tc "delta covers truth on shuffled keys" `Quick test_delta_covers_shuffled_keys;
       ] );
   ]
 

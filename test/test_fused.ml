@@ -280,7 +280,7 @@ let kernel_tick_equivalence =
       let exec evaluator =
         Test_qopt.normalize_effects s (effects_kernel ~evaluator prog "main" units rand_for_key)
       in
-      let naive = exec (Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates) in
+      let naive = exec (Eval.naive ~aggregates:prog.Core_ir.aggregates) in
       let indexed = exec (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()) in
       Relation.equal_as_multiset reference naive && Relation.equal_as_multiset reference indexed)
 

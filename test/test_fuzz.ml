@@ -387,7 +387,7 @@ let four_way_equivalence =
           (Combine.Acc.to_relation
              (Test_qopt.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key))
       in
-      let naive = exec ~optimize:true (Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates) in
+      let naive = exec ~optimize:true (Eval.naive ~aggregates:prog.Core_ir.aggregates) in
       let indexed =
         exec ~optimize:true (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
       in

@@ -147,9 +147,10 @@ let combine_group_by_key =
 
 (* Order invariance of the accumulator: add a relation's rows to one
    [Combine.Acc] in any permutation, and the result equals one-pass
-   combination of the whole relation.  The accumulator groups by key
-   alone, so the generator keeps const attributes functionally determined
-   by the key (as the engine does). *)
+   combination of the whole relation.  The accumulator has one slot per
+   position, so the generator keeps const attributes functionally
+   determined by the key (as the engine does) and key [k] (0 to 5)
+   contributes to slot [k]. *)
 let acc_order_invariance =
   let s = schema () in
   let keyed_relation_gen =
@@ -178,9 +179,62 @@ let acc_order_invariance =
   QCheck.Test.make ~name:"(+) is invariant under accumulation order" ~count:200
     (QCheck.make gen)
     (fun (r, rows) ->
-      let acc = Combine.Acc.create s in
-      List.iter (Combine.Acc.add acc) rows;
+      let acc = Combine.Acc.create s ~positions:6 in
+      List.iter (fun row -> Test_relalg.acc_add_row s acc ~pos:(Tuple.key s row) row) rows;
       eq (Combine.Acc.to_relation acc) (Combine.combine r))
+
+(* The engine's ⊕: contributions reach the accumulator one attribute at a
+   time, addressed by the target unit's position, in whatever order the
+   kernels and the evaluator emit them.  A random effect bag over a few
+   units whose keys are not their positions, split into single-attribute
+   contributions and fed in a shuffled order, accumulates to exactly
+   [Combine.combine] of the bag.  Values are integer-valued floats, as in
+   the battle, so the sum-tagged attribute's total does not depend on the
+   order. *)
+let acc_positional_matches_combine =
+  let s = Test_relalg.battle_schema () in
+  let effects = Schema.effect_indices s in
+  let gen =
+    QCheck.Gen.(
+      let* m = int_range 1 6 in
+      let* keys = shuffle_l (List.init m (fun i -> 10 * (i + 1))) in
+      let units =
+        Array.of_list
+          (List.mapi
+             (fun i key ->
+               Tuple.of_list s
+                 [ Value.Int key; Value.Int (key mod 3); Value.Float (float_of_int i);
+                   Value.Float 0.; Value.Int 10; Value.Float 0.; Value.Float 0.; Value.Float 0. ])
+             keys)
+      in
+      let* bag =
+        list_size (int_range 0 30)
+          (map
+             (fun (p, d, a, sl) ->
+               let row = Tuple.copy units.(p mod m) in
+               List.iter2
+                 (fun attr v -> Tuple.set row attr (Value.Float (float_of_int v)))
+                 effects [ d; a; sl ];
+               (p mod m, row))
+             (tup4 nat (int_range (-20) 20) (int_range (-20) 20) (int_range (-20) 20)))
+      in
+      let* contributions =
+        shuffle_l
+          (List.concat_map
+             (fun (pos, row) -> List.map (fun attr -> (pos, attr, Tuple.get row attr)) effects)
+             bag)
+      in
+      return (units, bag, contributions))
+  in
+  QCheck.Test.make ~name:"positional (+) = combine, any contribution order" ~count:300
+    (QCheck.make gen)
+    (fun (units, bag, contributions) ->
+      let acc = Combine.Acc.create s ~positions:(Array.length units) in
+      List.iter
+        (fun (pos, attr, v) -> Combine.Acc.add_attr acc ~base:units.(pos) ~pos attr v)
+        contributions;
+      Relation.equal_as_multiset (Combine.Acc.to_relation acc)
+        (Combine.combine (Relation.of_tuples s (List.map snd bag))))
 
 let combine_preserves_sums =
   (* total of a sum-tagged column is invariant under (+) *)
@@ -322,6 +376,7 @@ let suite =
         qtest combine_group_by_key;
         qtest combine_preserves_sums;
         qtest acc_order_invariance;
+        qtest acc_positional_matches_combine;
       ] );
     ("laws.fold", [ qtest fold_preserves_eval; qtest fold_honours_oracle; qtest fold_keeps_random ]);
   ]

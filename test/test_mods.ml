@@ -78,7 +78,7 @@ let test_mods_engines_agree () =
         Combine.Acc.to_relation
           (Test_qopt.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key)
       in
-      let naive = run (Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates) in
+      let naive = run (Eval.naive ~aggregates:prog.Core_ir.aggregates) in
       let indexed = run (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()) in
       Alcotest.(check bool) (name ^ ": naive = indexed") true
         (Relation.equal_as_multiset
@@ -106,6 +106,7 @@ let test_plague_stacks_damage () =
       ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
   in
   let damage_ix = Schema.find s "damage" in
+  (* slot 2: the knight's position in [units] *)
   (match Combine.Acc.find_opt acc 2 with
   | Some row ->
     Alcotest.(check (float 1e-9)) "miasma stacks" 2. (Value.to_float (Tuple.get row damage_ix))

@@ -214,10 +214,14 @@ let effects_reference prog script_name units rand_for =
   Combine.combine (Interp.run_script ~prog ~script ~units ~rand_for)
 
 (* [Exec.run_tick] over [units] and their column store, as a simulation
-   keeps it: every kernel test runs the column path the engine runs. *)
+   keeps it: every kernel test runs the column path the engine runs.
+   Returns the tick's accumulator (slot [p]: the effects on [units.(p)]). *)
 let run_tick (c : Exec.compiled) ~evaluator ~units ~groups ~rand_for =
-  let cols = Colstore.of_tuples c.Exec.prog.Core_ir.schema units in
-  Exec.run_tick ~cols c ~evaluator ~units ~groups ~rand_for
+  let schema = c.Exec.prog.Core_ir.schema in
+  let cols = Colstore.of_tuples schema units in
+  let acc = Combine.Acc.create schema ~positions:(Array.length units) in
+  Exec.run_tick ~cols ~acc c ~evaluator ~units ~groups ~rand_for;
+  acc
 
 let effects_exec ~optimize ~evaluator prog script_name units rand_for_key =
   let compiled = Exec.compile ~optimize prog in
@@ -235,7 +239,7 @@ let check_equivalence ?(src = Test_lang.figure3_source) ~script ~n ~seed () =
   let rand_for_key ~key i = Prng.script_random prng ~tick:0 ~key i in
   let rand_for u i = rand_for_key ~key:(Tuple.key s u) i in
   let reference = normalize_effects s (effects_reference prog script units rand_for) in
-  let naive_eval = Eval.naive ~schema:s ~aggregates:prog.Core_ir.aggregates in
+  let naive_eval = Eval.naive ~aggregates:prog.Core_ir.aggregates in
   let indexed_eval = Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates () in
   let naive =
     normalize_effects s (effects_exec ~optimize:false ~evaluator:naive_eval prog script units rand_for_key)
@@ -374,7 +378,7 @@ let test_equiv_int_bounds () =
     normalize_effects s (effects_exec ~optimize:true ~evaluator prog "main" units rand_for_key)
   in
   let aggregates = prog.Core_ir.aggregates in
-  let naive = run (Eval.naive ~schema:s ~aggregates) in
+  let naive = run (Eval.naive ~aggregates) in
   let indexed = run (Eval.indexed ~schema:s ~aggregates ()) in
   if not (Relation.equal_as_multiset naive indexed) then
     Alcotest.failf "indexed diverged from naive on int-valued bounds@.naive:@.%a@.indexed:@.%a"
@@ -411,7 +415,7 @@ let test_run_tick_rejects_foreign_store () =
   let cols = Colstore.of_tuples s (Array.sub units 0 7) in
   let groups = [ { Exec.script = "main"; members = Array.init 8 (fun i -> i) } ] in
   match
-    Exec.run_tick ~cols compiled
+    Exec.run_tick ~cols ~acc:(Combine.Acc.create s ~positions:8) compiled
       ~evaluator:(Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
       ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
   with

@@ -361,12 +361,20 @@ let combine_eq3 =
         (Combine.combine (Algebra.union e1 e2))
         (Combine.combine (Algebra.union (Combine.combine e1) e2)))
 
-(* The mutable accumulator agrees with the relational operator. *)
+(* Every effect attribute of [row], contributed to slot [pos] of [acc]. *)
+let acc_add_row s acc ~pos (row : Tuple.t) =
+  List.iter
+    (fun attr -> Combine.Acc.add_attr acc ~base:row ~pos attr (Tuple.get row attr))
+    (Schema.effect_indices s)
+
+(* The positional accumulator agrees with the relational operator.  The
+   generator's const attributes are functions of the key, so each key is
+   one (+) group; key [k] (0 to 4) contributes to slot [k]. *)
 let acc_matches_combine =
   let s = battle_schema () in
   QCheck.Test.make ~name:"Combine.Acc = Combine.combine" ~count:200 (arb_rel s) (fun r ->
-      let acc = Combine.Acc.create s in
-      Relation.iter (Combine.Acc.add acc) r;
+      let acc = Combine.Acc.create s ~positions:5 in
+      Relation.iter (fun row -> acc_add_row s acc ~pos:(Tuple.key s row) row) r;
       Relation.equal_as_multiset (Combine.Acc.to_relation acc) (Combine.combine r))
 
 (* Rule (10): R1 (+) R2 = pi(R1 join_K R2) when both are key-functional
