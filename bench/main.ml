@@ -704,6 +704,15 @@ let micro () =
   in
   let grid = Movement.create_grid mconfig and moved = Array.copy units50 in
   let order50 = Array.init n50 Fun.id in
+  (* The commit after a tick with a death: a structural delta, so every
+     column of the 12k-unit battle's rows is rebuilt. *)
+  let battle12k =
+    Battle.Scenario.setup ~density:0.01 ~per_side:(Battle.Scenario.standard_mix 6000) ()
+  in
+  let units12k = battle12k.Battle.Scenario.units in
+  let store12k = Sgl_relalg.Colstore.of_tuples battle12k.Battle.Scenario.schema units12k in
+  let structural = Delta.create battle12k.Battle.Scenario.schema in
+  Delta.record_structural structural;
   let tests =
     [
       Test.make ~name:"post_apply_50k_idle"
@@ -722,6 +731,8 @@ let micro () =
                Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos damage hit;
                Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos inaura aura
              done));
+      Test.make ~name:"colstore_refresh_12k_structural"
+        (Staged.stage (fun () -> Sgl_relalg.Colstore.refresh ~delta:structural store12k units12k));
       Test.make ~name:"shuffle_50k"
         (Staged.stage (fun () -> Prng.shuffle_in_place prng [ next (); 17 ] order50));
       Test.make ~name:"sort_6000"

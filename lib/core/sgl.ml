@@ -39,7 +39,6 @@ module Algebra = Sgl_relalg.Algebra
 (* Index structures *)
 module Interval = Sgl_index.Interval
 module Geometry = Sgl_index.Geometry
-module Segment_tree = Sgl_index.Segment_tree
 module Range_tree = Sgl_index.Range_tree
 module Cascade_tree = Sgl_index.Cascade_tree
 module Kd_tree = Sgl_index.Kd_tree

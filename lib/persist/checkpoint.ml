@@ -9,7 +9,7 @@
    Version 2 (written by this build) stores the unit array columnar: a
    COLU section holding one typed column per schema attribute — bulk
    little-endian blits for int/float/bool columns, boxed values only for
-   mixed-tag or vec columns (the same promotion rules as the in-memory
+   mixed-tag or vec columns (the same typed-or-boxed rule as the in-memory
    {!Sgl_relalg.Colstore}, so the encoding stays canonical).  Version 1
    files (row-major UNIT section) load unchanged; both decode to the
    identical unit array, and the journal's [units_digest] is computed
@@ -45,12 +45,12 @@ let path ~dir ~tick = Filename.concat dir (Printf.sprintf "ckpt-%010d.sglc" tick
 (* v2 unit payload: the unit array's per-attribute typed columns, read
    from its column store.  Deterministic (so still "one state, one byte
    string"): a column is typed exactly when every stored value carries the
-   schema type's constructor, boxed otherwise — [Colstore]'s promotion
-   rule, which its copy-on-write refresh keeps. *)
+   schema type's constructor, boxed otherwise — [Colstore]'s column rule,
+   which both its build and its copy-on-write refresh apply. *)
 let encode_units_columnar (w : Codec.W.t) ~(schema : Schema.t) ~(store : Colstore.t)
     (units : Tuple.t array) : unit =
-  if Colstore.length store <> Array.length units || not (Colstore.rectangular store) then
-    invalid_arg "Checkpoint.save: the store must hold the units, each of schema arity";
+  if Colstore.length store <> Array.length units then
+    invalid_arg "Checkpoint.save: the store must hold the units";
   let n = Array.length units in
   Codec.W.u32 w n;
   Codec.W.u16 w (Schema.arity schema);

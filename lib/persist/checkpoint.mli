@@ -38,7 +38,7 @@ val path : dir:string -> tick:int -> string
     generation for [state.tick] and returns its path.  [store] is the
     column store of [state.units] (same rows, same order); the unit
     columns are written from it.  Raises [Invalid_argument] when its
-    length differs from [state.units] or a row is not of schema arity.
+    length differs from [state.units].
     Hits the ["io.checkpoint.write"] injection point once per section.
     Raises [Sys_error]/[Unix_error] on real I/O failure. *)
 val save : dir:string -> fsync:bool -> schema:Schema.t -> store:Colstore.t -> state -> string

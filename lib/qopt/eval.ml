@@ -896,7 +896,7 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
     strategies;
     memberships;
     ctx_units = ref [||];
-    ctx_cols = ref (Colstore.create schema);
+    ctx_cols = ref (Colstore.of_tuples schema [||]);
     cache = Hashtbl.create 32;
     epoch = 0;
   }

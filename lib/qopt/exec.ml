@@ -156,7 +156,7 @@ let run_group (c : compiled) ~(schema : Schema.t) ~(evaluator : Eval.t)
 let run_tick ?delta ~(cols : Colstore.t) ~(acc : Combine.Acc.t) (c : compiled)
     ~(evaluator : Eval.t) ~(units : Tuple.t array) ~(groups : group list)
     ~(rand_for : key:int -> int -> int) : unit =
-  if Colstore.length cols <> Array.length units || not (Colstore.rectangular cols) then
+  if Colstore.length cols <> Array.length units then
     invalid_arg "Exec.run_tick: the column store does not cover the unit array";
   let schema = c.prog.Core_ir.schema in
   evaluator.Eval.prepare ?delta ~cols units;

@@ -1,21 +1,19 @@
-(** Struct-of-arrays storage for multiset relations.
+(** Struct-of-arrays storage for the unit relation: the engine's
+    store of schema-arity rows.
 
-    One typed column per schema attribute — [float array] / [int array] /
-    packed [Bytes.t] for bools — indexed by row id, with a boxed overflow
-    column for [let]-extension slots beyond the schema arity and a length
-    sidecar for short (projected) rows.  Enum-like attributes are int-typed
-    in this engine, so they ride in [Ints].
+    One column per schema attribute — [float array] / [int array] /
+    packed [Bytes.t] for bools — indexed by row id.  Every row has exactly
+    the schema arity; building or refreshing from any other row raises.
+    Enum-like attributes are int-typed in this engine, so they ride in
+    [Ints].
 
     The store is a faithful multiset of [Tuple.t] rows: {!materialize}
     reproduces every row bit-identically, including the [Value.t]
     constructor tags ([Int 0] and [Float 0.] compare equal but encode
-    differently, so a column only uses a typed representation while every
-    stored value matches it; a mismatched write promotes the column to
-    [Boxed] without changing any materialized row). *)
+    differently).  So a column is typed only when every value carries its
+    schema type's constructor, and [Boxed] otherwise. *)
 
-(** A column's physical representation.  Arrays may be longer than the
-    store's {!length} (capacity slack); slots at or beyond [length] are
-    unspecified. *)
+(** A column's physical representation, exactly {!length} long. *)
 type col =
   | Floats of float array  (** every value is [Value.Float] *)
   | Ints of int array  (** every value is [Value.Int] *)
@@ -24,51 +22,29 @@ type col =
 
 type t
 
-val create : ?capacity:int -> Schema.t -> t
+(** [of_tuples schema rows] builds one column per attribute by the typed-or-
+    [Boxed] rule above.  Raises [Invalid_argument] when a row's length is
+    not the schema arity. *)
 val of_tuples : Schema.t -> Tuple.t array -> t
+
 val schema : t -> Schema.t
 val length : t -> int
 
-(** Append a row.  The row may be longer than the schema arity (extension
-    slots go to the overflow column) or shorter (a projected row; missing
-    slots are absent, not defaulted). *)
-val append : t -> Tuple.t -> unit
-
-(** Length of row [i] as appended (arity + extensions, or shorter). *)
-val row_len : t -> int -> int
-
-(** [get t i j] is slot [j] of row [i].  Raises [Invalid_argument] when out
-    of range of the row as appended. *)
-val get : t -> int -> int -> Value.t
-
-(** Fresh boxed row equal (by {!Tuple.equal} and by codec bytes) to the row
-    as appended.  Mutating the result does not write back. *)
+(** Fresh boxed row equal (by {!Tuple.equal} and by codec bytes) to row
+    [i] as stored.  Mutating the result does not write back. *)
 val materialize : t -> int -> Tuple.t
 
-val iter : (Tuple.t -> unit) -> t -> unit
-val iteri : (int -> Tuple.t -> unit) -> t -> unit
-val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 val to_array : t -> Tuple.t array
 
 (** The current physical column for attribute [j] (a view, not a copy).
-    Valid until the next {!append}/{!refresh} touching that column. *)
+    Valid until the next {!refresh} that rebuilds that column. *)
 val col : t -> int -> col
-
-(** [float_reader t j] is [Some read] when column [j] is numerically
-    readable without boxing: [read i] equals
-    [Value.to_float (get t i j)] for every [i < length t].  [None] for
-    bool, vec and mixed columns — callers fall back to the boxed path
-    (which also preserves the exact raise behavior). *)
-val float_reader : t -> int -> (int -> float) option
 
 (** [int_reader t j] is [Some read] only for pure int columns. *)
 val int_reader : t -> int -> (int -> int) option
 
-(** True when every row has exactly the schema arity (no extensions, no
-    short rows) — the environment-store case the COW refresh requires. *)
-val rectangular : t -> bool
-
-(** [refresh ?delta t rows] makes [t] mirror [rows] (all of schema arity).
+(** [refresh ?delta t rows] makes [t] mirror [rows].  Raises
+    [Invalid_argument] when a row's length is not the schema arity.
     With a non-structural [delta] of matching population, clean columns are
     kept as-is — their values are unchanged, so the previous arrays remain
     valid (counted as [persist.snapshot_cow_hits]) — and only dirty columns
@@ -82,5 +58,3 @@ val refresh : ?delta:Delta.t -> t -> Tuple.t array -> unit
     Valid as long as [t] only advances through {!refresh} (which copies
     instead of mutating). *)
 val snapshot : t -> t
-
-val pp : t Fmt.t

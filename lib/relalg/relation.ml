@@ -4,76 +4,45 @@
    intermediate script relations carry let-extended rows, so rows may be
    longer than the schema arity; the schema always describes a prefix.
 
-   Storage is columnar (struct-of-arrays, see {!Colstore}): one typed array
-   per schema attribute plus a boxed overflow column for let-extension
-   slots.  The row-oriented API below is a materializing view over it — a
-   returned [Tuple.t] is a fresh boxed copy of the row, bit-identical to
-   the row as added, and mutating it does not write back. *)
+   Storage is a growable array of rows.  [add] stores a copy of the
+   caller's row and every reader hands out a copy, so no caller ever holds
+   a stored row. *)
 
 open Sgl_util
 
-type t = { store : Colstore.t }
+type t = { schema : Schema.t; rows : Tuple.t Varray.t }
 
-let create schema = { store = Colstore.create schema }
+let create schema = { schema; rows = Varray.create [||] }
+let add t row = Varray.push t.rows (Tuple.copy row)
 
 let of_tuples schema tuples =
   let t = create schema in
-  List.iter (Colstore.append t.store) tuples;
+  List.iter (add t) tuples;
   t
 
 let of_rows schema rows =
   let t = create schema in
-  Varray.iter (Colstore.append t.store) rows;
+  Varray.iter (add t) rows;
   t
 
-let schema t = Colstore.schema t.store
-let cardinality t = Colstore.length t.store
-let add t row = Colstore.append t.store row
-let row t i = Colstore.materialize t.store i
-let iter f t = Colstore.iter f t.store
-let iteri f t = Colstore.iteri f t.store
-let fold f init t = Colstore.fold f init t.store
+let schema t = t.schema
+let cardinality t = Varray.length t.rows
+let row t i = Tuple.copy (Varray.get t.rows i)
+let iter f t = Varray.iter (fun r -> f (Tuple.copy r)) t.rows
+let iteri f t = Varray.iteri (fun i r -> f i (Tuple.copy r)) t.rows
+let fold f init t = Varray.fold_left (fun acc r -> f acc (Tuple.copy r)) init t.rows
 let to_list t = List.init (cardinality t) (row t)
-let to_array t = Colstore.to_array t.store
+let to_array t = Array.init (cardinality t) (row t)
 
 let map_rows f t =
-  let out = create (schema t) in
+  let out = create t.schema in
   iter (fun row -> add out (f row)) t;
   out
 
 let filter_rows p t =
-  let out = create (schema t) in
+  let out = create t.schema in
   iter (fun row -> if p row then add out row) t;
   out
-
-module Col = struct
-  let store t = t.store
-  let float_reader t j = Colstore.float_reader t.store j
-  let int_reader t j = Colstore.int_reader t.store j
-
-  let float_get t ~attr ~row =
-    match Colstore.col t.store attr with
-    | Colstore.Floats a ->
-      if row < 0 || row >= Colstore.length t.store then invalid_arg "Relation.Col.float_get";
-      a.(row)
-    | _ -> Value.to_float (Colstore.get t.store row attr)
-
-  let unsafe_float_get t ~attr ~row =
-    match Colstore.col t.store attr with
-    | Colstore.Floats a -> Array.unsafe_get a row
-    | _ -> Value.to_float (Colstore.get t.store row attr)
-
-  let iter_floats t j f =
-    match Colstore.float_reader t.store j with
-    | Some read ->
-      for i = 0 to Colstore.length t.store - 1 do
-        f i (read i)
-      done
-    | None ->
-      for i = 0 to Colstore.length t.store - 1 do
-        f i (Value.to_float (Colstore.get t.store i j))
-      done
-end
 
 (* Multiset equality up to row order: sort exact row keys and compare.
    Floats are keyed by every bit (hex), so a last-bit difference shows.

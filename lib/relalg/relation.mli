@@ -1,14 +1,12 @@
-(** Multiset relations over a schema, stored columnar (struct-of-arrays,
-    {!Colstore}) behind a materializing row view.
+(** Multiset relations over a schema: a bag of [Tuple.t] rows.
 
     Arity contract: the schema describes a {e prefix} of each row.  Rows
     may be longer than the schema arity — the extra slots are
-    [let]-extension (or product-concatenation) overflow, kept in a
-    dedicated boxed column — or shorter, when produced by projection.
-    Every accessor that returns a [Tuple.t] materializes a fresh boxed row
-    bit-identical to the row as added (same [Value.t] constructor tags,
-    same length, extensions included); mutating a materialized row never
-    writes back into the relation. *)
+    [let]-extension (or product-concatenation) overflow — or shorter, when
+    produced by projection.  The relation stores a copy of every added row
+    and every accessor that returns a [Tuple.t] returns a fresh copy of the
+    row as added (same [Value.t] constructor tags, same length, extensions
+    included), so mutating either never changes the relation. *)
 
 open Sgl_util
 
@@ -20,9 +18,8 @@ val of_rows : Schema.t -> Tuple.t Varray.t -> t
 val schema : t -> Schema.t
 val cardinality : t -> int
 
-(** Appends a row of any length (see the arity contract above).  The row
-    is decomposed into columns at add time; later mutation of the caller's
-    array is not observed. *)
+(** Appends a copy of a row of any length (see the arity contract above);
+    later mutation of the caller's array is not observed. *)
 val add : t -> Tuple.t -> unit
 
 val row : t -> int -> Tuple.t
@@ -32,41 +29,15 @@ val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 val to_list : t -> Tuple.t list
 val to_array : t -> Tuple.t array
 
-(** [map_rows f t] applies [f] to every materialized row — including its
+(** [map_rows f t] applies [f] to a copy of every row — including its
     let-extension slots — and collects the results under the same schema.
     [f] may return rows of any length; extension slots in the result are
-    preserved (they land in the overflow column, not truncated). *)
+    preserved, not truncated. *)
 val map_rows : (Tuple.t -> Tuple.t) -> t -> t
 
 (** [filter_rows p t] keeps the rows satisfying [p], preserving each row
     bit-identically — let-extension slots included. *)
 val filter_rows : (Tuple.t -> bool) -> t -> t
-
-(** Direct column access, bypassing row materialization.  Row ids are the
-    add order, [0 .. cardinality-1]. *)
-module Col : sig
-  (** The backing columnar store (a view, not a copy). *)
-  val store : t -> Colstore.t
-
-  (** [float_reader t j] is [Some read] when attribute [j] is stored as a
-      typed numeric column; [read i] avoids boxing entirely. *)
-  val float_reader : t -> int -> (int -> float) option
-
-  val int_reader : t -> int -> (int -> int) option
-
-  (** Bounds-checked scalar read; falls back to the boxed path on
-      non-float columns (preserving coercion errors). *)
-  val float_get : t -> attr:int -> row:int -> float
-
-  (** No bounds check on typed columns — caller guarantees
-      [row < cardinality t]. *)
-  val unsafe_float_get : t -> attr:int -> row:int -> float
-
-  (** [iter_floats t j f] calls [f i x] for every row id [i] with the
-      numeric value of attribute [j] — a contiguous scan on typed
-      columns. *)
-  val iter_floats : t -> int -> (int -> float -> unit) -> unit
-end
 
 (** Order-insensitive multiset equality (test helper).  Values compare
     bit-exactly, up to [Value.equal]'s identifications: [-0.] equals

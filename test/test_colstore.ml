@@ -1,8 +1,9 @@
-(* The columnar store (struct-of-arrays) behind [Relation]: the
+(* The columnar store (struct-of-arrays) of the unit relation: the
    materializing view must reproduce every row bit-identically — same
-   [Value.t] constructor tags, extensions and short rows included — and
+   [Value.t] constructor tags — every row must have the schema arity, and
    the copy-on-write [refresh] must land exactly on the new row array
-   while keeping clean columns physically shared. *)
+   while keeping clean columns physically shared.  Also the row-bag
+   [Relation]'s isolation contract. *)
 
 open Sgl_util
 open Sgl_relalg
@@ -29,10 +30,9 @@ let rows_strict_eq (a : Tuple.t array) (b : Tuple.t array) : bool =
   Array.length a = Array.length b && Array.for_all2 row_strict_eq a b
 
 (* ------------------------------------------------------------------ *)
-(* Random schemas and rows: every type, plus mismatched tags (ints in
-   float columns and vice versa — [Value.equal]-compatible but
-   tag-distinct, exactly the promotion hazard), let-extension overflow
-   and short (projected) rows. *)
+(* Random schemas and rows of schema arity: every type, plus mismatched
+   tags (ints in float columns and vice versa — [Value.equal]-compatible
+   but tag-distinct, exactly what sends a column to [Boxed]). *)
 
 let gen_ty : Value.ty QCheck.Gen.t =
   QCheck.Gen.oneofl [ Value.TInt; Value.TFloat; Value.TBool; Value.TVec ]
@@ -63,8 +63,7 @@ let gen_value_for (ty : Value.ty) : Value.t QCheck.Gen.t =
     | Value.TBool -> frequency [ (4, bool_v); (1, int_v) ]
     | Value.TVec -> vec_v)
 
-(* Tag-exact values only: rows that must stay rectangular (one typed
-   array per column). *)
+(* Tag-exact values only: rows whose every non-vec column stays typed. *)
 let gen_exact_value_for (ty : Value.ty) : Value.t QCheck.Gen.t =
   QCheck.Gen.(
     match ty with
@@ -77,21 +76,8 @@ let gen_exact_value_for (ty : Value.ty) : Value.t QCheck.Gen.t =
 
 let gen_row (schema : Schema.t) : Tuple.t QCheck.Gen.t =
   QCheck.Gen.(
-    let arity = Schema.arity schema in
     let slot j = gen_value_for (Schema.ty_at schema j) in
-    let* shape = int_range 0 9 in
-    let* ext = list_size (int_range 1 3) (gen_value_for Value.TFloat) in
-    let full = List.init arity slot in
-    let* base = flatten_l full in
-    match shape with
-    | 0 | 1 ->
-      (* let-extension overflow *)
-      return (Array.of_list (base @ ext))
-    | 2 when arity > 1 ->
-      (* short (projected) row *)
-      let* keep = int_range 1 (arity - 1) in
-      return (Array.of_list (List.filteri (fun j _ -> j < keep) base))
-    | _ -> return (Array.of_list base))
+    map Array.of_list (flatten_l (List.init (Schema.arity schema) slot)))
 
 let gen_store_input : (Schema.t * Tuple.t array) QCheck.Gen.t =
   QCheck.Gen.(
@@ -103,47 +89,84 @@ let law_roundtrip =
   QCheck.Test.make ~name:"of_tuples/to_array round-trips bit-identically" ~count:500
     (QCheck.make gen_store_input) (fun (schema, rows) ->
       let store = Colstore.of_tuples schema rows in
-      rows_strict_eq rows (Colstore.to_array store)
-      && Colstore.length store = Array.length rows
-      && Array.for_all2
-           (fun row i -> Colstore.row_len store i = Array.length row)
-           rows
-           (Array.init (Array.length rows) Fun.id))
+      rows_strict_eq rows (Colstore.to_array store) && Colstore.length store = Array.length rows)
 
-let law_get =
-  QCheck.Test.make ~name:"get agrees with materialize on every slot" ~count:300
+(* The physical columns the decision phase and the checkpoint read: a
+   column is typed exactly when every row carries the schema type's
+   constructor, every cell reads the row's value, and [int_reader] answers
+   only for [Ints]. *)
+let law_col =
+  QCheck.Test.make ~name:"col agrees with materialize on every slot" ~count:300
     (QCheck.make gen_store_input) (fun (schema, rows) ->
       let store = Colstore.of_tuples schema rows in
-      Array.for_all
-        (fun i ->
-          let m = Colstore.materialize store i in
-          Array.for_all
-            (fun j -> value_strict_eq m.(j) (Colstore.get store i j))
-            (Array.init (Array.length m) Fun.id))
-        (Array.init (Array.length rows) Fun.id))
-
-let law_float_reader =
-  QCheck.Test.make ~name:"float_reader agrees with Value.to_float" ~count:300
-    (QCheck.make gen_store_input) (fun (schema, rows) ->
-      let store = Colstore.of_tuples schema rows in
+      let ids = Array.init (Array.length rows) Fun.id in
       List.for_all
         (fun j ->
-          match Colstore.float_reader store j with
-          | None -> true
-          | Some read ->
-            Array.for_all
-              (fun i ->
-                (* short rows leave the slot unspecified — skip those *)
-                Array.length rows.(i) <= j
-                ||
-                let direct = read i in
-                let boxed = Value.to_float (Colstore.get store i j) in
-                Int64.equal (Int64.bits_of_float direct) (Int64.bits_of_float boxed))
-              (Array.init (Array.length rows) Fun.id))
+          let cell i : Value.t =
+            match Colstore.col store j with
+            | Colstore.Floats a -> Value.Float a.(i)
+            | Colstore.Ints a -> Value.Int a.(i)
+            | Colstore.Bools a -> Value.Bool (Bytes.get a i <> '\000')
+            | Colstore.Boxed a -> a.(i)
+          in
+          let typed =
+            Schema.ty_at schema j <> Value.TVec
+            && Array.for_all
+              (fun row ->
+                match (Schema.ty_at schema j, row.(j)) with
+                | Value.TFloat, Value.Float _ | Value.TInt, Value.Int _ | Value.TBool, Value.Bool _
+                  ->
+                  true
+                | _ -> false)
+              rows
+          in
+          let boxed = match Colstore.col store j with Colstore.Boxed _ -> true | _ -> false in
+          let ints_ok =
+            match (Colstore.col store j, Colstore.int_reader store j) with
+            | Colstore.Ints a, Some read -> Array.for_all (fun i -> read i = a.(i)) ids
+            | Colstore.Ints _, None -> false
+            | _, reader -> Option.is_none reader
+          in
+          boxed = not typed
+          && ints_ok
+          && Array.for_all (fun i -> value_strict_eq rows.(i).(j) (cell i)) ids)
         (List.init (Schema.arity schema) Fun.id))
 
+(* Every row of the store has the schema arity: building or refreshing
+   from a longer (let-extended) or shorter (projected) row raises rather
+   than storing or dropping slots. *)
+let test_arity_enforced () =
+  let schema = Schema.create [ Schema.attr "key" Value.TInt; Schema.attr "x" Value.TFloat ] in
+  let good = Array.init 4 (fun i -> [| Value.Int i; Value.Float (float_of_int i) |]) in
+  let longer = Array.copy good and shorter = Array.copy good in
+  longer.(2) <- [| Value.Int 2; Value.Float 2.; Value.Float 20. |];
+  shorter.(2) <- [| Value.Int 2 |];
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted a row not of schema arity" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "of_tuples, longer row" (fun () -> ignore (Colstore.of_tuples schema longer));
+  raises "of_tuples, shorter row" (fun () -> ignore (Colstore.of_tuples schema shorter));
+  let store = Colstore.of_tuples schema good in
+  let clean = Delta.create schema in
+  let dirty_x = Delta.create schema in
+  Delta.record dirty_x ~attr:1 ~pos:2;
+  List.iter
+    (fun (what, delta, rows) ->
+      raises what (fun () -> Colstore.refresh ?delta store rows);
+      Alcotest.(check bool) (what ^ ": store unchanged") true
+        (rows_strict_eq good (Colstore.to_array store)))
+    [
+      ("refresh, longer row", None, longer);
+      ("refresh, shorter row", None, shorter);
+      ("copy-on-write refresh, longer row", Some clean, longer);
+      ("copy-on-write refresh, longer dirty row", Some dirty_x, longer);
+      ("copy-on-write refresh, shorter row", Some dirty_x, shorter);
+    ]
+
 (* ------------------------------------------------------------------ *)
-(* COW refresh: rectangular rows, a mutation pass recorded in a delta.
+(* COW refresh: tag-exact rows, a mutation pass recorded in a delta.
    The refreshed store must land exactly on the new rows; clean columns
    must keep their physical arrays. *)
 
@@ -188,7 +211,7 @@ let law_refresh =
       let before_cols = List.init (Schema.arity schema) (Colstore.col store) in
       Colstore.refresh ~delta store after;
       rows_strict_eq after (Colstore.to_array store)
-      && ((not (Colstore.rectangular store)) || Delta.structural delta
+      && (Delta.structural delta
          || List.for_all2
               (fun j col0 ->
                 Delta.dirty_attr delta j
@@ -297,6 +320,48 @@ let test_relation_preserves_extensions () =
   Alcotest.(check bool) "filtered row bit-identical" true
     (row_strict_eq (Relation.row r 1) (Relation.row filtered 0))
 
+(* [Relation] stores copies and hands out copies: mutating the array given
+   to [add], or any row a reader returned, leaves the relation as it was —
+   let-extended and projected rows included. *)
+let test_relation_isolation () =
+  let schema = Schema.create [ Schema.attr "key" Value.TInt; Schema.attr "x" Value.TFloat ] in
+  let given =
+    [|
+      [| Value.Int 0; Value.Float 1. |];
+      [| Value.Int 1; Value.Float 2.; Value.Float 20.; Value.Bool true |];
+      [| Value.Int 2 |];
+    |]
+  in
+  let expected = Array.map Tuple.copy given in
+  let r = Relation.create schema in
+  Array.iter (Relation.add r) given;
+  let scribble (row : Tuple.t) = Array.fill row 0 (Array.length row) (Value.Int (-7)) in
+  let unchanged what =
+    Alcotest.(check bool) what true (rows_strict_eq expected (Relation.to_array r))
+  in
+  Array.iter scribble given;
+  unchanged "after mutating the rows given to add";
+  for i = 0 to Relation.cardinality r - 1 do
+    scribble (Relation.row r i)
+  done;
+  unchanged "after mutating rows from row";
+  Relation.iter scribble r;
+  unchanged "after mutating rows from iter";
+  Relation.iteri (fun _ row -> scribble row) r;
+  unchanged "after mutating rows from iteri";
+  Relation.fold (fun () row -> scribble row) () r;
+  unchanged "after mutating rows from fold";
+  Array.iter scribble (Relation.to_array r);
+  unchanged "after mutating rows from to_array";
+  List.iter scribble (Relation.to_list r);
+  unchanged "after mutating rows from to_list";
+  let mapped = Relation.map_rows Fun.id r in
+  Relation.iter scribble mapped;
+  Array.iter scribble (Relation.to_array mapped);
+  Alcotest.(check bool) "map_rows copy unchanged" true
+    (rows_strict_eq expected (Relation.to_array mapped));
+  unchanged "after mutating rows of a mapped copy"
+
 (* ------------------------------------------------------------------ *)
 (* 100k-unit population smoke test: building the store, column scans and
    the materializing view all behave at the sharding-target scale. *)
@@ -325,12 +390,16 @@ let test_100k_population () =
   in
   let store = Colstore.of_tuples schema rows in
   Alcotest.(check int) "length" n (Colstore.length store);
-  Alcotest.(check bool) "rectangular" true (Colstore.rectangular store);
   (* contiguous column scan equals the boxed sum *)
-  let read = Option.get (Colstore.float_reader store 1) in
+  let xs =
+    match Colstore.col store 1 with
+    | Colstore.Floats a -> a
+    | _ -> Alcotest.fail "posx column not float-typed"
+  in
+  Alcotest.(check int) "column length" n (Array.length xs);
   let sum = ref 0. in
   for i = 0 to n - 1 do
-    sum := !sum +. read i
+    sum := !sum +. xs.(i)
   done;
   let boxed_sum = ref 0. in
   Array.iter (fun row -> boxed_sum := !boxed_sum +. Value.to_float row.(1)) rows;
@@ -431,19 +500,68 @@ let test_checkpoint_v1_compat () =
       Alcotest.(check int) "v1 tick" 41 got1.Checkpoint.tick;
       Alcotest.(check (list string)) "v1 quarantine" [ "healer" ] got1.Checkpoint.quarantined)
 
+(* Golden checkpoint: a fixed small state with one column of each kind —
+   pure floats, a float column holding one [Int] (so boxed), bools and
+   vecs.  The CRC-32 of the file bytes pins the canonical COLU encoding,
+   so a changed promotion rule in [Colstore.of_tuples] shows here. *)
+let golden_checkpoint_crc = "e7e08d63"
+
+let test_checkpoint_golden () =
+  let schema =
+    Schema.create
+      [
+        Schema.attr "key" Value.TInt; Schema.attr "x" Value.TFloat; Schema.attr "hp" Value.TFloat;
+        Schema.attr "up" Value.TBool; Schema.attr "aim" Value.TVec;
+      ]
+  in
+  let units =
+    Array.init 6 (fun i ->
+        let f = float_of_int i in
+        [|
+          Value.Int (10 + i);
+          Value.Float ((f *. 1.25) -. 3.);
+          (if i = 4 then Value.Int 9 else Value.Float (100. -. (f *. 7.5)));
+          Value.Bool (i mod 3 = 0);
+          Value.Vec (Vec2.make (f *. 0.5) (-.f));
+        |])
+  in
+  let store = Colstore.of_tuples schema units in
+  (match (Colstore.col store 1, Colstore.col store 2, Colstore.col store 3, Colstore.col store 4) with
+  | Colstore.Floats _, Colstore.Boxed _, Colstore.Bools _, Colstore.Boxed _ -> ()
+  | _ -> Alcotest.fail "golden state does not hold one column of each kind");
+  let st =
+    {
+      Checkpoint.tick = 3;
+      seed = 42;
+      cache_epoch = 2;
+      units;
+      quarantined = [];
+      counters = [ ("sim.deaths", 1) ];
+      degradations = [];
+    }
+  in
+  Test_persist.with_dir (fun dir ->
+      let path = Checkpoint.save ~dir ~fsync:false ~schema ~store st in
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) "checkpoint file CRC-32" golden_checkpoint_crc
+        (Crc32.to_hex (Crc32.string bytes)))
+
 let suite =
   [
     ( "colstore",
       [
         qtest law_roundtrip;
-        qtest law_get;
-        qtest law_float_reader;
+        qtest law_col;
+        Alcotest.test_case "rows must have the schema arity" `Quick test_arity_enforced;
         qtest law_refresh;
         Alcotest.test_case "refresh shares clean columns" `Quick test_refresh_shares_clean_columns;
         Alcotest.test_case "snapshot survives refresh" `Quick test_snapshot_survives_refresh;
         Alcotest.test_case "relation map/filter preserve extensions" `Quick
           test_relation_preserves_extensions;
+        Alcotest.test_case "relation isolates callers from stored rows" `Quick
+          test_relation_isolation;
         Alcotest.test_case "100k-unit population" `Quick test_100k_population;
         Alcotest.test_case "checkpoint v1 compatibility" `Quick test_checkpoint_v1_compat;
+        Alcotest.test_case "checkpoint golden CRC" `Quick test_checkpoint_golden;
       ] );
   ]
