@@ -623,6 +623,56 @@ let incremental ~full () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the index kernels *)
 
+(* Nearest-rank first quartile, median and third quartile of [xs]. *)
+let quartiles (xs : float array) : float * float * float =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let at q = a.(int_of_float (Float.round (q *. float_of_int (Array.length a - 1)))) in
+  (at 0.25, at 0.5, at 0.75)
+
+(* Same-process interleaved rounds: every round runs each kernel once,
+   in forward order on even rounds and reverse order on odd ones, so a
+   burst from another tenant of the host lands on every row alike.  Each
+   row reports the median and quartiles of its per-round times. *)
+let interleaved ~(rounds : int) (rows : (string * (unit -> unit)) list) : unit =
+  let rows = Array.of_list rows in
+  let k = Array.length rows in
+  let times = Array.make_matrix k rounds 0. in
+  Array.iter (fun (_, f) -> f ()) rows;
+  for r = 0 to rounds - 1 do
+    for s = 0 to k - 1 do
+      let i = if r land 1 = 0 then s else k - 1 - s in
+      let t0 = Timer.now_ns () in
+      snd rows.(i) ();
+      times.(i).(r) <- Int64.to_float (Int64.sub (Timer.now_ns ()) t0) /. 1e3
+    done
+  done;
+  pr "@.Interleaved, %d rounds (us per run)@." rounds;
+  pr "%-36s %10s %10s %10s@." "kernel" "median" "q1" "q3";
+  Array.iteri
+    (fun i (name, _) ->
+      let q1, med, q3 = quartiles times.(i) in
+      pr "%-36s %10.1f %10.1f %10.1f@." name med q1 q3)
+    rows
+
+(* The byte-at-a-time CRC-32 loop, as a baseline for the word-at-a-time
+   [Crc32]. *)
+let crc32_bytewise =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun (s : string) ->
+    let c = ref 0xFFFFFFFF in
+    for i = 0 to String.length s - 1 do
+      c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
+
 let micro () =
   header "Micro-benchmarks (Bechamel, monotonic clock; ns per run)";
   let open Bechamel in
@@ -797,7 +847,47 @@ let micro () =
       match Analyze.OLS.estimates ols with
       | Some (t :: _) -> pr "%-30s %14.1f@." name t
       | Some [] | None -> pr "%-30s %14s@." name "n/a")
-    (List.sort compare rows)
+    (List.sort compare rows);
+  (* The commit path of a sentry tick over the 50k rows: one unit in a
+     hundred moved one cell in x, so one column is dirty.  The digest is
+     recomputed for that column from the rows and from the store; the
+     refresh copies the column and patches the moved positions. *)
+  let posx = Schema.find schema "posx" in
+  let moved50 =
+    Array.mapi
+      (fun i u ->
+        if i mod 100 <> 0 then u
+        else begin
+          let r = Tuple.copy u in
+          Tuple.set r posx (Value.Float (Value.to_float (Tuple.get u posx) +. 1.));
+          r
+        end)
+      units50
+  in
+  let moved_delta = Delta.create schema in
+  Array.iteri (fun i _ -> if i mod 100 = 0 then Delta.record moved_delta ~attr:posx ~pos:i) units50;
+  let store50 = Sgl_relalg.Colstore.of_tuples schema units50 in
+  let rows_cache = Persist.Codec.units_digest_cache units50 in
+  let store_cache = Persist.Codec.store_digest_cache store50 in
+  Sgl_relalg.Colstore.refresh ~delta:moved_delta store50 moved50;
+  let column450k =
+    let b = Persist.Codec.W.create ~size:(9 * n50) () in
+    Array.iter (fun u -> Persist.Codec.W.value b (Tuple.get u posx)) moved50;
+    Persist.Codec.W.contents b
+  in
+  interleaved ~rounds:31
+    [
+      ("crc32_450k", fun () -> ignore (Persist.Crc32.string column450k));
+      ("crc32_450k_bytewise", fun () -> ignore (crc32_bytewise column450k));
+      ( "digest_50k_one_dirty_col_rows",
+        fun () ->
+          ignore (Persist.Codec.units_digest_incremental rows_cache ~dirty:[ posx ] moved50) );
+      ( "digest_50k_one_dirty_col_store",
+        fun () ->
+          ignore (Persist.Codec.store_digest_incremental store_cache ~dirty:[ posx ] store50) );
+      ( "colstore_refresh_50k_1pct",
+        fun () -> Sgl_relalg.Colstore.refresh ~delta:moved_delta store50 moved50 );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: instrumentation overhead on the formation battle.

@@ -166,10 +166,12 @@ let random_free_cell g (prng : Prng.t) ~(tick : int) ~(salt : int) : (int * int)
    Three passes: a sequential one fills the grid and marks the units with
    a nonzero decided vector; the shuffled one decides the moves against
    the grid, reading only the marked rows; a last sequential one writes
-   the moved rows.  Writing in array order keeps the new rows in memory
+   the moved rows.  With [cols] (the committed store of the tick's unit
+   array) the fill reads cells from the typed posx/posy columns through
+   [positions], touching a row only where post-processing owns it.  Writing in array order keeps the new rows in memory
    in the order scans read them. *)
-let run ?(delta : Delta.t option) ?(owned = [||]) ?(positions = [||]) (g : grid) ~(prng : Prng.t)
-    ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) : unit =
+let run ?(delta : Delta.t option) ?cols ?(owned = [||]) ?(positions = [||]) (g : grid)
+    ~(prng : Prng.t) ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) : unit =
   let config = g.config in
   let n = Array.length units in
   let identity = Array.length positions = 0 in
@@ -180,10 +182,26 @@ let run ?(delta : Delta.t option) ?(owned = [||]) ?(positions = [||]) (g : grid)
     g.order <- Array.make n 0
   end;
   let dest = g.dest and order = g.order in
+  (* The committed x/y columns, when both are pure floats: a cell read
+     from them is the row's, [Value.to_int (Float f) = int_of_float f]. *)
+  let xs, ys =
+    match Option.map (fun s -> (Colstore.col s config.posx, Colstore.col s config.posy)) cols with
+    | Some (Colstore.Floats xs, Colstore.Floats ys) -> (xs, ys)
+    | _ -> ([||], [||])
+  in
+  let from_cols = Array.length xs > 0 in
   for i = 0 to n - 1 do
-    let u = units.(i) in
-    add_code g
-      (encode g (Value.to_int (Tuple.get u config.posx)) (Value.to_int (Tuple.get u config.posy)));
+    (* A row post-processing rewrote ([owned]) may hold a new position
+       the columns do not. *)
+    if from_cols && not (i < Array.length owned && owned.(i)) then begin
+      let p = pos i in
+      add_code g (encode g (int_of_float xs.(p)) (int_of_float ys.(p)))
+    end
+    else begin
+      let u = units.(i) in
+      add_code g
+        (encode g (Value.to_int (Tuple.get u config.posx)) (Value.to_int (Tuple.get u config.posy)))
+    end;
     let moves =
       match Combine.Acc.find_opt acc (pos i) with
       | None -> false

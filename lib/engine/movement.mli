@@ -51,14 +51,20 @@ val random_free_cell : grid -> Prng.t -> tick:int -> salt:int -> (int * int) opt
     x only, y only.  [positions.(i)] is the position [units.(i)] had in
     the tick's unit array ({!Postprocess.outcome}); its decided vector is
     read from that slot of [acc] with one array load, and omitted
-    [positions] mean the identity.  A unit that moves gets a fresh row
-    copy, written back into [units], unless [owned.(i)] marks [units.(i)]
-    as a copy the tick already made (see {!Postprocess.outcome}), which is
-    then updated in place; no other row is written.  Each successful move
-    records posx/posy + that position against [delta] when given
-    (cross-tick index cache bookkeeping). *)
+    [positions] mean the identity.  [cols], when given, is the committed
+    column store of that tick's unit array: the fill reads each
+    survivor's cell from its posx/posy columns at [positions.(i)], and
+    reads the row instead where [owned.(i)] (post-processing may have
+    rewritten its position) or where either column is not [Floats].  A
+    unit that moves gets a fresh row copy, written back into [units],
+    unless [owned.(i)] marks [units.(i)] as a copy the tick already made
+    (see {!Postprocess.outcome}), which is then updated in place; no other
+    row is written.  Each successful move records posx/posy + that
+    position against [delta] when given (cross-tick index cache
+    bookkeeping). *)
 val run :
   ?delta:Delta.t ->
+  ?cols:Colstore.t ->
   ?owned:bool array ->
   ?positions:int array ->
   grid ->

@@ -147,9 +147,10 @@ type t = {
   acc : Combine.Acc.t;
   (* The column store of [units] (struct-of-arrays, one typed column per
      schema attribute), committed with it: refreshed copy-on-write at each
-     commit, keyed by the tick's dirty-attribute delta, and what the
-     decision phase's index builds scan.  A
-     rollback swaps it back to the pre-tick snapshot, like [units]. *)
+     commit, keyed by the tick's dirty-attribute delta.  The decision
+     phase's index builds scan it, movement reads the pre-tick cells
+     from it, and the state digest is computed from it.  A rollback
+     swaps it back to the pre-tick snapshot, like [units]. *)
   mutable store : Colstore.t;
   index_cache : bool; (* hand deltas to the evaluator across ticks *)
   (* What the last committed tick changed, relative to the unit array its
@@ -319,13 +320,16 @@ let state_of (t : t) : Checkpoint.state =
 (* CRC-32 of the canonical encoding of the current unit array — the
    fingerprint journal records and recovery differentials compare.
 
-   Incremental: when the last digest describes the previous tick and the
-   committed tick's delta summary is available and non-structural, only
-   the dirtied columns are re-encoded; everything else recombines from
-   the cached per-column CRCs.  Structural ticks (deaths, resurrections),
-   rollbacks and cache-off runs fall back to the full pass, and recovery
-   verification always recomputes from scratch, cross-checking the
-   incremental path against the journaled values every replayed tick. *)
+   Read from the committed column store, which mirrors [t.units] after
+   every commit and rollback: typed columns fold straight into the CRC,
+   no row is touched.  Incremental: when the last digest describes the
+   previous tick and the committed tick's delta summary is available and
+   non-structural, only the dirtied columns are re-read; everything else
+   recombines from the cached per-column CRCs.  Structural ticks (deaths,
+   resurrections), rollbacks and cache-off runs fall back to the full
+   pass.  Recovery verification recomputes from the rows
+   ([Codec.units_digest]), cross-checking the store-derived journal
+   digests every replayed tick. *)
 let state_digest (t : t) : int =
   match t.digest_cache with
   | Some (tick, cache) when tick = t.tick -> Codec.digest_of_cache cache
@@ -333,8 +337,8 @@ let state_digest (t : t) : int =
     let cache =
       match (prev, t.pending_delta) with
       | Some (tick, cache), Some d when tick = t.tick - 1 && not (Delta.structural d) ->
-        Codec.units_digest_incremental cache ~dirty:(Delta.dirty_attrs d) t.units
-      | _ -> Codec.units_digest_cache t.units
+        Codec.store_digest_incremental cache ~dirty:(Delta.dirty_attrs d) t.store
+      | _ -> Codec.store_digest_cache t.store
     in
     t.digest_cache <- Some (t.tick, cache);
     Codec.digest_of_cache cache
@@ -430,8 +434,8 @@ let run_phases (t : t) : unit =
       Timer.record t.timings.movement (fun () ->
           Option.iter
             (fun grid ->
-              Movement.run ?delta:delta_out ~owned ~positions grid ~prng:t.prng ~tick
-                ~units:survivors ~acc)
+              Movement.run ?delta:delta_out ~cols:t.store ~owned ~positions grid ~prng:t.prng
+                ~tick ~units:survivors ~acc)
             t.grid));
   (* Movement was the accumulator's last reader.  Drop its rows now: the
      simulation keeps the accumulator, so rows still in it when the next

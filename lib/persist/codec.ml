@@ -5,6 +5,11 @@
    length prefix.  The encoding is canonical — one state, one byte string
    — which is what lets a CRC-32 of the encoded unit array stand in for
    the state itself in the journal and in the recovery differentials.
+   That digest is never computed from written-out bytes: the fixed-width
+   encodings go straight into the CRC register, from the committed column
+   store on the engine's commit path ([store_digest_cache]) and from rows
+   where a caller holds only rows ([units_digest]); both take every value
+   that is not in a typed column through the one encoder [crc_value].
 
    Decoding is defensive throughout: every read is bounds-checked and
    every declared length is validated against the remaining input before
@@ -20,6 +25,12 @@ let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Writer: a thin layer over Buffer with the canonical encodings. *)
+
+(* A value's leading byte names its constructor. *)
+let tag_int = 0
+let tag_float = 1
+let tag_bool = 2
+let tag_vec = 3
 
 module W = struct
   type t = Buffer.t
@@ -51,16 +62,16 @@ module W = struct
   let value b (v : Value.t) =
     match v with
     | Value.Int i ->
-      u8 b 0;
+      u8 b tag_int;
       int b i
     | Value.Float f ->
-      u8 b 1;
+      u8 b tag_float;
       float b f
     | Value.Bool x ->
-      u8 b 2;
+      u8 b tag_bool;
       bool b x
     | Value.Vec { Vec2.x; y } ->
-      u8 b 3;
+      u8 b tag_vec;
       float b x;
       float b y
 
@@ -261,21 +272,57 @@ let read_sections (r : R.t) : (string * string) list =
    down the array.  Column-major order is what makes the digest
    incrementally maintainable: the CRC of each column is cached with its
    byte length, and a committed tick that dirtied only a few columns
-   (per the {!Sgl_relalg.Delta} summary — the same contract the columnar
-   mirror's copy-on-write refresh trusts) recombines cached clean-column
+   (per the {!Sgl_relalg.Delta} summary — the same contract the column
+   store's copy-on-write refresh trusts) recombines cached clean-column
    CRCs with recomputed dirty ones via {!Sgl_util.Crc32.combine} in
-   O(dirty data + log clean data) instead of re-encoding the world. *)
+   O(dirty data + log clean data) instead of re-encoding the world.
+
+   Nothing is written out to be checksummed: the bytes go straight into
+   the CRC register.  A committed store's [Floats] and [Ints] columns are
+   folded a whole typed array per call; every other value, and every
+   value of the row API, goes through the one per-value feed
+   [crc_value], so the two sources cannot encode differently. *)
 
 type digest_cache = {
   dc_units : int; (* row count the cached columns describe *)
   dc_cols : (int * int) array; (* per column: CRC-32, encoded byte length *)
 }
 
+(* [W.value v]'s bytes, folded into [crc]; [value_width v] counts them. *)
+let crc_value (crc : Crc32.t) (v : Value.t) : Crc32.t =
+  match v with
+  | Value.Int i -> Crc32.update_int (Crc32.update_byte crc tag_int) i
+  | Value.Float f -> Crc32.update_float (Crc32.update_byte crc tag_float) f
+  | Value.Bool b -> Crc32.update_byte (Crc32.update_byte crc tag_bool) (if b then 1 else 0)
+  | Value.Vec { Vec2.x; y } ->
+    Crc32.update_float (Crc32.update_float (Crc32.update_byte crc tag_vec) x) y
+
+let value_width : Value.t -> int = function
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Bool _ -> 2
+  | Value.Vec _ -> 17
+
+let values_digest (n : int) (value : int -> Value.t) : int * int =
+  let crc = ref Crc32.empty and len = ref 0 in
+  for i = 0 to n - 1 do
+    let v = value i in
+    crc := crc_value !crc v;
+    len := !len + value_width v
+  done;
+  (!crc, !len)
+
 let column_digest (units : Tuple.t array) (j : int) : int * int =
-  let b = W.create ~size:(16 * (1 + Array.length units)) () in
-  Array.iter (fun (u : Tuple.t) -> W.value b u.(j)) units;
-  let s = W.contents b in
-  (Crc32.string s, String.length s)
+  values_digest (Array.length units) (fun i -> units.(i).(j))
+
+let bool_values = [| Value.Bool false; Value.Bool true |]
+
+let store_column_digest (store : Colstore.t) (j : int) : int * int =
+  let n = Colstore.length store in
+  match Colstore.col store j with
+  | Colstore.Floats a -> (Crc32.update_prefixed_floats Crc32.empty ~prefix:tag_float a, 9 * n)
+  | Colstore.Ints a -> (Crc32.update_prefixed_ints Crc32.empty ~prefix:tag_int a, 9 * n)
+  | Colstore.Bools a -> values_digest n (fun i -> bool_values.(Char.code (Bytes.get a i)))
+  | Colstore.Boxed a -> values_digest n (Array.get a)
 
 let digest_of_cache (c : digest_cache) : int =
   let hdr = W.create ~size:8 () in
@@ -286,21 +333,41 @@ let digest_of_cache (c : digest_cache) : int =
     (Crc32.string (W.contents hdr))
     c.dc_cols
 
+(* The full and incremental computations over [units] rows of [arity]
+   columns whose per-column digests [column] gives.  An empty population
+   encodes no columns, whatever the schema. *)
+let cache_of ~units ~arity column = { dc_units = units; dc_cols = Array.init arity column }
+
+let incremental (prev : digest_cache) ~(dirty : int list) ~units ~arity column =
+  if units <> prev.dc_units || arity <> Array.length prev.dc_cols then
+    (* shape changed under a non-structural claim: recompute rather than
+       trust a summary that cannot be right *)
+    cache_of ~units ~arity column
+  else begin
+    let cols = Array.copy prev.dc_cols in
+    List.iter (fun j -> if j >= 0 && j < arity then cols.(j) <- column j) dirty;
+    { prev with dc_cols = cols }
+  end
+
+let rows_arity (units : Tuple.t array) = if Array.length units = 0 then 0 else Tuple.arity units.(0)
+
+let store_arity (store : Colstore.t) =
+  if Colstore.length store = 0 then 0 else Schema.arity (Colstore.schema store)
+
 let units_digest_cache (units : Tuple.t array) : digest_cache =
-  let arity = if Array.length units = 0 then 0 else Tuple.arity units.(0) in
-  { dc_units = Array.length units; dc_cols = Array.init arity (column_digest units) }
+  cache_of ~units:(Array.length units) ~arity:(rows_arity units) (column_digest units)
 
 let units_digest (units : Tuple.t array) : int = digest_of_cache (units_digest_cache units)
 
 let units_digest_incremental (prev : digest_cache) ~(dirty : int list)
     (units : Tuple.t array) : digest_cache =
-  let arity = if Array.length units = 0 then 0 else Tuple.arity units.(0) in
-  if Array.length units <> prev.dc_units || arity <> Array.length prev.dc_cols then
-    (* shape changed under a non-structural claim: recompute rather than
-       trust a summary that cannot be right *)
-    units_digest_cache units
-  else begin
-    let cols = Array.copy prev.dc_cols in
-    List.iter (fun j -> if j >= 0 && j < arity then cols.(j) <- column_digest units j) dirty;
-    { prev with dc_cols = cols }
-  end
+  incremental prev ~dirty ~units:(Array.length units) ~arity:(rows_arity units)
+    (column_digest units)
+
+let store_digest_cache (store : Colstore.t) : digest_cache =
+  cache_of ~units:(Colstore.length store) ~arity:(store_arity store) (store_column_digest store)
+
+let store_digest_incremental (prev : digest_cache) ~(dirty : int list) (store : Colstore.t) :
+    digest_cache =
+  incremental prev ~dirty ~units:(Colstore.length store) ~arity:(store_arity store)
+    (store_column_digest store)

@@ -139,3 +139,17 @@ val digest_of_cache : digest_cache -> int
     {!Sgl_relalg.Delta} dirty-attribute contract).  Falls back to a full
     recomputation when the row count or arity differs from [prev]. *)
 val units_digest_incremental : digest_cache -> dirty:int list -> Tuple.t array -> digest_cache
+
+(** {2 From the column store}
+
+    The same digest read from a {!Sgl_relalg.Colstore.t}: the cache
+    [store_digest_cache s] is equal to [units_digest_cache
+    (Colstore.to_array s)], computed without materialising a row or an
+    encoded byte.  [Floats] and [Ints] columns fold a whole typed array
+    into the CRC register per call; [Bools] and [Boxed] columns take the
+    same per-value path as the row functions above. *)
+
+val store_digest_cache : Colstore.t -> digest_cache
+
+(** As {!units_digest_incremental}, over the store's columns. *)
+val store_digest_incremental : digest_cache -> dirty:int list -> Colstore.t -> digest_cache

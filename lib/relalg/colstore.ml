@@ -26,12 +26,11 @@ let tel_column_copies = Telemetry.counter "relalg.column_copies"
 let tel_cow_hits = Telemetry.counter "persist.snapshot_cow_hits"
 
 let check_arity who arity (rows : Tuple.t array) =
-  Array.iter
-    (fun row ->
-      if Array.length row <> arity then
-        invalid_arg
-          (Printf.sprintf "%s: a row of length %d, schema arity %d" who (Array.length row) arity))
-    rows
+  for i = 0 to Array.length rows - 1 do
+    let len = Array.length (Array.unsafe_get rows i) in
+    if len <> arity then
+      invalid_arg (Printf.sprintf "%s: a row of length %d, schema arity %d" who len arity)
+  done
 
 (* Build fresh columns for the attributes [js] from boxed rows, in one
    row-major pass (a pass per column re-reads every row: 1.7x slower on
@@ -100,6 +99,44 @@ let int_reader t j =
   | Ints a -> Some (fun i -> Array.unsafe_get a i)
   | Floats _ | Bools _ | Boxed _ -> None
 
+(* Fresh copies of the columns [js] with only the positions [ps]
+   (ascending) rewritten from [rows], in one row-major pass as in
+   [build_cols].  A column comes back [None] when a written value lacks
+   its constructor, or when it is a [Boxed] column of a non-vec type (a
+   write may have removed its last mismatched value): the caller rebuilds
+   those under the typed-or-[Boxed] rule. *)
+let patch_cols schema (rows : Tuple.t array) (ps : int array) (js : int array) (cols : col array) :
+    col option array =
+  let np = Array.length ps in
+  if np > 0 && ps.(np - 1) >= Array.length rows then Array.map (fun _ -> None) js
+  else begin
+    let fresh =
+      Array.map
+        (fun j ->
+          match cols.(j) with
+          | Floats a -> Some (Floats (Array.copy a))
+          | Ints a -> Some (Ints (Array.copy a))
+          | Bools a -> Some (Bools (Bytes.copy a))
+          | Boxed a when Schema.ty_at schema j = Value.TVec -> Some (Boxed (Array.copy a))
+          | Boxed _ -> None)
+        js
+    in
+    for q = 0 to np - 1 do
+      let i = ps.(q) in
+      let row = rows.(i) in
+      for k = 0 to Array.length js - 1 do
+        match (fresh.(k), row.(js.(k))) with
+        | None, _ -> ()
+        | Some (Floats a), Value.Float f -> a.(i) <- f
+        | Some (Ints a), Value.Int v -> a.(i) <- v
+        | Some (Bools a), Value.Bool b -> Bytes.set a i (if b then '\001' else '\000')
+        | Some (Boxed a), v -> a.(i) <- v
+        | Some (Floats _ | Ints _ | Bools _), _ -> fresh.(k) <- None
+      done
+    done;
+    fresh
+  end
+
 let refresh ?delta t rows =
   check_arity "Colstore.refresh" t.arity rows;
   let rebuild () =
@@ -113,9 +150,26 @@ let refresh ?delta t rows =
     | Some d ->
       if Delta.structural d || Array.length rows <> t.len then rebuild ()
       else begin
-        let dirty = Array.of_list (List.filter (Delta.dirty_attr d) (List.init t.arity Fun.id)) in
-        let fresh = build_cols t.schema rows dirty in
-        Array.iteri (fun k j -> t.cols.(j) <- fresh.(k)) dirty;
+        (* Copy-on-write: a dirty column becomes its old array with the
+           dirty positions rewritten, and the columns no patch can keep
+           rebuild from the rows in one pass.  Past half the positions
+           written, every dirty column rebuilds: that reads barely more
+           rows than the patch and skips the copies (with every position
+           of 12k rows dirty, patching timed about 1.3x slower). *)
+        let dirty =
+          Array.of_list (List.filter (Delta.dirty_attr d) (List.init t.arity Fun.id))
+        in
+        let patched =
+          if 2 * Delta.dirty_key_count d > t.len then Array.map (fun _ -> None) dirty
+          else patch_cols t.schema rows (Delta.dirty_positions d) dirty t.cols
+        in
+        Array.iteri (fun k c -> Option.iter (fun c -> t.cols.(dirty.(k)) <- c) c) patched;
+        let unpatched =
+          Array.of_list
+            (List.filteri (fun k _ -> Option.is_none patched.(k)) (Array.to_list dirty))
+        in
+        let fresh = build_cols t.schema rows unpatched in
+        Array.iteri (fun k j -> t.cols.(j) <- fresh.(k)) unpatched;
         Telemetry.Counter.add tel_column_copies (Array.length dirty);
         Telemetry.Counter.add tel_cow_hits (t.arity - Array.length dirty)
       end

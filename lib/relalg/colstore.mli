@@ -47,11 +47,21 @@ val int_reader : t -> int -> (int -> int) option
     [Invalid_argument] when a row's length is not the schema arity.
     With a non-structural [delta] of matching population, clean columns are
     kept as-is — their values are unchanged, so the previous arrays remain
-    valid (counted as [persist.snapshot_cow_hits]) — and only dirty columns
-    are rebuilt into fresh arrays (counted as [relalg.column_copies]).
-    Rebuilds never mutate previously exposed arrays, so readers captured by
-    cross-tick index structures stay coherent.  Without a delta, or on a
-    structural tick, every column rebuilds. *)
+    valid (counted as [persist.snapshot_cow_hits]) — and each dirty column
+    (counted as [relalg.column_copies]) becomes a fresh copy of its old
+    array with only the delta's dirty positions ({!Delta.dirty_positions})
+    rewritten from [rows]: work per dirty column is one array copy plus
+    the tick's writes, not a pass over the rows.  A column the patch
+    cannot keep under the typed-or-[Boxed] rule — a written value without
+    the column's constructor, or a [Boxed] column of a non-vec type —
+    rebuilds from [rows] instead, and so does every dirty column when
+    more than half the positions are dirty (one row-major pass then reads
+    barely more rows than the patch and skips the copies).  Either way the result is the store
+    {!of_tuples} would build from [rows], provided the delta covers every
+    change (the {!Delta} contract).  Refreshes never mutate previously
+    exposed arrays, so a {!snapshot} and readers captured by cross-tick
+    index structures stay coherent.  Without a delta, or on a structural
+    tick, every column rebuilds. *)
 val refresh : ?delta:Delta.t -> t -> Tuple.t array -> unit
 
 (** Shallow snapshot sharing every column array with [t] — O(arity).

@@ -68,6 +68,18 @@ let dirty_pos (t : t) (pos : int) : bool =
 
 let dirty_key_count (t : t) : int = t.n_dirty_units
 
+let dirty_positions (t : t) : int array =
+  let out = Array.make t.n_dirty_units 0 and k = ref 0 and pos = ref 0 in
+  (* stops at the last dirty position *)
+  while !k < t.n_dirty_units do
+    if Bytes.get t.dirty_units !pos <> '\000' then begin
+      out.(!k) <- !pos;
+      incr k
+    end;
+    incr pos
+  done;
+  out
+
 let dirty_attrs (t : t) : int list =
   let out = ref [] in
   for i = Array.length t.dirty_attrs - 1 downto 0 do

@@ -31,6 +31,9 @@ val dirty_pos : t -> int -> bool
 (** Dirty units (positions recorded at least once). *)
 val dirty_key_count : t -> int
 
+(** The dirty positions, ascending: one pass over the position map. *)
+val dirty_positions : t -> int array
+
 (** Dirty attributes, ascending. *)
 val dirty_attrs : t -> int list
 

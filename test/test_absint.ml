@@ -281,6 +281,80 @@ let crc_combine_law =
     (fun (a, b) ->
       C.combine (C.string a) (C.string b) ~len_b:(String.length b) = C.string (a ^ b))
 
+(* The check value every CRC-32/ISO-HDLC implementation publishes. *)
+let crc_known_answer () =
+  let module C = Sgl_util.Crc32 in
+  Alcotest.(check string) "crc32 \"123456789\"" "cbf43926" (C.to_hex (C.string "123456789"));
+  Alcotest.(check string) "update_bytes from the middle" "cbf43926"
+    (C.to_hex (C.update_bytes C.empty (Bytes.of_string "xx123456789yy") ~pos:2 ~len:9))
+
+(* Bit-at-a-time CRC-32 straight from the polynomial: no table, so it
+   shares nothing with the word-at-a-time implementation under test. *)
+let crc_reference (crc : int) (s : string) ~(pos : int) ~(len : int) : int =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let crc_slices_law =
+  let module C = Sgl_util.Crc32 in
+  QCheck.Test.make ~name:"crc32: word-at-a-time update = bytewise reference at every pos/len"
+    ~count:150
+    QCheck.(pair (string_of_size Gen.(int_range 0 72)) (int_bound 0xFFFFFFF))
+    (fun (s, seed) ->
+      let crc = (seed * 2654435761) land 0xFFFFFFFF in
+      let n = String.length s in
+      let ok = ref (C.string s = crc_reference 0 s ~pos:0 ~len:n) in
+      for pos = 0 to n do
+        for len = 0 to min 40 (n - pos) do
+          let want = crc_reference crc s ~pos ~len in
+          if C.update crc s ~pos ~len <> want
+             || C.update_bytes crc (Bytes.of_string s) ~pos ~len <> want
+          then ok := false
+        done
+      done;
+      !ok)
+
+(* The fixed-width feeds fold exactly the bytes a little-endian writer
+   emits for the value. *)
+let crc_fixed_width_law =
+  let module C = Sgl_util.Crc32 in
+  let le64 (v : int64) =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    Bytes.to_string b
+  in
+  let bytes_of crc s = crc_reference crc s ~pos:0 ~len:(String.length s) in
+  let prefixed prefix words =
+    String.concat "" (List.map (fun w -> String.make 1 (Char.chr prefix) ^ le64 w) words)
+  in
+  let gen_int = QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; 0; -1; 1 lsl 32 ] ]) in
+  let gen_float =
+    QCheck.Gen.(oneof [ float; oneofl [ nan; -0.; infinity; neg_infinity; Float.min_float ] ])
+  in
+  QCheck.Test.make ~name:"crc32: fixed-width feeds = bytewise reference over their bytes"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          quad (int_bound 0xFFFFFFF) (int_bound 255)
+            (array_size (int_range 0 12) gen_int)
+            (array_size (int_range 0 12) gen_float)))
+    (fun (crc, prefix, ints, floats) ->
+      let int_words = List.map Int64.of_int (Array.to_list ints) in
+      let float_words = List.map Int64.bits_of_float (Array.to_list floats) in
+      C.update_byte crc prefix = bytes_of crc (String.make 1 (Char.chr prefix))
+      && Array.for_all (fun i -> C.update_int crc i = bytes_of crc (le64 (Int64.of_int i))) ints
+      && Array.for_all
+           (fun f -> C.update_float crc f = bytes_of crc (le64 (Int64.bits_of_float f)))
+           floats
+      && C.update_prefixed_ints crc ~prefix ints = bytes_of crc (prefixed prefix int_words)
+      && C.update_prefixed_floats crc ~prefix floats = bytes_of crc (prefixed prefix float_words))
+
 (* ------------------------------------------------------------------ *)
 (* Incremental column digests: recomputing only the dirty columns must
    always land on the full digest. *)
@@ -344,6 +418,9 @@ let suite =
         Alcotest.test_case "battle shard-locality certificates" `Quick battle_certificates;
         Alcotest.test_case "crc32 combine identity" `Quick crc_combine;
         QCheck_alcotest.to_alcotest crc_combine_law;
+        Alcotest.test_case "crc32 known answer" `Quick crc_known_answer;
+        QCheck_alcotest.to_alcotest crc_slices_law;
+        QCheck_alcotest.to_alcotest crc_fixed_width_law;
         Alcotest.test_case "incremental column digest" `Quick digest_incremental;
         QCheck_alcotest.to_alcotest digest_incremental_law;
       ] );

@@ -8,6 +8,9 @@
 open Sgl_util
 open Sgl_relalg
 
+module Codec = Sgl_persist.Codec
+module Checkpoint = Sgl_persist.Checkpoint
+
 let qtest = QCheck_alcotest.to_alcotest
 
 (* Tag-strict equality: [Value.equal] identifies [Int 2] with [Float 2.],
@@ -304,6 +307,166 @@ let test_snapshot_survives_refresh () =
     (rows_strict_eq moved (Colstore.to_array snap2))
 
 (* ------------------------------------------------------------------ *)
+(* Copy-on-write refresh as a patch: random non-structural deltas whose
+   writes are tag-exact, tag-mismatched (the column must box), or the
+   value already there; and deltas with no dirty position at all.  The
+   refreshed store must be exactly the store [of_tuples] builds from the
+   new rows — the same column kinds and cells — and a snapshot taken
+   before must still read the old rows. *)
+
+type write = Exact | Mismatched | Same
+
+let mismatched_for (ty : Value.ty) : Value.t QCheck.Gen.t =
+  QCheck.Gen.(
+    match ty with
+    | Value.TFloat | Value.TBool -> map (fun i -> Value.Int i) small_signed_int
+    | Value.TInt -> map (fun f -> Value.Float f) (float_range (-1e3) 1e3)
+    | Value.TVec -> gen_exact_value_for Value.TVec)
+
+let gen_patch_input =
+  QCheck.Gen.(
+    let* schema = gen_schema in
+    let arity = Schema.arity schema in
+    let* rows = array_size (int_range 1 40) (gen_row schema) in
+    Array.iteri (fun i row -> row.(0) <- Value.Int i) rows;
+    let n = Array.length rows in
+    let gen_write =
+      let* kind = frequencyl [ (3, Exact); (1, Mismatched); (1, Same) ] in
+      let* attr = if arity > 1 then int_range 1 (arity - 1) else return 0 in
+      let* pos = int_bound (n - 1) in
+      let ty = Schema.ty_at schema attr in
+      let+ v =
+        match kind with
+        | Exact -> gen_exact_value_for ty
+        | Mismatched -> mismatched_for ty
+        | Same -> return rows.(pos).(attr)
+      in
+      (attr, pos, v)
+    in
+    let* writes = frequency [ (1, return []); (5, list_size (int_range 1 12) gen_write) ] in
+    return (schema, rows, writes))
+
+let cells store j =
+  Array.init (Colstore.length store) (fun i -> (Colstore.materialize store i).(j))
+
+let same_kind (a : Colstore.col) (b : Colstore.col) =
+  match (a, b) with
+  | Colstore.Floats _, Colstore.Floats _
+  | Colstore.Ints _, Colstore.Ints _
+  | Colstore.Bools _, Colstore.Bools _
+  | Colstore.Boxed _, Colstore.Boxed _ ->
+    true
+  | _ -> false
+
+let law_refresh_patch =
+  QCheck.Test.make ~name:"copy-on-write refresh patches to exactly of_tuples of the new rows"
+    ~count:400 (QCheck.make gen_patch_input) (fun (schema, rows, writes) ->
+      let store = Colstore.of_tuples schema rows in
+      let snap = Colstore.snapshot store in
+      let after = Array.map Tuple.copy rows in
+      let delta = Delta.create schema in
+      List.iter
+        (fun (attr, pos, v) ->
+          after.(pos).(attr) <- v;
+          Delta.record delta ~attr ~pos)
+        writes;
+      Colstore.refresh ~delta store after;
+      let expected = Colstore.of_tuples schema after in
+      rows_strict_eq after (Colstore.to_array store)
+      && List.for_all
+           (fun j ->
+             same_kind (Colstore.col expected j) (Colstore.col store j)
+             && Array.for_all2 value_strict_eq (cells expected j) (cells store j))
+           (List.init (Schema.arity schema) Fun.id)
+      && rows_strict_eq rows (Colstore.to_array snap))
+
+(* ------------------------------------------------------------------ *)
+(* The state digest read from the store equals the digest of its rows,
+   full and after an incremental refresh, on every kind of column and on
+   the bit patterns a float or an int can hold at its edges; and the row
+   digest is the CRC of the documented column-major [W.value] encoding. *)
+
+let digest_schema =
+  Schema.create
+    [
+      Schema.attr "key" Value.TInt; Schema.attr "f" Value.TFloat; Schema.attr "i" Value.TInt;
+      Schema.attr "b" Value.TBool; Schema.attr "m" Value.TFloat; Schema.attr "v" Value.TVec;
+    ]
+
+let gen_edge_float =
+  QCheck.Gen.(
+    oneof [ float; oneofl [ nan; -.nan; -0.; 0.; infinity; neg_infinity; Float.min_float ] ])
+
+let gen_edge_int = QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ])
+
+(* Column "m" is float-typed but holds an [Int] in some row whenever there
+   are rows, so it is [Boxed] by the tag-mismatch rule. *)
+let gen_digest_row i : Tuple.t QCheck.Gen.t =
+  QCheck.Gen.(
+    let* f = gen_edge_float and* n = gen_edge_int and* b = bool and* m = gen_edge_float in
+    let* x = gen_edge_float and* y = gen_edge_float in
+    return
+      [|
+        Value.Int i; Value.Float f; Value.Int n; Value.Bool b;
+        (if i = 0 then Value.Int (Float.to_int m) else Value.Float m); Value.Vec (Vec2.make x y);
+      |])
+
+let gen_digest_input =
+  QCheck.Gen.(
+    let* n = int_range 0 30 in
+    let* rows = flatten_a (Array.init n gen_digest_row) in
+    let* fresh = flatten_a (Array.init n (fun i -> gen_digest_row i)) in
+    let* dirty = list_size (int_range 0 5) (int_range 1 5) in
+    let* every = int_range 1 3 in
+    return (rows, fresh, List.sort_uniq compare dirty, every))
+
+(* CRC-32 of the encoding the codec documents: u32 count, u16 arity, then
+   each column's [W.value] bytes down the rows. *)
+let reference_digest (rows : Tuple.t array) : int =
+  let b = Codec.W.create () in
+  let arity = if Array.length rows = 0 then 0 else Array.length rows.(0) in
+  Codec.W.u32 b (Array.length rows);
+  Codec.W.u16 b arity;
+  for j = 0 to arity - 1 do
+    Array.iter (fun row -> Codec.W.value b row.(j)) rows
+  done;
+  Crc32.string (Codec.W.contents b)
+
+let law_store_digest =
+  QCheck.Test.make ~name:"store digest = units_digest of its rows, full and incremental"
+    ~count:300 (QCheck.make gen_digest_input) (fun (rows, fresh, dirty, every) ->
+      let store = Colstore.of_tuples digest_schema rows in
+      let full = Codec.store_digest_cache store in
+      let kinds_covered =
+        Array.length rows = 0
+        || (match List.init 6 (Colstore.col store) with
+           | [ Colstore.Ints _; Colstore.Floats _; Colstore.Ints _; Colstore.Bools _;
+               Colstore.Boxed _; Colstore.Boxed _ ] ->
+             true
+           | _ -> false)
+      in
+      (* rewrite the dirty attributes on every [every]-th row *)
+      let after = Array.map Tuple.copy rows in
+      let delta = Delta.create digest_schema in
+      Array.iteri
+        (fun i row ->
+          if i mod every = 0 then
+            List.iter
+              (fun j ->
+                row.(j) <- fresh.(i).(j);
+                Delta.record delta ~attr:j ~pos:i)
+              dirty)
+        after;
+      Colstore.refresh ~delta store after;
+      let incr = Codec.store_digest_incremental full ~dirty store in
+      kinds_covered
+      && Codec.digest_of_cache full = Codec.units_digest rows
+      && Codec.units_digest rows = reference_digest rows
+      && Codec.digest_of_cache incr = Codec.units_digest (Colstore.to_array store)
+      && Codec.digest_of_cache incr = Codec.units_digest after
+      && Codec.digest_of_cache (Codec.store_digest_cache store) = Codec.units_digest after)
+
+(* ------------------------------------------------------------------ *)
 (* Relation view: map/filter preserve extension slots (satellite fix). *)
 
 let test_relation_preserves_extensions () =
@@ -413,8 +576,6 @@ let test_100k_population () =
 (* Checkpoint compatibility: a version-1 (row-major UNIT) file must load
    to the same state the version-2 columnar writer round-trips. *)
 
-module Codec = Sgl_persist.Codec
-module Checkpoint = Sgl_persist.Checkpoint
 
 let encode_v1 ~schema (st : Checkpoint.state) : string =
   let b = Buffer.create 4096 in
@@ -556,6 +717,8 @@ let suite =
         qtest law_refresh;
         Alcotest.test_case "refresh shares clean columns" `Quick test_refresh_shares_clean_columns;
         Alcotest.test_case "snapshot survives refresh" `Quick test_snapshot_survives_refresh;
+        qtest law_refresh_patch;
+        qtest law_store_digest;
         Alcotest.test_case "relation map/filter preserve extensions" `Quick
           test_relation_preserves_extensions;
         Alcotest.test_case "relation isolates callers from stored rows" `Quick

@@ -737,6 +737,88 @@ let test_delta_covers_shuffled_keys () =
     if not (Delta.covers ~summary ~truth) then
       Alcotest.failf "summary %a does not cover truth %a" Delta.pp summary Delta.pp truth
 
+(* (d) Movement's fill pass reads the committed posx/posy columns at each
+   survivor's position in the tick's array, and the row instead wherever
+   post-processing owns it.  Each case runs movement twice from the same
+   inputs, with the store and with rows only; the occupancy and the final
+   rows must agree.  Returns the store-reading run's rows. *)
+let movement_reads_like_rows ~tick_units ~survivors ~positions ~owned ~vectors =
+  let s = aliasing_schema () in
+  let a = Schema.find s in
+  let config =
+    {
+      Movement.posx = a "posx"; posy = a "posy"; mvx = a "movevect_x"; mvy = a "movevect_y";
+      speed = 5.; speed_attr = None; width = 32; height = 32;
+    }
+  in
+  let run cols =
+    let units = Array.map Tuple.copy survivors in
+    let acc = Combine.Acc.create s ~positions:(Array.length tick_units) in
+    List.iter
+      (fun (pos, vx, vy) ->
+        Combine.Acc.add_attr acc ~base:tick_units.(pos) ~pos (a "movevect_x") (Value.Float vx);
+        Combine.Acc.add_attr acc ~base:tick_units.(pos) ~pos (a "movevect_y") (Value.Float vy))
+      vectors;
+    let g = Movement.create_grid config in
+    Movement.run ?cols ~owned ~positions g ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
+    let cells =
+      List.concat_map
+        (fun x ->
+          List.filter_map
+            (fun y -> if Movement.occupied g x y then Some (x, y) else None)
+            (List.init 32 Fun.id))
+        (List.init 32 Fun.id)
+    in
+    (units, cells)
+  in
+  let got, got_cells = run (Some (Colstore.of_tuples s tick_units)) in
+  let want, want_cells = run None in
+  Alcotest.(check (list (pair int int))) "occupancy equals the row-reading reference" want_cells
+    got_cells;
+  Alcotest.(check bool) "final rows equal the row-reading reference" true
+    (Array.for_all2 (fun u v -> Array.for_all2 Value.identical u v) want got);
+  got
+
+let cell_of row =
+  let s = aliasing_schema () in
+  let at name = Value.to_float (Tuple.get row (Schema.find s name)) in
+  (at "posx", at "posy")
+
+(* Post-processing moved unit 0 from (5, 5) to (7, 5) in its own copy; the
+   column still says (5, 5).  The mover's full step lands on (7, 5), so
+   it must take the half step. *)
+let test_movement_owned_row_over_column () =
+  let s = aliasing_schema () in
+  let tick_units =
+    [| aliasing_unit s ~key:0 (5., 5.); aliasing_unit s ~key:1 ~v:(-2., 0.) (9., 5.) |]
+  in
+  let rewritten = Tuple.copy tick_units.(0) in
+  Tuple.set rewritten (Schema.find s "posx") (Value.Float 7.);
+  let got =
+    movement_reads_like_rows ~tick_units ~survivors:[| rewritten; tick_units.(1) |]
+      ~positions:[| 0; 1 |] ~owned:[| true; false |] ~vectors:[ (1, -2., 0.) ]
+  in
+  Alcotest.(check (pair (float 0.) (float 0.))) "the mover stops short of the rewritten cell"
+    (8., 5.) (cell_of got.(1))
+
+(* A removed death at position 0 shifts the survivors down one index:
+   survivor 0 (the mover) reads its cell at position 1. *)
+let test_movement_death_ahead_of_mover_columns () =
+  let s = aliasing_schema () in
+  let tick_units =
+    [|
+      aliasing_unit s ~key:7 ~v:(3., 0.) (2., 2.);
+      aliasing_unit s ~key:3 ~v:(0., 2.) (10., 10.);
+      aliasing_unit s ~key:5 (10., 13.);
+    |]
+  in
+  let got =
+    movement_reads_like_rows ~tick_units ~survivors:[| tick_units.(1); tick_units.(2) |]
+      ~positions:[| 1; 2 |] ~owned:[| false; false |] ~vectors:[ (0, 3., 0.); (1, 0., 2.) ]
+  in
+  Alcotest.(check (pair (float 0.) (float 0.))) "the mover moves by its own vector" (10., 12.)
+    (cell_of got.(0))
+
 let base_suite =
   let tc = Alcotest.test_case in
   [
@@ -776,6 +858,10 @@ let base_suite =
         tc "a removed death ahead of a mover" `Quick test_removed_death_ahead_of_mover;
         tc "key target on shuffled keys" `Quick test_key_target_shuffled_keys;
         tc "delta covers truth on shuffled keys" `Quick test_delta_covers_shuffled_keys;
+        tc "movement reads an owned row over its column" `Quick
+          test_movement_owned_row_over_column;
+        tc "movement reads columns past a removed death" `Quick
+          test_movement_death_ahead_of_mover_columns;
       ] );
   ]
 
