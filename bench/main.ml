@@ -655,24 +655,6 @@ let interleaved ~(rounds : int) (rows : (string * (unit -> unit)) list) : unit =
       pr "%-36s %10.1f %10.1f %10.1f@." name med q1 q3)
     rows
 
-(* The byte-at-a-time CRC-32 loop, as a baseline for the word-at-a-time
-   [Crc32]. *)
-let crc32_bytewise =
-  let table =
-    Array.init 256 (fun n ->
-        let c = ref n in
-        for _ = 0 to 7 do
-          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-        done;
-        !c)
-  in
-  fun (s : string) ->
-    let c = ref 0xFFFFFFFF in
-    for i = 0 to String.length s - 1 do
-      c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
-    done;
-    !c lxor 0xFFFFFFFF
-
 let micro () =
   header "Micro-benchmarks (Bechamel, monotonic clock; ns per run)";
   let open Bechamel in
@@ -718,7 +700,8 @@ let micro () =
   (* The sentry's per-unit layers: 50k battle units in distinct cells, no
      effects for post-processing (every row stays shared), and a move
      vector for one unit in a hundred.  Movement starts each run from the
-     same rows: it never writes into them, only into its own copies. *)
+     same rows, whose committed store its fill reads: it never writes into
+     them, only into its own copies. *)
   let n50 = 50_000 in
   let schema = Battle.Unit_types.schema () in
   let units50 =
@@ -753,6 +736,7 @@ let micro () =
     }
   in
   let grid = Movement.create_grid mconfig and moved = Array.copy units50 in
+  let cols50 = Sgl_relalg.Colstore.of_tuples schema units50 in
   let order50 = Array.init n50 Fun.id in
   (* The commit after a tick with a death: a structural delta, so every
      column of the 12k-unit battle's rows is rebuilt. *)
@@ -773,7 +757,7 @@ let micro () =
       Test.make ~name:"movement_50k_1pct"
         (Staged.stage (fun () ->
              Array.blit units50 0 moved 0 n50;
-             Movement.run grid ~prng ~tick:(next ()) ~units:moved ~acc:movers));
+             Movement.run ~cols:cols50 grid ~prng ~tick:(next ()) ~units:moved ~acc:movers));
       Test.make ~name:"acc_add_attr_12k"
         (Staged.stage (fun () ->
              Combine.Acc.reset acc12k ~positions:6000;
@@ -878,7 +862,6 @@ let micro () =
   interleaved ~rounds:31
     [
       ("crc32_450k", fun () -> ignore (Persist.Crc32.string column450k));
-      ("crc32_450k_bytewise", fun () -> ignore (crc32_bytewise column450k));
       ( "digest_50k_one_dirty_col_rows",
         fun () ->
           ignore (Persist.Codec.units_digest_incremental rows_cache ~dirty:[ posx ] moved50) );

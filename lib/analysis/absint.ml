@@ -512,7 +512,11 @@ let abs_binop ~raise_alarm (op : Expr.binop) ~(square : bool) (va : t) (vb : t) 
         let k = num_view vb in
         let mz = contains0 k in
         if k.lo = 0. && k.hi = 0. && not k.nan then (None, true)
-        else (Some (fdiv x k, fdiv y k), mz)
+        else
+          (* [Value.div] scales by the reciprocal, and x *. (1. /. k) can
+             differ from x /. k in the last place. *)
+          let r = fdiv { lo = 1.; hi = 1.; nan = false } k in
+          (Some (fmul x r, fmul y r), mz)
       | _ -> (None, false)
     in
     if has_vec va && has_num vb && vec_zero then raise_alarm Div_by_zero;

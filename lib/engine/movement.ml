@@ -166,12 +166,14 @@ let random_free_cell g (prng : Prng.t) ~(tick : int) ~(salt : int) : (int * int)
    Three passes: a sequential one fills the grid and marks the units with
    a nonzero decided vector; the shuffled one decides the moves against
    the grid, reading only the marked rows; a last sequential one writes
-   the moved rows.  With [cols] (the committed store of the tick's unit
-   array) the fill reads cells from the typed posx/posy columns through
-   [positions], touching a row only where post-processing owns it.  Writing in array order keeps the new rows in memory
-   in the order scans read them. *)
-let run ?(delta : Delta.t option) ?cols ?(owned = [||]) ?(positions = [||]) (g : grid)
-    ~(prng : Prng.t) ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) : unit =
+   the moved rows.  The fill reads cells from [cols] (the committed store
+   of the tick's unit array) through [positions], touching a row only
+   where post-processing owns it or a column is not pure floats.  Writing
+   in array order keeps the new rows in memory in the order scans read
+   them. *)
+let run ?(delta : Delta.t option) ~(cols : Colstore.t) ?(owned = [||]) ?(positions = [||])
+    (g : grid) ~(prng : Prng.t) ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) :
+    unit =
   let config = g.config in
   let n = Array.length units in
   let identity = Array.length positions = 0 in
@@ -185,8 +187,8 @@ let run ?(delta : Delta.t option) ?cols ?(owned = [||]) ?(positions = [||]) (g :
   (* The committed x/y columns, when both are pure floats: a cell read
      from them is the row's, [Value.to_int (Float f) = int_of_float f]. *)
   let xs, ys =
-    match Option.map (fun s -> (Colstore.col s config.posx, Colstore.col s config.posy)) cols with
-    | Some (Colstore.Floats xs, Colstore.Floats ys) -> (xs, ys)
+    match (Colstore.col cols config.posx, Colstore.col cols config.posy) with
+    | Colstore.Floats xs, Colstore.Floats ys -> (xs, ys)
     | _ -> ([||], [||])
   in
   let from_cols = Array.length xs > 0 in

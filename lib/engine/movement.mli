@@ -51,8 +51,8 @@ val random_free_cell : grid -> Prng.t -> tick:int -> salt:int -> (int * int) opt
     x only, y only.  [positions.(i)] is the position [units.(i)] had in
     the tick's unit array ({!Postprocess.outcome}); its decided vector is
     read from that slot of [acc] with one array load, and omitted
-    [positions] mean the identity.  [cols], when given, is the committed
-    column store of that tick's unit array: the fill reads each
+    [positions] mean the identity.  [cols] is the committed column
+    store of that tick's unit array: the fill reads each
     survivor's cell from its posx/posy columns at [positions.(i)], and
     reads the row instead where [owned.(i)] (post-processing may have
     rewritten its position) or where either column is not [Floats].  A
@@ -64,7 +64,7 @@ val random_free_cell : grid -> Prng.t -> tick:int -> salt:int -> (int * int) opt
     bookkeeping). *)
 val run :
   ?delta:Delta.t ->
-  ?cols:Colstore.t ->
+  cols:Colstore.t ->
   ?owned:bool array ->
   ?positions:int array ->
   grid ->

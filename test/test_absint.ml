@@ -40,6 +40,16 @@ let domain_basics () =
     Alcotest.(check (float 0.)) "num hi" 5. hi
   | None -> Alcotest.fail "[1,5] has numeric bounds"
 
+(* [Value.div] scales a vector by the reciprocal: 9. *. (1. /. 7.) and
+   9. /. 7. differ in the last place, and the inferred interval must hold
+   the value evaluation gives. *)
+let vec_div_rounding () =
+  let f x = Expr.Const (Value.Float x) in
+  let e = Expr.Binop (Expr.Div, Expr.VecOf (f 9., f (-4.)), f 7.) in
+  let d, _ = Absint.eval { Absint.u = (fun _ -> Absint.top); e = None } e in
+  let v = Expr.eval { Expr.u = [||]; e = None; rand = (fun _ -> 0) } e in
+  Alcotest.(check bool) "9/7 scaled by the reciprocal is in the interval" true (Absint.mem v d)
+
 (* ------------------------------------------------------------------ *)
 (* Soundness law: wherever concrete evaluation succeeds its value is a
    member of the abstract result, and an abstract "no error" verdict
@@ -413,6 +423,7 @@ let suite =
       [
         Alcotest.test_case "domain basics" `Quick domain_basics;
         QCheck_alcotest.to_alcotest eval_soundness;
+        Alcotest.test_case "vector division rounds like evaluation" `Quick vec_div_rounding;
         Alcotest.test_case "oracle prove/fold with validation" `Quick oracle_prove_fold;
         Alcotest.test_case "untrusting oracle ignores declared ranges" `Quick oracle_untrusted;
         Alcotest.test_case "battle shard-locality certificates" `Quick battle_certificates;

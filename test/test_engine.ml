@@ -124,7 +124,7 @@ let move_one s config ~units ~vectors =
     vectors;
   let prng = Prng.create 1 in
   let g = Movement.create_grid config in
-  Movement.run g ~prng ~tick:0 ~units ~acc;
+  Movement.run ~cols:(Colstore.of_tuples s units) g ~prng ~tick:0 ~units ~acc;
   g
 
 let test_movement_moves_and_clamps () =
@@ -182,8 +182,8 @@ let test_movement_copies_movers_only () =
   let units = [| mover; idle |] in
   let acc = Combine.Acc.create s ~positions:2 in
   Combine.Acc.add_attr acc ~base:mover ~pos:0 (a s "movevect_x") (Value.Float 1.);
-  Movement.run ~owned:[| true; false |] (Movement.create_grid config) ~prng:(Prng.create 1)
-    ~tick:0 ~units ~acc;
+  Movement.run ~cols:(Colstore.of_tuples s units) ~owned:[| true; false |]
+    (Movement.create_grid config) ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
   Alcotest.(check bool) "owned row written in place" true (units.(0) == mover);
   Alcotest.(check (float 0.)) "owned row moved" 6. (Value.to_float (Tuple.get mover (a s "posx")))
 
@@ -740,8 +740,9 @@ let test_delta_covers_shuffled_keys () =
 (* (d) Movement's fill pass reads the committed posx/posy columns at each
    survivor's position in the tick's array, and the row instead wherever
    post-processing owns it.  Each case runs movement twice from the same
-   inputs, with the store and with rows only; the occupancy and the final
-   rows must agree.  Returns the store-reading run's rows. *)
+   inputs: as given, and with every row marked owned, which makes the
+   fill read rows only.  The occupancy and the final rows must agree.
+   Returns the first run's rows. *)
 let movement_reads_like_rows ~tick_units ~survivors ~positions ~owned ~vectors =
   let s = aliasing_schema () in
   let a = Schema.find s in
@@ -751,7 +752,8 @@ let movement_reads_like_rows ~tick_units ~survivors ~positions ~owned ~vectors =
       speed = 5.; speed_attr = None; width = 32; height = 32;
     }
   in
-  let run cols =
+  let cols = Colstore.of_tuples s tick_units in
+  let run owned =
     let units = Array.map Tuple.copy survivors in
     let acc = Combine.Acc.create s ~positions:(Array.length tick_units) in
     List.iter
@@ -760,7 +762,7 @@ let movement_reads_like_rows ~tick_units ~survivors ~positions ~owned ~vectors =
         Combine.Acc.add_attr acc ~base:tick_units.(pos) ~pos (a "movevect_y") (Value.Float vy))
       vectors;
     let g = Movement.create_grid config in
-    Movement.run ?cols ~owned ~positions g ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
+    Movement.run ~cols ~owned ~positions g ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
     let cells =
       List.concat_map
         (fun x ->
@@ -771,8 +773,8 @@ let movement_reads_like_rows ~tick_units ~survivors ~positions ~owned ~vectors =
     in
     (units, cells)
   in
-  let got, got_cells = run (Some (Colstore.of_tuples s tick_units)) in
-  let want, want_cells = run None in
+  let got, got_cells = run owned in
+  let want, want_cells = run (Array.map (fun _ -> true) survivors) in
   Alcotest.(check (list (pair int int))) "occupancy equals the row-reading reference" want_cells
     got_cells;
   Alcotest.(check bool) "final rows equal the row-reading reference" true
