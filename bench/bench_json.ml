@@ -10,8 +10,11 @@
                    "ticks_per_s": 123.4,
                    "phases": { "decision_s": 0.1, ... } }, ... ] }
 
-   Hand-rolled serialization: the only values are strings and finite
-   floats, and the toolchain has no JSON library to lean on. *)
+   Hand-rolled serialization over [Telemetry]'s JSON fragments: the only
+   values are strings and finite floats, and the toolchain has no JSON
+   library to lean on. *)
+
+open Sgl
 
 let path : string option ref = ref None
 let rows : string list ref = ref [] (* serialized rows, newest first *)
@@ -23,29 +26,9 @@ let enabled () : bool = Option.is_some !path
    files (e.g. the telemetry metrics JSON) next to it. *)
 let current_path () : string option = !path
 
-let escape (s : string) : string =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_string (s : string) : string = "\"" ^ escape s ^ "\""
-
-let json_float (f : float) : string =
-  (* JSON has no NaN/Infinity; a degenerate measurement becomes null *)
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
 let json_object (fields : (string * string) list) : string =
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> json_string k ^ ": " ^ v) fields) ^ "}"
+  let field (k, v) = Telemetry.json_string k ^ ": " ^ v in
+  "{" ^ String.concat ", " (List.map field fields) ^ "}"
 
 (* One measured configuration: [config] identifies it (evaluator, units,
    churn, ...), [phases] carries the per-phase second splits. *)
@@ -55,10 +38,10 @@ let emit ~(section : string) ~(config : (string * string) list) ~(ticks_per_s : 
     rows :=
       json_object
         [
-          ("section", json_string section);
-          ("config", json_object (List.map (fun (k, v) -> (k, json_string v)) config));
-          ("ticks_per_s", json_float ticks_per_s);
-          ("phases", json_object (List.map (fun (k, v) -> (k, json_float v)) phases));
+          ("section", Telemetry.json_string section);
+          ("config", json_object (List.map (fun (k, v) -> (k, Telemetry.json_string v)) config));
+          ("ticks_per_s", Telemetry.json_float ticks_per_s);
+          ("phases", json_object (List.map (fun (k, v) -> (k, Telemetry.json_float v)) phases));
         ]
       :: !rows
 

@@ -195,11 +195,11 @@ let ablation_units ?side schema ~n ~range =
 
 (* Time evaluating [agg] once for every unit (all units probe). *)
 let time_agg_batch ~schema ~units (agg : Aggregate.t) ~(kind : [ `Naive | `Indexed ]) : float =
-  let aggregates = [| agg |] in
+  let aggregates = [| agg |] and tel = Telemetry.Registry.create () in
   let ev =
     match kind with
-    | `Naive -> Eval.naive ~aggregates
-    | `Indexed -> Eval.indexed ~schema ~aggregates ()
+    | `Naive -> Eval.naive ~tel ~aggregates
+    | `Indexed -> Eval.indexed ~tel ~schema ~aggregates ()
   in
   ev.Eval.prepare units;
   let rands = Array.map (fun _ -> fun (_ : int) -> 0) units in
@@ -353,10 +353,11 @@ script healer(u) { perform Aura(u); }
               Value.Float 0.;
             ])
     in
+    let tel = Telemetry.Registry.create () in
     let evaluator =
       match kind with
-      | `Naive -> Eval.naive ~aggregates:prog.Core_ir.aggregates
-      | `Indexed -> Eval.indexed ~schema ~aggregates:prog.Core_ir.aggregates ()
+      | `Naive -> Eval.naive ~tel ~aggregates:prog.Core_ir.aggregates
+      | `Indexed -> Eval.indexed ~tel ~schema ~aggregates:prog.Core_ir.aggregates ()
     in
     let groups = [ { Exec.script = "healer"; members = Array.init n (fun i -> i) } ] in
     let cols = Sgl_relalg.Colstore.of_tuples schema units in
@@ -417,7 +418,8 @@ let ablate_share () =
     in
     let prog = Battle.Scripts.compile () in
     let schema = prog.Core_ir.schema in
-    let evaluator = Eval.indexed ~share ~schema ~aggregates:prog.Core_ir.aggregates () in
+    let tel = Telemetry.Registry.create ~enabled:true () in
+    let evaluator = Eval.indexed ~share ~tel ~schema ~aggregates:prog.Core_ir.aggregates () in
     let compiled = Exec.compile prog in
     let units = scenario.Battle.Scenario.units in
     let kind_ix = Schema.find schema "kind" in
@@ -446,14 +448,14 @@ let ablate_share () =
               ~rand_for:(fun ~key i -> (key * 31) + i + tick)
           done)
     in
-    (seconds /. float_of_int ticks, evaluator.Eval.stats)
+    (seconds /. float_of_int ticks, Telemetry.Counter.value (Eval.counters tel).Eval.index_builds)
   in
   pr "%8s %14s %12s %14s %12s@." "units" "shared (s/t)" "builds" "private (s/t)" "builds";
   List.iter
     (fun n ->
-      let ts, ss = run ~share:true n in
-      let tp, sp = run ~share:false n in
-      pr "%8d %14.4f %12d %14.4f %12d@." n ts ss.Eval.index_builds tp sp.Eval.index_builds)
+      let ts, bs = run ~share:true n in
+      let tp, bp = run ~share:false n in
+      pr "%8d %14.4f %12d %14.4f %12d@." n ts bs tp bp)
     [ 1000; 2000; 4000 ]
 
 (* ------------------------------------------------------------------ *)

@@ -60,11 +60,11 @@ let run units ticks evaluator density seed optimize resurrect index_cache verbos
         Fault_inject.arm ~point spec)
     injects;
   let obs_enabled = obs_port <> None || flight_cap > 0 || dump_flight <> None in
-  (* Telemetry: --metrics, --explain and the live endpoint need the
-     ambient registry live; --trace-spans starts the span tracer.  All of
-     them leave unit states bit-identical — telemetry never feeds back
-     into the simulation. *)
-  if metrics <> None || explain_plans || obs_enabled then begin
+  (* Telemetry: --metrics and the live endpoint need the ambient registry
+     live (--explain reads the simulation's own, always-on registry);
+     --trace-spans starts the span tracer.  All of them leave unit states
+     bit-identical — telemetry never feeds back into the simulation. *)
+  if metrics <> None || obs_enabled then begin
     Telemetry.set_enabled true;
     Telemetry.reset ()
   end;
@@ -195,7 +195,11 @@ let run units ticks evaluator density seed optimize resurrect index_cache verbos
     (match metrics with
     | None -> ()
     | Some path ->
-      Telemetry.Registry.write_json Telemetry.default ~path;
+      (* both registries, in the shape the live endpoint's /stats uses *)
+      let doc tel = String.trim (Telemetry.Registry.to_json tel) in
+      Out_channel.with_open_text path (fun oc ->
+          Printf.fprintf oc "{\n\"ambient\": %s,\n\"sim\": %s\n}\n" (doc Telemetry.default)
+            (doc (Simulation.telemetry sim)));
       Fmt.pr "metrics: written to %s@." path);
     match trace_spans with
     | None -> ()
@@ -241,7 +245,9 @@ let run units ticks evaluator density seed optimize resurrect index_cache verbos
     List.iter (fun f -> Fmt.pr "  %a@." Fault.pp f) fs);
   if explain_plans then begin
     let prog = Battle.Scripts.compile () in
-    Fmt.pr "@.%s" (Eval.explain ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+    Fmt.pr "@.%s"
+      (Eval.explain ~tel:(Simulation.telemetry sim) ~schema:s ~aggregates:prog.Core_ir.aggregates
+         ())
   end;
   (* The deterministic state fingerprint: everything on this line is a
      pure function of (scenario, seed, ticks), so an interrupted-and-
@@ -343,8 +349,10 @@ let metrics_arg =
     value
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Enable the telemetry registry and write its counters, gauges and histograms as \
-              JSON to $(docv) after the run.")
+        ~doc:"Enable the ambient telemetry registry and write its counters, gauges and \
+              histograms, with the simulation's own registry (index builds, reuses and probes, \
+              engine counters), as JSON {\"ambient\": ..., \"sim\": ...} to $(docv) after \
+              the run.")
 
 let trace_spans_arg =
   Arg.(

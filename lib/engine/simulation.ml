@@ -58,17 +58,14 @@ let demotion = function
   | Fused | Indexed -> Some Naive
   | Naive -> None
 
-(* A fresh evaluator of the given kind.  The kernels are compiled once per
-   simulation and take the evaluator as a run-time parameter, so this is
-   all a demotion replaces. *)
-let make_evaluator ~(schema : Schema.t) ~(aggregates : Aggregate.t array) = function
-  | Naive -> Eval.naive ~aggregates
-  | Indexed | Fused -> Eval.indexed ~schema ~aggregates ()
-
-(* Global mirror in the ambient registry (gated, off by default) so
-   --metrics output carries rollbacks next to the evaluator counters; the
-   per-simulation registry below is the report's source of truth. *)
-let tel_rollbacks = Telemetry.counter "sim.rollbacks"
+(* A fresh evaluator of the given kind, counting into the simulation's
+   registry [tel].  The kernels are compiled once per simulation and take
+   the evaluator as a run-time parameter, so this is all a demotion
+   replaces; the demoted evaluator keeps counting into the same ledger. *)
+let make_evaluator ~(tel : Telemetry.Registry.t) ~(schema : Schema.t)
+    ~(aggregates : Aggregate.t array) = function
+  | Naive -> Eval.naive ~tel ~aggregates
+  | Indexed | Fused -> Eval.indexed ~tel ~schema ~aggregates ()
 
 (* Durable-state telemetry (ambient registry, gated like the rest). *)
 let tel_checkpoints = Telemetry.counter "persist.checkpoints"
@@ -105,9 +102,9 @@ type timings = {
 (* What one committed tick did, as deltas against the previous commit.
    Handed to the observer (the flight recorder) right after the
    durability hooks, so a sample describes exactly the state a crash
-   would recover to.  Everything here is derived from state the engine
-   already tracks; the digest is the only extra per-tick cost, and it is
-   computed only when an observer is installed. *)
+   would recover to.  It is the difference of two reads of the engine's
+   ledger ([read] below); the digest is the only extra per-tick cost, and
+   it is computed only when an observer is installed. *)
 type tick_sample = {
   s_tick : int;
   s_units : int;
@@ -167,11 +164,13 @@ type t = {
   mutable tick : int;
   timings : timings;
   (* The per-simulation telemetry registry: always enabled, private to
-     this simulation, the single source of truth for the report's engine
-     counters.  Counters (not mutable fields) so the transactional tick
-     can snapshot/restore them with [Counter.value]/[Counter.set] and so
-     they read uniformly with the ambient registry's metrics. *)
+     this simulation, the engine's one ledger.  The report, the tick
+     samples and EXPLAIN all read it.  Counters (not mutable fields) so
+     the transactional tick can snapshot/restore them with
+     [Counter.value]/[Counter.set] and so they read uniformly with the
+     ambient registry's metrics. *)
   tel : Telemetry.Registry.t;
+  eval_counters : Eval.counters; (* what every evaluator of this simulation counts into *)
   c_deaths : Telemetry.counter;
   c_resurrections : Telemetry.counter;
   c_retries : Telemetry.counter; (* tick retries by Degrade or Quarantine_script *)
@@ -187,7 +186,6 @@ type t = {
   mutable phase : Fault.phase; (* the phase currently executing, for context *)
   mutable quarantined : string list; (* script groups excluded from future ticks *)
   mutable degradations : (int * string * string) list; (* tick, from, to *)
-  mutable retired_stats : Eval.eval_stats; (* totals of evaluators retired by demotion *)
   mutable persist : persistence option; (* armed by [checkpoint_every] *)
 }
 
@@ -210,7 +208,7 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
   {
     config;
     compiled;
-    evaluator = make_evaluator ~schema ~aggregates evaluator;
+    evaluator = make_evaluator ~tel ~schema ~aggregates evaluator;
     kind = evaluator;
     policy = fault_policy;
     prng = Prng.create config.seed;
@@ -227,6 +225,7 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
       { decision = Timer.create (); post = Timer.create (); movement = Timer.create ();
         death = Timer.create () };
     tel;
+    eval_counters = Eval.counters tel;
     c_deaths = Telemetry.Registry.counter tel "sim.deaths";
     c_resurrections = Telemetry.Registry.counter tel "sim.resurrections";
     c_retries = Telemetry.Registry.counter tel "sim.retries";
@@ -238,7 +237,6 @@ let create ?(fault_policy = Fail) ?(fault_log_capacity = 64) ?(index_cache = tru
     phase = Fault.Decision;
     quarantined = [];
     degradations = [];
-    retired_stats = Eval.fresh_stats ();
     persist = None;
   }
 
@@ -272,38 +270,34 @@ let groups (t : t) : Exec.group list =
 (* ------------------------------------------------------------------ *)
 (* Fault bookkeeping *)
 
-let add_stats (dst : Eval.eval_stats) (src : Eval.eval_stats) : unit =
-  dst.Eval.index_builds <- dst.Eval.index_builds + src.Eval.index_builds;
-  dst.Eval.index_probes <- dst.Eval.index_probes + src.Eval.index_probes;
-  dst.Eval.naive_scans <- dst.Eval.naive_scans + src.Eval.naive_scans;
-  dst.Eval.uniform_hits <- dst.Eval.uniform_hits + src.Eval.uniform_hits;
-  dst.Eval.index_reuses <- dst.Eval.index_reuses + src.Eval.index_reuses;
-  dst.Eval.build_seconds <- dst.Eval.build_seconds +. src.Eval.build_seconds
-
-(* Demote to the next-weaker evaluator, retiring the current evaluator's
-   counters so the report stays cumulative across the whole run. *)
+(* Demote to the next-weaker evaluator.  It counts into the same registry,
+   so the report stays cumulative across the whole run. *)
 let demote (t : t) (weaker : evaluator_kind) : unit =
   Telemetry.Span.instant ~cat:"fault" "demote";
-  add_stats t.retired_stats t.evaluator.Eval.stats;
   t.degradations <- t.degradations @ [ (t.tick, evaluator_name t.kind, evaluator_name weaker) ];
   t.evaluator <-
-    make_evaluator ~schema:(schema t) ~aggregates:t.config.prog.Core_ir.aggregates weaker;
+    make_evaluator ~tel:t.tel ~schema:(schema t) ~aggregates:t.config.prog.Core_ir.aggregates
+      weaker;
   t.kind <- weaker
 
 (* ------------------------------------------------------------------ *)
 (* Durable state: snapshots and the commit journal *)
 
 (* The deterministic engine counters a recovered run must agree on with an
-   uninterrupted one.  Timings and index statistics are deliberately
-   absent: they describe work done, not simulation state. *)
-let counter_snapshot (t : t) : (string * int) list =
+   uninterrupted one, under their checkpoint names.  Timings and index
+   statistics are deliberately absent: they describe work done, not
+   simulation state. *)
+let checkpointed_counters (t : t) : (string * Telemetry.counter) list =
   [
-    ("deaths", Telemetry.Counter.value t.c_deaths);
-    ("resurrections", Telemetry.Counter.value t.c_resurrections);
-    ("faults", Telemetry.Counter.value t.c_faults);
-    ("retries", Telemetry.Counter.value t.c_retries);
-    ("rollbacks", Telemetry.Counter.value t.c_rollbacks);
+    ("deaths", t.c_deaths);
+    ("resurrections", t.c_resurrections);
+    ("faults", t.c_faults);
+    ("retries", t.c_retries);
+    ("rollbacks", t.c_rollbacks);
   ]
+
+let counter_snapshot (t : t) : (string * int) list =
+  List.map (fun (name, c) -> (name, Telemetry.Counter.value c)) (checkpointed_counters t)
 
 let state_of (t : t) : Checkpoint.state =
   {
@@ -490,68 +484,51 @@ let run_phases (t : t) : unit =
   t.pending_delta <- delta_out;
   t.tick <- t.tick + 1
 
-(* Cumulative evaluator statistics across demotions: retired evaluators'
-   totals plus the live one's. *)
-let cumulative_stats (t : t) : Eval.eval_stats =
-  let s = Eval.fresh_stats () in
-  add_stats s t.retired_stats;
-  add_stats s t.evaluator.Eval.stats;
-  s
-
-(* Counter values and cumulative timings captured before a step, so the
-   observer's sample can report per-tick deltas. *)
-type pre_step = {
-  pre_deaths : int;
-  pre_resurrections : int;
-  pre_faults : int;
-  pre_rollbacks : int;
-  pre_retries : int;
-  pre_demotions : int;
-  pre_decision_s : float;
-  pre_post_s : float;
-  pre_movement_s : float;
-  pre_death_s : float;
-  pre_builds : int;
-  pre_reuses : int;
-}
-
-let pre_step_of (t : t) : pre_step =
-  let s = cumulative_stats t in
-  {
-    pre_deaths = Telemetry.Counter.value t.c_deaths;
-    pre_resurrections = Telemetry.Counter.value t.c_resurrections;
-    pre_faults = Telemetry.Counter.value t.c_faults;
-    pre_rollbacks = Telemetry.Counter.value t.c_rollbacks;
-    pre_retries = Telemetry.Counter.value t.c_retries;
-    pre_demotions = List.length t.degradations;
-    pre_decision_s = Timer.elapsed t.timings.decision;
-    pre_post_s = Timer.elapsed t.timings.post;
-    pre_movement_s = Timer.elapsed t.timings.movement;
-    pre_death_s = Timer.elapsed t.timings.death;
-    pre_builds = s.Eval.index_builds;
-    pre_reuses = s.Eval.index_reuses;
-  }
-
-let sample_of (t : t) (pre : pre_step) ~(tick_s : float) : tick_sample =
-  let s = cumulative_stats t in
+(* The engine's ledger in one read: every counter and phase timing,
+   cumulative since [create] ([s_tick_s]: the wall-clock of every step).
+   [report] is built from it, and a tick's sample is the difference of
+   the reads around the step ([since]).  The digest is left 0: a read
+   must not cost a pass over the store, so [step] fills it in. *)
+let read (t : t) : tick_sample =
+  let v = Telemetry.Counter.value in
   {
     s_tick = t.tick;
     s_units = Array.length t.units;
-    s_digest = state_digest t;
-    s_tick_s = tick_s;
-    s_decision_s = Timer.elapsed t.timings.decision -. pre.pre_decision_s;
-    s_post_s = Timer.elapsed t.timings.post -. pre.pre_post_s;
-    s_movement_s = Timer.elapsed t.timings.movement -. pre.pre_movement_s;
-    s_death_s = Timer.elapsed t.timings.death -. pre.pre_death_s;
-    s_deaths = Telemetry.Counter.value t.c_deaths - pre.pre_deaths;
-    s_resurrections = Telemetry.Counter.value t.c_resurrections - pre.pre_resurrections;
-    s_faults = Telemetry.Counter.value t.c_faults - pre.pre_faults;
-    s_rollbacks = Telemetry.Counter.value t.c_rollbacks - pre.pre_rollbacks;
-    s_retries = Telemetry.Counter.value t.c_retries - pre.pre_retries;
-    s_demotions = List.length t.degradations - pre.pre_demotions;
-    s_index_builds = s.Eval.index_builds - pre.pre_builds;
-    s_index_reuses = s.Eval.index_reuses - pre.pre_reuses;
+    s_digest = 0;
+    s_tick_s = (Telemetry.Histogram.snapshot t.h_tick_s).Telemetry.total;
+    s_decision_s = Timer.elapsed t.timings.decision;
+    s_post_s = Timer.elapsed t.timings.post;
+    s_movement_s = Timer.elapsed t.timings.movement;
+    s_death_s = Timer.elapsed t.timings.death;
+    s_deaths = v t.c_deaths;
+    s_resurrections = v t.c_resurrections;
+    s_faults = v t.c_faults;
+    s_rollbacks = v t.c_rollbacks;
+    s_retries = v t.c_retries;
+    s_demotions = List.length t.degradations;
+    s_index_builds = v t.eval_counters.Eval.index_builds;
+    s_index_reuses = v t.eval_counters.Eval.index_reuses;
     s_evaluator = evaluator_name t.kind;
+  }
+
+(* Field-wise [after - before]; the levels (tick, population, digest,
+   evaluator) are [after]'s. *)
+let since (after : tick_sample) (before : tick_sample) : tick_sample =
+  {
+    after with
+    s_tick_s = after.s_tick_s -. before.s_tick_s;
+    s_decision_s = after.s_decision_s -. before.s_decision_s;
+    s_post_s = after.s_post_s -. before.s_post_s;
+    s_movement_s = after.s_movement_s -. before.s_movement_s;
+    s_death_s = after.s_death_s -. before.s_death_s;
+    s_deaths = after.s_deaths - before.s_deaths;
+    s_resurrections = after.s_resurrections - before.s_resurrections;
+    s_faults = after.s_faults - before.s_faults;
+    s_rollbacks = after.s_rollbacks - before.s_rollbacks;
+    s_retries = after.s_retries - before.s_retries;
+    s_demotions = after.s_demotions - before.s_demotions;
+    s_index_builds = after.s_index_builds - before.s_index_builds;
+    s_index_reuses = after.s_index_reuses - before.s_index_reuses;
   }
 
 (* Transactional tick.  The pre-tick state is the unit array (whose rows
@@ -567,10 +544,10 @@ let sample_of (t : t) (pre : pre_step) ~(tick_s : float) : tick_sample =
    quarantine, to the failed group having contributed nothing (its units
    stay in the environment). *)
 let step (t : t) : unit =
-  (* Captured before the attempt so the observer (if any) can report
-     per-tick deltas; [pre] costs nothing when no observer is installed. *)
+  (* Read before the attempt so the observer (if any) can report per-tick
+     deltas; [before] costs nothing when no observer is installed. *)
   let t_start = Timer.now_ns () in
-  let pre = match t.observer with None -> None | Some _ -> Some (pre_step_of t) in
+  let before = match t.observer with None -> None | Some _ -> Some (read t) in
   let units0 = t.units
   and store0 = Colstore.snapshot t.store
   and deaths0 = Telemetry.Counter.value t.c_deaths
@@ -613,7 +590,6 @@ let step (t : t) : unit =
       Telemetry.Counter.set t.c_deaths deaths0;
       Telemetry.Counter.set t.c_resurrections resurrections0;
       Telemetry.Counter.incr t.c_rollbacks;
-      Telemetry.Counter.incr tel_rollbacks;
       (* The failed attempt's mutations were undone, so its delta (and the
          one it consumed) no longer describe reality: the retry — and the
          tick after a policy absorbs the fault — must open the index cache
@@ -655,8 +631,8 @@ let step (t : t) : unit =
   (* The observer runs last, after the durability hooks: its sample
      describes a tick the journal has already committed, so a flight
      record never gets ahead of recoverable state. *)
-  match (t.observer, pre) with
-  | Some f, Some pre -> f (sample_of t pre ~tick_s)
+  match (t.observer, before) with
+  | Some f, Some before -> f { (since (read t) before) with s_digest = state_digest t }
   | _ -> ()
 
 let run (t : t) ~(ticks : int) : unit =
@@ -720,16 +696,10 @@ let restore ?fault_policy ?fault_log_capacity ?index_cache (config : config)
       t.tick <- st.Checkpoint.tick;
       t.quarantined <- st.Checkpoint.quarantined;
       t.degradations <- st.Checkpoint.degradations;
-      let set_counter name c =
-        match List.assoc_opt name st.Checkpoint.counters with
-        | Some v -> Telemetry.Counter.set c v
-        | None -> ()
-      in
-      set_counter "deaths" t.c_deaths;
-      set_counter "resurrections" t.c_resurrections;
-      set_counter "faults" t.c_faults;
-      set_counter "retries" t.c_retries;
-      set_counter "rollbacks" t.c_rollbacks;
+      List.iter
+        (fun (name, c) ->
+          Option.iter (Telemetry.Counter.set c) (List.assoc_opt name st.Checkpoint.counters))
+        (checkpointed_counters t);
       (* Replay the journal chain: every journal whose base is at or after
          the loaded generation, oldest first.  The chain exists because
          rotation happens at checkpoint time — journal [base=B] covers
@@ -835,8 +805,9 @@ let degradations (t : t) : (int * string * string) list = t.degradations
 let retries (t : t) : int = Telemetry.Counter.value t.c_retries
 let current_evaluator (t : t) : evaluator_kind = t.kind
 
-(* The per-simulation registry, for archiving next to the ambient
-   registry's metrics or asserting on engine counters in tests. *)
+(* The per-simulation registry: the engine's ledger, for EXPLAIN, for
+   archiving next to the ambient registry's metrics, or for asserting on
+   engine counters in tests. *)
 let telemetry (t : t) : Telemetry.Registry.t = t.tel
 
 (* Install (or remove) the per-commit observer.  Single slot: the flight
@@ -848,32 +819,30 @@ let set_observer (t : t) (f : (tick_sample -> unit) option) : unit = t.observer 
    tests can check it against the ground-truth [Delta.of_tuples]. *)
 let last_delta (t : t) : Delta.t option = t.pending_delta
 
+(* The ledger's read plus the evaluator totals a tick sample leaves out. *)
 let report (t : t) : report =
-  let s = cumulative_stats t in
+  let l = read t in
+  let v = Telemetry.Counter.value and ev = t.eval_counters in
   let ts = Telemetry.Histogram.snapshot t.h_tick_s in
-  let decision_s = Timer.elapsed t.timings.decision in
-  let post_s = Timer.elapsed t.timings.post in
-  let movement_s = Timer.elapsed t.timings.movement in
-  let death_s = Timer.elapsed t.timings.death in
   {
-    ticks = t.tick;
-    n_units = Array.length t.units;
-    decision_s;
-    build_s = s.Eval.build_seconds;
-    post_s;
-    movement_s;
-    death_s;
-    total_s = decision_s +. post_s +. movement_s +. death_s;
-    index_builds = s.Eval.index_builds;
-    index_probes = s.Eval.index_probes;
-    naive_scans = s.Eval.naive_scans;
-    uniform_hits = s.Eval.uniform_hits;
-    index_reuses = s.Eval.index_reuses;
-    deaths = Telemetry.Counter.value t.c_deaths;
-    resurrections = Telemetry.Counter.value t.c_resurrections;
-    faults = Telemetry.Counter.value t.c_faults;
-    retries = Telemetry.Counter.value t.c_retries;
-    rollbacks = Telemetry.Counter.value t.c_rollbacks;
+    ticks = l.s_tick;
+    n_units = l.s_units;
+    decision_s = l.s_decision_s;
+    build_s = float_of_int (v ev.Eval.build_ns) /. 1e9;
+    post_s = l.s_post_s;
+    movement_s = l.s_movement_s;
+    death_s = l.s_death_s;
+    total_s = l.s_decision_s +. l.s_post_s +. l.s_movement_s +. l.s_death_s;
+    index_builds = l.s_index_builds;
+    index_probes = v ev.Eval.index_probes;
+    naive_scans = v ev.Eval.naive_scans;
+    uniform_hits = v ev.Eval.uniform_hits;
+    index_reuses = l.s_index_reuses;
+    deaths = l.s_deaths;
+    resurrections = l.s_resurrections;
+    faults = l.s_faults;
+    retries = l.s_retries;
+    rollbacks = l.s_rollbacks;
     quarantined = t.quarantined;
     degradations = t.degradations;
     tick_p50_s = ts.Telemetry.p50;

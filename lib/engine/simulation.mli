@@ -174,16 +174,21 @@ val retries : t -> int
 val current_evaluator : t -> evaluator_kind
 
 (** The simulation's private, always-enabled telemetry registry: the
-    source of truth behind the engine counters of {!report}
-    ([sim.deaths], [sim.resurrections], [sim.retries], [sim.rollbacks],
-    [sim.faults]).  Independent of the ambient
-    {!Sgl_util.Telemetry.default}, so concurrent simulations never mix
-    counts. *)
+    engine's one ledger.  It holds the engine counters ([sim.deaths],
+    [sim.resurrections], [sim.retries], [sim.rollbacks], [sim.faults],
+    the [sim.tick_seconds] histogram) and everything its evaluators count
+    ({!Sgl_qopt.Eval.counters}, and the [agg.<i>.*] and
+    [group.<id>.reuses] counters behind {!Sgl_qopt.Eval.explain}), across
+    demotions too.  {!report} and the tick samples are read from it.
+    Independent of the ambient {!Sgl_util.Telemetry.default}, so
+    concurrent simulations never mix counts. *)
 val telemetry : t -> Telemetry.Registry.t
 
 (** What one committed tick did, as deltas against the previous commit:
     population, state digest, wall-clock per phase, engine-counter and
-    index-statistic deltas, and the evaluator that committed it. *)
+    index-statistic deltas, and the evaluator that committed it.  Each is
+    the difference of the {!telemetry} ledger's reads after and before the
+    step, so the samples of a run sum to its {!report}. *)
 type tick_sample = {
   s_tick : int;
   s_units : int;

@@ -100,7 +100,8 @@ let report_json (t : t) : string =
   Buffer.contents b
 
 let explain_text (t : t) : string =
-  Eval.explain ~schema:t.prog.Core_ir.schema ~aggregates:t.prog.Core_ir.aggregates ()
+  Eval.explain ~tel:(Simulation.telemetry t.sim) ~schema:t.prog.Core_ir.schema
+    ~aggregates:t.prog.Core_ir.aggregates ()
 
 let json r_status body = { Server.status = r_status; content_type = "application/json"; body }
 

@@ -86,7 +86,9 @@ let run ~(schema : Schema.t) ~(snapshot : snapshot) ?(key : int option) (body : 
         match probe with
         | Error e -> Error e
         | Ok probe -> begin
-          let ev = Eval.naive ~aggregates:[| agg |] in
+          (* A private, disabled registry: the query's counts must not land
+             in the simulation's, whose [agg.0.*] names it would share. *)
+          let ev = Eval.naive ~tel:(Telemetry.Registry.create ()) ~aggregates:[| agg |] in
           ev.Eval.prepare snapshot.q_units;
           match ev.Eval.eval_agg ~agg_id:0 ~rows:[| probe |] ~rands:[| (fun _ -> 0) |] with
           | exception Aggregate.Aggregate_error e -> Error e

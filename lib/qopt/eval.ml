@@ -24,35 +24,36 @@ open Sgl_relalg
 open Sgl_index
 open Sgl_util
 
-type eval_stats = {
-  mutable index_builds : int;
-  mutable index_probes : int;
-  mutable naive_scans : int;
-  mutable uniform_hits : int;
-  mutable index_reuses : int; (* structures carried across ticks by the cache *)
-  mutable build_seconds : float;
+(* ------------------------------------------------------------------ *)
+(* The ledger.
+
+   An evaluator records its work in the registry it is built over, once
+   per event: the evaluator-wide totals below, which the simulation's
+   report and tick samples read, and the per-aggregate-instance and
+   per-group counters behind EXPLAIN, which say how each instance's probes
+   were actually answered — prefix-aggregate lookups, enumerations,
+   sweeps, uniform sharing, or naive scans — and how many rows each answer
+   touched.  A disabled registry makes every count inert. *)
+
+type counters = {
+  index_builds : Telemetry.counter;
+  index_reuses : Telemetry.counter;
+  index_probes : Telemetry.counter;
+  naive_scans : Telemetry.counter;
+  uniform_hits : Telemetry.counter;
+  build_ns : Telemetry.counter;
 }
 
-let fresh_stats () =
-  { index_builds = 0; index_probes = 0; naive_scans = 0; uniform_hits = 0; index_reuses = 0;
-    build_seconds = 0. }
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry.
-
-   [eval_stats] stays the per-evaluator source of truth for the report.
-   The telemetry layer adds *global* counters in the ambient registry (one
-   atomic add per already-counted event, gated on one atomic load) plus
-   per-aggregate-instance counters that back EXPLAIN: how each instance's
-   probes were actually answered — prefix-aggregate lookups, enumerations,
-   sweeps, uniform sharing, or naive scans — and how many rows each
-   answer touched. *)
-
-let tel_index_build = Telemetry.counter "eval.index_build"
-let tel_index_reuse = Telemetry.counter "eval.index_reuse"
-let tel_index_probe = Telemetry.counter "eval.index_probe"
-let tel_naive_scan = Telemetry.counter "eval.naive_scan"
-let tel_build_hist = Telemetry.histogram "eval.index_build_s"
+let counters (tel : Telemetry.Registry.t) : counters =
+  let c = Telemetry.Registry.counter tel in
+  {
+    index_builds = c "eval.index_build";
+    index_reuses = c "eval.index_reuse";
+    index_probes = c "eval.index_probe";
+    naive_scans = c "eval.naive_scan";
+    uniform_hits = c "eval.uniform_hit";
+    build_ns = c "eval.index_build_ns";
+  }
 
 (* Per-aggregate-instance counters (EXPLAIN's row of live statistics).
    Instances are named by position in the program's aggregate array, so
@@ -67,8 +68,8 @@ type agg_tel = {
   tel_uniform : Telemetry.counter; (* batches answered once and shared *)
 }
 
-let agg_tel (label : string) : agg_tel =
-  let c suffix = Telemetry.counter (Printf.sprintf "agg.%s.%s" label suffix) in
+let agg_tel (tel : Telemetry.Registry.t) (label : string) : agg_tel =
+  let c suffix = Telemetry.Registry.counter tel (Printf.sprintf "agg.%s.%s" label suffix) in
   {
     tel_batches = c "batches";
     tel_probes = c "probes";
@@ -79,15 +80,35 @@ let agg_tel (label : string) : agg_tel =
     tel_uniform = c "uniform_answers";
   }
 
-let agg_tels (aggregates : Aggregate.t array) : agg_tel array =
-  Array.init (Array.length aggregates) (fun i -> agg_tel (string_of_int i))
+let agg_tels (tel : Telemetry.Registry.t) (aggregates : Aggregate.t array) : agg_tel array =
+  Array.init (Array.length aggregates) (fun i -> agg_tel tel (string_of_int i))
 
-(* The synthetic AoE aggregates are call-local and unnumbered; they share
-   one instance-counter set. *)
-let aoe_tel = agg_tel "aoe"
+(* A batch's hot counts.  An indexed batch makes one probe per accepted
+   partition per prober row, so these add up in plain fields while the
+   batch runs and reach the registry's atomics once, when it ends. *)
+type tally = {
+  mutable probes : int;
+  mutable rows : int;
+  mutable prefix : int;
+  mutable enum : int;
+  mutable sweep : int;
+}
+
+(* Run [f] over a fresh tally and publish it, also when [f] raises: the
+   probes a failed batch made were made. *)
+let tallied (ec : counters) (tel : agg_tel) (f : tally -> 'a) : 'a =
+  let tally = { probes = 0; rows = 0; prefix = 0; enum = 0; sweep = 0 } in
+  let publish () =
+    Telemetry.Counter.add ec.index_probes tally.probes;
+    Telemetry.Counter.add tel.tel_probes tally.probes;
+    Telemetry.Counter.add tel.tel_rows tally.rows;
+    Telemetry.Counter.add tel.tel_prefix tally.prefix;
+    Telemetry.Counter.add tel.tel_enum tally.enum;
+    Telemetry.Counter.add tel.tel_sweep tally.sweep
+  in
+  Fun.protect ~finally:publish (fun () -> f tally)
 
 type t = {
-  name : string;
   (* Values of aggregate instance [agg_id] for each probing row. *)
   eval_agg : agg_id:int -> rows:Tuple.t array -> rands:(int -> int) array -> Value.t array;
   (* Apply one All-target effect clause, from each contributor row to every
@@ -106,7 +127,6 @@ type t = {
      indexed evaluator builds one when it is omitted, the naive one
      ignores it. *)
   prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
-  stats : eval_stats;
 }
 
 let dummy_rand (_ : int) = 0
@@ -116,25 +136,23 @@ let dummy_rand (_ : int) = 0
 
 (* One fresh O(n) scan of [units] per probing row: the naive evaluator's
    answer, and the indexed one's for a [Naive_only] instance. *)
-let naive_batch (stats : eval_stats) ~(tel : agg_tel) ~(agg : Aggregate.t) ~(units : Tuple.t array)
+let naive_batch (ec : counters) ~(tel : agg_tel) ~(agg : Aggregate.t) ~(units : Tuple.t array)
     ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
+  Telemetry.Counter.add ec.naive_scans (Array.length rows);
   Telemetry.Counter.add tel.tel_rows (Array.length rows * Array.length units);
   Array.mapi
     (fun i row ->
-      stats.naive_scans <- stats.naive_scans + 1;
-      Telemetry.Counter.incr tel_naive_scan;
       Aggregate.eval_naive ~units ~ctx:{ Expr.u = row; e = None; rand = rands.(i) } agg)
     rows
 
 (* One area clause applied by brute force: every contributor tests every
    unit against the predicate.  The naive evaluator's [apply_aoe], and the
    indexed one's fallback for clauses its planner cannot index. *)
-let naive_aoe (stats : eval_stats) ~(units : Tuple.t array) ~pred ~updates
+let naive_aoe (ec : counters) ~(units : Tuple.t array) ~pred ~updates
     ~(contributors : Tuple.t array) ~(contributor_rands : (int -> int) array) ~acc : unit =
+  Telemetry.Counter.add ec.naive_scans (Array.length contributors);
   Array.iteri
     (fun i contributor ->
-      stats.naive_scans <- stats.naive_scans + 1;
-      Telemetry.Counter.incr tel_naive_scan;
       let rand = contributor_rands.(i) in
       Array.iteri
         (fun pos target ->
@@ -147,21 +165,19 @@ let naive_aoe (stats : eval_stats) ~(units : Tuple.t array) ~pred ~updates
         units)
     contributors
 
-let naive ~(aggregates : Aggregate.t array) : t =
-  let tels = agg_tels aggregates in
-  let units = ref [||] and stats = fresh_stats () in
+let naive ~(tel : Telemetry.Registry.t) ~(aggregates : Aggregate.t array) : t =
+  let ec = counters tel and tels = agg_tels tel aggregates in
+  let units = ref [||] in
   {
-    name = "naive";
     eval_agg =
       (fun ~agg_id ~rows ~rands ->
         let tel = tels.(agg_id) in
         Telemetry.Counter.incr tel.tel_batches;
-        naive_batch stats ~tel ~agg:aggregates.(agg_id) ~units:!units ~rows ~rands);
+        naive_batch ec ~tel ~agg:aggregates.(agg_id) ~units:!units ~rows ~rands);
     apply_aoe =
       (fun ~pred ~updates ~contributors ~contributor_rands ~acc ->
-        naive_aoe stats ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc);
+        naive_aoe ec ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc);
     prepare = (fun ?delta:_ ?cols:_ e -> units := e);
-    stats;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -184,8 +200,8 @@ type group = {
 (* Group-scoped reuse counters: [group.<id>.reuses] counts the entry plus
    every per-partition structure the cross-tick cache carried over for
    that group, so EXPLAIN can show cache behaviour per access path. *)
-let group_reuse_counter (group_id : int) : Telemetry.counter =
-  Telemetry.counter (Printf.sprintf "group.%d.reuses" group_id)
+let group_reuse_counter (tel : Telemetry.Registry.t) (group_id : int) : Telemetry.counter =
+  Telemetry.Registry.counter tel (Printf.sprintf "group.%d.reuses" group_id)
 
 (* A member's view of its group: where its statistics landed. *)
 type membership = {
@@ -296,19 +312,19 @@ let gather_column (bi : built_index) (e : Expr.t) (members : int array) : float 
   gather bi e members out ~stride:1 ~off:0;
   out
 
-(* Shared build bookkeeping: the evaluator-local stats record, the global
-   build counter, and the build-duration histogram. *)
-let count_build (st : eval_stats) (t0 : float) : unit =
-  let dt = Timer.now () -. t0 in
-  st.index_builds <- st.index_builds + 1;
-  st.build_seconds <- st.build_seconds +. dt;
-  Telemetry.Counter.incr tel_index_build;
-  Telemetry.Histogram.observe tel_build_hist dt
+(* Build time since [t0], in the ledger's nanoseconds.  Geometries add
+   theirs without counting as builds. *)
+let add_build_time (ec : counters) (t0 : int64) : unit =
+  Telemetry.Counter.add ec.build_ns (Int64.to_int (Int64.sub (Timer.now_ns ()) t0))
 
-let build_index ?(epoch = 0) (st : eval_stats) ~(group : group) ~(data : Tuple.t array)
+let count_build (ec : counters) (t0 : int64) : unit =
+  Telemetry.Counter.incr ec.index_builds;
+  add_build_time ec t0
+
+let build_index ?(epoch = 0) (ec : counters) ~(group : group) ~(data : Tuple.t array)
     ~(cols : Colstore.t) : built_index =
   Fault_inject.hit "index.build";
-  let t0 = Timer.now () in
+  let t0 = Timer.now_ns () in
   let n = Array.length data in
   let pass id =
     let ctx = { Expr.u = [||]; e = Some data.(id); rand = dummy_rand } in
@@ -328,34 +344,34 @@ let build_index ?(epoch = 0) (st : eval_stats) ~(group : group) ~(data : Tuple.t
     Cat_index.create ~keys ~ids ~builder:(fun members ->
         { members; geoms = []; divisible = None; enum_tree = None; kds = [] })
   in
-  count_build st t0;
+  count_build ec t0;
   { data; epoch; group; cat; cols }
 
 (* The [ensure_*] functions return a partition's sub-structure, building
    and storing it in [sub] on first use. *)
-let ensure_geometry st (bi : built_index) ~(ex : int) ~(ey : int)
+let ensure_geometry ec (bi : built_index) ~(ex : int) ~(ey : int)
     (sub : sub_index) : Geometry.t =
   match List.assoc_opt (ex, ey) sub.geoms with
   | Some g -> g
   | None ->
-    let t0 = Timer.now () in
+    let t0 = Timer.now_ns () in
     let coord attr = gather_column bi (Expr.EAttr attr) sub.members in
     let g = Geometry.make ~x:(coord ex) ~y:(coord ey) in
     sub.geoms <- ((ex, ey), g) :: sub.geoms;
-    st.build_seconds <- st.build_seconds +. (Timer.now () -. t0);
+    add_build_time ec t0;
     g
 
-let ensure_divisible st (bi : built_index) (sub : sub_index) : div_struct =
+let ensure_divisible ec (bi : built_index) (sub : sub_index) : div_struct =
   match sub.divisible with
   | Some d -> d
   | None ->
     (* fetched before the clock starts: the geometry times itself *)
     let geometry =
       match bi.group.box_attrs with
-      | [ ax; ay ] -> Some (ensure_geometry st bi ~ex:ax ~ey:ay sub)
+      | [ ax; ay ] -> Some (ensure_geometry ec bi ~ex:ax ~ey:ay sub)
       | _ -> None
     in
-    let t0 = Timer.now () in
+    let t0 = Timer.now_ns () in
     let m = bi.group.n_stats in
     let members = sub.members in
     let n = Array.length members in
@@ -377,14 +393,14 @@ let ensure_divisible st (bi : built_index) (sub : sub_index) : div_struct =
         Div_range (Range_tree.build ~dims:(List.map coord attrs) ~stats:(Some stats) ~m n)
     in
     sub.divisible <- Some d;
-    count_build st t0;
+    count_build ec t0;
     d
 
-let ensure_enum_tree st (bi : built_index) (sub : sub_index) : Range_tree.t =
+let ensure_enum_tree ec (bi : built_index) (sub : sub_index) : Range_tree.t =
   match sub.enum_tree with
   | Some t -> t
   | None ->
-    let t0 = Timer.now () in
+    let t0 = Timer.now_ns () in
     let n = Array.length sub.members in
     let dims =
       match bi.group.box_attrs with
@@ -393,18 +409,18 @@ let ensure_enum_tree st (bi : built_index) (sub : sub_index) : Range_tree.t =
     in
     let t = Range_tree.build ~dims ~stats:None ~m:0 n in
     sub.enum_tree <- Some t;
-    count_build st t0;
+    count_build ec t0;
     t
 
-let ensure_kd st (bi : built_index) ~(ex : int) ~(ey : int) (sub : sub_index) : Kd_tree.t =
+let ensure_kd ec (bi : built_index) ~(ex : int) ~(ey : int) (sub : sub_index) : Kd_tree.t =
   match List.assoc_opt (ex, ey) sub.kds with
   | Some t -> t
   | None ->
-    let g = ensure_geometry st bi ~ex ~ey sub in
-    let t0 = Timer.now () in
+    let g = ensure_geometry ec bi ~ex ~ey sub in
+    let t0 = Timer.now_ns () in
     let t = Kd_tree.build g sub.members in
     sub.kds <- ((ex, ey), t) :: sub.kds;
-    count_build st t0;
+    count_build ec t0;
     t
 
 (* ------------------------------------------------------------------ *)
@@ -567,11 +583,6 @@ let fill_box (p : probe) (row : Tuple.t) (rand : int -> int) : unit =
     else p.box.Interval.highs.(d) <- bound row rand
   done
 
-let count_probes (st : eval_stats) (tel : agg_tel) (n : int) : unit =
-  st.index_probes <- st.index_probes + n;
-  Telemetry.Counter.add tel_index_probe n;
-  Telemetry.Counter.add tel.tel_probes n
-
 (* The enumeration tree of a box-less group has one degenerate dimension
    holding every point. *)
 let whole_slab = Interval.box [ Interval.everything ]
@@ -598,7 +609,7 @@ let finish_components ~(agg : Aggregate.t) ~(row : Tuple.t) ~(rand : int -> int)
   | _ ->
     raise (Aggregate.Aggregate_error (Fmt.str "aggregate %s has invalid arity" agg.Aggregate.name))
 
-let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
+let rec eval_indexed_batch ec (tally : tally) ~(strategy : Agg_plan.strategy)
     ~(agg : Aggregate.t) ~(membership : membership) ~(bi : built_index)
     ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
   match strategy with
@@ -613,7 +624,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
     let swept =
       match (sweep, components) with
       | Some info, [ Agg_plan.C_extremal { kind } ] ->
-        Some (sweep_batch st ~tel ~probe ~bi ~info ~kind ~rows ~rands)
+        Some (sweep_batch ec tally ~probe ~bi ~info ~kind ~rows ~rands)
       | _ -> None
     in
     (* per divisible component, its own statistics out of the group's columns *)
@@ -640,14 +651,14 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
               match comp with
               | Agg_plan.C_divisible { kind; stat_offset; stat_count } ->
                 if enumerate then
-                  eval_enum_component st ~tel ~bi ~access ~row ~rand ~parts ~box kind
+                  eval_enum_component ec tally ~bi ~access ~row ~rand ~parts ~box kind
                 else begin
                   (* each partition is summed on its own, then added in *)
                   Array.fill total 0 n_stats 0.;
                   List.iter
                     (fun sub ->
-                      let d = ensure_divisible st bi sub in
-                      count_probes st tel 1;
+                      let d = ensure_divisible ec bi sub in
+                      tally.probes <- tally.probes + 1;
                       match d with
                       | Div_total t ->
                         for j = 0 to n_stats - 1 do
@@ -656,7 +667,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
                       | Div_range t -> Range_tree.accumulate t box ~scratch total
                       | Div_cascade t -> Cascade_tree.accumulate t box ~scratch total)
                     parts;
-                  Telemetry.Counter.incr tel.tel_prefix;
+                  tally.prefix <- tally.prefix + 1;
                   for j = 0 to stat_count - 1 do
                     mine.(j) <- total.(membership.stat_map.(stat_offset + j))
                   done;
@@ -665,13 +676,13 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
               | Agg_plan.C_extremal { kind } -> begin
                 match swept with
                 | Some (best_id, best_value, _) ->
-                  Telemetry.Counter.incr tel.tel_sweep;
+                  tally.sweep <- tally.sweep + 1;
                   if best_id.(i) < 0 then None
                   else finish_extremal ~bi ~row ~rand kind best_value.(i) best_id.(i)
-                | None -> eval_enum_component st ~tel ~bi ~access ~row ~rand ~parts ~box kind
+                | None -> eval_enum_component ec tally ~bi ~access ~row ~rand ~parts ~box kind
               end
               | Agg_plan.C_nearest { kind } ->
-                eval_nearest st ~tel ~bi ~access ~box ~row ~rand ~parts kind)
+                eval_nearest ec tally ~bi ~access ~box ~row ~rand ~parts kind)
             components mine
         in
         finish_components ~agg ~row ~rand per_component)
@@ -682,7 +693,7 @@ let rec eval_indexed_batch st ~(tel : agg_tel) ~(strategy : Agg_plan.strategy)
    partitions, ties toward the smaller id as the naive scan breaks them.
    Per row: the best data id (-1: none), its value, and the accepted
    partitions. *)
-and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
+and sweep_batch ec (tally : tally) ~(probe : probe) ~(bi : built_index)
     ~(info : Agg_plan.sweep_info) ~(kind : Aggregate.kind) ~(rows : Tuple.t array)
     ~(rands : (int -> int) array) : int array * float array * sub_index list array =
   let maximize =
@@ -705,7 +716,7 @@ and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
       | None -> ()
       | Some sub ->
         let members = sub.members in
-        let g = ensure_geometry st bi ~ex:info.Agg_plan.x_data ~ey:info.Agg_plan.y_data sub in
+        let g = ensure_geometry ec bi ~ex:info.Agg_plan.x_data ~ey:info.Agg_plan.y_data sub in
         let value = gather_column bi objective members in
         let nq =
           Array.fold_left (fun n parts -> if List.memq sub parts then n + 1 else n) 0 row_parts
@@ -720,7 +731,7 @@ and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
           row_parts;
         let center attr = Array.map (fun i -> Value.to_float (Tuple.get rows.(i) attr)) qrow in
         let qx = center info.Agg_plan.x_center and qy = center info.Agg_plan.y_center in
-        count_probes st tel nq;
+        tally.probes <- tally.probes + nq;
         let best = Array.make nq (-1) in
         Sweepline.run
           (if maximize then Sweepline.Max else Sweepline.Min)
@@ -744,7 +755,7 @@ and sweep_batch st ~(tel : agg_tel) ~(probe : probe) ~(bi : built_index)
 
 (* Nearest neighbour per accepted partition's kD-tree; the partitions'
    answers fold toward the smaller (distance, id). *)
-and eval_nearest st ~(tel : agg_tel) ~(bi : built_index)
+and eval_nearest ec (tally : tally) ~(bi : built_index)
     ~(access : Agg_plan.access) ~(box : Interval.box) ~(row : Tuple.t) ~(rand : int -> int)
     ~(parts : sub_index list) (kind : Aggregate.kind) : Value.t option =
   match kind with
@@ -769,8 +780,8 @@ and eval_nearest st ~(tel : agg_tel) ~(bi : built_index)
     let best =
       List.fold_left
         (fun best sub ->
-          let kd = ensure_kd st bi ~ex:exa ~ey:eya sub in
-          count_probes st tel 1;
+          let kd = ensure_kd ec bi ~ex:exa ~ey:eya sub in
+          tally.probes <- tally.probes + 1;
           match Kd_tree.nearest ?filter kd ~qx ~qy with
           | None -> best
           | Some (id, d2) -> begin
@@ -788,21 +799,21 @@ and eval_nearest st ~(tel : agg_tel) ~(bi : built_index)
 
 (* Enumeration path: report the box contents, filter residuals, and fall
    back to the one-component naive evaluation over the candidates. *)
-and eval_enum_component st ~(tel : agg_tel) ~(bi : built_index)
+and eval_enum_component ec (tally : tally) ~(bi : built_index)
     ~(access : Agg_plan.access) ~(row : Tuple.t) ~(rand : int -> int) ~(parts : sub_index list)
     ~(box : Interval.box) (kind : Aggregate.kind) : Value.t option =
   let candidates = Varray.create 0 in
   let box = if bi.group.box_attrs = [] then whole_slab else box in
   List.iter
     (fun sub ->
-      let tree = ensure_enum_tree st bi sub in
-      count_probes st tel 1;
+      let tree = ensure_enum_tree ec bi sub in
+      tally.probes <- tally.probes + 1;
       Range_tree.query_enum tree box (fun k -> Varray.push candidates sub.members.(k)))
     parts;
   let ids = Varray.to_array candidates in
   Array.sort Int.compare ids (* restore data order so ties match the naive scan *);
-  Telemetry.Counter.incr tel.tel_enum;
-  Telemetry.Counter.add tel.tel_rows (Array.length ids);
+  tally.enum <- tally.enum + 1;
+  tally.rows <- tally.rows + Array.length ids;
   let cand_rows = Array.map (fun id -> bi.data.(id)) ids in
   Aggregate.eval_kind_naive ~units:cand_rows
     ~ctx:{ Expr.u = row; e = None; rand }
@@ -819,9 +830,9 @@ and finish_extremal ~(bi : built_index) ~(row : Tuple.t) ~(rand : int -> int)
 (* ------------------------------------------------------------------ *)
 (* Uniform evaluation: compute once, share across the batch. *)
 
-let eval_uniform st ~(tel : agg_tel) ~(agg : Aggregate.t) ~(units : Tuple.t array)
+let eval_uniform ec ~(tel : agg_tel) ~(agg : Aggregate.t) ~(units : Tuple.t array)
     ~(rows : Tuple.t array) ~(rands : (int -> int) array) : Value.t array =
-  st.uniform_hits <- st.uniform_hits + 1;
+  Telemetry.Counter.incr ec.uniform_hits;
   Telemetry.Counter.incr tel.tel_uniform;
   let ctx = { Expr.u = [||]; e = None; rand = dummy_rand } in
   let per_kind =
@@ -846,15 +857,15 @@ type indexed_ctx = {
   mutable epoch : int; (* bumped once per [prepare] *)
 }
 
-let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array) () :
-    indexed_ctx =
+let make_indexed_ctx ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Schema.t)
+    ~(aggregates : Aggregate.t array) () : indexed_ctx =
   let strategies = Array.map (Agg_plan.analyze schema) aggregates in
   (* Assign every Indexed instance to a group; with sharing disabled, each
      instance gets a private group. *)
   let groups : group Varray.t =
     Varray.create
       { group_id = -1; cat_attrs = []; box_attrs = []; data_filter = []; stats_exprs = [];
-        n_stats = 0; g_reuses = group_reuse_counter (-1) }
+        n_stats = 0; g_reuses = group_reuse_counter tel (-1) }
   in
   let memberships : membership option array =
     Array.map
@@ -882,7 +893,7 @@ let make_indexed_ctx ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggrega
               let gid = Varray.length groups in
               let g =
                 { group_id = gid; cat_attrs; box_attrs; data_filter;
-                  stats_exprs = []; n_stats = 0; g_reuses = group_reuse_counter gid }
+                  stats_exprs = []; n_stats = 0; g_reuses = group_reuse_counter tel gid }
               in
               Varray.push groups g;
               g
@@ -930,7 +941,7 @@ let any_dirty (d : Delta.t) (attrs : int list) : bool = List.exists (Delta.dirty
 (* Try to carry [bi] into the new tick described by [delta]; true on
    success (entry re-stamped, sub-structures pruned), false when the whole
    entry must be dropped. *)
-let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
+let revalidate_index (ec : counters) (ctx : indexed_ctx) ~(delta : Delta.t)
     ~(units : Tuple.t array) (bi : built_index) : bool =
   if
     Array.length bi.data <> Array.length units
@@ -941,8 +952,7 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
     bi.data <- units;
     bi.cols <- !(ctx.ctx_cols);
     bi.epoch <- ctx.epoch;
-    st.index_reuses <- st.index_reuses + 1;
-    Telemetry.Counter.incr tel_index_reuse;
+    Telemetry.Counter.incr ec.index_reuses;
     Telemetry.Counter.incr bi.group.g_reuses;
     let no_dirty_units = Delta.dirty_key_count delta = 0 in
     let div_clean =
@@ -959,8 +969,7 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
         in
         let keep kept =
           if kept then begin
-            st.index_reuses <- st.index_reuses + 1;
-            Telemetry.Counter.incr tel_index_reuse;
+            Telemetry.Counter.incr ec.index_reuses;
             Telemetry.Counter.incr bi.group.g_reuses
           end
         in
@@ -991,7 +1000,7 @@ let revalidate_index (st : eval_stats) (ctx : indexed_ctx) ~(delta : Delta.t)
    array, and either revalidate the cache against the delta or drop it
    cold.  Structures that survive keep their epoch current; everything
    else reads as a miss. *)
-let open_tick (ctx : indexed_ctx) (st : eval_stats) ?(delta : Delta.t option)
+let open_tick (ctx : indexed_ctx) (ec : counters) ?(delta : Delta.t option)
     ?(cols : Colstore.t option) (units : Tuple.t array) : unit =
   ctx.ctx_units := units;
   ctx.ctx_cols :=
@@ -1004,7 +1013,7 @@ let open_tick (ctx : indexed_ctx) (st : eval_stats) ?(delta : Delta.t option)
     let stale =
       Hashtbl.fold
         (fun gid bi acc ->
-          if revalidate_index st ctx ~delta:d ~units bi then acc else gid :: acc)
+          if revalidate_index ec ctx ~delta:d ~units bi then acc else gid :: acc)
         ctx.cache []
     in
     List.iter (Hashtbl.remove ctx.cache) stale
@@ -1013,23 +1022,28 @@ let open_tick (ctx : indexed_ctx) (st : eval_stats) ?(delta : Delta.t option)
    Entries from an earlier epoch are misses: a quarantine retry or a
    degraded re-run must never probe a structure [open_tick] has not
    revalidated for the current unit array. *)
-let group_index (ctx : indexed_ctx) (st : eval_stats) (m : membership) : built_index =
+let group_index (ctx : indexed_ctx) (ec : counters) (m : membership) : built_index =
   match Hashtbl.find_opt ctx.cache m.group.group_id with
   | Some bi when bi.epoch = ctx.epoch -> bi
   | Some _ | None ->
     let bi =
-      build_index ~epoch:ctx.epoch st ~group:m.group ~data:!(ctx.ctx_units) ~cols:!(ctx.ctx_cols)
+      build_index ~epoch:ctx.epoch ec ~group:m.group ~data:!(ctx.ctx_units) ~cols:!(ctx.ctx_cols)
     in
     Hashtbl.replace ctx.cache m.group.group_id bi;
     bi
 
 (* The indexed evaluator over a fresh context.  Structures are built lazily,
    on first probe, and kept in the cross-tick cache. *)
-let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array) () : t =
-  let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
-  let stats = fresh_stats () in
+let indexed ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Schema.t)
+    ~(aggregates : Aggregate.t array) () : t =
+  let ctx = make_indexed_ctx ~share ~tel ~schema ~aggregates () in
+  let ec = counters tel in
   let units = ctx.ctx_units in
-  let tels = agg_tels aggregates in
+  let tels = agg_tels tel aggregates in
+  (* The synthetic AoE aggregates are call-local and unnumbered; they share
+     one instance-counter set, and their fresh groups one reuse counter. *)
+  let aoe_tel = agg_tel tel "aoe" in
+  let aoe_reuses = group_reuse_counter tel (-1) in
   let eval_agg ~agg_id ~rows ~rands =
     (* The injection point of the indexed machinery: absent from the naive
        evaluator, so a [Degrade] retry chain always terminates clean. *)
@@ -1038,12 +1052,13 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
     let tel = tels.(agg_id) in
     Telemetry.Counter.incr tel.tel_batches;
     match ctx.strategies.(agg_id) with
-    | Agg_plan.Uniform -> eval_uniform stats ~tel ~agg ~units:!units ~rows ~rands
-    | Agg_plan.Naive_only _ -> naive_batch stats ~tel ~agg ~units:!units ~rows ~rands
+    | Agg_plan.Uniform -> eval_uniform ec ~tel ~agg ~units:!units ~rows ~rands
+    | Agg_plan.Naive_only _ -> naive_batch ec ~tel ~agg ~units:!units ~rows ~rands
     | Agg_plan.Indexed _ as strategy ->
       let membership = Option.get ctx.memberships.(agg_id) in
-      let bi = group_index ctx stats membership in
-      eval_indexed_batch stats ~tel ~strategy ~agg ~membership ~bi ~rows ~rands
+      let bi = group_index ctx ec membership in
+      tallied ec tel (fun tally ->
+          eval_indexed_batch ec tally ~strategy ~agg ~membership ~bi ~rows ~rands)
   in
   (* Area-of-effect combination (Section 5.4): swap the roles of u and e so
      contributors become the data set and affected units the probers, then
@@ -1071,7 +1086,7 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
     in
     let swapped_pred = Predicate.of_conjuncts (List.map swap (Predicate.conjuncts pred)) in
     let naive_fallback () =
-      naive_aoe stats ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc
+      naive_aoe ec ~units:!units ~pred ~updates ~contributors ~contributor_rands ~acc
     in
     (* Indexable only when no update or conjunct needs the affected unit's
        random stream or mixes roles the planner cannot express. *)
@@ -1141,33 +1156,28 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
             | Agg_plan.Naive_only _ -> assert false
             | Agg_plan.Uniform ->
               contribute
-                (eval_uniform stats ~tel:aoe_tel ~agg ~units:contributors ~rows:probers
+                (eval_uniform ec ~tel:aoe_tel ~agg ~units:contributors ~rows:probers
                    ~rands:prands)
             | Agg_plan.Indexed { access; stats_exprs; _ } ->
               (* a fresh single-instance group over the contributor set *)
               let cat_attrs, box_attrs, data_filter = group_signature access in
               let g =
                 { group_id = -1; cat_attrs; box_attrs; data_filter; stats_exprs = []; n_stats = 0;
-                  g_reuses = group_reuse_counter (-1) }
+                  g_reuses = aoe_reuses }
               in
               let membership = join_group g stats_exprs in
               let bi =
-                build_index stats ~group:g ~data:contributors ~cols:(Lazy.force contributor_store)
+                build_index ec ~group:g ~data:contributors ~cols:(Lazy.force contributor_store)
               in
               contribute
-                (eval_indexed_batch stats ~tel:aoe_tel ~strategy ~agg ~membership ~bi
-                   ~rows:probers ~rands:prands))
+                (tallied ec aoe_tel (fun tally ->
+                     eval_indexed_batch ec tally ~strategy ~agg ~membership ~bi ~rows:probers
+                       ~rands:prands)))
           plans
       end
     end
   in
-  {
-    name = "indexed";
-    eval_agg;
-    apply_aoe;
-    prepare = (fun ?delta ?cols units -> open_tick ctx stats ?delta ?cols units);
-    stats;
-  }
+  { eval_agg; apply_aoe; prepare = (fun ?delta ?cols units -> open_tick ctx ec ?delta ?cols units) }
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN: the compiled per-instance plan annotated with live counters.
@@ -1176,16 +1186,17 @@ let indexed ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
    rebuilding a context here recovers exactly the instance -> group
    mapping the running evaluator used, and registration-by-name makes
    [agg_tel]/[group_reuse_counter] return the very handles the evaluator
-   has been bumping.  The report therefore shows the *chosen* access path
+   has been bumping in the same registry.  The report therefore shows the *chosen* access path
    next to how it actually answered: prefix-aggregate lookups vs.
    enumerations vs. sweeps vs. uniform sharing, rows touched, and what
    the cross-tick cache reused per group. *)
 
 let pp_attr_list ppf attrs = Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") int) attrs
 
-let explain ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t array) () : string =
-  let ctx = make_indexed_ctx ~share ~schema ~aggregates () in
-  let tels = agg_tels aggregates in
+let explain ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Schema.t)
+    ~(aggregates : Aggregate.t array) () : string =
+  let ctx = make_indexed_ctx ~share ~tel ~schema ~aggregates () in
+  let ec = counters tel and tels = agg_tels tel aggregates in
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Fmt.pf ppf "EXPLAIN: %d aggregate instance(s), index sharing %s@."
@@ -1256,12 +1267,10 @@ let explain ?(share = true) ~(schema : Schema.t) ~(aggregates : Aggregate.t arra
           (Telemetry.Counter.value g.g_reuses))
       groups
   end;
-  let b = Telemetry.Histogram.snapshot tel_build_hist in
+  let v = Telemetry.Counter.value in
   Fmt.pf ppf "  totals: index_builds=%d (%.3fs) index_reuses=%d index_probes=%d naive_scans=%d@."
-    (Telemetry.Counter.value tel_index_build)
-    b.Telemetry.total
-    (Telemetry.Counter.value tel_index_reuse)
-    (Telemetry.Counter.value tel_index_probe)
-    (Telemetry.Counter.value tel_naive_scan);
+    (v ec.index_builds)
+    (float_of_int (v ec.build_ns) /. 1e9)
+    (v ec.index_reuses) (v ec.index_probes) (v ec.naive_scans);
   Format.pp_print_flush ppf ();
   Buffer.contents buf

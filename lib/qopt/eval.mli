@@ -2,18 +2,28 @@
     scanner and the indexed evaluator driving the Section 5.3/5.4 index
     structures.  Both agree exactly with the reference interpreter. *)
 
+open Sgl_util
 open Sgl_relalg
 
-type eval_stats = {
-  mutable index_builds : int;
-  mutable index_probes : int;
-  mutable naive_scans : int;
-  mutable uniform_hits : int;
-  mutable index_reuses : int;
-      (** structures carried over from the previous tick by the cross-tick
-          cache instead of being rebuilt *)
-  mutable build_seconds : float;
+(** The evaluator-wide totals every evaluator built over a registry counts
+    into, once per event.  Registration is by name, so [counters tel]
+    returns the handles the evaluators over [tel] bump. *)
+type counters = {
+  index_builds : Telemetry.counter;  (** [eval.index_build]: structures built *)
+  index_reuses : Telemetry.counter;
+      (** [eval.index_reuse]: structures carried over from the previous
+          tick by the cross-tick cache instead of being rebuilt *)
+  index_probes : Telemetry.counter;  (** [eval.index_probe] *)
+  naive_scans : Telemetry.counter;
+      (** [eval.naive_scan]: prober rows and area-effect contributors
+          answered by a full scan *)
+  uniform_hits : Telemetry.counter;  (** [eval.uniform_hit]: batches answered once and shared *)
+  build_ns : Telemetry.counter;
+      (** [eval.index_build_ns]: nanoseconds spent building index
+          structures and the partition geometries they share *)
 }
+
+val counters : Telemetry.Registry.t -> counters
 
 (** An aggregate evaluator.  [prepare ?delta ?cols units] opens a tick
     over [units] and must run before any query of that tick.
@@ -28,7 +38,6 @@ type eval_stats = {
     other rows ({!Exec.run_tick} checks it).  Omitted, the indexed
     evaluator builds one from [units]; the naive evaluator ignores it. *)
 type t = {
-  name : string;
   eval_agg : agg_id:int -> rows:Tuple.t array -> rands:(int -> int) array -> Value.t array;
   apply_aoe :
     pred:Predicate.t ->
@@ -38,30 +47,42 @@ type t = {
     acc:Combine.Acc.t ->
     unit;
   prepare : ?delta:Delta.t -> ?cols:Colstore.t -> Tuple.t array -> unit;
-  stats : eval_stats;
 }
 
-val fresh_stats : unit -> eval_stats
+(** [naive ~tel ~aggregates] is the naive scanner.  Every evaluator
+    records its work in [tel] once: the {!counters} totals, and the
+    per-aggregate-instance [agg.<i>.*] counters {!explain} reads.  A
+    disabled registry makes the counting inert. *)
+val naive : tel:Telemetry.Registry.t -> aggregates:Aggregate.t array -> t
 
-(** The naive scanner. *)
-val naive : aggregates:Aggregate.t array -> t
-
-(** [indexed ?share ~schema ~aggregates ()] builds the Section 5.3/5.4
+(** [indexed ?share ~tel ~schema ~aggregates ()] builds the Section 5.3/5.4
     evaluator over a per-tick index cache.  With [share] (the default),
     instances whose access paths agree share one index group — Section 6's
     "all divisible queries share the same range tree"; [~share:false]
     gives every instance private trees (the ablation baseline).  Index
-    structures are built lazily, on first probe. *)
+    structures are built lazily, on first probe.  It counts into [tel]
+    like {!naive}, plus the per-group [group.<id>.reuses] counters. *)
 val indexed :
-  ?share:bool -> schema:Schema.t -> aggregates:Aggregate.t array -> unit -> t
+  ?share:bool ->
+  tel:Telemetry.Registry.t ->
+  schema:Schema.t ->
+  aggregates:Aggregate.t array ->
+  unit ->
+  t
 
-(** [explain ~schema ~aggregates ()] renders the compiled plan of every
-    aggregate instance — chosen strategy, index group, access path —
-    annotated with the live telemetry counters the evaluators have
-    accumulated in {!Sgl_util.Telemetry.default} (batches, probes, rows
-    scanned, prefix-aggregate vs. enumeration vs. sweep vs. uniform
-    answers, and cache reuse per group).  Group assignment is
-    deterministic, so the mapping matches any evaluator built with the
-    same [share]/[schema]/[aggregates].  With telemetry disabled all
-    counters render as zero. *)
-val explain : ?share:bool -> schema:Schema.t -> aggregates:Aggregate.t array -> unit -> string
+(** [explain ~tel ~schema ~aggregates ()] renders the compiled plan of
+    every aggregate instance — chosen strategy, index group, access path —
+    annotated with the live counters the evaluators over [tel] have
+    accumulated (batches, probes, rows scanned, prefix-aggregate vs.
+    enumeration vs. sweep vs. uniform answers, cache reuse per group, and
+    the {!counters} totals).  Group assignment is deterministic, so the
+    mapping matches any evaluator built with the same
+    [share]/[schema]/[aggregates].  Over a disabled registry every
+    counter renders as zero. *)
+val explain :
+  ?share:bool ->
+  tel:Telemetry.Registry.t ->
+  schema:Schema.t ->
+  aggregates:Aggregate.t array ->
+  unit ->
+  string

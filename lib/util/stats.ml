@@ -2,12 +2,11 @@
    per-phase timing accumulators. *)
 
 (* Percentiles come from a fixed grid of logarithmic buckets (8 per
-   octave, covering 2^-40 .. 2^40).  Because the grid is the same in
-   every accumulator, merging is an exact count sum: percentiles of a
-   merged accumulator are bit-identical no matter how the samples were
-   partitioned — unlike sampling-based sketches.  Bucket 0 collects
-   non-positive samples (durations are >= 0; an exact-zero tick simply
-   reports the observed minimum). *)
+   octave, covering 2^-40 .. 2^40): a percentile depends only on the
+   bucket counts, not on the order the samples arrived in — unlike
+   sampling-based sketches.  Bucket 0 collects non-positive samples
+   (durations are >= 0; an exact-zero tick simply reports the observed
+   minimum). *)
 let buckets_per_octave = 8
 let octave_range = 40 (* 2^-40 .. 2^40 *)
 let n_log_buckets = 2 * octave_range * buckets_per_octave (* 640 *)
@@ -76,7 +75,7 @@ let reset t =
 (* Nearest-rank percentile over the bucket counts.  The answer is the
    clamped geometric midpoint of the bucket holding the target rank, so
    the relative error is bounded by the bucket width (2^(1/8) ~ 9%) and
-   the result depends only on the merged counts — never on merge order. *)
+   the result depends only on the counts — never on sample order. *)
 let percentile t q =
   if t.n = 0 then nan
   else if q <= 0. then t.min
@@ -99,38 +98,6 @@ let percentile t q =
     if !idx = 0 then t.min
     else Float.min t.max (Float.max t.min (representative !idx))
   end
-
-(* Chan et al.'s parallel Welford combination: merging per-shard
-   accumulators gives the same mean/M2 as folding every sample into one
-   (up to float rounding), independent of how samples were partitioned.
-   The qcheck merge-order-invariance law pins that. *)
-let merge ~(into : t) (src : t) : unit =
-  if src.n > 0 then begin
-    if into.n = 0 then begin
-      into.n <- src.n;
-      into.mean <- src.mean;
-      into.m2 <- src.m2;
-      into.min <- src.min;
-      into.max <- src.max
-    end
-    else begin
-      let n = into.n + src.n in
-      let delta = src.mean -. into.mean in
-      let fn = float_of_int n in
-      into.mean <- into.mean +. (delta *. float_of_int src.n /. fn);
-      into.m2 <-
-        into.m2 +. src.m2 +. (delta *. delta *. float_of_int into.n *. float_of_int src.n /. fn);
-      into.n <- n;
-      if src.min < into.min then into.min <- src.min;
-      if src.max > into.max then into.max <- src.max
-    end;
-    for i = 0 to n_buckets - 1 do
-      into.buckets.(i) <- into.buckets.(i) + src.buckets.(i)
-    done
-  end
-
-let copy t =
-  { n = t.n; mean = t.mean; m2 = t.m2; min = t.min; max = t.max; buckets = Array.copy t.buckets }
 
 (* One-shot helpers over arrays; population variance to match the battle
    scripts' "standard deviation of all troop positions" aggregate. *)

@@ -21,22 +21,11 @@ val max_value : t -> float
 (** [percentile t q] estimates the [q]-quantile ([0. <= q <= 1.]) from a
     fixed grid of logarithmic buckets (8 per octave): the clamped
     geometric midpoint of the bucket containing the nearest rank, so the
-    relative error is bounded by the bucket width (about 9%).  Because
-    the grid is fixed, merged accumulators give bit-identical
-    percentiles regardless of how samples were partitioned.  [nan] when
+    relative error is bounded by the bucket width (about 9%).  [nan] when
     empty; [q <= 0.]/[q >= 1.] return the exact min/max. *)
 val percentile : t -> float -> float
 
 val reset : t -> unit
-
-(** [merge ~into src] folds [src]'s samples into [into] as if each had
-    been [add]ed individually (Chan et al.'s parallel Welford update, so
-    the result is independent of how samples were partitioned across
-    accumulators, up to float rounding).  [src] is unchanged.  Used to
-    aggregate per-shard telemetry histograms. *)
-val merge : into:t -> t -> unit
-
-val copy : t -> t
 
 val mean_of : float array -> float
 val population_variance_of : float array -> float

@@ -6,8 +6,9 @@
    behind EXPLAIN ANALYZE:
 
    - a *registry* of named metrics — atomic counters (any thread records
-     without locks), gauges, and histograms backed by sharded Welford
-     accumulators ({!Stats}) merged on read;
+     without locks), gauges, and histograms backed by one Welford
+     accumulator ({!Stats}) each, behind a mutex because the live
+     endpoint's server thread reads them while the engine records;
    - a *span tracer* that buffers (name, thread, start, duration) tuples
      and dumps them in Chrome trace-event format, so a tick can be opened
      in a trace viewer: tick > phase > script group > operator, with one
@@ -20,11 +21,13 @@
    are bit-identical with telemetry on, off, or under EXPLAIN — the
    differential suite pins that.
 
-   Registries are first-class: the global {!default} registry carries the
-   process-wide hot-path metrics (eval.*, exec.*, fused.*, and
-   the per-aggregate agg.* counters behind EXPLAIN), while a simulation
-   owns a private always-on registry for its report counters, so
-   concurrent simulations never share state. *)
+   Registries are first-class: a simulation owns a private always-on
+   registry, the engine's books (its report counters, and what its
+   evaluators count: eval.*, the per-aggregate agg.* and per-group
+   group.* counters behind EXPLAIN), so concurrent simulations never
+   share state; the global {!default} registry carries gated
+   process-wide diagnostics: the exec, fused, relalg and persist
+   counters. *)
 
 (* ------------------------------------------------------------------ *)
 (* Metric cells.  Every handle carries the owning registry's enabled
@@ -34,14 +37,10 @@ type counter = { c_name : string; c_cell : int Atomic.t; c_on : bool Atomic.t }
 
 type gauge = { g_name : string; g_cell : float Atomic.t; g_on : bool Atomic.t }
 
-(* Histograms shard by domain id so concurrent recorders hit distinct
-   mutexes; [snapshot] merges the shards with [Stats.merge], which is
-   partition-independent by construction. *)
-let histogram_shards = 8
-
 type histogram = {
   h_name : string;
-  h_cells : (Mutex.t * Stats.t) array;
+  h_lock : Mutex.t;
+  h_stats : Stats.t;
   h_on : bool Atomic.t;
 }
 
@@ -80,33 +79,22 @@ module Histogram = struct
   let name (h : histogram) = h.h_name
 
   let observe (h : histogram) (v : float) : unit =
-    if Atomic.get h.h_on then begin
-      let lock, cell = h.h_cells.((Domain.self () :> int) mod histogram_shards) in
-      Mutex.lock lock;
-      Stats.add cell v;
-      Mutex.unlock lock
-    end
+    if Atomic.get h.h_on then Mutex.protect h.h_lock (fun () -> Stats.add h.h_stats v)
 
   let snapshot (h : histogram) : histogram_snapshot =
-    let acc = Stats.create () in
-    Array.iter
-      (fun (lock, cell) ->
-        Mutex.lock lock;
-        let frozen = Stats.copy cell in
-        Mutex.unlock lock;
-        Stats.merge ~into:acc frozen)
-      h.h_cells;
-    let n = Stats.count acc in
+    Mutex.protect h.h_lock @@ fun () ->
+    let s = h.h_stats in
+    let n = Stats.count s in
     {
       count = n;
-      mean = (if n = 0 then 0. else Stats.mean acc);
-      stddev = Stats.stddev acc;
-      min = (if n = 0 then 0. else Stats.min_value acc);
-      max = (if n = 0 then 0. else Stats.max_value acc);
-      total = Stats.total acc;
-      p50 = (if n = 0 then 0. else Stats.percentile acc 0.50);
-      p90 = (if n = 0 then 0. else Stats.percentile acc 0.90);
-      p99 = (if n = 0 then 0. else Stats.percentile acc 0.99);
+      mean = (if n = 0 then 0. else Stats.mean s);
+      stddev = Stats.stddev s;
+      min = (if n = 0 then 0. else Stats.min_value s);
+      max = (if n = 0 then 0. else Stats.max_value s);
+      total = Stats.total s;
+      p50 = (if n = 0 then 0. else Stats.percentile s 0.50);
+      p90 = (if n = 0 then 0. else Stats.percentile s 0.90);
+      p99 = (if n = 0 then 0. else Stats.percentile s 0.99);
     }
 end
 
@@ -184,26 +172,14 @@ module Registry = struct
 
   let histogram (t : t) (name : string) : histogram =
     intern t.histograms t.lock name (fun () ->
-        {
-          h_name = name;
-          h_cells = Array.init histogram_shards (fun _ -> (Mutex.create (), Stats.create ()));
-          h_on = t.on;
-        })
+        { h_name = name; h_lock = Mutex.create (); h_stats = Stats.create (); h_on = t.on })
 
   (* Zero every metric, keeping registrations (handles stay valid). *)
   let reset (t : t) : unit =
     Mutex.lock t.lock;
     Hashtbl.iter (fun _ c -> Atomic.set c.c_cell 0) t.counters;
     Hashtbl.iter (fun _ g -> Atomic.set g.g_cell 0.) t.gauges;
-    Hashtbl.iter
-      (fun _ h ->
-        Array.iter
-          (fun (lock, cell) ->
-            Mutex.lock lock;
-            Stats.reset cell;
-            Mutex.unlock lock)
-          h.h_cells)
-      t.histograms;
+    Hashtbl.iter (fun _ h -> Mutex.protect h.h_lock (fun () -> Stats.reset h.h_stats)) t.histograms;
     Mutex.unlock t.lock
 
   let sorted_bindings (type a) (table : (string, a) Hashtbl.t) (lock : Mutex.t) :
@@ -257,9 +233,10 @@ module Registry = struct
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json t))
 end
 
-(* The process-wide ambient registry: hot-path metrics from the
-   evaluator and executor land here.  Disabled until a
-   tool (--metrics, --explain, the bench telemetry section) opts in. *)
+(* The process-wide ambient registry: gated diagnostics from the
+   executor, the kernels, the column store and persistence land here.
+   Disabled until a tool (--metrics, the live endpoint, the bench
+   telemetry section) opts in. *)
 let default : Registry.t = Registry.create ()
 
 let set_enabled v = Registry.set_enabled default v

@@ -2,8 +2,9 @@
 
     Metrics and spans are inert until enabled; the disabled fast path is a
     single atomic load per call site (the {!Fault_inject} pattern).
-    Counters are atomics, so any thread records without locks;
-    histograms shard per domain and merge through {!Stats.merge} on read.
+    Counters are atomics, so any thread records without locks; a
+    histogram is one {!Stats} accumulator behind a mutex, so a reader on
+    another thread (the live endpoint) sees whole observations.
     Telemetry never feeds back into simulation state: unit states are
     bit-identical with telemetry on, off, or under EXPLAIN.
 
@@ -50,11 +51,10 @@ end
 module Histogram : sig
   val name : histogram -> string
 
-  (** Folds into the shard owned by the calling domain (per-shard mutex,
-      so recorders rarely contend). *)
+  (** Folds [v] into the accumulator, under its mutex. *)
   val observe : histogram -> float -> unit
 
-  (** Merge every shard ({!Stats.merge}) and summarize. *)
+  (** Summarize the accumulator, under its mutex. *)
   val snapshot : histogram -> histogram_snapshot
 end
 
@@ -103,8 +103,11 @@ module Registry : sig
   val write_json : t -> path:string -> unit
 end
 
-(** The process-wide ambient registry: the evaluator and executor record
-    here.  Disabled by default. *)
+(** The process-wide ambient registry of gated diagnostics: the executor,
+    the kernels, the column store and persistence record here.  The
+    engine's own books (report counters, evaluator work, EXPLAIN's live
+    counters) are in each simulation's private registry.  Disabled by
+    default. *)
 val default : Registry.t
 
 (** Enable/disable {!default}. *)

@@ -67,7 +67,7 @@ let test_identical_positions () =
        let groups = [ { Exec.script = "main"; members = Array.init 30 (fun i -> i) } ] in
        Combine.Acc.to_relation
          (Test_qopt.run_tick compiled
-            ~evaluator:(Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+            ~evaluator:(Test_qopt.indexed_of s prog)
             ~units ~groups ~rand_for:rand_for_key))
   in
   Alcotest.(check bool) "stacked units agree" true (Relation.equal_as_multiset reference indexed)

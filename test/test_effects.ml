@@ -190,8 +190,8 @@ let test_freeze_engines_agree () =
   let run evaluator =
     let ev =
       match evaluator with
-      | `N -> Sgl_qopt.Eval.naive ~aggregates:prog.Core_ir.aggregates
-      | `I -> Sgl_qopt.Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()
+      | `N -> Test_qopt.naive_of prog
+      | `I -> Test_qopt.indexed_of s prog
     in
     let compiled = Sgl_qopt.Exec.compile prog in
     let groups =

@@ -167,7 +167,7 @@ let exec_unknown_script () =
   let units =
     [| Unit_types.make_unit schema ~key:0 ~player:0 ~klass:D20.Knight ~x:1 ~y:1 |]
   in
-  let evaluator = Eval.indexed ~schema ~aggregates:prog.Sgl_lang.Core_ir.aggregates () in
+  let evaluator = Test_qopt.indexed_of schema prog in
   let contains ~sub s =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -330,6 +330,45 @@ let degrade_exhausted () =
       in
       Alcotest.(check bool) "re-raises once the chain is exhausted" true raised;
       Alcotest.(check int) "nothing half-applied" 0 (Simulation.tick_count sim))
+
+(* One ledger across a demotion: the demoted evaluator counts into the
+   simulation's registry, so the report, the sum of the per-tick samples
+   and the registry agree on the whole run, and the naive evaluator's
+   scans after the demotion land in the same books. *)
+let degrade_keeps_one_ledger () =
+  with_injection (fun () ->
+      Fault_inject.arm ~point:"eval.member" (Fault_inject.At_count 100);
+      let sim = battle_sim ~fault_policy:Simulation.Degrade ~evaluator:Simulation.Indexed () in
+      let tel = Simulation.telemetry sim in
+      let value name = Telemetry.Counter.value (Telemetry.Registry.counter tel name) in
+      (* per committed tick: its sample and the registry's naive scans *)
+      let log = ref [] in
+      Simulation.set_observer sim
+        (Some (fun s -> log := (s, value "eval.naive_scan") :: !log));
+      let ticks = 12 in
+      Simulation.run sim ~ticks;
+      let demoted_at =
+        match Simulation.degradations sim with
+        | [ (tick, "indexed", "naive") ] when tick > 0 && tick < ticks - 2 -> tick
+        | _ -> Alcotest.fail "expected one indexed -> naive demotion mid-run"
+      in
+      let r = Simulation.report sim in
+      let sum f = List.fold_left (fun acc (s, _) -> acc + f s) 0 !log in
+      let check = Alcotest.(check int) in
+      Alcotest.(check bool) "indexed built before the demotion" true
+        (r.Simulation.index_builds > 0);
+      check "builds: report = samples" r.Simulation.index_builds
+        (sum (fun s -> s.Simulation.s_index_builds));
+      check "builds: report = registry" r.Simulation.index_builds (value "eval.index_build");
+      check "reuses: report = samples" r.Simulation.index_reuses
+        (sum (fun s -> s.Simulation.s_index_reuses));
+      check "reuses: report = registry" r.Simulation.index_reuses (value "eval.index_reuse");
+      check "probes: report = registry" r.Simulation.index_probes (value "eval.index_probe");
+      check "scans: report = registry" r.Simulation.naive_scans (value "eval.naive_scan");
+      (* the retried tick commits as tick [demoted_at + 1], under naive *)
+      let scans_at tick = snd (List.find (fun (s, _) -> s.Simulation.s_tick = tick) !log) in
+      Alcotest.(check bool) "naive scans after the demotion are counted" true
+        (scans_at ticks > scans_at (demoted_at + 1)))
 
 (* Every policy is bit-identical to [Fail] when nothing fires: the
    fault-free tick is the same code under all three. *)
@@ -546,6 +585,8 @@ let suite =
           degrade_fused_to_naive;
         Alcotest.test_case "degrade: down to naive, bit-identical" `Slow degrade_to_naive;
         Alcotest.test_case "degrade: exhausted chain re-raises" `Quick degrade_exhausted;
+        Alcotest.test_case "degrade: one ledger across the demotion" `Quick
+          degrade_keeps_one_ledger;
         Alcotest.test_case "guards are bit-identical when nothing fires" `Slow
           quarantine_faultfree_identical;
       ] );

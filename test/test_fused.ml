@@ -74,7 +74,7 @@ let check_kernel_on ~(src : string) ~script (units : Tuple.t array) ~seed =
   let reference =
     Test_qopt.normalize_effects s (Test_qopt.effects_reference prog script units rand_for)
   in
-  let evaluator = Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates () in
+  let evaluator = Test_qopt.indexed_of s prog in
   let kernel =
     Test_qopt.normalize_effects s (effects_kernel ~evaluator prog script units rand_for_key)
   in
@@ -280,8 +280,8 @@ let kernel_tick_equivalence =
       let exec evaluator =
         Test_qopt.normalize_effects s (effects_kernel ~evaluator prog "main" units rand_for_key)
       in
-      let naive = exec (Eval.naive ~aggregates:prog.Core_ir.aggregates) in
-      let indexed = exec (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()) in
+      let naive = exec (Test_qopt.naive_of prog) in
+      let indexed = exec (Test_qopt.indexed_of s prog) in
       Relation.equal_as_multiset reference naive && Relation.equal_as_multiset reference indexed)
 
 (* Full-simulation churn: random movement, deaths and key-targeted

@@ -387,16 +387,16 @@ let four_way_equivalence =
           (Combine.Acc.to_relation
              (Test_qopt.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key))
       in
-      let naive = exec ~optimize:true (Eval.naive ~aggregates:prog.Core_ir.aggregates) in
+      let naive = exec ~optimize:true (Test_qopt.naive_of prog) in
       let indexed =
-        exec ~optimize:true (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+        exec ~optimize:true (Test_qopt.indexed_of s prog)
       in
       let unshared =
         exec ~optimize:true
-          (Eval.indexed ~share:false ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+          (Test_qopt.indexed_of ~share:false s prog)
       in
       let unoptimized =
-        exec ~optimize:false (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+        exec ~optimize:false (Test_qopt.indexed_of s prog)
       in
       Relation.equal_as_multiset reference naive
       && Relation.equal_as_multiset reference indexed

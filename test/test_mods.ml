@@ -78,8 +78,8 @@ let test_mods_engines_agree () =
         Combine.Acc.to_relation
           (Test_qopt.run_tick compiled ~evaluator:ev ~units ~groups ~rand_for:rand_for_key)
       in
-      let naive = run (Eval.naive ~aggregates:prog.Core_ir.aggregates) in
-      let indexed = run (Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ()) in
+      let naive = run (Test_qopt.naive_of prog) in
+      let indexed = run (Test_qopt.indexed_of s prog) in
       Alcotest.(check bool) (name ^ ": naive = indexed") true
         (Relation.equal_as_multiset
            (Test_qopt.normalize_effects s naive)
@@ -102,7 +102,7 @@ let test_plague_stacks_damage () =
   let groups = [ { Exec.script = "plague_bearer"; members = [| 0; 1 |] } ] in
   let acc =
     Test_qopt.run_tick compiled
-      ~evaluator:(Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+      ~evaluator:(Test_qopt.indexed_of s prog)
       ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
   in
   let damage_ix = Schema.find s "damage" in

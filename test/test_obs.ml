@@ -490,6 +490,53 @@ let http_smoke () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
+(* The query port counts nowhere: its throwaway evaluator's aggregate is
+   instance 0, the same [agg.0.*] names as the simulation's first
+   aggregate, so counting it would corrupt EXPLAIN's live row. *)
+
+let query_body = "count(*) where e.health > 0"
+
+let run_query sim =
+  let snapshot =
+    { Query.q_tick = Simulation.tick_count sim; q_units = Simulation.units sim }
+  in
+  match Query.run ~schema:(Simulation.schema sim) ~snapshot query_body with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "query failed: %s" e
+
+(* The simulation's ledger: its [agg.0.*] and [eval.*] counters. *)
+let query_leaves_sim_ledger () =
+  let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 20) () in
+  let sim = Scenario.simulation ~seed:9 ~evaluator:Simulation.Indexed scenario in
+  Simulation.run sim ~ticks:8;
+  let ledger () =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"agg.0." name || String.starts_with ~prefix:"eval." name)
+      (Sgl_util.Telemetry.Registry.counters (Simulation.telemetry sim))
+  in
+  let before = ledger () in
+  Alcotest.(check bool) "aggregate 0 counted its batches" true
+    (List.assoc "agg.0.batches" before > 0);
+  run_query sim;
+  Alcotest.(check (list (pair string int))) "sim ledger unchanged" before (ledger ())
+
+(* The ambient registry, enabled. *)
+let query_leaves_ambient () =
+  let module T = Sgl_util.Telemetry in
+  let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 20) () in
+  let sim = Scenario.simulation ~seed:9 ~evaluator:Simulation.Indexed scenario in
+  Simulation.run sim ~ticks:3;
+  Fun.protect
+    ~finally:(fun () -> T.set_enabled false)
+    (fun () ->
+      T.set_enabled true;
+      let batches = T.counter "agg.0.batches" in
+      let before = T.Counter.value batches in
+      run_query sim;
+      Alcotest.(check int) "ambient agg.0.batches unchanged" before (T.Counter.value batches))
+
+(* ------------------------------------------------------------------ *)
 (* Health: the tick-time rule on synthetic flight windows *)
 
 (* A full 32-tick window of 20 ms ticks, with [slow] of them (the newest)
@@ -532,5 +579,10 @@ let suite =
     ( "obs.differential",
       [ tc "bit-identical with obs on" `Slow obs_is_invisible ] );
     ("obs.http", [ tc "every endpoint live" `Quick http_smoke ]);
+    ( "obs.query",
+      [
+        tc "leaves the sim ledger" `Quick query_leaves_sim_ledger;
+        tc "leaves the ambient registry" `Quick query_leaves_ambient;
+      ] );
     ("obs.health", [ tc "tick-time flag needs two slow ticks" `Quick health_tick_time_rule ]);
   ]

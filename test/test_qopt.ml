@@ -10,6 +10,15 @@ open Sgl_util
 
 let schema () = Test_lang.schema ()
 
+(* Evaluators over a program's aggregates, each counting into a private
+   registry. *)
+let naive_of (prog : Core_ir.program) : Eval.t =
+  Eval.naive ~tel:(Telemetry.Registry.create ()) ~aggregates:prog.Core_ir.aggregates
+
+let indexed_of ?share (schema : Schema.t) (prog : Core_ir.program) : Eval.t =
+  Eval.indexed ?share ~tel:(Telemetry.Registry.create ()) ~schema
+    ~aggregates:prog.Core_ir.aggregates ()
+
 (* ------------------------------------------------------------------ *)
 (* Agg_plan classification *)
 
@@ -239,8 +248,8 @@ let check_equivalence ?(src = Test_lang.figure3_source) ~script ~n ~seed () =
   let rand_for_key ~key i = Prng.script_random prng ~tick:0 ~key i in
   let rand_for u i = rand_for_key ~key:(Tuple.key s u) i in
   let reference = normalize_effects s (effects_reference prog script units rand_for) in
-  let naive_eval = Eval.naive ~aggregates:prog.Core_ir.aggregates in
-  let indexed_eval = Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates () in
+  let naive_eval = naive_of prog in
+  let indexed_eval = indexed_of s prog in
   let naive =
     normalize_effects s (effects_exec ~optimize:false ~evaluator:naive_eval prog script units rand_for_key)
   in
@@ -378,8 +387,9 @@ let test_equiv_int_bounds () =
     normalize_effects s (effects_exec ~optimize:true ~evaluator prog "main" units rand_for_key)
   in
   let aggregates = prog.Core_ir.aggregates in
-  let naive = run (Eval.naive ~aggregates) in
-  let indexed = run (Eval.indexed ~schema:s ~aggregates ()) in
+  let tel = Telemetry.Registry.create () in
+  let naive = run (Eval.naive ~tel ~aggregates) in
+  let indexed = run (Eval.indexed ~tel ~schema:s ~aggregates ()) in
   if not (Relation.equal_as_multiset naive indexed) then
     Alcotest.failf "indexed diverged from naive on int-valued bounds@.naive:@.%a@.indexed:@.%a"
       Relation.pp naive Relation.pp indexed
@@ -392,7 +402,7 @@ let test_share_equivalence () =
   let prng = Prng.create 77 in
   let rand_for_key ~key i = Prng.script_random prng ~tick:0 ~key i in
   let run share =
-    let ev = Eval.indexed ~share ~schema:s ~aggregates:prog.Core_ir.aggregates () in
+    let ev = indexed_of ~share s prog in
     normalize_effects s (effects_exec ~optimize:true ~evaluator:ev prog "main" units rand_for_key)
   in
   Alcotest.(check bool) "shared = private" true
@@ -416,7 +426,7 @@ let test_run_tick_rejects_foreign_store () =
   let groups = [ { Exec.script = "main"; members = Array.init 8 (fun i -> i) } ] in
   match
     Exec.run_tick ~cols ~acc:(Combine.Acc.create s ~positions:8) compiled
-      ~evaluator:(Eval.indexed ~schema:s ~aggregates:prog.Core_ir.aggregates ())
+      ~evaluator:(indexed_of s prog)
       ~units ~groups ~rand_for:(fun ~key:_ _ -> 0)
   with
   | _ -> Alcotest.fail "a store one row short was accepted"

@@ -168,7 +168,7 @@ let telemetry_is_invisible () =
     if explain then begin
       let prog = Scripts.compile () in
       let text =
-        Sgl_qopt.Eval.explain ~schema:(Simulation.schema sim)
+        Sgl_qopt.Eval.explain ~tel:(Simulation.telemetry sim) ~schema:(Simulation.schema sim)
           ~aggregates:prog.Sgl_lang.Core_ir.aggregates ()
       in
       Alcotest.(check bool) "explain non-empty" true (String.length text > 0)
@@ -191,8 +191,8 @@ let telemetry_is_invisible () =
   check "spans vs off" (run ~metrics:false ~spans:true ~explain:false);
   check "explain vs off" (run ~metrics:true ~spans:false ~explain:true)
 
-(* The per-simulation registry: report counters live in telemetry now, and
-   the two views must agree. *)
+(* The per-simulation registry is the engine's ledger: the report is read
+   from it, so the two views must agree, the evaluator totals included. *)
 let simulation_registry_mirrors_report () =
   let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 25) () in
   let sim = Scenario.simulation ~seed:3 ~evaluator:Simulation.Indexed scenario in
@@ -203,7 +203,15 @@ let simulation_registry_mirrors_report () =
   Alcotest.(check int) "sim.deaths" r.Simulation.deaths (value "sim.deaths");
   Alcotest.(check int) "sim.resurrections" r.Simulation.resurrections (value "sim.resurrections");
   Alcotest.(check int) "sim.rollbacks" r.Simulation.rollbacks (value "sim.rollbacks");
-  Alcotest.(check int) "sim.faults" (Simulation.fault_count sim) (value "sim.faults")
+  Alcotest.(check int) "sim.faults" (Simulation.fault_count sim) (value "sim.faults");
+  Alcotest.(check bool) "the evaluator counted" true (r.Simulation.index_builds > 0);
+  Alcotest.(check int) "eval.index_build" r.Simulation.index_builds (value "eval.index_build");
+  Alcotest.(check int) "eval.index_reuse" r.Simulation.index_reuses (value "eval.index_reuse");
+  Alcotest.(check int) "eval.index_probe" r.Simulation.index_probes (value "eval.index_probe");
+  Alcotest.(check int) "eval.naive_scan" r.Simulation.naive_scans (value "eval.naive_scan");
+  Alcotest.(check int) "eval.uniform_hit" r.Simulation.uniform_hits (value "eval.uniform_hit");
+  Alcotest.(check (float 0.)) "eval.index_build_ns" r.Simulation.build_s
+    (float_of_int (value "eval.index_build_ns") /. 1e9)
 
 let suite =
   let tc = Alcotest.test_case in

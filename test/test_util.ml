@@ -195,55 +195,6 @@ let test_stats_vs_two_pass () =
   Alcotest.(check (float 1e-12)) "mean" mean (Stats.mean s);
   Alcotest.(check (float 1e-12)) "variance" sample_variance (Stats.variance s)
 
-let test_stats_merge_basic () =
-  (* merging two accumulators == folding all samples into one *)
-  let xs = [ 2.; 4.; 4. ] and ys = [ 4.; 5.; 5.; 7.; 9. ] in
-  let a = Stats.create () and b = Stats.create () and all = Stats.create () in
-  List.iter (Stats.add a) xs;
-  List.iter (Stats.add b) ys;
-  List.iter (Stats.add all) (xs @ ys);
-  Stats.merge ~into:a b;
-  check_int "count" (Stats.count all) (Stats.count a);
-  check_float "mean" (Stats.mean all) (Stats.mean a);
-  check_float "variance" (Stats.variance all) (Stats.variance a);
-  check_float "min" (Stats.min_value all) (Stats.min_value a);
-  check_float "max" (Stats.max_value all) (Stats.max_value a);
-  (* merging into an empty accumulator copies; merging an empty one is a
-     no-op; src is never mutated *)
-  let empty = Stats.create () in
-  Stats.merge ~into:empty b;
-  check_int "into empty: count" (List.length ys) (Stats.count empty);
-  check_float "into empty: mean" (Stats.mean b) (Stats.mean empty);
-  let before = Stats.count b in
-  Stats.merge ~into:b (Stats.create ());
-  check_int "empty src: no-op" before (Stats.count b)
-
-(* Merge-order invariance: any partition of the samples across any number
-   of accumulators, merged in any order, agrees with the single-pass fold
-   (up to float rounding) — the law the cross-shard histogram aggregation
-   rests on. *)
-let stats_merge_order_invariance =
-  QCheck.Test.make ~name:"Stats.merge is partition- and order-invariant" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 40) (float_bound_inclusive 100.))
-        (pair small_nat bool))
-    (fun (samples, (cut_seed, reverse)) ->
-      let reference = Stats.create () in
-      List.iter (Stats.add reference) samples;
-      (* split into up to 4 parts at a pseudo-random boundary *)
-      let parts = Array.init 4 (fun _ -> Stats.create ()) in
-      List.iteri (fun i x -> Stats.add parts.((i + cut_seed) mod 4) x) samples;
-      let order = if reverse then [ 3; 2; 1; 0 ] else [ 0; 1; 2; 3 ] in
-      let acc = Stats.create () in
-      List.iter (fun i -> Stats.merge ~into:acc (Stats.copy parts.(i))) order;
-      let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs a) in
-      Stats.count acc = Stats.count reference
-      && close (Stats.mean acc) (Stats.mean reference)
-      && close (Stats.variance acc) (Stats.variance reference)
-      && close (Stats.min_value acc) (Stats.min_value reference)
-      && close (Stats.max_value acc) (Stats.max_value reference))
-
 (* ------------------------------------------------------------------ *)
 (* Percentiles *)
 
@@ -282,31 +233,6 @@ let test_percentile_edges () =
   (* reset clears the buckets too *)
   Stats.reset s;
   Alcotest.(check bool) "reset -> nan" true (Float.is_nan (Stats.percentile s 0.9))
-
-(* Percentiles come from a fixed bucket grid, so merging is an exact count
-   sum: any partition, merged in any order, gives BIT-IDENTICAL
-   percentiles — stronger than the float-rounding tolerance Welford
-   needs. *)
-let percentile_merge_invariance =
-  QCheck.Test.make ~name:"Stats.percentile is merge-invariant (bit-exact)" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 60) (float_bound_inclusive 1e6))
-        (pair small_nat bool))
-    (fun (samples, (cut_seed, reverse)) ->
-      let reference = Stats.create () in
-      List.iter (Stats.add reference) samples;
-      let parts = Array.init 4 (fun _ -> Stats.create ()) in
-      List.iteri (fun i x -> Stats.add parts.((i + cut_seed) mod 4) x) samples;
-      let order = if reverse then [ 3; 2; 1; 0 ] else [ 0; 1; 2; 3 ] in
-      let acc = Stats.create () in
-      List.iter (fun i -> Stats.merge ~into:acc (Stats.copy parts.(i))) order;
-      List.for_all
-        (fun q ->
-          Int64.equal
-            (Int64.bits_of_float (Stats.percentile acc q))
-            (Int64.bits_of_float (Stats.percentile reference q)))
-        [ 0.; 0.25; 0.5; 0.9; 0.99; 1. ])
 
 (* ------------------------------------------------------------------ *)
 (* Search *)
@@ -438,11 +364,8 @@ let suite =
         tc "empty accumulator" `Quick test_stats_empty;
         tc "single sample" `Quick test_stats_single_sample;
         tc "welford vs two-pass reference" `Quick test_stats_vs_two_pass;
-        tc "merge" `Quick test_stats_merge_basic;
-        QCheck_alcotest.to_alcotest stats_merge_order_invariance;
         tc "percentile basic" `Quick test_percentile_basic;
         tc "percentile edges" `Quick test_percentile_edges;
-        QCheck_alcotest.to_alcotest percentile_merge_invariance;
       ] );
     ( "util.search",
       [
