@@ -751,15 +751,6 @@ let micro () =
   Delta.record_structural structural;
   let tests =
     [
-      Test.make ~name:"post_apply_50k_idle"
-        (Staged.stage (fun () ->
-             ignore
-               (Postprocess.apply post_spec ~schema ~rand_for:(fun ~key:_ _ -> 0) ~units:units50
-                  ~acc:no_effects)));
-      Test.make ~name:"movement_50k_1pct"
-        (Staged.stage (fun () ->
-             Array.blit units50 0 moved 0 n50;
-             Movement.run ~cols:cols50 grid ~prng ~tick:(next ()) ~units:moved ~acc:movers));
       Test.make ~name:"acc_add_attr_12k"
         (Staged.stage (fun () ->
              Combine.Acc.reset acc12k ~positions:6000;
@@ -863,6 +854,19 @@ let micro () =
   in
   interleaved ~rounds:31
     [
+      (* Each run records into a fresh change record: a reused one would
+         mark the movers' positions as owned, and movement would then write
+         into the shared [units50] rows. *)
+      ( "post_apply_50k_idle",
+        fun () ->
+          ignore
+            (Postprocess.apply ~delta:(Delta.create schema) post_spec ~schema
+               ~rand_for:(fun ~key:_ _ -> 0) ~units:units50 ~acc:no_effects) );
+      ( "movement_50k_1pct",
+        fun () ->
+          Array.blit units50 0 moved 0 n50;
+          Movement.run ~delta:(Delta.create schema) ~cols:cols50 grid ~prng ~tick:(next ())
+            ~units:moved ~acc:movers );
       ("crc32_450k", fun () -> ignore (Persist.Crc32.string column450k));
       ( "digest_50k_one_dirty_col_rows",
         fun () ->

@@ -155,25 +155,23 @@ let random_free_cell g (prng : Prng.t) ~(tick : int) ~(salt : int) : (int * int)
    array — its slot in [acc] and the position its moves are recorded at
    (no [positions]: the identity).  Rows of units that do not move are
    left untouched; a unit that moves gets a fresh copy with its new
-   position, written back into [units] — unless [owned.(i)] says
-   [units.(i)] is already this tick's own copy, which is then updated in
+   position, written back into [units] — unless [delta] records its
+   position, which marks [units.(i)] as the tick's own copy, updated in
    place.  Candidate destinations are tried in decreasing preference: the
    full clamped step, the half step, each axis alone; a unit blocked on
-   all of them stays put.  Each successful move is recorded against
-   [delta] (posx/posy + unit position) when given, so the cross-tick index
-   cache knows which spatial structures went stale.
+   all of them stays put.  Each coordinate a move changes is recorded
+   against [delta] (posx/posy + unit position).
 
    Three passes: a sequential one fills the grid and marks the units with
    a nonzero decided vector; the shuffled one decides the moves against
    the grid, reading only the marked rows; a last sequential one writes
    the moved rows.  The fill reads cells from [cols] (the committed store
    of the tick's unit array) through [positions], touching a row only
-   where post-processing owns it or a column is not pure floats.  Writing
-   in array order keeps the new rows in memory in the order scans read
+   where the tick owns it or a column is not pure floats.  Writing in
+   array order keeps the new rows in memory in the order scans read
    them. *)
-let run ?(delta : Delta.t option) ~(cols : Colstore.t) ?(owned = [||]) ?(positions = [||])
-    (g : grid) ~(prng : Prng.t) ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) :
-    unit =
+let run ~(delta : Delta.t) ~(cols : Colstore.t) ?(positions = [||]) (g : grid) ~(prng : Prng.t)
+    ~(tick : int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) : unit =
   let config = g.config in
   let n = Array.length units in
   let identity = Array.length positions = 0 in
@@ -193,19 +191,17 @@ let run ?(delta : Delta.t option) ~(cols : Colstore.t) ?(owned = [||]) ?(positio
   in
   let from_cols = Array.length xs > 0 in
   for i = 0 to n - 1 do
-    (* A row post-processing rewrote ([owned]) may hold a new position
-       the columns do not. *)
-    if from_cols && not (i < Array.length owned && owned.(i)) then begin
-      let p = pos i in
+    (* A row the tick owns may hold a new position the columns do not. *)
+    let p = pos i in
+    if from_cols && not (Delta.dirty_pos delta p) then
       add_code g (encode g (int_of_float xs.(p)) (int_of_float ys.(p)))
-    end
     else begin
       let u = units.(i) in
       add_code g
         (encode g (Value.to_int (Tuple.get u config.posx)) (Value.to_int (Tuple.get u config.posy)))
     end;
     let moves =
-      match Combine.Acc.find_opt acc (pos i) with
+      match Combine.Acc.find_opt acc p with
       | None -> false
       | Some effects ->
         Value.to_float (Tuple.get effects config.mvx) <> 0.
@@ -257,11 +253,11 @@ let run ?(delta : Delta.t option) ~(cols : Colstore.t) ?(owned = [||]) ?(positio
   for i = 0 to n - 1 do
     let code = dest.(i) in
     if code >= 0 then begin
-      let u = units.(i) in
+      let u = units.(i) and p = pos i in
       let x = Value.to_int (Tuple.get u config.posx) and y = Value.to_int (Tuple.get u config.posy) in
       let cx = code mod config.width and cy = code / config.width in
       let row =
-        if i < Array.length owned && owned.(i) then u
+        if Delta.dirty_pos delta p then u
         else begin
           let r = Tuple.copy u in
           units.(i) <- r;
@@ -270,10 +266,8 @@ let run ?(delta : Delta.t option) ~(cols : Colstore.t) ?(owned = [||]) ?(positio
       in
       Tuple.set row config.posx (Value.Float (float_of_int cx));
       Tuple.set row config.posy (Value.Float (float_of_int cy));
-      match delta with
-      | None -> ()
-      | Some d ->
-        if cx <> x then Delta.record d ~attr:config.posx ~pos:(pos i);
-        if cy <> y then Delta.record d ~attr:config.posy ~pos:(pos i)
+      (* a move changes cx or cy, so a copied row is always recorded *)
+      if cx <> x then Delta.record delta ~attr:config.posx ~pos:p;
+      if cy <> y then Delta.record delta ~attr:config.posy ~pos:p
     end
   done

@@ -51,21 +51,19 @@ val random_free_cell : grid -> Prng.t -> tick:int -> salt:int -> (int * int) opt
     x only, y only.  [positions.(i)] is the position [units.(i)] had in
     the tick's unit array ({!Postprocess.outcome}); its decided vector is
     read from that slot of [acc] with one array load, and omitted
-    [positions] mean the identity.  [cols] is the committed column
-    store of that tick's unit array: the fill reads each
-    survivor's cell from its posx/posy columns at [positions.(i)], and
-    reads the row instead where [owned.(i)] (post-processing may have
-    rewritten its position) or where either column is not [Floats].  A
-    unit that moves gets a fresh row copy, written back into [units],
-    unless [owned.(i)] marks [units.(i)] as a copy the tick already made
-    (see {!Postprocess.outcome}), which is then updated in place; no other
-    row is written.  Each successful move records posx/posy + that
-    position against [delta] when given (cross-tick index cache
-    bookkeeping). *)
+    [positions] mean the identity.  The tick owns [units.(i)] (a copy it
+    made, see {!Postprocess.apply}) where [delta] records its position.
+    [cols] is the committed column store of that tick's unit array: the
+    fill reads each survivor's cell from its posx/posy columns at
+    [positions.(i)], and reads the row instead where the tick owns it or
+    either column is not [Floats].  A unit that moves gets a fresh row
+    copy, written back into [units], unless the tick owns [units.(i)],
+    which is then updated in place; no other row is written.  Each
+    coordinate a move changes is recorded against [delta] at that
+    position. *)
 val run :
-  ?delta:Delta.t ->
+  delta:Delta.t ->
   cols:Colstore.t ->
-  ?owned:bool array ->
   ?positions:int array ->
   grid ->
   prng:Prng.t ->

@@ -38,7 +38,6 @@ type outcome = {
   survivors : Tuple.t array;
   positions : int array;
   dead : Tuple.t array;
-  owned : bool array;
 }
 
 (* Apply the step.  Unit [p]'s combined effects are slot [p] of [acc]:
@@ -50,19 +49,18 @@ type outcome = {
    Committed rows are immutable and shared: a unit keeps its input row
    (physically) unless an update writes a value that is not
    [Value.identical] to the old one, and then gets one fresh copy holding
-   every change.  When [delta] is given, every such write is recorded
-   against it (attribute and unit position) — the mutation-side half of
-   the cross-tick index cache's contract, and the column set the
-   incremental digest and the column store re-encode: a change this phase
-   fails to record would let a stale structure survive. *)
-let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
-    ~(rand_for : key:int -> int -> int) ~(units : Tuple.t array) ~(acc : Combine.Acc.t) :
-    outcome =
+   every change.  Every such write is recorded against [delta] (attribute
+   and unit position), so a position is recorded exactly when its row is
+   copied: the record of which rows the tick owns, and the column set the
+   index cache, the incremental digest and the column store trust — a
+   change this phase fails to record would let a stale structure survive. *)
+let apply ~(delta : Delta.t) (t : t) ~(schema : Schema.t) ~(rand_for : key:int -> int -> int)
+    ~(units : Tuple.t array) ~(acc : Combine.Acc.t) : outcome =
   Sgl_util.Fault_inject.hit "post.apply";
   match (t.updates, t.remove_when) with
   | [], Expr.Const (Value.Bool false) ->
     (* nothing to write and nobody dies *)
-    { survivors = Array.copy units; positions = [||]; dead = [||]; owned = [||] }
+    { survivors = Array.copy units; positions = [||]; dead = [||] }
   | updates, remove_when ->
     let n = Array.length units in
     let zero = Some (Tuple.create schema) in
@@ -72,7 +70,7 @@ let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
       List.map (fun i -> (i, Value.zero_of (Schema.ty_at schema i))) (Schema.effect_indices schema)
     in
     let survivors = Array.make n [||] and n_alive = ref 0 in
-    let positions = ref [||] and dead = ref [] and owned = ref [||] in
+    let positions = ref [||] and dead = ref [] in
     for p = 0 to n - 1 do
       let u = units.(p) in
       let key = Tuple.key schema u in
@@ -91,7 +89,7 @@ let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
         (fun (i, expr) ->
           let v = Expr.eval ctx expr in
           if not (Value.identical v (Tuple.get u i)) then begin
-            (match delta with Some d -> Delta.record d ~attr:i ~pos:p | None -> ());
+            Delta.record delta ~attr:i ~pos:p;
             if !row == u then row := Tuple.copy u;
             Tuple.set !row i v
           end)
@@ -103,10 +101,6 @@ let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
         dead := !row :: !dead
       end
       else begin
-        if !row != u then begin
-          if Array.length !owned = 0 then owned := Array.make n false;
-          !owned.(!n_alive) <- true
-        end;
         if Array.length !positions > 0 then !positions.(!n_alive) <- p;
         survivors.(!n_alive) <- !row;
         incr n_alive
@@ -116,7 +110,6 @@ let apply ?(delta : Delta.t option) (t : t) ~(schema : Schema.t)
       survivors = (if !n_alive = n then survivors else Array.sub survivors 0 !n_alive);
       positions = !positions;
       dead = Array.of_list (List.rev !dead);
-      owned = !owned;
     }
 
 (* ------------------------------------------------------------------ *)

@@ -31,10 +31,6 @@ type outcome = {
           died: the mapping is then the identity and no array is built.
           May be longer than [survivors]. *)
   dead : Tuple.t array; (** Units the death rule removed, in input order. *)
-  owned : bool array;
-      (** [owned.(i)]: [survivors.(i)] is a copy this call made, so the
-          caller may write into it.  May be longer than [survivors], and is
-          [[||]] when no row was copied. *)
 }
 
 (** Apply the step to every unit.  [units.(p)]'s combined effects are
@@ -44,11 +40,12 @@ type outcome = {
     yield {!Value.identical} values keeps its row, and units without an
     accumulator slot share one read-only zero effects row.  A step with
     no updates and the constant-false death rule evaluates nothing per
-    unit.  When [delta] is given, each update that changes the
-    attribute's value (tag or bits) is recorded against it (attribute +
-    unit position) for the cross-tick index cache. *)
+    unit.  Each update that changes the attribute's value (tag or bits)
+    is recorded against [delta] (a fresh one: attribute + unit position),
+    so [survivors.(i)] is a copy this call made, which the caller may
+    write into, exactly when [Delta.dirty_pos delta positions.(i)]. *)
 val apply :
-  ?delta:Delta.t ->
+  delta:Delta.t ->
   t ->
   schema:Schema.t ->
   rand_for:(key:int -> int -> int) ->

@@ -151,9 +151,9 @@ type t = {
   mutable store : Colstore.t;
   index_cache : bool; (* hand deltas to the evaluator across ticks *)
   (* What the last committed tick changed, relative to the unit array its
-     decision phase saw.  Consumed by the next tick's [prepare]; cleared
-     on rollback, so a retried or failed tick always reopens the cache
-     cold rather than against a delta whose mutations were undone. *)
+     decision phase saw ([Some] after every commit).  Cleared on rollback,
+     so a retried or failed tick always reopens the cache cold rather than
+     against a delta whose mutations were undone. *)
   mutable pending_delta : Delta.t option;
   (* Per-column CRCs behind the last state digest, tagged with the tick it
      was computed at.  Lets the next commit's digest recompute only the
@@ -320,8 +320,8 @@ let state_of (t : t) : Checkpoint.state =
    previous tick and the committed tick's delta summary is available and
    non-structural, only the dirtied columns are re-read; everything else
    recombines from the cached per-column CRCs.  Structural ticks (deaths,
-   resurrections), rollbacks and cache-off runs fall back to the full
-   pass.  Recovery verification recomputes from the rows
+   resurrections) and the first commit after a rollback or a restore fall
+   back to the full pass.  Recovery verification recomputes from the rows
    ([Codec.units_digest]), cross-checking the store-derived journal
    digests every replayed tick. *)
 let state_digest (t : t) : int =
@@ -358,19 +358,11 @@ let checkpoint_now (t : t) : unit =
     Telemetry.Histogram.observe tel_checkpoint_ns
       (Int64.to_float (Int64.sub (Timer.now_ns ()) t0))
 
-(* One journal record for the tick that just committed. *)
-let journal_commit (t : t) (p : persistence) : unit =
+(* One journal record for the tick that just committed, with its delta. *)
+let journal_commit (t : t) (p : persistence) (d : Delta.t) : unit =
   match p.p_journal with
   | None -> ()
   | Some w ->
-    let structural, dirty_attrs, dirty_keys =
-      match t.pending_delta with
-      | Some d -> (Delta.structural d, Delta.dirty_attrs d, Delta.dirty_key_count d)
-      | None ->
-        (* no summary recorded (cache off / rolled back): claim everything
-           changed — over-reporting is sound, here as in the index cache *)
-        (true, [], 0)
-    in
     let before = Journal.bytes_written w in
     Journal.append w
       {
@@ -379,9 +371,9 @@ let journal_commit (t : t) (p : persistence) : unit =
         j_digest = state_digest t;
         j_deaths = Telemetry.Counter.value t.c_deaths;
         j_resurrections = Telemetry.Counter.value t.c_resurrections;
-        j_structural = structural;
-        j_dirty_attrs = dirty_attrs;
-        j_dirty_keys = dirty_keys;
+        j_structural = Delta.structural d;
+        j_dirty_attrs = Delta.dirty_attrs d;
+        j_dirty_keys = Delta.dirty_key_count d;
       };
     Telemetry.Counter.incr tel_journal_records;
     Telemetry.Counter.add tel_journal_bytes (Journal.bytes_written w - before)
@@ -390,23 +382,22 @@ let journal_commit (t : t) (p : persistence) : unit =
 (* The tick *)
 
 (* One attempt at the tick's phases.  Raises whatever a phase raises; on
-   success [t.units] holds the post-tick state and the tick counter has
-   advanced.  Crucially for the transactional wrapper in [step], no phase
-   writes into a committed row: kernels work on full-width row copies,
+   success [t.units] holds the post-tick state, the tick counter has
+   advanced and the tick's delta is returned.  Crucially for the
+   transactional wrapper in [step], no phase writes into a committed row: kernels work on full-width row copies,
    post-processing and movement copy a row only when a value in it changes
    (at most once per tick between them), resurrection copies the rows it
    revives, every phase builds fresh arrays, and [t.units] is swapped as
    the last action of the attempt. *)
-let run_phases (t : t) : unit =
+let run_phases (t : t) : Delta.t =
   let sch = schema t in
   let tick = t.tick in
   let rand_for ~key i = Prng.script_random t.prng ~tick ~key i in
-  (* The incoming delta (what the previous committed tick changed) keeps
-     the evaluator's index cache warm; the outgoing one records what this
-     tick changes, for the next.  With the cache disabled neither exists
-     and every tick opens cold. *)
+  (* The previous committed tick's delta keeps the evaluator's index cache
+     warm (with the cache disabled it is not handed over and every tick
+     opens cold).  This tick's delta is recorded whatever the setting. *)
   let delta_in = if t.index_cache then t.pending_delta else None in
-  let delta_out = if t.index_cache then Some (Delta.create sch) else None in
+  let delta = Delta.create sch in
   (* decision + action *)
   t.phase <- Fault.Decision;
   let acc = t.acc in
@@ -416,11 +407,10 @@ let run_phases (t : t) : unit =
             ~units:t.units ~groups:(groups t) ~rand_for));
   (* post-processing *)
   t.phase <- Fault.Post;
-  let { Postprocess.survivors; positions; dead; owned } =
+  let { Postprocess.survivors; positions; dead } =
     Telemetry.Span.with_ ~cat:"phase" "post" @@ fun () ->
     Timer.record t.timings.post (fun () ->
-        Postprocess.apply ?delta:delta_out t.config.postprocess ~schema:sch ~rand_for
-          ~units:t.units ~acc)
+        Postprocess.apply ~delta t.config.postprocess ~schema:sch ~rand_for ~units:t.units ~acc)
   in
   (* movement over the survivors *)
   t.phase <- Fault.Movement;
@@ -428,8 +418,8 @@ let run_phases (t : t) : unit =
       Timer.record t.timings.movement (fun () ->
           Option.iter
             (fun grid ->
-              Movement.run ?delta:delta_out ~cols:t.store ~owned ~positions grid ~prng:t.prng
-                ~tick ~units:survivors ~acc)
+              Movement.run ~delta ~cols:t.store ~positions grid ~prng:t.prng ~tick
+                ~units:survivors ~acc)
             t.grid));
   (* Movement was the accumulator's last reader.  Drop its rows now: the
      simulation keeps the accumulator, so rows still in it when the next
@@ -474,15 +464,16 @@ let run_phases (t : t) : unit =
   (* Any death reorders or re-populates the array, so positional data ids
      stop naming the same units: structural.  (Resurrection also rewrites
      health and positions, which structural subsumes.) *)
-  if Array.length dead > 0 then Option.iter Delta.record_structural delta_out;
+  if Array.length dead > 0 then Delta.record_structural delta;
   t.units <- final;
   (* Commit the column store copy-on-write: clean columns (per the tick's
      dirty-attribute summary) keep their arrays, dirty ones rebuild into
      fresh arrays, so the snapshot [step] took still reads the pre-tick
      state. *)
-  Colstore.refresh ?delta:delta_out t.store final;
-  t.pending_delta <- delta_out;
-  t.tick <- t.tick + 1
+  Colstore.refresh ~delta t.store final;
+  t.pending_delta <- Some delta;
+  t.tick <- t.tick + 1;
+  delta
 
 (* The engine's ledger in one read: every counter and phase timing,
    cumulative since [create] ([s_tick_s]: the wall-clock of every step).
@@ -562,7 +553,7 @@ let step (t : t) : unit =
       else run_phases t
     in
     match phases () with
-    | () -> ()
+    | delta -> delta
     | exception exn ->
       let bt = Printexc.get_raw_backtrace () in
       (* A group failure names its script; the fault carries the original
@@ -617,14 +608,14 @@ let step (t : t) : unit =
           retry ()
       end)
   in
-  attempt ();
+  let delta = attempt () in
   (* Durability hooks run only for a committed tick: a failed attempt was
      rolled back before the policy re-raised, so the journal never sees a
      state the simulation did not keep. *)
   (match t.persist with
   | None -> ()
   | Some p ->
-    journal_commit t p;
+    journal_commit t p delta;
     if p.p_every > 0 && t.tick - p.p_base >= p.p_every then checkpoint_now t);
   let tick_s = Int64.to_float (Int64.sub (Timer.now_ns ()) t_start) /. 1e9 in
   Telemetry.Histogram.observe t.h_tick_s tick_s;
@@ -814,9 +805,9 @@ let telemetry (t : t) : Telemetry.Registry.t = t.tel
    recorder composes the fan-out itself. *)
 let set_observer (t : t) (f : (tick_sample -> unit) option) : unit = t.observer <- f
 
-(* The delta the last committed tick recorded (None before the first tick,
-   after a rollback, or with the cache disabled).  Exposed so differential
-   tests can check it against the ground-truth [Delta.of_tuples]. *)
+(* The delta the last committed tick recorded (None before the first tick
+   or after a rollback).  Exposed so differential tests can check it
+   against the ground-truth [Delta.of_tuples]. *)
 let last_delta (t : t) : Delta.t option = t.pending_delta
 
 (* The ledger's read plus the evaluator totals a tick sample leaves out. *)

@@ -68,7 +68,8 @@ type t
     [index_cache] (default [true]) hands each tick's delta summary to the
     next tick's evaluator so index structures over untouched attributes
     survive across ticks; [false] restores rebuild-every-tick behaviour,
-    with bit-identical unit states.
+    with bit-identical unit states.  Every tick records its delta
+    summary ({!last_delta}) either way.
 
     The simulation keeps the units' column store (one typed column per
     schema attribute) as part of its committed state: every commit
@@ -218,10 +219,10 @@ type tick_sample = {
     is installed; [set_observer t None] removes it. *)
 val set_observer : t -> (tick_sample -> unit) option -> unit
 
-(** The delta summary the last committed tick recorded ([None] before the
-    first tick, after a rollback, or with the index cache disabled).  For
-    tests: check it against the ground truth {!Sgl_relalg.Delta.of_tuples}
-    computes between unit snapshots. *)
+(** The delta summary the last committed tick recorded, whatever the
+    [index_cache] setting ([None] before the first tick and after a
+    rollback).  For tests: check it against the ground truth
+    {!Sgl_relalg.Delta.of_tuples} computes between unit snapshots. *)
 val last_delta : t -> Delta.t option
 
 type timings = {

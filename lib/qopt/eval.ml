@@ -194,7 +194,9 @@ type group = {
   data_filter : Predicate.t;
   mutable stats_exprs : Expr.t list; (* deduped union of member statistics *)
   mutable n_stats : int;
-  g_reuses : Telemetry.counter; (* per-group cache reuse, for EXPLAIN *)
+  (* Per-group cache reuse, for EXPLAIN; [None] for the placeholder and
+     the area-effect groups, which are never cached. *)
+  g_reuses : Telemetry.counter option;
 }
 
 (* Group-scoped reuse counters: [group.<id>.reuses] counts the entry plus
@@ -865,7 +867,7 @@ let make_indexed_ctx ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Sc
   let groups : group Varray.t =
     Varray.create
       { group_id = -1; cat_attrs = []; box_attrs = []; data_filter = []; stats_exprs = [];
-        n_stats = 0; g_reuses = group_reuse_counter tel (-1) }
+        n_stats = 0; g_reuses = None }
   in
   let memberships : membership option array =
     Array.map
@@ -893,7 +895,7 @@ let make_indexed_ctx ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Sc
               let gid = Varray.length groups in
               let g =
                 { group_id = gid; cat_attrs; box_attrs; data_filter;
-                  stats_exprs = []; n_stats = 0; g_reuses = group_reuse_counter tel gid }
+                  stats_exprs = []; n_stats = 0; g_reuses = Some (group_reuse_counter tel gid) }
               in
               Varray.push groups g;
               g
@@ -953,7 +955,7 @@ let revalidate_index (ec : counters) (ctx : indexed_ctx) ~(delta : Delta.t)
     bi.cols <- !(ctx.ctx_cols);
     bi.epoch <- ctx.epoch;
     Telemetry.Counter.incr ec.index_reuses;
-    Telemetry.Counter.incr bi.group.g_reuses;
+    Option.iter Telemetry.Counter.incr bi.group.g_reuses;
     let no_dirty_units = Delta.dirty_key_count delta = 0 in
     let div_clean =
       not
@@ -970,7 +972,7 @@ let revalidate_index (ec : counters) (ctx : indexed_ctx) ~(delta : Delta.t)
         let keep kept =
           if kept then begin
             Telemetry.Counter.incr ec.index_reuses;
-            Telemetry.Counter.incr bi.group.g_reuses
+            Option.iter Telemetry.Counter.incr bi.group.g_reuses
           end
         in
         (match sub.divisible with
@@ -1041,9 +1043,8 @@ let indexed ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Schema.t)
   let units = ctx.ctx_units in
   let tels = agg_tels tel aggregates in
   (* The synthetic AoE aggregates are call-local and unnumbered; they share
-     one instance-counter set, and their fresh groups one reuse counter. *)
+     one instance-counter set, and their fresh groups count no reuses. *)
   let aoe_tel = agg_tel tel "aoe" in
-  let aoe_reuses = group_reuse_counter tel (-1) in
   let eval_agg ~agg_id ~rows ~rands =
     (* The injection point of the indexed machinery: absent from the naive
        evaluator, so a [Degrade] retry chain always terminates clean. *)
@@ -1163,7 +1164,7 @@ let indexed ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Schema.t)
               let cat_attrs, box_attrs, data_filter = group_signature access in
               let g =
                 { group_id = -1; cat_attrs; box_attrs; data_filter; stats_exprs = []; n_stats = 0;
-                  g_reuses = aoe_reuses }
+                  g_reuses = None }
               in
               let membership = join_group g stats_exprs in
               let bi =
@@ -1264,7 +1265,7 @@ let explain ?(share = true) ~(tel : Telemetry.Registry.t) ~(schema : Schema.t)
         in
         Fmt.pf ppf "    group %d: cat=%a box=%a members=%d stat_columns=%d cache_reuses=%d@."
           g.group_id pp_attr_list g.cat_attrs pp_attr_list g.box_attrs members g.n_stats
-          (Telemetry.Counter.value g.g_reuses))
+          (Option.fold ~none:0 ~some:Telemetry.Counter.value g.g_reuses))
       groups
   end;
   let v = Telemetry.Counter.value in

@@ -1,11 +1,12 @@
 (* Per-tick delta summaries: which attributes changed, which units were
    touched, and whether the tick changed the population structurally.
 
-   The mutation phases (post-processing, movement, death handling) record
-   into one summary as they run; the next tick's index cache validates its
-   cross-tick structures against it.  The summary is deliberately coarse —
-   one global dirty-attribute set plus one dirty-unit set — because the
-   cache only needs two sound facts:
+   The summary is the tick's one change record: the mutation phases
+   (post-processing, movement, death handling) record into it on every
+   tick; the commit and the journal read it, and the next tick's index
+   cache validates against it.  It is deliberately coarse — one global
+   dirty-attribute set plus one dirty-unit set — because the cache only
+   needs two sound facts:
 
    - an attribute absent from [dirty_attrs] has the same value on every
      unit as last tick, so any structure reading only clean attributes is
@@ -19,9 +20,15 @@
    structural: the set is a byte map over positions, with no key hashing.
    [structural] covers everything positional: units died, were resurrected,
    or the array order changed, so positions no longer name the same units
-   and every structure must be rebuilt.  Conservative over-reporting is
-   always sound (it only costs rebuilds); under-reporting is a correctness
-   bug, pinned by the differential suite's [of_tuples] cross-check. *)
+   and every structure must be rebuilt.  Over-reporting attributes or
+   marking a tick structural is sound (it only costs rebuilds);
+   under-reporting is a correctness bug, pinned by the differential
+   suite's [of_tuples] cross-check.  A recorded position, though, means
+   the tick owns that unit's row (a copy no committed array shares, so
+   later phases write into it): post-processing records a position
+   exactly when it copies the row, movement only where it copies or
+   moves it, and no phase may record a position whose row it did not
+   copy. *)
 
 type t = {
   schema : Schema.t;

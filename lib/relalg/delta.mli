@@ -1,8 +1,9 @@
 (** Per-tick delta summaries: which attributes changed on which units, and
-    whether the population changed structurally.  Mutation phases record;
-    the cross-tick index cache validates against the result.
-    Over-reporting is sound (costs rebuilds); under-reporting is a
-    correctness bug.
+    whether the population changed structurally: the tick's one change
+    record.  Over-reporting attributes or structure is sound (costs
+    rebuilds); under-reporting is a correctness bug.  A recorded position
+    means the tick owns that unit's row: a phase records one only for a
+    row it copied.
 
     Units are named by position: the unit's index in the tick's unit
     array (the array the decision phase saw).  A position is meaningful

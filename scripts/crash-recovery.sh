@@ -10,10 +10,13 @@
 # tick (or one behind it: the kill can land between journal commit and
 # the flight write of the same step).
 #
-# Every leg runs twice: once with resurrection (the population is
-# rewritten in place) and once with --no-resurrect (Remove deaths shrink
+# Every leg runs three times: once with resurrection (the population is
+# rewritten in place), once with --no-resurrect (Remove deaths shrink
 # it), so recovery is checked under both death rules and across
-# checkpoints whose unchanged rows are shared between ticks.
+# checkpoints whose unchanged rows are shared between ticks, and once
+# with resurrection and --no-index-cache: the journal's dirty summaries
+# and the incremental digest do not depend on the index cache, and
+# replay verification must hold over them with the cache off too.
 #
 # Final states are compared through --summary-json, not by grepping the
 # human-readable output.
@@ -140,6 +143,7 @@ echo "   checksum caught the damage; fallback + journal replay matched the refer
 
 legs "" "resurrect"
 legs "--no-resurrect" "remove"
+legs "--no-index-cache" "resurrect, index cache off"
 
 rm -rf "$DIR" ref.out crash.out restore.out corrupt.out crash-flight.dump \
   ref-summary.json restore-summary.json corrupt-summary.json flight-summary.json

@@ -13,6 +13,10 @@ let knight s ~key ~player ~x ~y =
 let a s name = Schema.find s name
 let no_rand ~key:_ (_ : int) = 0
 
+(* Post-processing into a fresh change record. *)
+let post spec s ~units ~acc =
+  Postprocess.apply ~delta:(Delta.create s) spec ~schema:s ~rand_for:no_rand ~units ~acc
+
 (* ------------------------------------------------------------------ *)
 (* Postprocess *)
 
@@ -26,7 +30,7 @@ let test_post_health_and_death () =
   Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "damage") (Value.Float 15.);
   Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "inaura") (Value.Float 4.);
   Combine.Acc.add_attr acc ~base:u1 ~pos:1 (a s "damage") (Value.Float 1000.);
-  let r = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0; u1 |] ~acc in
+  let r = post spec s ~units:[| u0; u1 |] ~acc in
   (match r.Postprocess.survivors with
   | [| row |] ->
     Alcotest.(check (float 1e-9)) "healed and hurt" 49. (Value.to_float (Tuple.get row (a s "health")));
@@ -42,7 +46,7 @@ let test_post_health_clamped_to_max () =
   let u0 = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
   let acc = Combine.Acc.create s ~positions:1 in
   Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "inaura") (Value.Float 50.);
-  let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
+  let row = (post spec s ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check (float 1e-9)) "clamped" 60. (Value.to_float (Tuple.get row (a s "health")))
 
 let test_post_cooldown () =
@@ -51,13 +55,13 @@ let test_post_cooldown () =
   let u0 = knight s ~key:0 ~player:0 ~x:1 ~y:1 in
   Tuple.set u0 (a s "cooldown") (Value.Int 3);
   let acc = Combine.Acc.create s ~positions:1 in
-  let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
+  let row = (post spec s ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check int) "decremented" 2 (Value.to_int (Tuple.get row (a s "cooldown")));
   (* fire at cooldown 0: restart from the unit's reload *)
   Tuple.set u0 (a s "cooldown") (Value.Int 0);
   let acc = Combine.Acc.create s ~positions:1 in
   Combine.Acc.add_attr acc ~base:u0 ~pos:0 (a s "weaponused") (Value.Int 1);
-  let row = (Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| u0 |] ~acc).survivors.(0) in
+  let row = (post spec s ~units:[| u0 |] ~acc).survivors.(0) in
   Alcotest.(check int) "reloaded" Sgl_battle.D20.knight.Sgl_battle.D20.reload
     (Value.to_int (Tuple.get row (a s "cooldown")))
 
@@ -82,21 +86,25 @@ let test_post_shares_unchanged_rows () =
   let hurt_before = Tuple.copy hurt in
   let acc = Combine.Acc.create s ~positions:2 in
   Combine.Acc.add_attr acc ~base:hurt ~pos:1 (a s "damage") (Value.Float 5.);
-  let r = Postprocess.apply spec ~schema:s ~rand_for:no_rand ~units:[| idle; hurt |] ~acc in
+  let units = [| idle; hurt |] in
+  let delta = Delta.create s in
+  let r = Postprocess.apply ~delta spec ~schema:s ~rand_for:no_rand ~units ~acc in
   Alcotest.(check bool) "idle row shared" true (r.Postprocess.survivors.(0) == idle);
   Alcotest.(check bool) "changed row copied" true (r.Postprocess.survivors.(1) != hurt);
   Alcotest.(check bool) "input row untouched" true (Tuple.equal hurt hurt_before);
-  Alcotest.(check (array bool)) "owned marks the copy" [| false; true |]
-    (Array.sub r.Postprocess.owned 0 2);
-  (* nothing to do at all: a fresh array of the same rows *)
+  (* the change record marks a position exactly when its row was copied *)
+  Alcotest.(check (array bool)) "dirty positions are the copied rows"
+    (Array.map2 ( != ) units r.Postprocess.survivors)
+    (Array.init 2 (Delta.dirty_pos delta));
+  (* nothing to do at all: a fresh array of the same rows, nothing recorded *)
   let trivial =
     Postprocess.make ~schema:s ~updates:[] ~remove_when:(Expr.Const (Value.Bool false))
   in
-  let units = [| idle; hurt |] in
-  let r = Postprocess.apply trivial ~schema:s ~rand_for:no_rand ~units ~acc in
+  let delta = Delta.create s in
+  let r = Postprocess.apply ~delta trivial ~schema:s ~rand_for:no_rand ~units ~acc in
   Alcotest.(check bool) "fresh array" true (r.Postprocess.survivors != units);
-  Alcotest.(check bool) "same rows" true
-    (Array.for_all2 ( == ) units r.Postprocess.survivors && r.Postprocess.owned = [||])
+  Alcotest.(check bool) "same rows" true (Array.for_all2 ( == ) units r.Postprocess.survivors);
+  Alcotest.(check (array int)) "no dirty position" [||] (Delta.dirty_positions delta)
 
 (* ------------------------------------------------------------------ *)
 (* Movement *)
@@ -124,7 +132,8 @@ let move_one s config ~units ~vectors =
     vectors;
   let prng = Prng.create 1 in
   let g = Movement.create_grid config in
-  Movement.run ~cols:(Colstore.of_tuples s units) g ~prng ~tick:0 ~units ~acc;
+  Movement.run ~delta:(Delta.create s) ~cols:(Colstore.of_tuples s units) g ~prng ~tick:0 ~units
+    ~acc;
   g
 
 let test_movement_moves_and_clamps () =
@@ -168,7 +177,8 @@ let test_movement_zero_vector_stays () =
   Alcotest.(check (float 1e-9)) "no move" 4. (Value.to_float (Tuple.get units.(0) (a s "posx")))
 
 (* Movement copies a row only when its unit moves, and not at all when the
-   row is already the tick's own copy ([owned]). *)
+   row is already the tick's own copy (its position is in the change
+   record). *)
 let test_movement_copies_movers_only () =
   let s = schema () in
   let config = movement_config s ~width:20 ~height:20 in
@@ -182,8 +192,10 @@ let test_movement_copies_movers_only () =
   let units = [| mover; idle |] in
   let acc = Combine.Acc.create s ~positions:2 in
   Combine.Acc.add_attr acc ~base:mover ~pos:0 (a s "movevect_x") (Value.Float 1.);
-  Movement.run ~cols:(Colstore.of_tuples s units) ~owned:[| true; false |]
-    (Movement.create_grid config) ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
+  let delta = Delta.create s in
+  Delta.record delta ~attr:(a s "health") ~pos:0;
+  Movement.run ~delta ~cols:(Colstore.of_tuples s units) (Movement.create_grid config)
+    ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
   Alcotest.(check bool) "owned row written in place" true (units.(0) == mover);
   Alcotest.(check (float 0.)) "owned row moved" 6. (Value.to_float (Tuple.get mover (a s "posx")))
 
@@ -638,7 +650,7 @@ let aliasing_unit s ~key ?(health = 100) ?(target = -1) ?(v = (0., 0.)) (x, y) =
 
 (* health := health - damage; a unit dies when the damage reaches its
    health; the dead are removed. *)
-let aliasing_sim (units : Tuple.t array) : Simulation.t =
+let aliasing_sim ?index_cache (units : Tuple.t array) : Simulation.t =
   let s = aliasing_schema () in
   let a = Schema.find s in
   let open Expr in
@@ -667,7 +679,7 @@ let aliasing_sim (units : Tuple.t array) : Simulation.t =
       optimize = true;
     }
   in
-  Simulation.create config ~evaluator:Simulation.Indexed ~units
+  Simulation.create ?index_cache config ~evaluator:Simulation.Indexed ~units
 
 let unit_by_key sim key =
   let s = Simulation.schema sim in
@@ -721,21 +733,25 @@ let test_key_target_shuffled_keys () =
     (List.map health [ 0; 1; 2; 3 ])
 
 (* (c) The recorded delta names the changed units by position: after a
-   non-structural tick on shuffled keys it covers the ground truth. *)
+   non-structural tick on shuffled keys it covers the ground truth.  The
+   tick records it whether or not the index cache is on. *)
 let test_delta_covers_shuffled_keys () =
   let s = aliasing_schema () in
-  let sim = aliasing_sim (shuffled_key_units s) in
-  let before = Array.copy (Simulation.units sim) in
-  Simulation.step sim;
-  let truth = Delta.of_tuples ~schema:s ~before ~after:(Simulation.units sim) in
-  Alcotest.(check bool) "the tick is not structural" false (Delta.structural truth);
-  Alcotest.(check int) "two units changed" 2 (Delta.dirty_key_count truth);
-  match Simulation.last_delta sim with
-  | None -> Alcotest.fail "no delta recorded"
-  | Some summary ->
-    Alcotest.(check bool) "summary is not structural" false (Delta.structural summary);
-    if not (Delta.covers ~summary ~truth) then
-      Alcotest.failf "summary %a does not cover truth %a" Delta.pp summary Delta.pp truth
+  List.iter
+    (fun index_cache ->
+      let sim = aliasing_sim ~index_cache (shuffled_key_units s) in
+      let before = Array.copy (Simulation.units sim) in
+      Simulation.step sim;
+      let truth = Delta.of_tuples ~schema:s ~before ~after:(Simulation.units sim) in
+      Alcotest.(check bool) "the tick is not structural" false (Delta.structural truth);
+      Alcotest.(check int) "two units changed" 2 (Delta.dirty_key_count truth);
+      match Simulation.last_delta sim with
+      | None -> Alcotest.failf "no delta recorded (index_cache=%b)" index_cache
+      | Some summary ->
+        Alcotest.(check bool) "summary is not structural" false (Delta.structural summary);
+        if not (Delta.covers ~summary ~truth) then
+          Alcotest.failf "summary %a does not cover truth %a" Delta.pp summary Delta.pp truth)
+    [ true; false ]
 
 (* (d) Movement's fill pass reads the committed posx/posy columns at each
    survivor's position in the tick's array, and the row instead wherever
@@ -762,7 +778,10 @@ let movement_reads_like_rows ~tick_units ~survivors ~positions ~owned ~vectors =
         Combine.Acc.add_attr acc ~base:tick_units.(pos) ~pos (a "movevect_y") (Value.Float vy))
       vectors;
     let g = Movement.create_grid config in
-    Movement.run ~cols ~owned ~positions g ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
+    (* the rows marked owned are the tick's copies: record their positions *)
+    let delta = Delta.create s in
+    Array.iteri (fun i o -> if o then Delta.record delta ~attr:(a "health") ~pos:positions.(i)) owned;
+    Movement.run ~delta ~cols ~positions g ~prng:(Prng.create 1) ~tick:0 ~units ~acc;
     let cells =
       List.concat_map
         (fun x ->

@@ -159,11 +159,12 @@ let sentry_cache_differential () =
 (* ------------------------------------------------------------------ *)
 (* The delta summary covers the ground truth *)
 
-(* Step a cached simulation and, each tick, check the recorded summary
-   against the diff of unit snapshots ([Delta.of_tuples]): every change the
-   truth reports must be accounted for.  Over-reporting passes (it only
-   costs rebuilds); a missed attribute/key or an unreported population
-   change fails. *)
+(* Step a simulation and, each tick, check the recorded summary against
+   the diff of unit snapshots ([Delta.of_tuples]): every change the truth
+   reports must be accounted for.  Over-reporting passes (it only costs
+   rebuilds); a missed attribute/key or an unreported population change
+   fails.  Every committed tick records a summary, with the index cache
+   on or off. *)
 let covers_ground_truth ~(ticks : int) (sim : Simulation.t) : unit =
   let schema = Simulation.schema sim in
   for tick = 1 to ticks do
@@ -171,7 +172,7 @@ let covers_ground_truth ~(ticks : int) (sim : Simulation.t) : unit =
     Simulation.step sim;
     let truth = Delta.of_tuples ~schema ~before ~after:(Simulation.units sim) in
     match Simulation.last_delta sim with
-    | None -> Alcotest.failf "tick %d: cached simulation committed no delta summary" tick
+    | None -> Alcotest.failf "tick %d: the committed tick left no delta summary" tick
     | Some summary ->
       if not (Delta.covers ~summary ~truth) then
         Alcotest.failf "tick %d: summary %a does not cover truth %a" tick Delta.pp summary
@@ -181,13 +182,20 @@ let covers_ground_truth ~(ticks : int) (sim : Simulation.t) : unit =
 let sentry_delta_covers () =
   (* no deaths: every tick is non-structural, so per-attribute/per-key
      coverage carries the whole weight *)
-  covers_ground_truth ~ticks:40 (sentry_sim ~churn:20 ~n:100 Simulation.Indexed)
+  List.iter
+    (fun index_cache ->
+      covers_ground_truth ~ticks:40 (sentry_sim ~churn:20 ~index_cache ~n:100 Simulation.Indexed))
+    [ true; false ]
 
 let battle_delta_covers () =
   (* deaths and resurrections: the structural flag must be raised whenever
      the population is rewritten *)
   let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 40) () in
-  covers_ground_truth ~ticks:30 (Scenario.simulation ~seed:7 ~evaluator:Simulation.Indexed scenario)
+  List.iter
+    (fun index_cache ->
+      covers_ground_truth ~ticks:30
+        (Scenario.simulation ~seed:7 ~index_cache ~evaluator:Simulation.Indexed scenario))
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache lifecycle under the fault policies *)

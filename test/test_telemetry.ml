@@ -213,6 +213,18 @@ let simulation_registry_mirrors_report () =
   Alcotest.(check (float 0.)) "eval.index_build_ns" r.Simulation.build_s
     (float_of_int (value "eval.index_build_ns") /. 1e9)
 
+(* Only real index groups own a reuse series: the placeholder and the
+   area-effect groups are never cached, so they register none. *)
+let no_placeholder_group_counters () =
+  let scenario = Scenario.setup ~density:0.02 ~per_side:(Scenario.standard_mix 25) () in
+  let sim = Scenario.simulation ~seed:3 ~evaluator:Simulation.Indexed scenario in
+  Simulation.run sim ~ticks:10;
+  let names = List.map fst (Telemetry.Registry.counters (Simulation.telemetry sim)) in
+  let prefixed p name = String.length name >= String.length p && String.sub name 0 (String.length p) = p in
+  Alcotest.(check bool) "real groups count reuses" true (List.exists (prefixed "group.0.") names);
+  Alcotest.(check (list string)) "no group.-1 series" []
+    (List.filter (prefixed "group.-1.") names)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -235,5 +247,6 @@ let suite =
       [
         tc "bit-identical on/off/spans/explain" `Slow telemetry_is_invisible;
         tc "sim registry mirrors report" `Quick simulation_registry_mirrors_report;
+        tc "no placeholder group counters" `Quick no_placeholder_group_counters;
       ] );
   ]
