@@ -7,8 +7,12 @@
 
      { "rows": [ { "section": "incremental",
                    "config": { "units": "2000", ... },
-                   "ticks_per_s": 123.4,
-                   "phases": { "decision_s": 0.1, ... } }, ... ] }
+                   "metrics": { "ticks_per_s": { "value": 123.4, "better": "higher" },
+                                "post_ms": { "value": 0.2 }, ... } }, ... ] }
+
+   A metric with a [better] direction is gated: scripts/bench-regress.sh
+   fails a fresh run where it is worse than the archived value by more
+   than the threshold.  A metric without one is there to be read.
 
    Hand-rolled serialization over [Telemetry]'s JSON fragments: the only
    values are strings and finite floats, and the toolchain has no JSON
@@ -16,11 +20,37 @@
 
 open Sgl
 
+type metric = { name : string; value : float; better : string option }
+
+type row = { section : string; config : (string * string) list; metrics : metric list }
+
+let higher name value = { name; value; better = Some "higher" }
+let lower name value = { name; value; better = Some "lower" }
+let info name value = { name; value; better = None }
+
+(* The phase metrics of the ticks between two reports of one simulation:
+   per-tick means of each phase, of which the decision phase (most of a
+   tick) is gated, and the index work per tick, which is deterministic
+   and gated. *)
+let phases ~(since : Simulation.report) (r : Simulation.report) : metric list =
+  let ticks = float_of_int (r.Simulation.ticks - since.Simulation.ticks) in
+  let ms f = 1000. *. (f r -. f since) /. ticks in
+  let per_tick f = float_of_int (f r - f since) /. ticks in
+  [
+    lower "decision_ms" (ms (fun r -> r.Simulation.decision_s));
+    info "build_ms" (ms (fun r -> r.Simulation.build_s));
+    info "post_ms" (ms (fun r -> r.Simulation.post_s));
+    info "movement_ms" (ms (fun r -> r.Simulation.movement_s));
+    info "death_ms" (ms (fun r -> r.Simulation.death_s));
+    lower "index_builds_per_tick" (per_tick (fun r -> r.Simulation.index_builds));
+    higher "index_reuses_per_tick" (per_tick (fun r -> r.Simulation.index_reuses));
+    lower "index_probes_per_tick" (per_tick (fun r -> r.Simulation.index_probes));
+  ]
+
 let path : string option ref = ref None
 let rows : string list ref = ref [] (* serialized rows, newest first *)
 
 let set_path (p : string) : unit = path := Some p
-let enabled () : bool = Option.is_some !path
 
 (* Where the document will land, for sections that archive companion
    files (e.g. the telemetry metrics JSON) next to it. *)
@@ -30,18 +60,21 @@ let json_object (fields : (string * string) list) : string =
   let field (k, v) = Telemetry.json_string k ^ ": " ^ v in
   "{" ^ String.concat ", " (List.map field fields) ^ "}"
 
-(* One measured configuration: [config] identifies it (evaluator, units,
-   churn, ...), [phases] carries the per-phase second splits. *)
-let emit ~(section : string) ~(config : (string * string) list) ~(ticks_per_s : float)
-    ~(phases : (string * float) list) : unit =
-  if enabled () then
+let emit (r : row) : unit =
+  let metric m =
+    ( m.name,
+      json_object
+        (("value", Telemetry.json_float m.value)
+        :: Option.to_list (Option.map (fun b -> ("better", Telemetry.json_string b)) m.better))
+    )
+  in
+  if Option.is_some !path then
     rows :=
       json_object
         [
-          ("section", Telemetry.json_string section);
-          ("config", json_object (List.map (fun (k, v) -> (k, Telemetry.json_string v)) config));
-          ("ticks_per_s", Telemetry.json_float ticks_per_s);
-          ("phases", json_object (List.map (fun (k, v) -> (k, Telemetry.json_float v)) phases));
+          ("section", Telemetry.json_string r.section);
+          ("config", json_object (List.map (fun (k, v) -> (k, Telemetry.json_string v)) r.config));
+          ("metrics", json_object (List.map metric r.metrics));
         ]
       :: !rows
 
@@ -49,17 +82,8 @@ let write () : unit =
   match !path with
   | None -> ()
   | Some p ->
-    let oc = open_out p in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "{\n  \"rows\": [\n";
-        List.iteri
-          (fun i row ->
-            output_string oc "    ";
-            output_string oc row;
-            if i < List.length !rows - 1 then output_string oc ",";
-            output_string oc "\n")
-          (List.rev !rows);
-        output_string oc "  ]\n}\n");
+    Out_channel.with_open_bin p (fun oc ->
+        output_string oc "{\n  \"rows\": [\n    ";
+        output_string oc (String.concat ",\n    " (List.rev !rows));
+        output_string oc "\n  ]\n}\n");
     Fmt.pr "@.json: %d rows written to %s@." (List.length !rows) p

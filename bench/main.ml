@@ -8,8 +8,15 @@
    Sections (a [-full] variant runs the paper-scale sizes):
      fig10 fig10-full capacity density
      ablate-divisible ablate-sweep ablate-nn ablate-combine ablate-share
-     phases incremental incremental-full
+     incremental incremental-full
      faults telemetry obs persist micro
+
+   With [--json PATH] every section writes one row per measured
+   configuration through [Bench_json.emit]; BENCH_*.json at the repository
+   root archives the quick pass, and scripts/bench-regress.sh re-runs it
+   against that archive.  The indexed tick's phase split (the paper's
+   Section 6 and ablation A4) is battle-12k's under
+   [benchmark/run.py --trace 1].
 
    Absolute numbers differ from the paper's 2 GHz Core Duo C++ engine; the
    *shape* is what reproduces: the naive evaluator is quadratic in the unit
@@ -36,17 +43,34 @@ let header title =
 (* ------------------------------------------------------------------ *)
 (* Shared battle-driving helpers *)
 
-(* Per-tick decision+action+post+move seconds of a battle simulation. *)
-let battle_seconds ~(evaluator : Simulation.evaluator_kind) ~(n : int) ~(density : float)
-    ~(ticks : int) : float * Simulation.report =
-  let scenario =
-    Battle.Scenario.setup ~density ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-  in
-  let sim = Battle.Scenario.simulation ~evaluator scenario in
-  (* warm one tick outside the clock so compilation noise stays out *)
+(* One warm tick outside the clock (compilation, the first cold index
+   builds), then [ticks] timed ticks: seconds per tick and the phase
+   metrics of the timed ticks alone.  [attach] arms an observer or
+   persistence after the warm tick and returns its detach. *)
+let timed_run ?(attach = fun _ () -> ()) (sim : Simulation.t) ~(ticks : int) :
+    float * Bench_json.metric list =
   Simulation.step sim;
+  let detach = attach sim in
+  let since = Simulation.report sim in
   let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
-  (seconds /. float_of_int ticks, Simulation.report sim)
+  detach ();
+  (seconds /. float_of_int ticks, Bench_json.phases ~since (Simulation.report sim))
+
+let battle_sim ~(evaluator : Simulation.evaluator_kind) ~(n : int) ~(density : float) :
+    Simulation.t =
+  Battle.Scenario.simulation ~evaluator
+    (Battle.Scenario.setup ~density ~per_side:(Battle.Scenario.standard_mix (n / 2)) ())
+
+(* The row of a timed run: its tick rate, gated, then [extra] and the
+   phases. *)
+let emit_run ~section ~config ?(extra = []) ((per_tick, phases) : float * Bench_json.metric list)
+    : unit =
+  Bench_json.emit
+    {
+      section;
+      config;
+      metrics = (Bench_json.higher "ticks_per_s" (1. /. per_tick) :: extra) @ phases;
+    }
 
 (* How many ticks to average over, given how slow one tick will be. *)
 let ticks_for ~evaluator ~n =
@@ -68,20 +92,11 @@ let fig10 ~full () =
     else [ 250; 500; 1000; 2000; 4000; 8000; 12000 ]
   in
   let measure evaluator n =
-    let per_tick, r = battle_seconds ~evaluator ~n ~density:0.01 ~ticks:(ticks_for ~evaluator ~n) in
-    Bench_json.emit ~section:"fig10"
-      ~config:
-        [ ("evaluator", Simulation.evaluator_name evaluator); ("units", string_of_int n) ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("decision_s", r.Simulation.decision_s);
-          ("build_s", r.Simulation.build_s);
-          ("post_s", r.Simulation.post_s);
-          ("movement_s", r.Simulation.movement_s);
-          ("death_s", r.Simulation.death_s);
-        ];
-    per_tick *. 500.
+    let run = timed_run (battle_sim ~evaluator ~n ~density:0.01) ~ticks:(ticks_for ~evaluator ~n) in
+    emit_run ~section:"fig10"
+      ~config:[ ("evaluator", Simulation.evaluator_name evaluator); ("units", string_of_int n) ]
+      run;
+    fst run *. 500.
   in
   let naive = List.map (fun n -> (n, measure Simulation.Naive n)) naive_sizes in
   let indexed = List.map (fun n -> (n, measure Simulation.Indexed n)) indexed_sizes in
@@ -113,10 +128,7 @@ let capacity ~full () =
     | (Simulation.Indexed | Simulation.Fused), false -> 32_000
     | (Simulation.Indexed | Simulation.Fused), true -> 64_000
   in
-  let tick_time evaluator n =
-    let per_tick, _ = battle_seconds ~evaluator ~n ~density:0.01 ~ticks:2 in
-    per_tick
-  in
+  let tick_time evaluator n = fst (timed_run (battle_sim ~evaluator ~n ~density:0.01) ~ticks:2) in
   let find evaluator =
     let cap = max_probe evaluator in
     (* double until over budget (or the probe cap), then bisect *)
@@ -134,13 +146,24 @@ let capacity ~full () =
       (bisect (hi / 2) hi, false)
     end
   in
-  let report name evaluator =
+  let report evaluator =
     let n, capped = find evaluator in
+    let name = Simulation.evaluator_name evaluator in
     pr "%-8s sustains 10 ticks/s up to ~%d units%s@." name n
-      (if capped then " (probe cap reached; the true capacity is higher)" else "")
+      (if capped then " (probe cap reached; the true capacity is higher)" else "");
+    Bench_json.emit
+      {
+        section = "capacity";
+        config = [ ("evaluator", name) ];
+        metrics =
+          [
+            Bench_json.higher "units" (float_of_int n);
+            Bench_json.info "probe_cap_reached" (if capped then 1. else 0.);
+          ];
+      }
   in
-  report "naive" Simulation.Naive;
-  report "indexed" Simulation.Indexed;
+  report Simulation.Naive;
+  report Simulation.Indexed;
   pr "@.(paper, 2 GHz C++: naive < 1100 units, indexed > 12000; the ~10x ratio@.";
   pr " between the two capacities is the reproducible claim)@."
 
@@ -152,8 +175,19 @@ let density_sweep () =
   pr "%10s %16s %16s@." "density" "naive (s/tick)" "indexed (s/tick)";
   List.iter
     (fun d ->
-      let tn, _ = battle_seconds ~evaluator:Simulation.Naive ~n:500 ~density:d ~ticks:5 in
-      let ti, _ = battle_seconds ~evaluator:Simulation.Indexed ~n:500 ~density:d ~ticks:5 in
+      let measure evaluator =
+        let run = timed_run (battle_sim ~evaluator ~n:500 ~density:d) ~ticks:5 in
+        emit_run ~section:"density"
+          ~config:
+            [
+              ("evaluator", Simulation.evaluator_name evaluator);
+              ("density", Printf.sprintf "%.3f" d);
+            ]
+          run;
+        fst run
+      in
+      let tn = measure Simulation.Naive in
+      let ti = measure Simulation.Indexed in
       pr "%9.1f%% %16.4f %16.4f@." (d *. 100.) tn ti)
     [ 0.005; 0.01; 0.02; 0.04; 0.08 ];
   pr "@.(the paper reports neither algorithm is particularly sensitive to density)@."
@@ -208,6 +242,16 @@ let time_agg_batch ~schema ~units (agg : Aggregate.t) ~(kind : [ `Naive | `Index
   in
   seconds
 
+(* Write the row of one ablation variant's time at [n] units. *)
+let variant ~section ~n (name : string) (seconds : float) : float =
+  Bench_json.emit
+    {
+      section;
+      config = [ ("units", string_of_int n); ("variant", name) ];
+      metrics = [ Bench_json.lower "time_ms" (seconds *. 1000.) ];
+    };
+  seconds
+
 let box_where ~range_expr =
   let open Expr in
   [
@@ -247,9 +291,10 @@ let ablate_divisible () =
   List.iter
     (fun n ->
       let units = ablation_units ~side:300 schema ~n ~range in
-      let t_fast = time_agg_batch ~schema ~units fast ~kind:`Indexed in
-      let t_enum = time_agg_batch ~schema ~units enum ~kind:`Indexed in
-      let t_scan = time_agg_batch ~schema ~units fast ~kind:`Naive in
+      let variant = variant ~section:"ablate-divisible" ~n in
+      let t_fast = variant "prefix" (time_agg_batch ~schema ~units fast ~kind:`Indexed) in
+      let t_enum = variant "enumerate" (time_agg_batch ~schema ~units enum ~kind:`Indexed) in
+      let t_scan = variant "scan" (time_agg_batch ~schema ~units fast ~kind:`Naive) in
       pr "%8d %14.4f %14.4f %14.4f@." n t_fast t_enum t_scan)
     [ 1000; 2000; 4000; 8000 ];
   pr "@.(enumeration pays O(k) per probe once boxes fill up - the \"k is large\"@.";
@@ -275,9 +320,10 @@ let ablate_sweep () =
   List.iter
     (fun n ->
       let units = ablation_units schema ~n ~range in
-      let t_sweep = time_agg_batch ~schema ~units sweep ~kind:`Indexed in
-      let t_enum = time_agg_batch ~schema ~units enum ~kind:`Indexed in
-      let t_scan = time_agg_batch ~schema ~units sweep ~kind:`Naive in
+      let variant = variant ~section:"ablate-sweep" ~n in
+      let t_sweep = variant "sweep" (time_agg_batch ~schema ~units sweep ~kind:`Indexed) in
+      let t_enum = variant "enumerate" (time_agg_batch ~schema ~units enum ~kind:`Indexed) in
+      let t_scan = variant "scan" (time_agg_batch ~schema ~units sweep ~kind:`Naive) in
       pr "%8d %14.4f %14.4f %14.4f@." n t_sweep t_enum t_scan)
     [ 1000; 2000; 4000; 8000 ]
 
@@ -306,8 +352,9 @@ let ablate_nn () =
   List.iter
     (fun n ->
       let units = ablation_units schema ~n ~range:25. in
-      let t_kd = time_agg_batch ~schema ~units nearest ~kind:`Indexed in
-      let t_scan = time_agg_batch ~schema ~units nearest ~kind:`Naive in
+      let variant = variant ~section:"ablate-nn" ~n in
+      let t_kd = variant "kd-tree" (time_agg_batch ~schema ~units nearest ~kind:`Indexed) in
+      let t_scan = variant "scan" (time_agg_batch ~schema ~units nearest ~kind:`Naive) in
       pr "%8d %14.4f %14.4f %9.1fx@." n t_kd t_scan (t_scan /. t_kd))
     [ 1000; 2000; 4000; 8000 ]
 
@@ -372,40 +419,11 @@ script healer(u) { perform Aura(u); }
   pr "%8s %16s %14s %10s@." "units" "indexed (s)" "pairwise (s)" "speedup";
   List.iter
     (fun n ->
-      let ti = run `Indexed n and tn = run `Naive n in
+      let variant = variant ~section:"ablate-combine" ~n in
+      let ti = variant "indexed" (run `Indexed n) in
+      let tn = variant "pairwise" (run `Naive n) in
       pr "%8d %16.4f %14.4f %9.1fx@." n ti tn (tn /. ti))
     [ 1000; 2000; 4000; 8000 ]
-
-(* A4: where does the indexed tick go? (Section 6's phase split) *)
-let phases () =
-  header "Ablation A4 - indexed tick phase split (battle, 2000 units, 10 ticks)";
-  let per_tick, r = battle_seconds ~evaluator:Simulation.Indexed ~n:2000 ~density:0.01 ~ticks:10 in
-  Bench_json.emit ~section:"phases"
-    ~config:[ ("evaluator", "indexed"); ("units", "2000") ]
-    ~ticks_per_s:(1. /. per_tick)
-    ~phases:
-      [
-        ("decision_s", r.Simulation.decision_s);
-        ("build_s", r.Simulation.build_s);
-        ("post_s", r.Simulation.post_s);
-        ("movement_s", r.Simulation.movement_s);
-        ("death_s", r.Simulation.death_s);
-      ];
-  let total = r.Simulation.total_s in
-  let pct x = 100. *. x /. total in
-  pr "decision (probe)   : %7.3fs  (%4.1f%%)@."
-    (r.Simulation.decision_s -. r.Simulation.build_s)
-    (pct (r.Simulation.decision_s -. r.Simulation.build_s));
-  pr "index building     : %7.3fs  (%4.1f%%)  [%d structures built]@." r.Simulation.build_s
-    (pct r.Simulation.build_s) r.Simulation.index_builds;
-  pr "post-processing    : %7.3fs  (%4.1f%%)@." r.Simulation.post_s (pct r.Simulation.post_s);
-  pr "movement           : %7.3fs  (%4.1f%%)@." r.Simulation.movement_s
-    (pct r.Simulation.movement_s);
-  pr "death/resurrection : %7.3fs  (%4.1f%%)@." r.Simulation.death_s (pct r.Simulation.death_s);
-  pr "index probes       : %d@." r.Simulation.index_probes;
-  pr "@.(the paper: \"the overhead of index construction is quite low\" - with@.";
-  pr " access-path sharing enabled, probes dominate and full per-tick rebuilds@.";
-  pr " keep the whole tick at n log n)@."
 
 (* A6: sharing one tree across divisible queries (Section 6's engine
    design) vs a private tree per aggregate instance. *)
@@ -448,7 +466,19 @@ let ablate_share () =
               ~rand_for:(fun ~key i -> (key * 31) + i + tick)
           done)
     in
-    (seconds /. float_of_int ticks, Telemetry.Counter.value (Eval.counters tel).Eval.index_builds)
+    let per_tick = seconds /. float_of_int ticks
+    and builds = Telemetry.Counter.value (Eval.counters tel).Eval.index_builds in
+    Bench_json.emit
+      {
+        section = "ablate-share";
+        config = [ ("units", string_of_int n); ("variant", if share then "shared" else "private") ];
+        metrics =
+          [
+            Bench_json.lower "tick_ms" (per_tick *. 1000.);
+            Bench_json.lower "index_builds" (float_of_int builds);
+          ];
+      };
+    (per_tick, builds)
   in
   pr "%8s %14s %12s %14s %12s@." "units" "shared (s/t)" "builds" "private (s/t)" "builds";
   List.iter
@@ -557,14 +587,6 @@ let incremental_sim ~(index_cache : bool) ~(evaluator : Simulation.evaluator_kin
   in
   Simulation.create ~index_cache config ~evaluator ~units:(incremental_units schema ~n ~churn)
 
-(* Ticks per second plus the final report; one warm-up tick outside the
-   clock (compilation, the unavoidable first cold build). *)
-let incremental_rate ~index_cache ~evaluator ~n ~churn ~ticks : float * Simulation.report =
-  let sim = incremental_sim ~index_cache ~evaluator ~n ~churn in
-  Simulation.step sim;
-  let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
-  (float_of_int ticks /. seconds, Simulation.report sim)
-
 let incremental ~full () =
   header "Incremental maintenance - warm cross-tick structure cache vs cold rebuild";
   pr "(sentry scenario: %d scouts probe box counts over a mostly static army;@."
@@ -576,7 +598,7 @@ let incremental ~full () =
   let churns = [ 0.01; 0.10; 0.50 ] in
   let evaluators = [ ("indexed", Simulation.Indexed) ] in
   pr "%-11s %8s %7s %14s %14s %8s %10s@." "evaluator" "units" "churn" "warm (t/s)"
-    "cold (t/s)" "speedup" "reuses";
+    "cold (t/s)" "speedup" "reuses/t";
   List.iter
     (fun (ev_name, evaluator) ->
       List.iter
@@ -584,17 +606,9 @@ let incremental ~full () =
           List.iter
             (fun churn ->
               let ticks = if n >= 20_000 then 5 else 10 in
-              let warm, wr = incremental_rate ~index_cache:true ~evaluator ~n ~churn ~ticks in
-              let cold, cr = incremental_rate ~index_cache:false ~evaluator ~n ~churn ~ticks in
-              pr "%-11s %8d %6.0f%% %14.1f %14.1f %7.2fx %10d@." ev_name n (churn *. 100.)
-                warm cold (warm /. cold) wr.Simulation.index_reuses;
-              (* a warm row that never reused a structure: the cache is off *)
-              if wr.Simulation.index_reuses = 0 then
-                fail_check
-                  (Printf.sprintf "incremental: warm %s units=%d churn=%.2f recorded no reuses"
-                     ev_name n churn);
-              let emit label rate (r : Simulation.report) =
-                Bench_json.emit ~section:"incremental"
+              let measure label index_cache =
+                let run = timed_run (incremental_sim ~index_cache ~evaluator ~n ~churn) ~ticks in
+                emit_run ~section:"incremental"
                   ~config:
                     [
                       ("evaluator", ev_name);
@@ -602,20 +616,21 @@ let incremental ~full () =
                       ("churn", Printf.sprintf "%.2f" churn);
                       ("cache", label);
                     ]
-                  ~ticks_per_s:rate
-                  ~phases:
-                    [
-                      ("decision_s", r.Simulation.decision_s);
-                      ("build_s", r.Simulation.build_s);
-                      ("post_s", r.Simulation.post_s);
-                      ("movement_s", r.Simulation.movement_s);
-                      ("death_s", r.Simulation.death_s);
-                      ("index_builds", float_of_int r.Simulation.index_builds);
-                      ("index_reuses", float_of_int r.Simulation.index_reuses);
-                    ]
+                  run;
+                let reuses =
+                  List.find (fun m -> m.Bench_json.name = "index_reuses_per_tick") (snd run)
+                in
+                (1. /. fst run, reuses.Bench_json.value)
               in
-              emit "warm" warm wr;
-              emit "cold" cold cr)
+              let warm, reuses = measure "warm" true in
+              let cold, _ = measure "cold" false in
+              pr "%-11s %8d %6.0f%% %14.1f %14.1f %7.2fx %10.1f@." ev_name n (churn *. 100.)
+                warm cold (warm /. cold) reuses;
+              (* a warm row that never reused a structure: the cache is off *)
+              if reuses = 0. then
+                fail_check
+                  (Printf.sprintf "incremental: warm %s units=%d churn=%.2f recorded no reuses"
+                     ev_name n churn))
             churns)
         sizes)
     evaluators;
@@ -623,7 +638,7 @@ let incremental ~full () =
   pr " range trees are the O(n log n) build cost the delta summary avoids)@."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the index kernels *)
+(* Micro-benchmarks of the engine's layers *)
 
 (* Nearest-rank first quartile, median and third quartile of [xs]. *)
 let quartiles (xs : float array) : float * float * float =
@@ -632,35 +647,66 @@ let quartiles (xs : float array) : float * float * float =
   let at q = a.(int_of_float (Float.round (q *. float_of_int (Array.length a - 1)))) in
   (at 0.25, at 0.5, at 0.75)
 
-(* Same-process interleaved rounds: every round runs each kernel once,
-   in forward order on even rounds and reverse order on odd ones, so a
-   burst from another tenant of the host lands on every row alike.  Each
-   row reports the median and quartiles of its per-round times. *)
+(* A round of a row lasts at least this long: a single run of the
+   cheapest kernels is too short to time on its own. *)
+let min_round_s = 100e-6
+
+(* Same-process interleaved rounds: every round runs each kernel's batch
+   once, in forward order on even rounds and reverse order on odd ones,
+   so a burst from another tenant of the host lands on every row alike.
+   A row's batch is the smallest power of two of runs that lasts
+   [min_round_s], found once after a warm-up run.  Each row reports the
+   median and quartiles of its per-round times, per run. *)
 let interleaved ~(rounds : int) (rows : (string * (unit -> unit)) list) : unit =
   let rows = Array.of_list rows in
   let k = Array.length rows in
   let times = Array.make_matrix k rounds 0. in
-  Array.iter (fun (_, f) -> f ()) rows;
+  let run_batch f batch =
+    let t0 = Timer.now_ns () in
+    for _ = 1 to batch do
+      f ()
+    done;
+    Int64.to_float (Int64.sub (Timer.now_ns ()) t0) /. 1e3
+  in
+  let batches =
+    Array.map
+      (fun (_, f) ->
+        f ();
+        let rec size batch =
+          if run_batch f batch >= min_round_s *. 1e6 then batch else size (2 * batch)
+        in
+        size 1)
+      rows
+  in
   for r = 0 to rounds - 1 do
     for s = 0 to k - 1 do
       let i = if r land 1 = 0 then s else k - 1 - s in
-      let t0 = Timer.now_ns () in
-      snd rows.(i) ();
-      times.(i).(r) <- Int64.to_float (Int64.sub (Timer.now_ns ()) t0) /. 1e3
+      times.(i).(r) <- run_batch (snd rows.(i)) batches.(i) /. float_of_int batches.(i)
     done
   done;
-  pr "@.Interleaved, %d rounds (us per run)@." rounds;
-  pr "%-36s %10s %10s %10s@." "kernel" "median" "q1" "q3";
+  pr "Interleaved, %d rounds (us per run)@." rounds;
+  pr "%-36s %12s %12s %12s %8s@." "kernel" "median" "q1" "q3" "batch";
   Array.iteri
     (fun i (name, _) ->
       let q1, med, q3 = quartiles times.(i) in
-      pr "%-36s %10.1f %10.1f %10.1f@." name med q1 q3)
+      pr "%-36s %12.3f %12.3f %12.3f %8d@." name med q1 q3 batches.(i);
+      Bench_json.emit
+        {
+          section = "micro";
+          config = [ ("kernel", name) ];
+          metrics =
+            Bench_json.
+              [
+                lower "median_us" med;
+                info "q1_us" q1;
+                info "q3_us" q3;
+                info "runs_per_round" (float_of_int batches.(i));
+              ];
+        })
     rows
 
 let micro () =
-  header "Micro-benchmarks (Bechamel, monotonic clock; ns per run)";
-  let open Bechamel in
-  let open Toolkit in
+  header "Micro-benchmarks (monotonic clock)";
   let prng = Prng.create 31 in
   let n = 4096 in
   let xs = Array.init n (fun i -> float_of_int (Prng.int prng ~bound:1000 [ i; 1 ])) in
@@ -749,82 +795,61 @@ let micro () =
   let store12k = Sgl_relalg.Colstore.of_tuples battle12k.Battle.Scenario.schema units12k in
   let structural = Delta.create battle12k.Battle.Scenario.schema in
   Delta.record_structural structural;
-  let tests =
+  let layers =
     [
-      Test.make ~name:"acc_add_attr_12k"
-        (Staged.stage (fun () ->
-             Combine.Acc.reset acc12k ~positions:6000;
-             for pos = 0 to 5999 do
-               Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos damage hit;
-               Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos inaura aura
-             done));
-      Test.make ~name:"colstore_refresh_12k_structural"
-        (Staged.stage (fun () -> Sgl_relalg.Colstore.refresh ~delta:structural store12k units12k));
-      Test.make ~name:"shuffle_50k"
-        (Staged.stage (fun () -> Prng.shuffle_in_place prng [ next (); 17 ] order50));
-      Test.make ~name:"sort_6000"
-        (Staged.stage (fun () -> ignore (Float_sort.order x6)));
-      Test.make ~name:"sort_6000_closure"
-        (Staged.stage (fun () ->
-             let order = Array.init n6 Fun.id in
-             Array.sort (fun a b -> Float.compare x6.(a) x6.(b)) order));
-      Test.make ~name:"geometry_6000"
-        (Staged.stage (fun () -> ignore (Geometry.make ~x:x6 ~y:y6)));
-      Test.make ~name:"cascade_build_4096"
-        (Staged.stage (fun () -> ignore (Cascade_tree.build geometry ~stats ~m:2)));
-      Test.make ~name:"cascade_build_6000_m3"
-        (Staged.stage (fun () -> ignore (Cascade_tree.build geometry6 ~stats:stats6 ~m:3)));
-      Test.make ~name:"cascade_probe"
-        (Staged.stage (fun () ->
-             fill_box (next ());
-             Cascade_tree.accumulate cascade box ~scratch acc));
-      Test.make ~name:"layered_probe"
-        (Staged.stage (fun () ->
-             fill_box (next ());
-             Range_tree.accumulate layered box ~scratch acc));
-      Test.make ~name:"sweepline_6000"
-        (Staged.stage (fun () ->
-             Sweepline.run Sweepline.Min geometry6 ~value:health6 ~qx:x6 ~qy:y6 ~rx:2. ~ry:2. best6));
-      Test.make ~name:"sweepline_6000_with_sort"
-        (Staged.stage (fun () ->
-             Sweepline.run Sweepline.Min (Geometry.make ~x:x6 ~y:y6) ~value:health6 ~qx:x6 ~qy:y6
-               ~rx:2. ~ry:2. best6));
-      Test.make ~name:"kd_build_4096"
-        (Staged.stage (fun () -> ignore (Kd_tree.build geometry ids)));
-      Test.make ~name:"kd_build_6000"
-        (Staged.stage (fun () -> ignore (Kd_tree.build geometry6 ids6)));
-      Test.make ~name:"kd_build_6000_with_sort"
-        (Staged.stage (fun () -> ignore (Kd_tree.build (Geometry.make ~x:x6 ~y:y6) ids6)));
-      Test.make ~name:"kd_nearest"
-        (Staged.stage (fun () ->
-             let q = next () in
-             ignore (Kd_tree.nearest kd ~qx:xs.(q) ~qy:ys.(q))));
-      Test.make ~name:"prng_script_random"
-        (Staged.stage (fun () -> ignore (Prng.script_random prng ~tick:3 ~key:(next ()) 1)));
-      Test.make ~name:"naive_scan_4096"
-        (Staged.stage (fun () ->
-             let q = next () in
-             let acc = ref 0 in
-             for i = 0 to n - 1 do
-               if Float.abs (xs.(i) -. xs.(q)) <= 50. && Float.abs (ys.(i) -. ys.(q)) <= 50. then
-                 incr acc
-             done;
-             ignore !acc));
+      ( "acc_add_attr_12k",
+        fun () ->
+          Combine.Acc.reset acc12k ~positions:6000;
+          for pos = 0 to 5999 do
+            Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos damage hit;
+            Combine.Acc.add_attr acc12k ~base:units50.(pos) ~pos inaura aura
+          done );
+      ( "colstore_refresh_12k_structural",
+        fun () -> Sgl_relalg.Colstore.refresh ~delta:structural store12k units12k );
+      ("shuffle_50k", fun () -> Prng.shuffle_in_place prng [ next (); 17 ] order50);
+      ("sort_6000", fun () -> ignore (Float_sort.order x6));
+      ( "sort_6000_closure",
+        fun () ->
+          let order = Array.init n6 Fun.id in
+          Array.sort (fun a b -> Float.compare x6.(a) x6.(b)) order );
+      ("geometry_6000", fun () -> ignore (Geometry.make ~x:x6 ~y:y6));
+      ("cascade_build_4096", fun () -> ignore (Cascade_tree.build geometry ~stats ~m:2));
+      ("cascade_build_6000_m3", fun () -> ignore (Cascade_tree.build geometry6 ~stats:stats6 ~m:3));
+      ( "cascade_probe",
+        fun () ->
+          fill_box (next ());
+          Cascade_tree.accumulate cascade box ~scratch acc );
+      ( "layered_probe",
+        fun () ->
+          fill_box (next ());
+          Range_tree.accumulate layered box ~scratch acc );
+      ( "sweepline_6000",
+        fun () ->
+          Sweepline.run Sweepline.Min geometry6 ~value:health6 ~qx:x6 ~qy:y6 ~rx:2. ~ry:2. best6 );
+      ( "sweepline_6000_with_sort",
+        fun () ->
+          Sweepline.run Sweepline.Min (Geometry.make ~x:x6 ~y:y6) ~value:health6 ~qx:x6 ~qy:y6
+            ~rx:2. ~ry:2. best6 );
+      ("kd_build_4096", fun () -> ignore (Kd_tree.build geometry ids));
+      ("kd_build_6000", fun () -> ignore (Kd_tree.build geometry6 ids6));
+      ( "kd_build_6000_with_sort",
+        fun () -> ignore (Kd_tree.build (Geometry.make ~x:x6 ~y:y6) ids6) );
+      ( "kd_nearest",
+        fun () ->
+          let q = next () in
+          ignore (Kd_tree.nearest kd ~qx:xs.(q) ~qy:ys.(q)) );
+      ("prng_script_random", fun () -> ignore (Prng.script_random prng ~tick:3 ~key:(next ()) 1));
+      ( "naive_scan_4096",
+        fun () ->
+          let q = next () in
+          let acc = ref 0 in
+          for i = 0 to n - 1 do
+            if Float.abs (xs.(i) -. xs.(q)) <= 50. && Float.abs (ys.(i) -. ys.(q)) <= 50. then
+              incr acc
+          done;
+          ignore !acc );
     ]
   in
-  let grouped = Test.make_grouped ~name:"sgl" tests in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  pr "%-30s %14s@." "kernel" "ns/run";
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (t :: _) -> pr "%-30s %14.1f@." name t
-      | Some [] | None -> pr "%-30s %14s@." name "n/a")
-    (List.sort compare rows);
   (* The commit path of a sentry tick over the 50k rows: one unit in a
      hundred moved one cell in x, so one column is dirty.  The digest is
      recomputed for that column from the rows and from the store; the
@@ -852,8 +877,9 @@ let micro () =
     Array.iter (fun u -> Persist.Codec.W.value b (Tuple.get u posx)) moved50;
     Persist.Codec.W.contents b
   in
-  interleaved ~rounds:31
-    [
+  interleaved ~rounds:61
+    (layers
+    @ [
       (* Each run records into a fresh change record: a reused one would
          mark the movers' positions as owned, and movement would then write
          into the shared [units50] rows. *)
@@ -876,7 +902,7 @@ let micro () =
           ignore (Persist.Codec.store_digest_incremental store_cache ~dirty:[ posx ] store50) );
       ( "colstore_refresh_50k_1pct",
         fun () -> Sgl_relalg.Colstore.refresh ~delta:moved_delta store50 moved50 );
-    ]
+    ])
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: instrumentation overhead on the formation battle.
@@ -888,58 +914,55 @@ let micro () =
    against; with --json armed, the metrics document of the instrumented
    pass is archived next to the bench rows. *)
 
-let telemetry_bench () =
-  header "Telemetry - instrumentation overhead (indexed evaluator, 2000 units)";
-  let n = 2000 and density = 0.01 and ticks = 20 in
-  let measure mode ~pre ~post =
-    pre ();
-    let per_tick, r = battle_seconds ~evaluator:Simulation.Indexed ~n ~density ~ticks in
-    post ();
-    Bench_json.emit ~section:"telemetry"
-      ~config:[ ("mode", mode); ("units", string_of_int n) ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("decision_s", r.Simulation.decision_s);
-          ("build_s", r.Simulation.build_s);
-          ("post_s", r.Simulation.post_s);
-          ("movement_s", r.Simulation.movement_s);
-          ("death_s", r.Simulation.death_s);
-        ];
-    (mode, per_tick)
+(* One timed 2000-unit indexed battle per mode, the mode attached after
+   the warm tick; the first mode is the baseline of the overhead column. *)
+let overhead ~section (modes : (string * (Simulation.t -> unit -> unit)) list) : unit =
+  let n = 2000 in
+  let runs =
+    List.map
+      (fun (mode, attach) ->
+        let sim = battle_sim ~evaluator:Simulation.Indexed ~n ~density:0.01 in
+        let run = timed_run ~attach sim ~ticks:20 in
+        emit_run ~section ~config:[ ("mode", mode); ("units", string_of_int n) ] run;
+        (mode, fst run))
+      modes
   in
-  let nothing () = () in
-  let off = measure "off" ~pre:(fun () -> Telemetry.set_enabled false) ~post:nothing in
-  let metrics =
-    measure "metrics"
-      ~pre:(fun () ->
-        Telemetry.reset ();
-        Telemetry.set_enabled true)
-      ~post:(fun () ->
-        match Bench_json.current_path () with
-        | None -> ()
-        | Some p ->
-          let mp = p ^ ".metrics.json" in
-          Telemetry.Registry.write_json Telemetry.default ~path:mp;
-          pr "telemetry: metrics archived to %s@." mp)
-  in
-  let spans =
-    measure "metrics+spans"
-      ~pre:(fun () ->
-        Telemetry.reset ();
-        Telemetry.set_enabled true;
-        Telemetry.Span.start ())
-      ~post:(fun () ->
-        pr "telemetry: %d span events recorded@." (Telemetry.Span.count ());
-        Telemetry.Span.stop ())
-  in
-  Telemetry.set_enabled false;
-  let _, t_off = off in
+  let t_off = snd (List.hd runs) in
   pr "@.%-16s %12s %10s@." "mode" "ticks/s" "overhead";
   List.iter
     (fun (mode, per_tick) ->
       pr "%-16s %12.1f %9.1f%%@." mode (1. /. per_tick) ((per_tick /. t_off -. 1.) *. 100.))
-    [ off; metrics; spans ]
+    runs
+
+let telemetry_bench () =
+  header "Telemetry - instrumentation overhead (indexed evaluator, 2000 units)";
+  let enable () =
+    Telemetry.reset ();
+    Telemetry.set_enabled true
+  in
+  overhead ~section:"telemetry"
+    [
+      ("off", fun _ () -> ());
+      ( "metrics",
+        fun _ ->
+          enable ();
+          fun () ->
+            Option.iter
+              (fun p ->
+                let mp = p ^ ".metrics.json" in
+                Telemetry.Registry.write_json Telemetry.default ~path:mp;
+                pr "telemetry: metrics archived to %s@." mp)
+              (Bench_json.current_path ());
+            Telemetry.set_enabled false );
+      ( "metrics+spans",
+        fun _ ->
+          enable ();
+          Telemetry.Span.start ();
+          fun () ->
+            pr "telemetry: %d span events recorded@." (Telemetry.Span.count ());
+            Telemetry.Span.stop ();
+            Telemetry.set_enabled false );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability: flight recorder + live endpoint overhead.
@@ -956,48 +979,23 @@ let telemetry_bench () =
 
 let obs_bench () =
   header "Observability - flight recorder and live endpoint overhead (indexed, 2000 units)";
-  let n = 2000 and density = 0.01 and ticks = 20 in
-  let measure mode ~(attach : Simulation.t -> unit -> unit) =
-    let scenario =
-      Battle.Scenario.setup ~density ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-    in
-    let sim = Battle.Scenario.simulation ~evaluator:Simulation.Indexed scenario in
-    Simulation.step sim;
-    let detach = attach sim in
-    let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
-    detach ();
-    let r = Simulation.report sim in
-    let per_tick = seconds /. float_of_int ticks in
-    Bench_json.emit ~section:"obs"
-      ~config:[ ("mode", mode); ("units", string_of_int n) ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("decision_s", r.Simulation.decision_s);
-          ("build_s", r.Simulation.build_s);
-          ("post_s", r.Simulation.post_s);
-          ("movement_s", r.Simulation.movement_s);
-          ("death_s", r.Simulation.death_s);
-        ];
-    (mode, per_tick)
-  in
   let prog = Battle.Scripts.compile () in
-  let off = measure "off" ~attach:(fun _ () -> ()) in
-  let flight =
-    measure "flight" ~attach:(fun sim ->
-        let live = Obs.Live.create ~flight_capacity:1024 ~sim ~prog () in
-        fun () -> Obs.Live.stop live)
-  in
-  let sink =
-    measure "flight+sink" ~attach:(fun sim ->
-        let path = Filename.temp_file "sgl_bench_flight" ".dump" in
-        let live = Obs.Live.create ~flight_capacity:1024 ~dump_path:path ~sim ~prog () in
-        fun () ->
-          Obs.Live.stop live;
-          (try Sys.remove path with Sys_error _ -> ()))
-  in
-  let http =
-    measure "flight+http" ~attach:(fun sim ->
+  overhead ~section:"obs"
+    [
+      ("off", fun _ () -> ());
+      ( "flight",
+        fun sim ->
+          let live = Obs.Live.create ~flight_capacity:1024 ~sim ~prog () in
+          fun () -> Obs.Live.stop live );
+      ( "flight+sink",
+        fun sim ->
+          let path = Filename.temp_file "sgl_bench_flight" ".dump" in
+          let live = Obs.Live.create ~flight_capacity:1024 ~dump_path:path ~sim ~prog () in
+          fun () ->
+            Obs.Live.stop live;
+            (try Sys.remove path with Sys_error _ -> ()) );
+      ( "flight+http",
+        fun sim ->
         let live = Obs.Live.create ~flight_capacity:1024 ~sim ~prog () in
         let port = Obs.Live.serve live ~port:0 in
         let polling = Atomic.make true in
@@ -1028,14 +1026,8 @@ let obs_bench () =
         fun () ->
           Atomic.set polling false;
           Thread.join client;
-          Obs.Live.stop live)
-  in
-  let _, t_off = off in
-  pr "@.%-16s %12s %10s@." "mode" "ticks/s" "overhead";
-  List.iter
-    (fun (mode, per_tick) ->
-      pr "%-16s %12.1f %9.1f%%@." mode (1. /. per_tick) ((per_tick /. t_off -. 1.) *. 100.))
-    [ off; flight; sink; http ]
+          Obs.Live.stop live );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The steering scenario (used by the fault-policy section).
@@ -1188,13 +1180,13 @@ let faults_bench () =
   in
   let workloads =
     [
-      ( "battle 12k, indexed",
+      ( "battle-12k-indexed",
         fun fault_policy ->
           Battle.Scenario.simulation ~seed:42 ~fault_policy ~evaluator:Simulation.Indexed
             (Battle.Scenario.setup ~density:0.01
                ~per_side:(Battle.Scenario.standard_mix 6_000)
                ()) );
-      ( "steering 12k, fused",
+      ( "steering-12k-fused",
         fun fault_policy ->
           fused_sim ~fault_policy ~evaluator:Simulation.Fused ~n:12_000 () );
     ]
@@ -1220,16 +1212,18 @@ let faults_bench () =
           samples.(k).(r) <- seconds
         done
       done;
-      let p50 =
-        Array.map
-          (fun xs ->
-            let xs = Array.copy xs in
-            Array.sort Float.compare xs;
-            (xs.((rounds - 1) / 2) +. xs.(rounds / 2)) /. 2.)
-          samples
-      in
+      let p50 = Array.map (fun xs -> (fun (_, med, _) -> med) (quartiles xs)) samples in
       pr "%-22s" label;
       Array.iter (pr " %12.4f") p50;
+      List.iteri
+        (fun j (policy, _) ->
+          Bench_json.emit
+            {
+              section = "faults";
+              config = [ ("workload", label); ("policy", policy) ];
+              metrics = [ Bench_json.lower "p50_tick_ms" (p50.(j) *. 1000.) ];
+            })
+        policies;
       pr " %15.2fx %12.2fx@." (p50.(1) /. p50.(0)) (p50.(2) /. p50.(0)))
     workloads;
   (* Recovery latency: arm an injection that fires mid-run and measure the
@@ -1256,15 +1250,26 @@ let faults_bench () =
             else if t = 6 then faulty := seconds
             else after := !after +. seconds
           done;
+          let healthy = !healthy /. 4. and after = !after /. float_of_int (ticks - 5) in
           pr "  %-38s healthy %.4fs/t, faulty tick %.4fs, after %.4fs/t (%d retries)@."
-            (label ^ " @ " ^ point)
-            (!healthy /. 4.) !faulty
-            (!after /. float_of_int (ticks - 5))
-            (Simulation.retries sim)))
+            (label ^ " @ " ^ point) healthy !faulty after (Simulation.retries sim);
+          Bench_json.emit
+            {
+              section = "faults";
+              config = [ ("recovery", label); ("point", point) ];
+              metrics =
+                Bench_json.
+                  [
+                    lower "faulty_tick_ms" (!faulty *. 1000.);
+                    info "healthy_tick_ms" (healthy *. 1000.);
+                    info "after_tick_ms" (after *. 1000.);
+                    lower "retries" (float_of_int (Simulation.retries sim));
+                  ];
+            }))
     [
-      ("degrade indexed->naive", Simulation.Degrade, Simulation.Indexed, "eval.member",
+      ("degrade", Simulation.Degrade, Simulation.Indexed, "eval.member",
        Fault_inject.Always);
-      ("quarantine retry", Simulation.Quarantine_script, Simulation.Indexed, "exec.group",
+      ("quarantine", Simulation.Quarantine_script, Simulation.Indexed, "exec.group",
        Fault_inject.At_count 2);
     ];
   pr "@.(the faulty tick pays the failed partial tick plus a full retry - on@.";
@@ -1302,43 +1307,25 @@ let persist_bench () =
   let measure ~mode ~every ~fsync () =
     Telemetry.reset ();
     Telemetry.set_enabled true;
-    let scenario =
-      Battle.Scenario.setup ~density ~per_side:(Battle.Scenario.standard_mix (n / 2)) ()
-    in
-    let sim = Battle.Scenario.simulation ~evaluator:Simulation.Indexed scenario in
-    (* warm one tick outside the clock; the arming snapshot of the
-       durable passes stays outside it too *)
-    Simulation.step sim;
     let dir = Option.map fresh_dir (if every >= 0 then Some mode else None) in
-    Option.iter (fun dir -> Simulation.checkpoint_every ~fsync sim ~dir ~every) dir;
-    let (), seconds = Timer.timed (fun () -> Simulation.run sim ~ticks) in
-    Simulation.detach_persistence sim;
-    let counter name =
-      match List.assoc_opt name (Telemetry.Registry.counters Telemetry.default) with
-      | Some v -> v
-      | None -> 0
+    (* the arming snapshot of the durable passes stays outside the clock *)
+    let attach sim =
+      Option.iter (fun dir -> Simulation.checkpoint_every ~fsync sim ~dir ~every) dir;
+      fun () -> Simulation.detach_persistence sim
     in
+    let run = timed_run ~attach (battle_sim ~evaluator:Simulation.Indexed ~n ~density) ~ticks in
     let ckpt =
-      match List.assoc_opt "persist.checkpoint_ns" (Telemetry.Registry.histograms Telemetry.default) with
-      | Some s -> s
-      | None ->
-        {
-          Telemetry.count = 0;
-          mean = 0.;
-          stddev = 0.;
-          min = 0.;
-          max = 0.;
-          total = 0.;
-          p50 = 0.;
-          p90 = 0.;
-          p99 = 0.;
-        }
+      List.assoc_opt "persist.checkpoint_ns" (Telemetry.Registry.histograms Telemetry.default)
     in
-    let journal_bytes = counter "persist.journal_bytes" in
+    let ckpt_ms f = Option.fold ~none:0. ~some:(fun s -> f s /. 1e6) ckpt
+    and checkpoints = Option.fold ~none:0 ~some:(fun s -> s.Telemetry.count) ckpt in
+    let journal_bytes =
+      Option.value ~default:0
+        (List.assoc_opt "persist.journal_bytes" (Telemetry.Registry.counters Telemetry.default))
+    in
     Telemetry.set_enabled false;
     Option.iter rm_rf dir;
-    let per_tick = seconds /. float_of_int ticks in
-    Bench_json.emit ~section:"persist"
+    emit_run ~section:"persist"
       ~config:
         [
           ("mode", mode);
@@ -1346,16 +1333,16 @@ let persist_bench () =
           ("every", string_of_int every);
           ("fsync", string_of_bool fsync);
         ]
-      ~ticks_per_s:(1. /. per_tick)
-      ~phases:
-        [
-          ("checkpoint_mean_s", ckpt.Telemetry.mean /. 1e9);
-          ("checkpoint_max_s", ckpt.Telemetry.max /. 1e9);
-          ("checkpoint_total_s", ckpt.Telemetry.total /. 1e9);
-          ("checkpoints", float_of_int ckpt.Telemetry.count);
-          ("journal_bytes_per_tick", float_of_int journal_bytes /. float_of_int ticks);
-        ];
-    (mode, per_tick, ckpt, journal_bytes)
+      ~extra:
+        Bench_json.
+          [
+            info "checkpoint_mean_ms" (ckpt_ms (fun s -> s.Telemetry.mean));
+            info "checkpoint_max_ms" (ckpt_ms (fun s -> s.Telemetry.max));
+            info "checkpoints" (float_of_int checkpoints);
+            lower "journal_bytes_per_tick" (float_of_int journal_bytes /. float_of_int ticks);
+          ]
+      run;
+    (mode, fst run, checkpoints, ckpt_ms (fun s -> s.Telemetry.mean), journal_bytes)
   in
   (* every = -1 encodes "persistence off" (the baseline) *)
   let rows =
@@ -1366,13 +1353,13 @@ let persist_bench () =
       measure ~mode:"every=10,nofsync" ~every:10 ~fsync:false ();
     ]
   in
-  let _, t_off, _, _ = List.hd rows in
+  let _, t_off, _, _, _ = List.hd rows in
   pr "@.%-18s %10s %9s %7s %12s %12s@." "mode" "ticks/s" "overhead" "ckpts" "ckpt mean ms" "jrnl B/tick";
   List.iter
-    (fun (mode, per_tick, ckpt, journal_bytes) ->
+    (fun (mode, per_tick, checkpoints, mean_ms, journal_bytes) ->
       pr "%-18s %10.1f %8.1f%% %7d %12.2f %12.0f@." mode (1. /. per_tick)
         ((per_tick /. t_off -. 1.) *. 100.)
-        ckpt.Telemetry.count (ckpt.Telemetry.mean /. 1e6)
+        checkpoints mean_ms
         (float_of_int journal_bytes /. float_of_int ticks))
     rows;
   pr "@.(the journal append is tens of bytes per tick; the snapshot is@.";
@@ -1392,7 +1379,6 @@ let everything ~full () =
   ablate_nn ();
   ablate_combine ();
   ablate_share ();
-  phases ();
   incremental ~full ();
   faults_bench ();
   telemetry_bench ();
@@ -1432,7 +1418,6 @@ let () =
             | "ablate-nn" -> ablate_nn ()
             | "ablate-combine" -> ablate_combine ()
             | "ablate-share" -> ablate_share ()
-            | "phases" -> phases ()
             | "incremental" -> incremental ~full:false ()
             | "incremental-full" -> incremental ~full:true ()
             | "faults" -> faults_bench ()

@@ -349,7 +349,7 @@ let metrics_arg =
     value
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Enable the ambient telemetry registry and write its counters, gauges and \
+        ~doc:"Enable the ambient telemetry registry and write its counters and \
               histograms, with the simulation's own registry (index builds, reuses and probes, \
               engine counters), as JSON {\"ambient\": ..., \"sim\": ...} to $(docv) after \
               the run.")

@@ -16,10 +16,10 @@
      minus the fsync (forensics, not recovery, so losing the last frame
      to a power cut is acceptable).
 
-   Each frame is [u32 length | payload | u32 crc].  The loader verifies
-   every CRC and stops at the first torn or corrupt frame, returning what
-   it read plus a torn flag — truncation tolerance mirrors
-   {!Sgl_persist.Journal}. *)
+   Each frame is [u32 length | payload | u32 crc], the journal's record
+   frame ({!Sgl_persist.Codec.frame}).  The loader verifies every CRC and
+   stops at the first torn or corrupt frame, returning what it read plus
+   a torn flag ({!Sgl_persist.Codec.read_frames}, as the journal does). *)
 
 open Sgl_util
 open Sgl_engine
@@ -163,13 +163,7 @@ let decode_sample (payload : string) : sample =
     s_evaluator;
   }
 
-let frame_of (s : sample) : string =
-  let payload = encode_sample s in
-  let w = Codec.W.create ~size:(String.length payload + 8) () in
-  Codec.W.u32 w (String.length payload);
-  Codec.W.raw w payload;
-  Codec.W.u32 w (Crc32.string payload);
-  Codec.W.contents w
+let frame_of (s : sample) : string = Codec.frame (encode_sample s)
 
 let header () : string =
   let b = Buffer.create 16 in
@@ -225,33 +219,7 @@ let load ~(path : string) : (sample list * bool, string) result =
     let r = Codec.R.of_string contents in
     match Codec.read_header r ~magic ~version with
     | exception Codec.Corrupt e -> Error e
-    | () ->
-      let out = ref [] and torn = ref false in
-      (try
-         while Codec.R.remaining r > 0 do
-           if Codec.R.remaining r < 4 then begin
-             torn := true;
-             raise Exit
-           end;
-           let len = Codec.R.u32 r in
-           if Codec.R.remaining r < len + 4 then begin
-             torn := true;
-             raise Exit
-           end;
-           let payload = Codec.R.raw r len in
-           let crc = Codec.R.u32 r in
-           if crc <> Crc32.string payload then begin
-             torn := true;
-             raise Exit
-           end;
-           match decode_sample payload with
-           | s -> out := s :: !out
-           | exception Codec.Corrupt _ ->
-             torn := true;
-             raise Exit
-         done
-       with Exit -> ());
-      Ok (List.rev !out, !torn)
+    | () -> Ok (Codec.read_frames r decode_sample)
   end
 
 (* ------------------------------------------------------------------ *)

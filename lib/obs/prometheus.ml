@@ -27,7 +27,6 @@ let render_float (v : float) : string =
 
 type row =
   | Counter of int
-  | Gauge of float
   | Summary of Telemetry.histogram_snapshot
 
 (* Group by metric name across registries so each # TYPE header appears
@@ -45,7 +44,6 @@ let render (registries : (string * Telemetry.Registry.t) list) : string =
   List.iter
     (fun (label, reg) ->
       List.iter (fun (n, v) -> push (metric_name n) label (Counter v)) (Telemetry.Registry.counters reg);
-      List.iter (fun (n, v) -> push (metric_name n) label (Gauge v)) (Telemetry.Registry.gauges reg);
       List.iter
         (fun (n, s) -> push (metric_name n) label (Summary s))
         (Telemetry.Registry.histograms reg))
@@ -57,7 +55,6 @@ let render (registries : (string * Telemetry.Registry.t) list) : string =
       let ty =
         match entries with
         | (_, Counter _) :: _ -> "counter"
-        | (_, Gauge _) :: _ -> "gauge"
         | (_, Summary _) :: _ -> "summary"
         | [] -> "untyped"
       in
@@ -66,8 +63,6 @@ let render (registries : (string * Telemetry.Registry.t) list) : string =
         (fun (label, row) ->
           match row with
           | Counter v -> Buffer.add_string b (Printf.sprintf "%s{registry=%S} %d\n" name label v)
-          | Gauge v ->
-            Buffer.add_string b (Printf.sprintf "%s{registry=%S} %s\n" name label (render_float v))
           | Summary s ->
             List.iter
               (fun (q, v) ->

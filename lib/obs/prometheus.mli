@@ -9,7 +9,7 @@ val metric_name : string -> string
 
 (** [render [(label, registry); ...]] exposes every metric of every
     registry, one [# TYPE] header per metric name, the owning registry
-    as a [registry="label"] label.  Counters and gauges map directly;
+    as a [registry="label"] label.  Counters map directly;
     histograms render as summaries (quantiles 0.5/0.9/0.99 from
     {!Sgl_util.Stats.percentile}, plus [_sum] and [_count]). *)
 val render : (string * Telemetry.Registry.t) list -> string

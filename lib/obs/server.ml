@@ -5,7 +5,12 @@
    over shared state; serializing them keeps every handler free of
    re-entrancy concerns), Connection: close on every response.  The
    accept loop wakes on a select timeout to check the stop flag, so
-   [stop] returns within a fraction of a second and joins the thread. *)
+   [stop] returns within a fraction of a second and joins the thread.
+   Every read and write on an accepted socket gives up after
+   [client_timeout_s], so a client that connects and sends nothing holds
+   the loop (and [stop]) for at most that long. *)
+
+let client_timeout_s = 1.0
 
 type response = { status : int; content_type : string; body : string }
 
@@ -144,7 +149,12 @@ let accept_loop (listen_fd : Unix.file_descr) (stop_flag : bool Atomic.t) (handl
     | [], _, _ -> ()
     | _ :: _, _, _ -> begin
       match Unix.accept listen_fd with
-      | fd, _ -> handle_connection handler fd
+      | fd, _ ->
+        (try
+           Unix.setsockopt_float fd Unix.SO_RCVTIMEO client_timeout_s;
+           Unix.setsockopt_float fd Unix.SO_SNDTIMEO client_timeout_s
+         with Unix.Unix_error _ -> ());
+        handle_connection handler fd
       | exception Unix.Unix_error _ -> ()
     end
     | exception Unix.Unix_error _ -> ()

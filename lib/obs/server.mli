@@ -1,7 +1,8 @@
 (** A minimal dependency-free HTTP/1.0 server on a background thread —
     the transport under the live observability endpoint.  GET only,
     loopback by default, connections handled serially, every response
-    closes the connection. *)
+    closes the connection.  A client gets one second for each read and
+    write, so a silent one cannot hold the serial loop or {!stop}. *)
 
 type response = { status : int; content_type : string; body : string }
 

@@ -80,6 +80,15 @@ let encode_units_columnar (w : Codec.W.t) ~(schema : Schema.t) ~(store : Colstor
       done
   done
 
+(* Every value or row takes at least one byte, so a count the payload
+   cannot hold is refused before anything is allocated for it: [n] is read
+   from the file and checked only against META's count, which is just as
+   untrusted. *)
+let need_one_byte_each (u : Codec.R.t) (n : int) (what : string) : unit =
+  if Codec.R.remaining u < n then
+    Codec.corrupt "truncated input: %s of %d needs %d bytes, %d remain" what n n
+      (Codec.R.remaining u)
+
 let decode_units_columnar (u : Codec.R.t) ~(schema : Schema.t) ~(n_units : int) : Tuple.t array =
   let n = Codec.R.u32 u in
   if n <> n_units then Codec.corrupt "unit count mismatch: META says %d, COLU holds %d" n_units n;
@@ -101,11 +110,8 @@ let decode_units_columnar (u : Codec.R.t) ~(schema : Schema.t) ~(n_units : int) 
         let s = Codec.R.raw u n in
         Array.init n (fun i -> Value.Bool (s.[i] <> '\000'))
       | 3 ->
-        let a = Array.make n (Value.Int 0) in
-        for i = 0 to n - 1 do
-          a.(i) <- Codec.R.value u
-        done;
-        a
+        need_one_byte_each u n "boxed column";
+        Array.init n (fun _ -> Codec.R.value u)
       | tag -> Codec.corrupt "unknown column representation %d" tag)
   done;
   Array.init n (fun i -> Array.init arity (fun j -> cols.(j).(i)))
@@ -233,6 +239,7 @@ let load ~(schema : Schema.t) (p : string) : state =
       let n = Codec.R.u32 u in
       if n <> n_units then
         Codec.corrupt "unit count mismatch: META says %d, UNIT holds %d" n_units n;
+      need_one_byte_each u n "unit array";
       Array.init n (fun _ -> Codec.R.tuple u)
     end
     else decode_units_columnar (find_section sections "COLU") ~schema ~n_units

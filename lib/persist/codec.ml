@@ -262,6 +262,35 @@ let read_sections (r : R.t) : (string * string) list =
   go []
 
 (* ------------------------------------------------------------------ *)
+(* Record framing: the journal and the flight recorder append records
+   as [u32 len | payload | u32 crc(payload)] frames after a header.  A
+   short, checksum-failing or undecodable frame ends the read: it is what
+   a crash mid-append leaves behind. *)
+
+let frame (payload : string) : string =
+  let b = Buffer.create (String.length payload + 8) in
+  Buffer.add_int32_le b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.add_int32_le b (Int32.of_int (Crc32.string payload));
+  Buffer.contents b
+
+let read_frames (r : R.t) (decode : string -> 'a) : 'a list * bool =
+  let rec go acc =
+    if R.remaining r = 0 then (List.rev acc, false)
+    else
+      match
+        let len = R.u32 r in
+        R.need r (len + 4) "frame";
+        let payload = R.raw r len in
+        if R.u32 r <> Crc32.string payload then corrupt "frame checksum mismatch";
+        decode payload
+      with
+      | v -> go (v :: acc)
+      | exception Corrupt _ -> (List.rev acc, true)
+  in
+  go []
+
+(* ------------------------------------------------------------------ *)
 (* State fingerprints *)
 
 (* The digest is the CRC-32 of a canonical *column-major* encoding:

@@ -111,6 +111,22 @@ val read_header : R.t -> magic:string -> version:int -> unit
     terminator. *)
 val read_sections : R.t -> (string * string) list
 
+(** {1 Record framing}
+
+    The journal and the flight recorder append records after their
+    header as frames: a u32 payload length, the payload, and the
+    payload's CRC-32. *)
+
+(** [frame payload] is one framed record. *)
+val frame : string -> string
+
+(** [read_frames r decode] decodes frames to the end of [r].  Reading
+    stops at the first short or checksum-failing frame, or one whose
+    [decode] raises {!Corrupt} — a torn tail, what a crash mid-append
+    leaves — and returns the records before it; the [bool] says whether
+    it stopped early. *)
+val read_frames : R.t -> (string -> 'a) -> 'a list * bool
+
 (** {1 State fingerprints} *)
 
 (** CRC-32 of the canonical column-major encoding of the unit array —

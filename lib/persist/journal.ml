@@ -4,6 +4,7 @@
 
      "SGLJRNL\x01"  u32 version  u64 base_tick  u32 crc(base_tick bytes)
      record*        where record = u32 len | payload | u32 crc(payload)
+                    ([Codec.frame])
 
    Appends go through a buffered channel followed by flush (+ fsync when
    armed): a record is either wholly on disk or recognizably torn, and
@@ -93,11 +94,7 @@ let append (w : writer) (e : entry) : unit =
   Fault_inject.hit "io.journal.append";
   if w.closed then raise (Sys_error "journal: append after close");
   let payload = encode_entry e in
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.add_int32_le b (Int32.of_int (Crc32.string payload));
-  output_string w.oc (Buffer.contents b);
+  output_string w.oc (Codec.frame payload);
   flush w.oc;
   if w.fsync then Unix.fsync (Unix.descr_of_out_channel w.oc);
   w.bytes <- w.bytes + String.length payload
@@ -141,20 +138,6 @@ let read ~(dir : string) ~(base : int) : entry list * bool =
     if crc <> expect then Codec.corrupt "journal header checksum mismatch";
     if stored_base <> base then
       Codec.corrupt "journal base tick %d does not match file name (%d)" stored_base base;
-    (* Records: a short or checksum-failing tail is a tear, not an error —
-       it is what a crash mid-append is supposed to leave behind. *)
-    let acc = ref [] in
-    let torn = ref false in
-    (try
-       while Codec.R.remaining r > 0 do
-         let len = Codec.R.u32 r in
-         let payload =
-           if Codec.R.remaining r < len + 4 then Codec.corrupt "torn record"
-           else Codec.R.raw r len
-         in
-         let crc = Codec.R.u32 r in
-         if crc <> Crc32.string payload then Codec.corrupt "record checksum mismatch";
-         acc := decode_entry payload :: !acc
-       done
-     with Codec.Corrupt _ -> torn := true);
-    (List.rev !acc, !torn)
+    (* Records: a torn tail is not an error, it is what a crash mid-append
+       is supposed to leave behind. *)
+    Codec.read_frames r decode_entry

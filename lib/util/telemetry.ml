@@ -6,7 +6,7 @@
    behind EXPLAIN ANALYZE:
 
    - a *registry* of named metrics — atomic counters (any thread records
-     without locks), gauges, and histograms backed by one Welford
+     without locks) and histograms backed by one Welford
      accumulator ({!Stats}) each, behind a mutex because the live
      endpoint's server thread reads them while the engine records;
    - a *span tracer* that buffers (name, thread, start, duration) tuples
@@ -34,8 +34,6 @@
    flag; a disabled registry's metrics cost one atomic load to skip. *)
 
 type counter = { c_name : string; c_cell : int Atomic.t; c_on : bool Atomic.t }
-
-type gauge = { g_name : string; g_cell : float Atomic.t; g_on : bool Atomic.t }
 
 type histogram = {
   h_name : string;
@@ -67,12 +65,6 @@ module Counter = struct
      layer owns (rollback restores, retirement folds). *)
   let set (c : counter) (n : int) : unit = Atomic.set c.c_cell n
   let value (c : counter) : int = Atomic.get c.c_cell
-end
-
-module Gauge = struct
-  let name (g : gauge) = g.g_name
-  let set (g : gauge) (v : float) : unit = if Atomic.get g.g_on then Atomic.set g.g_cell v
-  let value (g : gauge) : float = Atomic.get g.g_cell
 end
 
 module Histogram = struct
@@ -129,7 +121,6 @@ module Registry = struct
     on : bool Atomic.t;
     lock : Mutex.t; (* guards registration maps, not metric cells *)
     counters : (string, counter) Hashtbl.t;
-    gauges : (string, gauge) Hashtbl.t;
     histograms : (string, histogram) Hashtbl.t;
   }
 
@@ -138,7 +129,6 @@ module Registry = struct
       on = Atomic.make enabled;
       lock = Mutex.create ();
       counters = Hashtbl.create 32;
-      gauges = Hashtbl.create 8;
       histograms = Hashtbl.create 8;
     }
 
@@ -166,10 +156,6 @@ module Registry = struct
     intern t.counters t.lock name (fun () ->
         { c_name = name; c_cell = Atomic.make 0; c_on = t.on })
 
-  let gauge (t : t) (name : string) : gauge =
-    intern t.gauges t.lock name (fun () ->
-        { g_name = name; g_cell = Atomic.make 0.; g_on = t.on })
-
   let histogram (t : t) (name : string) : histogram =
     intern t.histograms t.lock name (fun () ->
         { h_name = name; h_lock = Mutex.create (); h_stats = Stats.create (); h_on = t.on })
@@ -178,7 +164,6 @@ module Registry = struct
   let reset (t : t) : unit =
     Mutex.lock t.lock;
     Hashtbl.iter (fun _ c -> Atomic.set c.c_cell 0) t.counters;
-    Hashtbl.iter (fun _ g -> Atomic.set g.g_cell 0.) t.gauges;
     Hashtbl.iter (fun _ h -> Mutex.protect h.h_lock (fun () -> Stats.reset h.h_stats)) t.histograms;
     Mutex.unlock t.lock
 
@@ -191,9 +176,6 @@ module Registry = struct
 
   let counters (t : t) : (string * int) list =
     List.map (fun (k, c) -> (k, Counter.value c)) (sorted_bindings t.counters t.lock)
-
-  let gauges (t : t) : (string * float) list =
-    List.map (fun (k, g) -> (k, Gauge.value g)) (sorted_bindings t.gauges t.lock)
 
   let histograms (t : t) : (string * histogram_snapshot) list =
     List.map (fun (k, h) -> (k, Histogram.snapshot h)) (sorted_bindings t.histograms t.lock)
@@ -218,8 +200,6 @@ module Registry = struct
     Buffer.add_string b "{\n";
     fields "counters" (counters t) string_of_int;
     Buffer.add_string b ",\n";
-    fields "gauges" (gauges t) json_float;
-    Buffer.add_string b ",\n";
     fields "histograms" (histograms t) (fun (s : histogram_snapshot) ->
         Printf.sprintf
           "{\"count\": %d, \"mean\": %s, \"stddev\": %s, \"min\": %s, \"max\": %s, \"total\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s}"
@@ -242,7 +222,6 @@ let default : Registry.t = Registry.create ()
 let set_enabled v = Registry.set_enabled default v
 let enabled () = Registry.enabled default
 let counter name = Registry.counter default name
-let gauge name = Registry.gauge default name
 let histogram name = Registry.histogram default name
 let reset () = Registry.reset default
 

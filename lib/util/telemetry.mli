@@ -12,7 +12,6 @@
     EXPLAIN"). *)
 
 type counter
-type gauge
 type histogram
 
 type histogram_snapshot = {
@@ -40,12 +39,6 @@ module Counter : sig
   val set : counter -> int -> unit
 
   val value : counter -> int
-end
-
-module Gauge : sig
-  val name : gauge -> string
-  val set : gauge -> float -> unit
-  val value : gauge -> float
 end
 
 module Histogram : sig
@@ -84,7 +77,6 @@ module Registry : sig
       the first created.  Register eagerly, hold the handle. *)
   val counter : t -> string -> counter
 
-  val gauge : t -> string -> gauge
   val histogram : t -> string -> histogram
 
   (** Zero every metric; registrations (and held handles) stay valid. *)
@@ -93,10 +85,9 @@ module Registry : sig
   (** Current values, sorted by metric name. *)
   val counters : t -> (string * int) list
 
-  val gauges : t -> (string * float) list
   val histograms : t -> (string * histogram_snapshot) list
 
-  (** The --metrics document: {"counters": {...}, "gauges": {...},
+  (** The --metrics document: {"counters": {...},
       "histograms": {name: {count, mean, stddev, min, max, total}}}. *)
   val to_json : t -> string
 
@@ -118,7 +109,6 @@ val enabled : unit -> bool
 (** [counter name] is [Registry.counter default name]; likewise the rest. *)
 val counter : string -> counter
 
-val gauge : string -> gauge
 val histogram : string -> histogram
 
 (** Zero every metric of {!default}. *)

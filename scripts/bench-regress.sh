@@ -1,11 +1,13 @@
 #!/bin/sh
-# Bench regression gate: re-run the sections held by the newest archived
-# BENCH_*.json (or an explicitly named baseline) and fail when a pinned
-# metric regresses by more than the threshold against the archive.
+# Bench regression gate: re-run every section held by the newest archived
+# BENCH_*.json (or an explicitly named baseline) and fail when a gated
+# metric is worse than the archive by more than the threshold.
 #
-# Pinned metrics, per row (rows are matched on exact section + config):
-#   - ticks_per_s        fails when fresh < baseline * (1 - threshold)
-#   - phases.decision_s  fails when fresh > baseline * (1 + threshold)
+# One rule for every row (rows are matched on exact section + config):
+# each metric the baseline row gives a "better" direction fails when the
+# fresh value is worse than the baseline value by more than the
+# threshold, relative to the baseline; metrics without a direction are
+# not compared.  A baseline row missing from the fresh run fails too.
 #
 # The threshold is deliberately generous (30%): shared runners are noisy,
 # and this gate exists to catch accidental algorithmic regressions — an
@@ -13,85 +15,63 @@
 # Rows listed in scripts/bench-regress-skip.txt are excluded; keep that
 # list explicit so every exclusion is visible in review.
 #
+# The fresh run is left in bench.json (and its telemetry metrics in
+# bench.json.metrics.json) for inspection and archiving.
+#
 # Usage: scripts/bench-regress.sh [baseline.json] [threshold]
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BASELINE="${1:-}"
+BASELINE="${1:-$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -n 1)}"
 THRESHOLD="${2:-0.30}"
-SKIP_FILE="scripts/bench-regress-skip.txt"
-FRESH="fresh-bench.json"
+FRESH="bench.json"
 
-fail() {
-  echo "bench-regress: FAIL: $*" >&2
-  exit 1
-}
-
-if [ -z "$BASELINE" ]; then
-  BASELINE="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -n 1)"
-  [ -n "$BASELINE" ] || fail "no archived BENCH_*.json to compare against"
-fi
-[ -f "$BASELINE" ] || fail "baseline $BASELINE not found"
+[ -f "$BASELINE" ] || { echo "bench-regress: FAIL: no baseline BENCH_*.json" >&2; exit 1; }
 
 SECTIONS="$(python3 -c "
 import json, sys
-rows = json.load(open('$BASELINE'))['rows']
-seen = []
-for r in rows:
-    if r['section'] not in seen:
-        seen.append(r['section'])
-print(' '.join(seen))
-")"
-[ -n "$SECTIONS" ] || fail "baseline $BASELINE holds no rows"
+rows = json.load(open(sys.argv[1]))['rows']
+print(' '.join(dict.fromkeys(r['section'] for r in rows)))
+" "$BASELINE")"
 
 echo "bench-regress: baseline $BASELINE, sections: $SECTIONS, threshold $THRESHOLD"
 dune build bench/main.exe
+# shellcheck disable=SC2086 # one argument per section
 _build/default/bench/main.exe $SECTIONS --json "$FRESH" > bench-regress.out 2>&1 \
-  || { cat bench-regress.out >&2; fail "bench run failed"; }
+  || { cat bench-regress.out >&2; echo "bench-regress: FAIL: bench run failed" >&2; exit 1; }
+rm -f bench-regress.out
 
-python3 - "$BASELINE" "$FRESH" "$THRESHOLD" "$SKIP_FILE" <<'EOF' || exit 1
+python3 - "$BASELINE" "$FRESH" "$THRESHOLD" scripts/bench-regress-skip.txt <<'EOF'
 import json, sys
 
 baseline_path, fresh_path, threshold, skip_path = sys.argv[1:5]
 threshold = float(threshold)
 
-def rows(path):
-    return json.load(open(path))["rows"]
-
 def key(row):
     return (row["section"], tuple(sorted(row["config"].items())))
 
 def label(row):
-    cfg = ", ".join("%s=%s" % kv for kv in sorted(row["config"].items()))
-    return "%s[%s]" % (row["section"], cfg)
+    return "%s[%s]" % (row["section"], ", ".join("%s=%s" % kv for kv in key(row)[1]))
 
 # skip file: one entry per line, `section` or `section key=value ...`;
 # an entry skips rows of that section whose config matches every pair
 skips = []
-try:
-    for line in open(skip_path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        pairs = dict(p.split("=", 1) for p in parts[1:])
-        skips.append((parts[0], pairs))
-except FileNotFoundError:
-    pass
+for line in open(skip_path):
+    parts = line.split("#", 1)[0].split()
+    if parts:
+        skips.append((parts[0], dict(p.split("=", 1) for p in parts[1:])))
 
 def skipped(row):
-    for section, pairs in skips:
-        if row["section"] == section and all(
-            row["config"].get(k) == v for k, v in pairs.items()
-        ):
-            return True
-    return False
+    return any(
+        row["section"] == section and all(row["config"].get(k) == v for k, v in pairs.items())
+        for section, pairs in skips
+    )
 
-fresh = {key(r): r for r in rows(fresh_path)}
+fresh = {key(r): r for r in json.load(open(fresh_path))["rows"]}
 failures, compared, skipped_n = [], 0, 0
 
-for base in rows(baseline_path):
+for base in json.load(open(baseline_path))["rows"]:
     if skipped(base):
         skipped_n += 1
         continue
@@ -100,29 +80,24 @@ for base in rows(baseline_path):
         failures.append("%s: row missing from the fresh run" % label(base))
         continue
     compared += 1
-    b, f = base.get("ticks_per_s", 0.0), got.get("ticks_per_s", 0.0)
-    if b > 0 and f < b * (1.0 - threshold):
-        failures.append(
-            "%s: ticks_per_s %.1f -> %.1f (%.0f%% drop)"
-            % (label(base), b, f, (1.0 - f / b) * 100.0)
-        )
-    b = base.get("phases", {}).get("decision_s", 0.0)
-    f = got.get("phases", {}).get("decision_s", 0.0)
-    if b > 0 and f > b * (1.0 + threshold):
-        failures.append(
-            "%s: decision_s %.4f -> %.4f (%.0f%% slower)"
-            % (label(base), b, f, (f / b - 1.0) * 100.0)
-        )
+    for name, m in base["metrics"].items():
+        better, b = m.get("better"), m["value"]
+        if better is None or not b:
+            continue
+        f = got["metrics"].get(name, {}).get("value")
+        if f is None:
+            failures.append("%s: %s missing from the fresh run" % (label(base), name))
+            continue
+        worse = (f / b - 1.0) if better == "lower" else (1.0 - f / b)
+        if worse > threshold:
+            failures.append(
+                "%s: %s %.4g -> %.4g (%.0f%% worse)" % (label(base), name, b, f, worse * 100.0)
+            )
 
-print(
-    "bench-regress: %d row(s) compared, %d skipped by %s"
-    % (compared, skipped_n, skip_path)
-)
+print("bench-regress: %d row(s) compared, %d skipped by %s" % (compared, skipped_n, skip_path))
+for f in failures:
+    print("bench-regress: REGRESSION: " + f, file=sys.stderr)
 if failures:
-    for f in failures:
-        print("bench-regress: REGRESSION: " + f, file=sys.stderr)
     sys.exit(1)
-print("bench-regress: OK (no pinned metric regressed past the threshold)")
+print("bench-regress: OK (no gated metric regressed past the threshold)")
 EOF
-
-rm -f "$FRESH" bench-regress.out

@@ -10,6 +10,8 @@ open Sgl_relalg
 
 module Codec = Sgl_persist.Codec
 module Checkpoint = Sgl_persist.Checkpoint
+module Journal = Sgl_persist.Journal
+module Flight = Sgl_obs.Flight
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -661,20 +663,24 @@ let test_checkpoint_v1_compat () =
       Alcotest.(check int) "v1 tick" 41 got1.Checkpoint.tick;
       Alcotest.(check (list string)) "v1 quarantine" [ "healer" ] got1.Checkpoint.quarantined)
 
-(* Golden checkpoint: a fixed small state with one column of each kind —
-   pure floats, a float column holding one [Int] (so boxed), bools and
-   vecs.  The CRC-32 of the file bytes pins the canonical COLU encoding,
-   so a changed promotion rule in [Colstore.of_tuples] shows here. *)
+(* Golden files: a fixed small checkpoint, journal and flight dump.  The
+   CRC-32 of each file's bytes pins its encoding.  The checkpoint state
+   holds one column of each kind — pure floats, a float column holding
+   one [Int] (so boxed), bools and vecs — so a changed promotion rule in
+   [Colstore.of_tuples] shows here; the journal and the flight dump pin
+   the shared [u32 len | payload | u32 crc] record frame. *)
 let golden_checkpoint_crc = "e7e08d63"
+let golden_journal_crc = "ae966a25"
+let golden_flight_crc = "b725219e"
 
-let test_checkpoint_golden () =
-  let schema =
-    Schema.create
-      [
-        Schema.attr "key" Value.TInt; Schema.attr "x" Value.TFloat; Schema.attr "hp" Value.TFloat;
-        Schema.attr "up" Value.TBool; Schema.attr "aim" Value.TVec;
-      ]
-  in
+let golden_schema () =
+  Schema.create
+    [
+      Schema.attr "key" Value.TInt; Schema.attr "x" Value.TFloat; Schema.attr "hp" Value.TFloat;
+      Schema.attr "up" Value.TBool; Schema.attr "aim" Value.TVec;
+    ]
+
+let golden_state () : Checkpoint.state =
   let units =
     Array.init 6 (fun i ->
         let f = float_of_int i in
@@ -686,26 +692,92 @@ let test_checkpoint_golden () =
           Value.Vec (Vec2.make (f *. 0.5) (-.f));
         |])
   in
-  let store = Colstore.of_tuples schema units in
+  {
+    Checkpoint.tick = 3;
+    seed = 42;
+    cache_epoch = 2;
+    units;
+    quarantined = [];
+    counters = [ ("sim.deaths", 1) ];
+    degradations = [];
+  }
+
+let golden_journal_entries = [ Test_persist.entry ~tick:1 ~digest:0xABCD; Test_persist.entry ~tick:2 ~digest:7 ]
+let golden_flight_samples = List.init 3 (fun i -> Test_obs.mk_sample (i + 1))
+
+(* Each writer's file bytes, written into [dir]. *)
+let golden_files dir : [ `Checkpoint of string | `Journal of string | `Flight of string ] list =
+  let schema = golden_schema () and st = golden_state () in
+  let ckpt =
+    Checkpoint.save ~dir ~fsync:false ~schema ~store:(Colstore.of_tuples schema st.Checkpoint.units) st
+  in
+  let w = Journal.create ~dir ~base:0 ~fsync:false in
+  List.iter (Journal.append w) golden_journal_entries;
+  Journal.close w;
+  let fl = Flight.create ~capacity:8 in
+  List.iter (Flight.record fl) golden_flight_samples;
+  let flight = Filename.concat dir "golden.flight" in
+  Flight.dump fl ~path:flight;
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  [ `Checkpoint (read ckpt); `Journal (read (Journal.path ~dir ~base:0)); `Flight (read flight) ]
+
+let test_golden_files () =
+  let schema = golden_schema () in
+  let store = Colstore.of_tuples schema (golden_state ()).Checkpoint.units in
   (match (Colstore.col store 1, Colstore.col store 2, Colstore.col store 3, Colstore.col store 4) with
   | Colstore.Floats _, Colstore.Boxed _, Colstore.Bools _, Colstore.Boxed _ -> ()
   | _ -> Alcotest.fail "golden state does not hold one column of each kind");
-  let st =
-    {
-      Checkpoint.tick = 3;
-      seed = 42;
-      cache_epoch = 2;
-      units;
-      quarantined = [];
-      counters = [ ("sim.deaths", 1) ];
-      degradations = [];
-    }
-  in
   Test_persist.with_dir (fun dir ->
-      let path = Checkpoint.save ~dir ~fsync:false ~schema ~store st in
-      let bytes = In_channel.with_open_bin path In_channel.input_all in
-      Alcotest.(check string) "checkpoint file CRC-32" golden_checkpoint_crc
-        (Crc32.to_hex (Crc32.string bytes)))
+      List.iter
+        (fun file ->
+          let what, crc, bytes =
+            match file with
+            | `Checkpoint b -> ("checkpoint", golden_checkpoint_crc, b)
+            | `Journal b -> ("journal", golden_journal_crc, b)
+            | `Flight b -> ("flight dump", golden_flight_crc, b)
+          in
+          Alcotest.(check string) (what ^ " file CRC-32") crc (Crc32.to_hex (Crc32.string bytes)))
+        (golden_files dir))
+
+(* Byte fuzz over the three readers: a truncation or a single-byte flip
+   of a golden file must load as the original state, as a prefix of the
+   original records (a torn tail), or be refused with [Codec.Corrupt] or
+   [Error] — never raise anything else. *)
+let is_prefix (short : 'a list) (long : 'a list) : bool =
+  List.length short <= List.length long && List.filteri (fun i _ -> i < List.length short) long = short
+
+let fuzz_readers =
+  QCheck.Test.make ~count:400 ~name:"readers survive truncations and byte flips"
+    QCheck.(triple (int_range 0 2) bool (pair (int_range 0 100_000) (int_range 1 255)))
+    (fun (which, truncate, (at, mask)) ->
+      Test_persist.with_dir (fun dir ->
+          let file = List.nth (golden_files dir) which in
+          let mutate bytes =
+            let at = at mod String.length bytes in
+            if truncate then String.sub bytes 0 at
+            else
+              String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor mask) else c) bytes
+          in
+          let scratch = Filename.concat dir "fuzz" in
+          Sys.mkdir scratch 0o755;
+          match file with
+          | `Checkpoint bytes -> (
+            let p = Checkpoint.path ~dir:scratch ~tick:3 in
+            Test_persist.write_file p (mutate bytes);
+            match Checkpoint.load ~schema:(golden_schema ()) p with
+            | st -> rows_strict_eq st.Checkpoint.units (golden_state ()).Checkpoint.units
+            | exception Codec.Corrupt _ -> true)
+          | `Journal bytes -> (
+            Test_persist.write_file (Journal.path ~dir:scratch ~base:0) (mutate bytes);
+            match Journal.read ~dir:scratch ~base:0 with
+            | entries, _torn -> is_prefix entries golden_journal_entries
+            | exception Codec.Corrupt _ -> true)
+          | `Flight bytes -> (
+            let p = Filename.concat scratch "golden.flight" in
+            Test_persist.write_file p (mutate bytes);
+            match Flight.load ~path:p with
+            | Ok (samples, _torn) -> is_prefix samples golden_flight_samples
+            | Error _ -> true)))
 
 let suite =
   [
@@ -725,6 +797,7 @@ let suite =
           test_relation_isolation;
         Alcotest.test_case "100k-unit population" `Quick test_100k_population;
         Alcotest.test_case "checkpoint v1 compatibility" `Quick test_checkpoint_v1_compat;
-        Alcotest.test_case "checkpoint golden CRC" `Quick test_checkpoint_golden;
+        Alcotest.test_case "checkpoint golden CRC" `Quick test_golden_files;
+        qtest fuzz_readers;
       ] );
   ]

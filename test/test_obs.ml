@@ -361,11 +361,13 @@ let obs_is_invisible () =
 (* ------------------------------------------------------------------ *)
 (* HTTP smoke: every endpoint over a real socket during a live battle *)
 
-let http_get (port : int) (target : string) : int * string * string =
+(* [timeout] bounds each read of the response. *)
+let http_get ?(timeout = 0.) (port : int) (target : string) : int * string * string =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      if timeout > 0. then Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let req = Printf.sprintf "GET %s HTTP/1.0\r\nHost: localhost\r\n\r\n" target in
       let _ = Unix.write_substring fd req 0 (String.length req) in
@@ -487,6 +489,55 @@ let http_smoke () =
       let status, _, _ = http_get port "/nothing-here" in
       Alcotest.(check int) "404 fallback" 404 status)
 
+(* A client that connects and sends nothing must not hold the serial
+   accept loop: a later GET is answered and [stop] returns, each within a
+   bound.  Both waits run under a watchdog (a receive timeout on the GET,
+   a polled deadline on [stop] that then closes the silent client), so a
+   server that waits on the silent client fails here instead of stalling
+   the suite. *)
+let silent_client_does_not_block () =
+  let handler ~path ~params:_ = { Server.status = 200; content_type = "text/plain"; body = path } in
+  let server = Server.start ~port:0 ~handler () in
+  let port = Server.port server in
+  let silent () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    Thread.delay 0.1 (* the server accepts it and waits on its request *);
+    fd
+  in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let first = silent () in
+  let second = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      close first;
+      Option.iter close !second;
+      Server.stop server)
+    (fun () ->
+      (match http_get ~timeout:5. port "/health" with
+      | status, _, body ->
+        Alcotest.(check int) "answered behind a silent client" 200 status;
+        Alcotest.(check string) "body" "/health" body
+      | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "no answer within 5 s behind a silent client: %s" (Unix.error_message e));
+      second := Some (silent ());
+      let stopped = Atomic.make false in
+      let stopper =
+        Thread.create
+          (fun () ->
+            Server.stop server;
+            Atomic.set stopped true)
+          ()
+      in
+      let deadline = Unix.gettimeofday () +. 5. in
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.02
+      done;
+      let in_time = Atomic.get stopped in
+      Option.iter close !second (* releases a server still waiting on it *);
+      Thread.join stopper;
+      Alcotest.(check bool) "stop returns within 5 s" true in_time)
+
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
@@ -578,7 +629,11 @@ let suite =
       ] );
     ( "obs.differential",
       [ tc "bit-identical with obs on" `Slow obs_is_invisible ] );
-    ("obs.http", [ tc "every endpoint live" `Quick http_smoke ]);
+    ( "obs.http",
+      [
+        tc "every endpoint live" `Quick http_smoke;
+        tc "a silent client does not block" `Quick silent_client_does_not_block;
+      ] );
     ( "obs.query",
       [
         tc "leaves the sim ledger" `Quick query_leaves_sim_ledger;

@@ -193,6 +193,40 @@ let with_saved (f : schema:Schema.t -> path:string -> 'a) : 'a =
       let path = save ~dir ~schema st in
       f ~schema ~path)
 
+(* A crafted file with valid CRCs claims 10M units over a one-byte boxed
+   column.  It must read as corrupt before anything is allocated for the
+   claim: an array of that size alone is 10M words of major heap. *)
+let oversized_column_claim () =
+  let schema = Schema.create [ Schema.attr "key" Value.TInt ] in
+  let n = 10_000_000 in
+  let b = Buffer.create 256 in
+  let section tag fill =
+    let w = Codec.W.create () in
+    fill w;
+    Codec.write_section b ~tag (Codec.W.contents w)
+  in
+  Codec.write_header b ~magic:"SGLCKPT\x01" ~version:2;
+  section "META" (fun w ->
+      List.iter (Codec.W.int w) [ 1; 0; 0 ];
+      Codec.W.u32 w n);
+  section "SCHM" (fun w -> Codec.W.schema w schema);
+  section "COLU" (fun w ->
+      Codec.W.u32 w n;
+      Codec.W.u16 w 1;
+      Codec.W.u8 w 3 (* boxed *);
+      Codec.W.u8 w 0);
+  section "QUAR" (fun w -> Codec.W.u16 w 0);
+  section "CNTR" (fun w -> Codec.W.u16 w 0);
+  section "DEGR" (fun w -> Codec.W.u32 w 0);
+  Codec.write_section b ~tag:Codec.end_tag "";
+  with_dir (fun dir ->
+      let path = Checkpoint.path ~dir ~tick:1 in
+      write_file path (Buffer.contents b);
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      let _ : string = must_corrupt ~msg:"10M-unit claim" (fun () -> Checkpoint.load ~schema path) in
+      let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+      if grown > 1e6 then Alcotest.failf "refusing the claim allocated %.0f major words" grown)
+
 let truncation_detected () =
   with_saved (fun ~schema ~path ->
       let body = read_file path in
@@ -657,6 +691,8 @@ let suite =
       [
         Alcotest.test_case "truncation at any prefix is detected" `Quick truncation_detected;
         Alcotest.test_case "a flipped bit fails its section CRC" `Quick flipped_bit_detected;
+        Alcotest.test_case "an oversized column claim fails before allocating" `Quick
+          oversized_column_claim;
         Alcotest.test_case "unknown header version is rejected" `Quick
           unknown_version_detected;
         Alcotest.test_case "schema mismatch is rejected" `Quick schema_mismatch_detected;

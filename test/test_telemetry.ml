@@ -34,11 +34,7 @@ let registry_idempotent_registration () =
   let b = Telemetry.Registry.counter r "test.same" in
   Telemetry.Counter.add a 3;
   (* same handle: EXPLAIN recovers live counters by re-registering names *)
-  Alcotest.(check int) "one underlying cell" 3 (Telemetry.Counter.value b);
-  let g1 = Telemetry.Registry.gauge r "test.g" in
-  let g2 = Telemetry.Registry.gauge r "test.g" in
-  Telemetry.Gauge.set g1 2.5;
-  Alcotest.(check (float 0.)) "gauge interned" 2.5 (Telemetry.Gauge.value g2)
+  Alcotest.(check int) "one underlying cell" 3 (Telemetry.Counter.value b)
 
 let registry_reset_keeps_handles () =
   let r = Telemetry.Registry.create ~enabled:true () in
@@ -70,7 +66,6 @@ let registry_listing_and_json () =
   let a = Telemetry.Registry.counter r "a.first" in
   Telemetry.Counter.add a 1;
   Telemetry.Counter.add b 2;
-  Telemetry.Gauge.set (Telemetry.Registry.gauge r "g.one") 1.5;
   Telemetry.Histogram.observe (Telemetry.Registry.histogram r "h.one") 3.;
   Alcotest.(check (list (pair string int)))
     "counters sorted by name"
@@ -85,7 +80,7 @@ let registry_listing_and_json () =
         go 0
       in
       Alcotest.(check bool) (Fmt.str "json mentions %s" needle) true (contains json needle))
-    [ "\"counters\""; "\"gauges\""; "\"histograms\""; "\"a.first\""; "\"h.one\"" ]
+    [ "\"counters\""; "\"histograms\""; "\"a.first\""; "\"h.one\"" ]
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
