@@ -1,18 +1,21 @@
 (* Machine-readable benchmark output.
 
    The harness prints human-oriented tables; CI wants numbers it can diff
-   and archive.  [set_path] arms the emitter (it stays inert otherwise),
+   and archive.  Setting [path] arms the emitter (it stays inert otherwise),
    sections push one row per measured configuration, and [write] dumps
    everything as a single JSON document:
 
      { "rows": [ { "section": "incremental",
                    "config": { "units": "2000", ... },
-                   "metrics": { "ticks_per_s": { "value": 123.4, "better": "higher" },
+                   "metrics": { "ticks_per_s": { "value": 123.4, "better": "higher",
+                                                 "kind": "time" },
                                 "post_ms": { "value": 0.2 }, ... } }, ... ] }
 
-   A metric with a [better] direction is gated: scripts/bench-regress.sh
-   fails a fresh run where it is worse than the archived value by more
-   than the threshold.  A metric without one is there to be read.
+   A metric with a [better] direction is gated by scripts/bench-regress.sh
+   against the archived value, by its [kind]: a "count" of deterministic
+   work (moved only by the code) may not get worse at all, a "time" (wall
+   clock, moved by the host's load too) may not get worse by more than the
+   threshold in two runs.  A metric without a direction is there to be read.
 
    Hand-rolled serialization over [Telemetry]'s JSON fragments: the only
    values are strings and finite floats, and the toolchain has no JSON
@@ -20,13 +23,16 @@
 
 open Sgl
 
-type metric = { name : string; value : float; better : string option }
+(* [gate]: the better direction and the kind, as written to the JSON *)
+type metric = { name : string; value : float; gate : (string * string) option }
 
 type row = { section : string; config : (string * string) list; metrics : metric list }
 
-let higher name value = { name; value; better = Some "higher" }
-let lower name value = { name; value; better = Some "lower" }
-let info name value = { name; value; better = None }
+let higher name value = { name; value; gate = Some ("higher", "time") }
+let lower name value = { name; value; gate = Some ("lower", "time") }
+let more name value = { name; value; gate = Some ("higher", "count") }
+let fewer name value = { name; value; gate = Some ("lower", "count") }
+let info name value = { name; value; gate = None }
 
 (* The phase metrics of the ticks between two reports of one simulation:
    per-tick means of each phase, of which the decision phase (most of a
@@ -42,19 +48,15 @@ let phases ~(since : Simulation.report) (r : Simulation.report) : metric list =
     info "post_ms" (ms (fun r -> r.Simulation.post_s));
     info "movement_ms" (ms (fun r -> r.Simulation.movement_s));
     info "death_ms" (ms (fun r -> r.Simulation.death_s));
-    lower "index_builds_per_tick" (per_tick (fun r -> r.Simulation.index_builds));
-    higher "index_reuses_per_tick" (per_tick (fun r -> r.Simulation.index_reuses));
-    lower "index_probes_per_tick" (per_tick (fun r -> r.Simulation.index_probes));
+    fewer "index_builds_per_tick" (per_tick (fun r -> r.Simulation.index_builds));
+    more "index_reuses_per_tick" (per_tick (fun r -> r.Simulation.index_reuses));
+    fewer "index_probes_per_tick" (per_tick (fun r -> r.Simulation.index_probes));
   ]
 
+(* Where the document will land, once armed; sections read it to archive
+   companion files (e.g. the telemetry metrics JSON) next to it. *)
 let path : string option ref = ref None
 let rows : string list ref = ref [] (* serialized rows, newest first *)
-
-let set_path (p : string) : unit = path := Some p
-
-(* Where the document will land, for sections that archive companion
-   files (e.g. the telemetry metrics JSON) next to it. *)
-let current_path () : string option = !path
 
 let json_object (fields : (string * string) list) : string =
   let field (k, v) = Telemetry.json_string k ^ ": " ^ v in
@@ -62,11 +64,13 @@ let json_object (fields : (string * string) list) : string =
 
 let emit (r : row) : unit =
   let metric m =
-    ( m.name,
-      json_object
-        (("value", Telemetry.json_float m.value)
-        :: Option.to_list (Option.map (fun b -> ("better", Telemetry.json_string b)) m.better))
-    )
+    let gate =
+      match m.gate with
+      | None -> []
+      | Some (better, kind) ->
+        [ ("better", Telemetry.json_string better); ("kind", Telemetry.json_string kind) ]
+    in
+    (m.name, json_object (("value", Telemetry.json_float m.value) :: gate))
   in
   if Option.is_some !path then
     rows :=

@@ -5,11 +5,11 @@
      dune exec bench/main.exe -- full    -- the paper-scale sweeps
      dune exec bench/main.exe -- SECTION ... [--json PATH]
 
-   Sections (a [-full] variant runs the paper-scale sizes):
-     fig10 fig10-full capacity density
+   Sections, in quick-pass order (SECTION-full runs the paper-scale sizes
+   of fig10, capacity and incremental):
+     fig10 capacity density
      ablate-divisible ablate-sweep ablate-nn ablate-combine ablate-share
-     incremental incremental-full
-     faults telemetry obs persist micro
+     incremental faults telemetry obs persist micro
 
    With [--json PATH] every section writes one row per measured
    configuration through [Bench_json.emit]; BENCH_*.json at the repository
@@ -475,7 +475,7 @@ let ablate_share () =
         metrics =
           [
             Bench_json.lower "tick_ms" (per_tick *. 1000.);
-            Bench_json.lower "index_builds" (float_of_int builds);
+            Bench_json.fewer "index_builds" (float_of_int builds);
           ];
       };
     (per_tick, builds)
@@ -596,44 +596,40 @@ let incremental ~full () =
   pr " Unit states are bit-identical either way - the differential suite pins it.)@.@.";
   let sizes = if full then [ 2_000; 8_000; 20_000 ] else [ 2_000; 8_000 ] in
   let churns = [ 0.01; 0.10; 0.50 ] in
-  let evaluators = [ ("indexed", Simulation.Indexed) ] in
   pr "%-11s %8s %7s %14s %14s %8s %10s@." "evaluator" "units" "churn" "warm (t/s)"
     "cold (t/s)" "speedup" "reuses/t";
   List.iter
-    (fun (ev_name, evaluator) ->
+    (fun n ->
       List.iter
-        (fun n ->
-          List.iter
-            (fun churn ->
-              let ticks = if n >= 20_000 then 5 else 10 in
-              let measure label index_cache =
-                let run = timed_run (incremental_sim ~index_cache ~evaluator ~n ~churn) ~ticks in
-                emit_run ~section:"incremental"
-                  ~config:
-                    [
-                      ("evaluator", ev_name);
-                      ("units", string_of_int n);
-                      ("churn", Printf.sprintf "%.2f" churn);
-                      ("cache", label);
-                    ]
-                  run;
-                let reuses =
-                  List.find (fun m -> m.Bench_json.name = "index_reuses_per_tick") (snd run)
-                in
-                (1. /. fst run, reuses.Bench_json.value)
-              in
-              let warm, reuses = measure "warm" true in
-              let cold, _ = measure "cold" false in
-              pr "%-11s %8d %6.0f%% %14.1f %14.1f %7.2fx %10.1f@." ev_name n (churn *. 100.)
-                warm cold (warm /. cold) reuses;
-              (* a warm row that never reused a structure: the cache is off *)
-              if reuses = 0. then
-                fail_check
-                  (Printf.sprintf "incremental: warm %s units=%d churn=%.2f recorded no reuses"
-                     ev_name n churn))
-            churns)
-        sizes)
-    evaluators;
+        (fun churn ->
+          let ticks = if n >= 20_000 then 5 else 10 in
+          let measure label index_cache =
+            let evaluator = Simulation.Indexed in
+            let run = timed_run (incremental_sim ~index_cache ~evaluator ~n ~churn) ~ticks in
+            emit_run ~section:"incremental"
+              ~config:
+                [
+                  ("evaluator", "indexed");
+                  ("units", string_of_int n);
+                  ("churn", Printf.sprintf "%.2f" churn);
+                  ("cache", label);
+                ]
+              run;
+            let reuses =
+              List.find (fun m -> m.Bench_json.name = "index_reuses_per_tick") (snd run)
+            in
+            (1. /. fst run, reuses.Bench_json.value)
+          in
+          let warm, reuses = measure "warm" true in
+          let cold, _ = measure "cold" false in
+          pr "%-11s %8d %6.0f%% %14.1f %14.1f %7.2fx %10.1f@." "indexed" n (churn *. 100.) warm
+            cold (warm /. cold) reuses;
+          (* a warm row that never reused a structure: the cache is off *)
+          if reuses = 0. then
+            fail_check
+              (Printf.sprintf "incremental: warm units=%d churn=%.2f recorded no reuses" n churn))
+        churns)
+    sizes;
   pr "@.(warm wins grow with army size and shrink with churn: the statics'@.";
   pr " range trees are the O(n log n) build cost the delta summary avoids)@."
 
@@ -952,7 +948,7 @@ let telemetry_bench () =
                 let mp = p ^ ".metrics.json" in
                 Telemetry.Registry.write_json Telemetry.default ~path:mp;
                 pr "telemetry: metrics archived to %s@." mp)
-              (Bench_json.current_path ());
+              !Bench_json.path;
             Telemetry.set_enabled false );
       ( "metrics+spans",
         fun _ ->
@@ -1263,7 +1259,7 @@ let faults_bench () =
                     lower "faulty_tick_ms" (!faulty *. 1000.);
                     info "healthy_tick_ms" (healthy *. 1000.);
                     info "after_tick_ms" (after *. 1000.);
-                    lower "retries" (float_of_int (Simulation.retries sim));
+                    fewer "retries" (float_of_int (Simulation.retries sim));
                   ];
             }))
     [
@@ -1339,7 +1335,7 @@ let persist_bench () =
             info "checkpoint_mean_ms" (ckpt_ms (fun s -> s.Telemetry.mean));
             info "checkpoint_max_ms" (ckpt_ms (fun s -> s.Telemetry.max));
             info "checkpoints" (float_of_int checkpoints);
-            lower "journal_bytes_per_tick" (float_of_int journal_bytes /. float_of_int ticks);
+            fewer "journal_bytes_per_tick" (float_of_int journal_bytes /. float_of_int ticks);
           ]
       run;
     (mode, fst run, checkpoints, ckpt_ms (fun s -> s.Telemetry.mean), journal_bytes)
@@ -1370,21 +1366,24 @@ let persist_bench () =
 (* ------------------------------------------------------------------ *)
 (* Driver *)
 
-let everything ~full () =
-  fig10 ~full ();
-  capacity ~full ();
-  density_sweep ();
-  ablate_divisible ();
-  ablate_sweep ();
-  ablate_nn ();
-  ablate_combine ();
-  ablate_share ();
-  incremental ~full ();
-  faults_bench ();
-  telemetry_bench ();
-  obs_bench ();
-  persist_bench ();
-  micro ()
+(* The sections in quick-pass order; [full] swaps in the paper-scale sizes. *)
+let sections ~full =
+  [
+    ("fig10", fig10 ~full);
+    ("capacity", capacity ~full);
+    ("density", density_sweep);
+    ("ablate-divisible", ablate_divisible);
+    ("ablate-sweep", ablate_sweep);
+    ("ablate-nn", ablate_nn);
+    ("ablate-combine", ablate_combine);
+    ("ablate-share", ablate_share);
+    ("incremental", incremental ~full);
+    ("faults", faults_bench);
+    ("telemetry", telemetry_bench);
+    ("obs", obs_bench);
+    ("persist", persist_bench);
+    ("micro", micro);
+  ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1392,7 +1391,7 @@ let () =
      section dispatch, so it composes with any section list. *)
   let rec extract_json acc = function
     | "--json" :: path :: rest ->
-      Bench_json.set_path path;
+      Bench_json.path := Some path;
       List.rev_append acc rest
     | [ "--json" ] ->
       Fmt.epr "--json requires an output path@.";
@@ -1402,31 +1401,23 @@ let () =
   in
   let args = extract_json [] args in
   pr "SGL benchmark harness - reproduction of White et al., SIGMOD 2007@.";
+  let run_all ~full = List.iter (fun (_, section) -> section ()) (sections ~full) in
   Fun.protect ~finally:Bench_json.write (fun () ->
       match args with
-      | [] | [ "quick" ] -> everything ~full:false ()
-      | [ "full" ] -> everything ~full:true ()
+      | [] | [ "quick" ] -> run_all ~full:false
+      | [ "full" ] -> run_all ~full:true
       | names ->
         List.iter
-          (function
-            | "fig10" -> fig10 ~full:false ()
-            | "fig10-full" -> fig10 ~full:true ()
-            | "capacity" -> capacity ~full:false ()
-            | "density" -> density_sweep ()
-            | "ablate-divisible" -> ablate_divisible ()
-            | "ablate-sweep" -> ablate_sweep ()
-            | "ablate-nn" -> ablate_nn ()
-            | "ablate-combine" -> ablate_combine ()
-            | "ablate-share" -> ablate_share ()
-            | "incremental" -> incremental ~full:false ()
-            | "incremental-full" -> incremental ~full:true ()
-            | "faults" -> faults_bench ()
-            | "telemetry" -> telemetry_bench ()
-            | "obs" -> obs_bench ()
-            | "persist" -> persist_bench ()
-            | "micro" -> micro ()
-            | other ->
-              Fmt.epr "unknown benchmark %S@." other;
+          (fun name ->
+            let full, base =
+              match Filename.chop_suffix_opt ~suffix:"-full" name with
+              | Some base -> (true, base)
+              | None -> (false, name)
+            in
+            match List.assoc_opt base (sections ~full) with
+            | Some section -> section ()
+            | None ->
+              Fmt.epr "unknown benchmark %S@." name;
               exit 1)
           names);
   if !failed_checks <> [] then begin

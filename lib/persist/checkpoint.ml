@@ -80,15 +80,6 @@ let encode_units_columnar (w : Codec.W.t) ~(schema : Schema.t) ~(store : Colstor
       done
   done
 
-(* Every value or row takes at least one byte, so a count the payload
-   cannot hold is refused before anything is allocated for it: [n] is read
-   from the file and checked only against META's count, which is just as
-   untrusted. *)
-let need_one_byte_each (u : Codec.R.t) (n : int) (what : string) : unit =
-  if Codec.R.remaining u < n then
-    Codec.corrupt "truncated input: %s of %d needs %d bytes, %d remain" what n n
-      (Codec.R.remaining u)
-
 let decode_units_columnar (u : Codec.R.t) ~(schema : Schema.t) ~(n_units : int) : Tuple.t array =
   let n = Codec.R.u32 u in
   if n <> n_units then Codec.corrupt "unit count mismatch: META says %d, COLU holds %d" n_units n;
@@ -110,7 +101,9 @@ let decode_units_columnar (u : Codec.R.t) ~(schema : Schema.t) ~(n_units : int) 
         let s = Codec.R.raw u n in
         Array.init n (fun i -> Value.Bool (s.[i] <> '\000'))
       | 3 ->
-        need_one_byte_each u n "boxed column";
+        (* each value takes at least a tag byte: refuse a count the
+           payload cannot hold before allocating for it *)
+        Codec.R.need u n "boxed column";
         Array.init n (fun _ -> Codec.R.value u)
       | tag -> Codec.corrupt "unknown column representation %d" tag)
   done;
@@ -239,7 +232,7 @@ let load ~(schema : Schema.t) (p : string) : state =
       let n = Codec.R.u32 u in
       if n <> n_units then
         Codec.corrupt "unit count mismatch: META says %d, UNIT holds %d" n_units n;
-      need_one_byte_each u n "unit array";
+      Codec.R.need u n "unit array" (* each row takes at least a byte *);
       Array.init n (fun _ -> Codec.R.tuple u)
     end
     else decode_units_columnar (find_section sections "COLU") ~schema ~n_units

@@ -59,6 +59,11 @@ module R : sig
   (** Bytes not yet consumed. *)
   val remaining : t -> int
 
+  (** [need r n what] raises {!Corrupt} unless [n] bytes remain — also
+      the bound to check before allocating for a count of [n] values read
+      from the input, each of which takes at least one byte. *)
+  val need : t -> int -> string -> unit
+
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
