@@ -8,17 +8,11 @@
      dune exec bin/sgl_check.exe -- examples/scripts/patrol.sgl --explain
 
    With --lint it runs the static analyzer instead: effect-race rules
-   (R00x), plan translation validation (V00x), performance lints (P00x),
-   interval value-range findings (N00x) and shard-locality findings
-   (S00x), reported one grep-friendly line per finding or as a JSON array
-   (--lint-json).  --werror promotes warnings to the failing exit code
-   (infos never gate).  --battle lints the built-in battle scripts instead
-   of a file.
-
-   With --footprint (text) or --footprint-json it prints each script's
-   shard-locality certificate from the footprint analysis: attributes
-   read and written, the class of every aggregate read region and effect
-   clause, and the conservative interaction radii. *)
+   (R00x), plan translation validation (V00x), performance lints (P00x)
+   and interval value-range findings (N00x), reported one grep-friendly
+   line per finding or as a JSON array (--lint-json).  --werror promotes
+   warnings to the failing exit code (infos never gate).  --battle lints
+   the built-in battle scripts instead of a file. *)
 
 open Cmdliner
 open Sgl
@@ -29,7 +23,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-type dump = Summary | Tokens | Ast | Normal | Core | Explain | Lint | Footprint
+type dump = Summary | Tokens | Ast | Normal | Core | Explain | Lint
 
 (* The engine phases downstream of script evaluation: the battle
    post-processing query plus the movement integrator's vector reads.
@@ -61,20 +55,8 @@ let run_lint ~(path : string) ~(source : string) ~(json : bool) ~(werror : bool)
     else if werror && c.Analysis.Diagnostic.warnings > 0 then 1
     else 0
 
-(* Shard-locality certificates for every script of the compiled program.
-   Purely informational (exit 0): the gating view of the same analysis is
-   the S-rules under --lint. *)
-let run_footprint ~(source : string) ~(json : bool) : int =
-  let schema = Battle.Unit_types.schema () in
-  let consts = Battle.Scripts.constants in
-  let prog = compile ~consts ~schema source in
-  let certs = Analysis.Footprint.certify prog in
-  if json then print_string (Analysis.Footprint.certs_to_json certs)
-  else List.iter (fun c -> Fmt.pr "%a@." Analysis.Footprint.pp_cert c) certs;
-  0
-
-let run (path : string option) (battle : bool) (dump : dump) (json : bool) (fjson : bool)
-    (werror : bool) (no_post_reads : bool) : int =
+let run (path : string option) (battle : bool) (dump : dump) (json : bool) (werror : bool)
+    (no_post_reads : bool) : int =
   let path, source =
     if battle then ("<battle built-ins>", Battle.Scripts.source)
     else
@@ -86,11 +68,10 @@ let run (path : string option) (battle : bool) (dump : dump) (json : bool) (fjso
   in
   let schema = Battle.Unit_types.schema () in
   let consts = Battle.Scripts.constants in
-  let dump = if json then Lint else if fjson then Footprint else dump in
+  let dump = if json then Lint else dump in
   try
     match dump with
     | Lint -> run_lint ~path ~source ~json ~werror ~no_post_reads
-    | Footprint -> run_footprint ~source ~json:fjson
     | Tokens ->
       List.iter
         (fun (lx : Lexer.lexed) ->
@@ -159,19 +140,13 @@ let dump_arg =
       (Normal, Arg.info [ "dump-normal" ] ~doc:"Pretty-print the normal form (aggregates hoisted into lets).");
       (Core, Arg.info [ "dump-core" ] ~doc:"Print the resolved core IR and aggregate instances.");
       (Explain, Arg.info [ "explain" ] ~doc:"Print optimized plans and index strategies.");
-      (Lint, Arg.info [ "lint" ] ~doc:"Run the static analyzer (races, plan validation, performance lints, value ranges, shard locality).");
-      (Footprint, Arg.info [ "footprint" ] ~doc:"Print per-script shard-locality certificates (reads/writes, region and effect classes, interaction radii).");
+      (Lint, Arg.info [ "lint" ] ~doc:"Run the static analyzer (races, plan validation, performance lints, value ranges).");
     ]
   in
   Arg.(value & vflag Summary flags)
 
 let json_arg =
   Arg.(value & flag & info [ "lint-json" ] ~doc:"With --lint, emit diagnostics as a JSON array.")
-
-let fjson_arg =
-  Arg.(
-    value & flag
-    & info [ "footprint-json" ] ~doc:"Emit the shard-locality certificates as a JSON array (implies --footprint).")
 
 let werror_arg =
   Arg.(value & flag & info [ "werror" ] ~doc:"With --lint, exit non-zero on warnings too (infos never gate).")
@@ -189,7 +164,6 @@ let cmd =
   Cmd.v
     (Cmd.info "sgl_check" ~version:Sgl.version ~doc)
     Term.(
-      const run $ path_arg $ battle_arg $ dump_arg $ json_arg $ fjson_arg $ werror_arg
-      $ no_post_reads_arg)
+      const run $ path_arg $ battle_arg $ dump_arg $ json_arg $ werror_arg $ no_post_reads_arg)
 
 let () = exit (Cmd.eval' cmd)

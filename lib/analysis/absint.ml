@@ -802,8 +802,8 @@ let of_range (ty : Value.ty) ((lo, hi) : float * float) : t =
   | Value.TBool -> bool_top
 
 (* Abstract store for the schema attributes.  [trust_ranges] decides
-   whether declared ranges (and declared types) are believed: the lint /
-   certificate side trusts them — they are the documented contract —
+   whether declared ranges (and declared types) are believed: the lint
+   side trusts them — they are the documented contract —
    while the engine-side folding oracles do not, because tests may build
    stores whose tuples violate the declarations, and a misfolded kernel
    would corrupt execution rather than just mis-lint. *)
@@ -901,16 +901,9 @@ let make_oracle ?(trust_ranges = false) (prog : Core_ir.program) : oracle =
   { prove; fold }
 
 (* ------------------------------------------------------------------ *)
-(* Path-sensitive analysis: refinement, diagnostics, and site maps *)
+(* Path-sensitive analysis: refinement and value-range diagnostics *)
 
 module IMap = Map.Make (Int)
-
-type info = {
-  info_script : string;
-  effect_sites : (Core_ir.effect_clause * (int -> t)) list;
-  agg_sites : (int * (int -> t)) list;
-  diags : Diagnostic.t list;
-}
 
 let negate_cmp = function
   | Expr.Eq -> Expr.Ne
@@ -975,11 +968,12 @@ and refine_cmp env s op rhs pol lookup =
   let rv, rerr = eval ctx rhs in
   if rerr then env else IMap.add s (narrow_by_cmp cur op rv) env
 
-let analyze_script ?(pos_of = fun (_ : string) -> Ast.no_pos) ~trust_ranges
-    (prog : Core_ir.program) (s : Core_ir.script) : info =
+(* N001/N002/N003 for one script, trusting the schema's declared ranges. *)
+let check_script ~(pos_of : string -> Ast.pos) (prog : Core_ir.program) (s : Core_ir.script) :
+    Diagnostic.t list =
   let schema = prog.Core_ir.schema in
   let arity = Schema.arity schema in
-  let senv = schema_env ~trust_ranges schema in
+  let senv = schema_env ~trust_ranges:true schema in
   let base = script_env ~senv prog s in
   let pos = pos_of s.Core_ir.name in
   let diags = ref [] in
@@ -993,7 +987,6 @@ let analyze_script ?(pos_of = fun (_ : string) -> Ast.no_pos) ~trust_ranges
         end)
       fmt
   in
-  let effect_sites = ref [] and agg_sites = ref [] in
   let alarm_handler where = function
     | Div_by_zero -> add_diag ~rule:"N001" "possible division by zero in %s" where
     | Sqrt_neg -> add_diag ~rule:"N002" "sqrt of a possibly negative value in %s" where
@@ -1010,7 +1003,6 @@ let analyze_script ?(pos_of = fun (_ : string) -> Ast.no_pos) ~trust_ranges
       go (depth + 1) (IMap.add (arity + depth) v env) k
     | Core_ir.Let_agg (i, k) ->
       let agg = prog.Core_ir.aggregates.(i) in
-      agg_sites := (i, lookup) :: !agg_sites;
       let v, _ =
         eval_aggregate
           ~alarm:(alarm_handler (Fmt.str "aggregate %s" agg.Aggregate.name))
@@ -1051,7 +1043,6 @@ let analyze_script ?(pos_of = fun (_ : string) -> Ast.no_pos) ~trust_ranges
     | Core_ir.Effects clauses ->
       List.iter
         (fun (c : Core_ir.effect_clause) ->
-          effect_sites := (c, lookup) :: !effect_sites;
           let ectx = { u = lookup; e = Some senv } in
           (match c.Core_ir.target with
           | Core_ir.Self -> ()
@@ -1068,19 +1059,11 @@ let analyze_script ?(pos_of = fun (_ : string) -> Ast.no_pos) ~trust_ranges
       env
   in
   ignore (go 0 IMap.empty s.Core_ir.body);
-  {
-    info_script = s.Core_ir.name;
-    effect_sites = List.rev !effect_sites;
-    agg_sites = List.rev !agg_sites;
-    diags = List.rev !diags;
-  }
+  List.rev !diags
 
-(* Value-range rules (N001/N002/N003) over every script, trusting the
-   schema's declared ranges. *)
-let check ?pos_of (prog : Core_ir.program) : Diagnostic.t list =
-  List.concat_map
-    (fun s -> (analyze_script ?pos_of ~trust_ranges:true prog s).diags)
-    prog.Core_ir.scripts
+let check ?(pos_of = fun (_ : string) -> Ast.no_pos) (prog : Core_ir.program) :
+    Diagnostic.t list =
+  List.concat_map (check_script ~pos_of prog) prog.Core_ir.scripts
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing *)

@@ -1,5 +1,5 @@
 (** Interval abstract interpretation over SGL values (the [Absint]
-    domain the locality certificates and the optimizer's interval-fact
+    domain the value-range lints and the optimizer's interval-fact
     oracles are built on).
 
     The abstract domain is a reduced product over the four runtime types
@@ -56,10 +56,9 @@ val eval : ?alarm:(alarm -> unit) -> ctx -> Expr.t -> t * bool
 val eval_aggregate : ?alarm:(alarm -> unit) -> ctx:ctx -> eenv:(int -> t) -> Aggregate.t -> t * bool
 
 (** Abstract store for the schema attributes.  With [trust_ranges] the
-    declared {!Schema.attr} ranges and types are believed (lint /
-    certificate side); without it every slot is top (engine-side folding
-    oracles, which must stay sound against stores that violate the
-    declarations). *)
+    declared {!Schema.attr} ranges and types are believed (lint side);
+    without it every slot is top (engine-side folding oracles, which must
+    stay sound against stores that violate the declarations). *)
 val schema_env : trust_ranges:bool -> Schema.t -> int -> t
 
 (** Flow-insensitive register map for one script: unit slots below the
@@ -84,21 +83,7 @@ val no_oracle : oracle
     believe advisory schema ranges. *)
 val make_oracle : ?trust_ranges:bool -> Core_ir.program -> oracle
 
-(** Result of the path-sensitive per-script analysis: the abstract store
-    (path-refined, as a total slot map) at every effect clause and every
-    aggregate call site, plus value-range diagnostics
-    (N001 division-by-zero, N002 sqrt-of-negative, N003 guard decided by
-    interval facts). *)
-type info = {
-  info_script : string;
-  effect_sites : (Core_ir.effect_clause * (int -> t)) list;
-  agg_sites : (int * (int -> t)) list;
-  diags : Diagnostic.t list;
-}
-
-val analyze_script :
-  ?pos_of:(string -> Ast.pos) -> trust_ranges:bool -> Core_ir.program -> Core_ir.script -> info
-
-(** N001/N002/N003 over every script of the program, trusting declared
-    ranges. *)
+(** Path-sensitive value-range rules over every script of the program,
+    trusting declared ranges: N001 division-by-zero, N002
+    sqrt-of-negative, N003 guard decided by interval facts. *)
 val check : ?pos_of:(string -> Ast.pos) -> Core_ir.program -> Diagnostic.t list

@@ -11,10 +11,10 @@
    3. If any error-severity diagnostic exists, stop: the later passes need
       a well-typed program to compile.
    4. Compile to closed core IR, then run the effect-race detector, the
-      aggregate strategy lints, the interval analysis (N rules), the
-      footprint analysis (S rules), and the plan translation validator —
-      the latter with a range-trusting interval-fact prover plugged in, so
-      the most aggressive guard-discharging rewrite is itself validated.
+      aggregate strategy lints, the interval analysis (N rules) and the
+      plan translation validator — the latter with a range-trusting
+      interval-fact prover plugged in, so the most aggressive
+      guard-discharging rewrite is itself validated.
 
    Core-IR programs assembled through the library API (which never meet
    the typechecker) go straight to step 4 via [analyze_core]. *)
@@ -41,7 +41,6 @@ let analyze_core ?(post_reads : int list = []) ?(pos_of : string -> Ast.pos = fu
     (Effect_race.check ~post_reads ~pos_of prog
     @ Perf_lint.check_aggregates ~pos_of prog
     @ Absint.check ~pos_of prog
-    @ Footprint.check ~pos_of prog
     @ Plan_check.validate_program ~pos_of ~prove:oracle.Absint.prove prog)
 
 let analyze_ast ?(consts : (string * Value.t) list = []) ?(post_reads : int list = [])
@@ -58,14 +57,7 @@ let analyze_ast ?(consts : (string * Value.t) list = []) ?(post_reads : int list
       | None -> Ast.no_pos
     in
     let core = Compile.compile_ast ~consts ~schema prog in
-    let oracle = Absint.make_oracle ~trust_ranges:true core in
-    Diagnostic.sort
-      (front
-      @ Effect_race.check ~post_reads ~pos_of core
-      @ Perf_lint.check_aggregates ~pos_of core
-      @ Absint.check ~pos_of core
-      @ Footprint.check ~pos_of core
-      @ Plan_check.validate_program ~pos_of ~prove:oracle.Absint.prove core)
+    Diagnostic.sort (front @ analyze_core ~post_reads ~pos_of core)
   end
 
 let analyze_source ?consts ?post_reads ~schema (source : string) :

@@ -8,9 +8,9 @@ open Sgl_lang
     const-write rejections become R001, everything else T001. *)
 val of_type_diagnostic : Typecheck.diagnostic -> Diagnostic.t
 
-(** Core-IR passes only (effect races, aggregate strategy lints, plan
-    validation) — for programs assembled through the library API, which
-    never meet the typechecker.  [post_reads] as in
+(** Core-IR passes only (effect races, aggregate strategy lints, value
+    ranges, plan validation) — for programs assembled through the
+    library API, which never meet the typechecker.  [post_reads] as in
     {!Effect_race.check}. *)
 val analyze_core :
   ?post_reads:int list ->

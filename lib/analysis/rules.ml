@@ -8,8 +8,6 @@
    - V: plan translation validation — the optimizer's rewrites are checked,
      not trusted;
    - P: performance lints tied to [Agg_plan.analyze] and plan structure;
-   - S: shard-locality findings from the footprint analysis — how far a
-     script's reads and effects can reach across the map;
    - N: numeric value-range findings from interval abstract
      interpretation ([Absint]).
 
@@ -133,32 +131,6 @@ let all : t list =
       rationale =
         "the branch condition folds to a constant (literals and consts only): one arm \
          is dead and the test costs a per-unit evaluation before rewriting";
-    };
-    {
-      id = "S001";
-      severity = Diagnostic.Info;
-      title = "unbounded read region";
-      rationale =
-        "an aggregate scans environment tuples without a key equality or a bounded \
-         spatial window: under sharding every probe crosses all shards (global reads \
-         such as army centroids are often intentional, hence informational)";
-    };
-    {
-      id = "S002";
-      severity = Diagnostic.Warn;
-      title = "unbounded all-target effect";
-      rationale =
-        "an All-target effect clause has no bounded spatial window: the write set \
-         spans every shard, so the script cannot run shard-locally";
-    };
-    {
-      id = "S003";
-      severity = Diagnostic.Warn;
-      title = "key expression may escape proven bounds";
-      rationale =
-        "a Key-target effect names a unit through an expression whose interval is not \
-         contained in the key attribute's declared range: the routed write may miss \
-         or land on an arbitrary shard";
     };
     {
       id = "N001";

@@ -17,8 +17,7 @@ let inf = infinity
 
 (* Finite upper bounds for the profile-sourced attributes, computed from
    the profiles themselves so the declared contract cannot drift from the
-   data.  attack_range and sight bound the footprint analysis's
-   interaction radii, so their finiteness is load-bearing. *)
+   data. *)
 let max_profile f =
   List.fold_left
     (fun m c -> Float.max m (f (D20.profile_of c)))

@@ -73,7 +73,6 @@ module Analysis = struct
   module Plan_check = Sgl_analysis.Plan_check
   module Perf_lint = Sgl_analysis.Perf_lint
   module Absint = Sgl_analysis.Absint
-  module Footprint = Sgl_analysis.Footprint
   module Driver = Sgl_analysis.Driver
 end
 

@@ -6,13 +6,11 @@
 #      under --werror (infos are allowed, they never gate);
 #   2. every fixture in examples/lint_fixtures/ is flagged with exactly
 #      the rule id encoded in its file name prefix (t001_..., r003_...);
-#   3. every shipped script earns a shard-locality certificate and no
-#      built-in battle script regresses to an unbounded footprint;
-#   4. every JSON report parses (the emitter is hand-rolled, so this
+#   3. every JSON report parses (the emitter is hand-rolled, so this
 #      script is the parser of record).
 #
-# JSON reports (lint diagnostics and footprint certificates) are
-# collected under lint-reports/ for the CI artifact.
+# JSON lint reports are collected under lint-reports/ for the CI
+# artifact.
 set -u
 
 SGL_CHECK="dune exec --no-build bin/sgl_check.exe --"
@@ -43,32 +41,7 @@ else
 fi
 $SGL_CHECK --battle --lint-json > "$OUT_DIR/battle.json"
 
-# -- 2. shard-locality certificates -----------------------------------------
-#
-# Every shipped script gets a footprint certificate archived next to the
-# lint reports, and the battle built-ins must all certify shard-local:
-# a bounded→unbounded regression here means a script started writing
-# outside any provable interaction radius.
-
-for f in examples/scripts/*.sgl; do
-  if $SGL_CHECK "$f" --footprint-json > "$OUT_DIR/$(basename "$f" .sgl)-footprint.json"; then
-    echo "ok: $f certified"
-  else
-    fail "$f: footprint certification failed"
-  fi
-done
-
-if $SGL_CHECK --battle --footprint-json > "$OUT_DIR/battle-footprint.json"; then
-  if grep -q '"shard_local":false' "$OUT_DIR/battle-footprint.json"; then
-    fail "a battle built-in script certifies unbounded (shard_local:false)"
-  else
-    echo "ok: battle built-ins all certify shard-local"
-  fi
-else
-  fail "battle built-ins: footprint certification failed"
-fi
-
-# -- 3. each fixture must be flagged by its seeded rule ---------------------
+# -- 2. each fixture must be flagged by its seeded rule ---------------------
 
 for f in examples/lint_fixtures/*.sgl; do
   base=$(basename "$f" .sgl)
@@ -87,7 +60,7 @@ for f in examples/lint_fixtures/*.sgl; do
   fi
 done
 
-# -- 4. every report must be valid JSON -------------------------------------
+# -- 3. every report must be valid JSON -------------------------------------
 
 for j in "$OUT_DIR"/*.json; do
   if python3 -m json.tool "$j" > /dev/null; then

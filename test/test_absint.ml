@@ -1,8 +1,8 @@
 (* Abstract interpretation: domain laws, the qcheck soundness law tying
    concrete evaluation to the inferred intervals, the optimizer oracles
-   (prove/fold) together with translation validation, the battle
-   shard-locality certificates, and the incremental column digests the
-   commit journal rides on (CRC combination law + differential pin). *)
+   (prove/fold) together with translation validation, and the
+   incremental column digests the commit journal rides on (CRC
+   combination law + differential pin). *)
 
 open Sgl_relalg
 open Sgl_lang
@@ -11,9 +11,6 @@ open Sgl_analysis
 open Sgl_battle
 
 let battle_schema () = Unit_types.schema ()
-
-let compile_battle () =
-  Compile.compile ~consts:Scripts.constants ~schema:(battle_schema ()) Scripts.source
 
 (* ------------------------------------------------------------------ *)
 (* Domain basics *)
@@ -232,40 +229,6 @@ let oracle_untrusted () =
     = Some (Value.Int 0))
 
 (* ------------------------------------------------------------------ *)
-(* Battle certificates: every shipped script must certify shard-local,
-   with the radii the scripts' windows imply. *)
-
-let battle_certificates () =
-  let prog = compile_battle () in
-  let certs = Footprint.certify prog in
-  Alcotest.(check int) "one certificate per script" (List.length prog.Core_ir.scripts)
-    (List.length certs);
-  List.iter
-    (fun (c : Footprint.cert) ->
-      Alcotest.(check bool) (c.Footprint.script ^ " certifies shard-local") true
-        c.Footprint.shard_local)
-    certs;
-  let find name = List.find (fun (c : Footprint.cert) -> c.Footprint.script = name) certs in
-  let knight = find "knight" in
-  Alcotest.(check bool) "knight writes only self/key (radius 0)" true
-    (knight.Footprint.write_radius = Some 0.);
-  Alcotest.(check bool) "knight keyed strike proven inside the key range" true
-    (List.exists (function Footprint.C_key true -> true | _ -> false) knight.Footprint.effects);
-  (match List.assoc_opt "WeakestEnemyInMelee" knight.Footprint.regions with
-  | Some (Footprint.R_windowed ws) ->
-    List.iter (fun (_, r) -> Alcotest.(check (float 0.)) "melee window radius" 2. r) ws
-  | _ -> Alcotest.fail "WeakestEnemyInMelee should be a windowed region");
-  let healer = find "healer" in
-  Alcotest.(check bool) "healer aura bounded at the heal range" true
-    (healer.Footprint.write_radius = Some 6.);
-  Alcotest.(check bool) "healer reads bounded by sight" true
-    (healer.Footprint.read_radius = Some 20.);
-  Alcotest.(check bool) "healer aura is a bounded all-target effect" true
-    (List.exists
-       (function Footprint.C_all_bounded _ -> true | _ -> false)
-       healer.Footprint.effects)
-
-(* ------------------------------------------------------------------ *)
 (* CRC combination: the identity the columnar digest leans on. *)
 
 let crc_combine () =
@@ -426,7 +389,6 @@ let suite =
         Alcotest.test_case "vector division rounds like evaluation" `Quick vec_div_rounding;
         Alcotest.test_case "oracle prove/fold with validation" `Quick oracle_prove_fold;
         Alcotest.test_case "untrusting oracle ignores declared ranges" `Quick oracle_untrusted;
-        Alcotest.test_case "battle shard-locality certificates" `Quick battle_certificates;
         Alcotest.test_case "crc32 combine identity" `Quick crc_combine;
         QCheck_alcotest.to_alcotest crc_combine_law;
         Alcotest.test_case "crc32 known answer" `Quick crc_known_answer;
